@@ -1,7 +1,8 @@
 """Hot inner loops, compiled with numba when available.
 
-Every kernel exists twice: a pure-numpy implementation (``*_numpy``) and a
-numba ``@njit`` version. The active backend is chosen at import time:
+The gather, correlation, upsampling, NMS, z-buffer and hole-filling kernels
+exist twice: a pure-numpy implementation (``*_numpy``) and a numba ``@njit``
+version. The active backend is chosen at import time:
 
 * numba is used when it imports cleanly,
 * unless the environment variable ``MVMATCH_DISABLE_NUMBA`` is set to a
@@ -9,9 +10,11 @@ numba ``@njit`` version. The active backend is chosen at import time:
 
 Both paths implement identical arithmetic (same traversal order, IEEE
 semantics, no fastmath) so results agree bit-for-bit; ``BACKEND`` reports
-which one is live. Matrix-multiply heavy code (attention, global matching)
-stays in plain numpy throughout the package since BLAS already owns it;
-only gather/scatter/stencil loops live here.
+which one is live. The two small convolutions exist once, as numpy einsum
+contractions, which measured faster than a jitted scalar loop.
+Matrix-multiply heavy code (attention, global matching) stays in plain numpy
+throughout the package since BLAS already owns it; only gather/scatter/
+stencil loops live here.
 """
 
 from __future__ import annotations
@@ -477,47 +480,13 @@ def conv2d_numpy(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     return np.einsum("yxcij,ijco->yxo", win, weights, optimize=True) + bias
 
 
-@njit(cache=True, parallel=True)
-def _conv2d_nb(inp, weights, bias, out):
-    h, w, cin = inp.shape
-    k = weights.shape[0]
-    cout = weights.shape[3]
-    r = (k - 1) // 2
-    for y in prange(h):
-        for x in range(w):
-            for co in range(cout):
-                acc = bias[co]
-                for ky in range(k):
-                    iy = y + ky - r
-                    if iy < 0 or iy >= h:
-                        continue
-                    for kx in range(k):
-                        ix = x + kx - r
-                        if ix < 0 or ix >= w:
-                            continue
-                        for ci in range(cin):
-                            acc += inp[iy, ix, ci] * weights[ky, kx, ci, co]
-                out[y, x, co] = acc
-    return out
-
-
 def conv2d(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Same-size k x k convolution, zero padding. weights: (k, k, Cin, Cout).
 
-    Always dispatches to the einsum path: benchmarks show the optimized
-    contraction beats the scalar loop (numba ~0.4x here), so the jitted
-    variant exists only for the benchmark comparison.
+    numpy only on either backend: the einsum contraction measured faster
+    than a jitted scalar loop (numba ~0.4x), so there is no numba variant.
     """
     return conv2d_numpy(_f64(inp), _f64(weights), _f64(bias))
-
-
-def conv2d_numba(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    if not HAS_NUMBA:
-        return conv2d_numpy(_f64(inp), _f64(weights), _f64(bias))
-    inp = _f64(inp)
-    weights = _f64(weights)
-    out = np.empty((inp.shape[0], inp.shape[1], weights.shape[3]), dtype=np.float64)
-    return _conv2d_nb(inp, weights, _f64(bias), out)
 
 
 def depthwise_conv2d_numpy(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -530,40 +499,9 @@ def depthwise_conv2d_numpy(inp: np.ndarray, weights: np.ndarray, bias: np.ndarra
     return np.einsum("yxcij,ijc->yxc", win, weights, optimize=True) + bias
 
 
-@njit(cache=True, parallel=True)
-def _depthwise_conv2d_nb(inp, weights, bias, out):
-    h, w, c = inp.shape
-    k = weights.shape[0]
-    r = (k - 1) // 2
-    for y in prange(h):
-        for x in range(w):
-            for ch in range(c):
-                acc = bias[ch]
-                for ky in range(k):
-                    iy = y + ky - r
-                    if iy < 0 or iy >= h:
-                        continue
-                    for kx in range(k):
-                        ix = x + kx - r
-                        if ix < 0 or ix >= w:
-                            continue
-                        acc += inp[iy, ix, ch] * weights[ky, kx, ch]
-                out[y, x, ch] = acc
-    return out
-
-
 def depthwise_conv2d(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Same-size depthwise k x k convolution, zero padding. weights: (k, k, C).
 
-    Dispatches to the einsum path for the same reason as conv2d.
+    numpy only on either backend, for the same reason as conv2d.
     """
     return depthwise_conv2d_numpy(_f64(inp), _f64(weights), _f64(bias))
-
-
-def depthwise_conv2d_numba(inp: np.ndarray, weights: np.ndarray,
-                           bias: np.ndarray) -> np.ndarray:
-    if not HAS_NUMBA:
-        return depthwise_conv2d_numpy(_f64(inp), _f64(weights), _f64(bias))
-    inp = _f64(inp)
-    out = np.empty_like(inp)
-    return _depthwise_conv2d_nb(inp, _f64(weights), _f64(bias), out)

@@ -3,16 +3,18 @@
 Coarse warps come from global matching by regression-by-classification:
 every source token scores all anchor positions in the target, and the
 coordinate is the probability-weighted mean of the anchor centers. Warps are
-then refined through a stride pyramid; each level warps the target features
-toward the source, builds a local correlation volume, aggregates the inputs
-through a small convolutional stack into a hidden state, optionally fuses
-the per-target hidden states across views (MVFuse), and applies a residual
+then refined through a stride pyramid; each level upsamples the previous
+warp, builds a local correlation volume around it and applies a residual
 update to the warp and its confidence.
 
 The residual head has two parts: a non-parametric soft-argmax readout of the
 correlation window, which does the actual refining, and a seeded
-convolutional head whose output gain is zero-initialized (standard practice
-for residual refiners) and only participates when configured.
+convolutional head whose output gain (``residual_gain``) is zero-initialized
+(standard practice for residual refiners). The head reads a hidden state:
+the source features, the aligned target features and the correlation run
+through a small convolutional stack, fused across views (MVFuse) at the
+configured levels. That hidden path is built only when ``residual_gain`` is
+non-zero, since at zero gain it cannot reach the warp.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .tracks import TrackToken
 DEFAULT_STRIDES = (8, 4, 2, 1)
 DEFAULT_MVFUSE_LEVELS = (4, 1)
 DEFAULT_WINDOWS = {8: 9, 4: 9, 2: 7, 1: 5}
+ALIGNMENT_MODES = ("forward", "invert", "reverse")
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,11 @@ class MatcherParams:
     mvfuse_alignment: str = "forward"       # "forward" | "invert" | "reverse"
     anchor_resolution: tuple[int, int] | None = None  # None: target feature resolution
 
+    def __post_init__(self):
+        if self.mvfuse_alignment not in ALIGNMENT_MODES:
+            raise ValueError(f"unknown mvfuse alignment {self.mvfuse_alignment!r}; "
+                             f"expected one of {', '.join(ALIGNMENT_MODES)}")
+
     @property
     def num_levels(self) -> int:
         return len(self.strides)
@@ -168,6 +176,8 @@ class RefinerState:
 
     ``level`` runs from num_levels + 1 (the raw coarse estimate) down to 1;
     level i holds warps at stride 2^(i-1) for the default pyramid.
+    ``hidden`` holds the per-target hidden states that fed the conv head; it
+    stays empty unless ``residual_gain`` is non-zero.
     """
 
     level: int
@@ -281,24 +291,20 @@ def _corr_readout(corr_scores: np.ndarray, channels: int, temperature: float,
 
 
 def _aligned_target_grid(phi_tgt: FeatureGrid, warp: DenseWarpField,
-                         params: MatcherParams, provider: FeatureProvider,
-                         source_view: int) -> FeatureGrid:
+                         params: MatcherParams, provider: FeatureProvider) -> FeatureGrid:
     """Source-aligned target features per the configured alignment mode."""
     mode = params.mvfuse_alignment
     if mode == "forward":
         return warp_features(phi_tgt, warp)
     if mode == "invert":
         back = invert_warp(warp, (phi_tgt.height, phi_tgt.width))
-    elif mode == "reverse":
-        src_grid = provider.features(source_view, phi_tgt.stride)
+    else:  # "reverse"
+        src_grid = provider.features(warp.source_view, phi_tgt.stride)
         anchors = AnchorGrid.uniform(src_grid.height, src_grid.width,
                                      (src_grid.height, src_grid.width))
         back = global_match(phi_tgt, src_grid, anchors, params.global_temperature,
                             warp.target_view, warp.source_view)
-    else:
-        raise ValueError(f"unknown mvfuse alignment {mode!r}")
     # scatter target features along the backward warp into the source grid
-    th, tw = back.height, back.width
     sh, sw = warp.height, warp.width
     px = np.round(back.targets[..., 0].ravel()).astype(np.int64)
     py = np.round(back.targets[..., 1].ravel()).astype(np.int64)
@@ -318,16 +324,43 @@ def _aligned_target_grid(phi_tgt: FeatureGrid, warp: DenseWarpField,
     return FeatureGrid(data, stride=phi_tgt.stride)
 
 
+def _hidden_states(phi_src: FeatureGrid, ups: dict[int, DenseWarpField],
+                   corrs: dict[int, np.ndarray], provider: FeatureProvider,
+                   params: MatcherParams, out_level: int) -> dict[int, FeatureGrid]:
+    """Per-target hidden states at ``out_level``, fused across views at MVFuse levels.
+
+    Each target's input is the source features, the source-aligned target
+    features and the flattened correlation window, run through the level's
+    conv stack.
+    """
+    lp = params.levels[out_level]
+    fuse_level = out_level in params.mvfuse_levels
+    hiddens: dict[int, FeatureGrid] = {}
+    for tgt, w_up in ups.items():
+        phi_tgt = provider.features(tgt, lp.stride)
+        warped = _aligned_target_grid(phi_tgt, w_up, params, provider) if fuse_level \
+            else warp_features(phi_tgt, w_up)
+        agg = np.concatenate([phi_src.data, warped.data,
+                              corrs[tgt].reshape(w_up.height, w_up.width, -1)], axis=2)
+        hiddens[tgt] = FeatureGrid(lp.hidden.apply(agg), stride=lp.stride)
+    if lp.mvfuse is not None and fuse_level:
+        fused = mvfuse(list(hiddens.values()), lp.mvfuse, params.mvfuse_iters)
+        hiddens = dict(zip(hiddens, fused))
+    return hiddens
+
+
 def refine_level(state: RefinerState, provider: FeatureProvider,
                  params: MatcherParams) -> RefinerState:
     """One refinement step: state at level i+1 in, state at level i out.
 
-    Per target view the previous warp is upsampled to this level, target
-    features are warped toward the source, a local correlation volume is
-    built, the aggregated inputs run through the level's conv stack into a
-    hidden state (fused across views at MVFuse levels), and the output head
-    produces residual warp/confidence updates. Confidence is clamped to
-    [0, 1] after the additive update.
+    Per target view the previous warp is upsampled to this level, a local
+    correlation volume is built around it, and the soft-argmax readout of
+    that window proposes a move, which is kept only where it verifies
+    (verify-then-apply). Only when ``residual_gain`` is non-zero are the
+    hidden states built (conv stack, MVFuse at fusion levels) and the gained
+    conv-head output added to the warp and confidence updates. Confidence is
+    clamped to [0, 1] after the additive update. With ``zero_residual`` the
+    upsampled warps are returned unchanged.
     """
     if state.level <= 1:
         raise ValueError("state is already at the finest level")
@@ -336,63 +369,50 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
     stride_in = params.level_stride(state.level)
     factor = stride_in // lp.stride
 
-    source_view = next(iter(state.warps.values())).source_view
-    phi_src = provider.features(source_view, lp.stride)
+    ups = {tgt: upsample_warp(state.warps[tgt], factor) if factor > 1 else state.warps[tgt]
+           for tgt in sorted(state.warps)}
+    if params.zero_residual:
+        return RefinerState(out_level, ups)
 
-    ups: dict[int, DenseWarpField] = {}
+    source_view = next(iter(ups.values())).source_view
+    phi_src = provider.features(source_view, lp.stride)
+    d = phi_src.channels
+    r = (lp.window - 1) // 2
     corrs: dict[int, np.ndarray] = {}
-    hiddens: dict[int, FeatureGrid] = {}
-    order = sorted(state.warps)
-    for tgt in order:
-        warp = state.warps[tgt]
-        w_up = upsample_warp(warp, factor) if factor > 1 else warp
+    updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for tgt, w_up in ups.items():
         phi_tgt = provider.features(tgt, lp.stride)
         if (w_up.height, w_up.width) != (phi_src.height, phi_src.width):
             raise ValueError("provider stride does not match the level resolution")
-        corr = local_correlation(phi_src, phi_tgt, w_up, lp.window)
-        warped = _aligned_target_grid(phi_tgt, w_up, params, provider, source_view) \
-            if (out_level in params.mvfuse_levels and params.mvfuse_alignment != "forward") \
-            else warp_features(phi_tgt, w_up)
-        agg = np.concatenate([phi_src.data, warped.data,
-                              corr.scores.reshape(corr.height, corr.width, -1)], axis=2)
-        hiddens[tgt] = FeatureGrid(lp.hidden.apply(agg), stride=lp.stride)
-        ups[tgt] = w_up
-        corrs[tgt] = corr.scores
-
-    if lp.mvfuse is not None and out_level in params.mvfuse_levels and len(order) >= 1:
-        fused = mvfuse([hiddens[t] for t in order], lp.mvfuse, params.mvfuse_iters)
-        hiddens = {t: g for t, g in zip(order, fused)}
-
-    new_warps: dict[int, DenseWarpField] = {}
-    for tgt in order:
-        w_up = ups[tgt]
-        if params.zero_residual:
-            new_warps[tgt] = w_up
-            continue
-        delta, peak = _corr_readout(corrs[tgt], params.feature_dim,
+        corr = local_correlation(phi_src, phi_tgt, w_up, lp.window).scores
+        delta, peak = _corr_readout(corr, params.feature_dim,
                                     params.softargmax_temperature,
                                     subpixel=out_level in params.subpixel_levels,
                                     gate_margin=params.corr_gate_margin)
         # verify-then-apply: keep a move only if the correlation at the moved
         # position actually beats staying put, so updates never regress
-        phi_tgt = provider.features(tgt, lp.stride)
         cand = w_up.targets + delta
         sampled = kernels.bilinear_gather(phi_tgt.data, cand[..., 0].ravel(),
                                           cand[..., 1].ravel())
-        d = phi_src.channels
         sc_new = np.einsum("nc,nc->n", phi_src.data.reshape(-1, d),
                            sampled).reshape(cand.shape[:2]) / np.sqrt(d)
-        r = (lp.window - 1) // 2
-        improved = sc_new > corrs[tgt][:, :, r, r] + params.verify_margin / np.sqrt(d)
+        improved = sc_new > corr[:, :, r, r] + params.verify_margin / np.sqrt(d)
         delta = np.where(improved[..., None], delta, 0.0)
-        d_conf = params.conf_blend * (peak - w_up.confidence)
-        if params.residual_gain != 0.0:
+        updates[tgt] = delta, params.conf_blend * (peak - w_up.confidence)
+        corrs[tgt] = corr
+
+    hiddens: dict[int, FeatureGrid] = {}
+    if params.residual_gain != 0.0:
+        hiddens = _hidden_states(phi_src, ups, corrs, provider, params, out_level)
+        for tgt, (delta, d_conf) in updates.items():
             head = kernels.conv2d(hiddens[tgt].data, lp.head_w, lp.head_b)
-            delta = delta + params.residual_gain * head[..., :2]
-            d_conf = d_conf + params.residual_gain * head[..., 2]
-        new_warps[tgt] = DenseWarpField(w_up.targets + delta,
-                                        np.clip(w_up.confidence + d_conf, 0.0, 1.0),
-                                        w_up.source_view, w_up.target_view)
+            updates[tgt] = (delta + params.residual_gain * head[..., :2],
+                            d_conf + params.residual_gain * head[..., 2])
+
+    new_warps = {tgt: DenseWarpField(ups[tgt].targets + delta,
+                                     np.clip(ups[tgt].confidence + d_conf, 0.0, 1.0),
+                                     ups[tgt].source_view, ups[tgt].target_view)
+                 for tgt, (delta, d_conf) in updates.items()}
     return RefinerState(out_level, new_warps, hiddens)
 
 

@@ -132,6 +132,40 @@ def random_fuse_params(rng, d, dff=None):
         pw2=rng.normal(0, 1 / np.sqrt(dff), (dff, d)), pb2=rng.normal(0, 0.1, d))
 
 
+def brute_force_conv2d(inp, weights, bias):
+    """Same-size k x k convolution with zero padding, one output pixel at a time."""
+    h, w, _ = inp.shape
+    k = weights.shape[0]
+    r = (k - 1) // 2
+    out = np.zeros((h, w, weights.shape[3]))
+    for y in range(h):
+        for x in range(w):
+            out[y, x] = bias
+            for ky in range(k):
+                for kx in range(k):
+                    iy, ix = y + ky - r, x + kx - r
+                    if 0 <= iy < h and 0 <= ix < w:
+                        out[y, x] += inp[iy, ix] @ weights[ky, kx]
+    return out
+
+
+def brute_force_depthwise_conv2d(inp, weights, bias):
+    """Same-size per-channel k x k convolution with zero padding, pixel by pixel."""
+    h, w, _ = inp.shape
+    k = weights.shape[0]
+    r = (k - 1) // 2
+    out = np.zeros(inp.shape)
+    for y in range(h):
+        for x in range(w):
+            out[y, x] = bias
+            for ky in range(k):
+                for kx in range(k):
+                    iy, ix = y + ky - r, x + kx - r
+                    if 0 <= iy < h and 0 <= ix < w:
+                        out[y, x] += inp[iy, ix] * weights[ky, kx]
+    return out
+
+
 def brute_force_correlation(src, tgt, warp, window):
     h, w, c = src.data.shape
     r = (window - 1) // 2

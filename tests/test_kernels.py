@@ -1,8 +1,11 @@
-"""Backend agreement: the numba kernels must match the numpy fallbacks."""
+"""Kernel agreement: each numba kernel must match its numpy fallback, and the
+numpy-only convolutions must match the loop oracles."""
 
 import numpy as np
 
 from mvmatch import kernels
+
+from oracles import brute_force_conv2d, brute_force_depthwise_conv2d
 
 
 rng = np.random.default_rng(0)
@@ -71,18 +74,20 @@ class TestAgreement:
         assert np.all(np.isfinite(a))
 
     def test_conv2d(self):
+        # every output pixel is compared, the zero-padded border included
         inp = rng.normal(size=(6, 7, 3))
         w = rng.normal(size=(3, 3, 3, 5))
         b = rng.normal(size=5)
-        np.testing.assert_allclose(kernels.conv2d_numba(inp, w, b),
-                                   kernels.conv2d_numpy(inp, w, b), atol=1e-12)
+        np.testing.assert_allclose(kernels.conv2d(inp, w, b),
+                                   brute_force_conv2d(inp, w, b), atol=1e-12)
 
     def test_depthwise_conv2d(self):
-        inp = rng.normal(size=(8, 8, 4))
+        # a 7x7 kernel on 5x8: every row is within the padded border
+        inp = rng.normal(size=(5, 8, 4))
         w = rng.normal(size=(7, 7, 4))
         b = rng.normal(size=4)
-        np.testing.assert_allclose(kernels.depthwise_conv2d_numba(inp, w, b),
-                                   kernels.depthwise_conv2d_numpy(inp, w, b),
+        np.testing.assert_allclose(kernels.depthwise_conv2d(inp, w, b),
+                                   brute_force_depthwise_conv2d(inp, w, b),
                                    atol=1e-12)
 
 

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mvmatch import matcher
 from mvmatch.features import ArrayFeatureProvider, OracleFeatureProvider
 from mvmatch.grids import FeatureGrid, identity_warp
 from mvmatch.grouping import ImageGroup
-from mvmatch.matcher import (AnchorGrid, RefinerState,
+from mvmatch.matcher import (ALIGNMENT_MODES, AnchorGrid, ConvStack, RefinerState,
                              global_match, init_matcher_params, mvfuse,
                              refine_level, run_group)
 from mvmatch.oracle import gt_warp, make_planar_scene, simulate_matcher
@@ -122,7 +125,6 @@ def planar_setup():
 class TestRefineLevel:
     def test_zero_residual_is_pass_through(self, planar_setup):
         scene, provider, params = planar_setup
-        from dataclasses import replace
         zero = replace(params, zero_residual=True)
         gt = gt_warp(scene, 0, 1, stride=2)
         state = RefinerState(2, {1: gt})
@@ -163,9 +165,24 @@ class TestRefineLevel:
     def test_hidden_state_shapes(self, planar_setup):
         scene, provider, params = planar_setup
         state = RefinerState(2, {1: gt_warp(scene, 0, 1, stride=2)})
-        out = refine_level(state, provider, params)
+        out = refine_level(state, provider, replace(params, residual_gain=0.05))
         hidden = out.hidden[1]
         assert hidden.data.shape == (64, 64, params.hidden_dim)
+
+    def test_zero_gain_builds_no_hidden_state(self, planar_setup, monkeypatch):
+        scene, provider, params = planar_setup
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("hidden path ran at zero gain")
+
+        monkeypatch.setattr(ConvStack, "apply", unreachable)
+        monkeypatch.setattr(matcher, "mvfuse", unreachable)
+        state = RefinerState(2, {1: gt_warp(scene, 0, 1, stride=2),
+                                 2: gt_warp(scene, 0, 2, stride=2)})
+        assert 1 in params.mvfuse_levels
+        out = refine_level(state, provider, params)
+        assert out.hidden == {}
+        assert sorted(out.warps) == [1, 2]
 
     def test_provider_stride_mismatch_raises(self, planar_setup):
         scene, _, params = planar_setup
@@ -186,6 +203,12 @@ class TestDefaults:
         assert params.levels[4].mvfuse is not None
         assert params.levels[1].mvfuse is not None
         assert params.levels[3].mvfuse is None
+
+    def test_unknown_alignment_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            init_matcher_params(mvfuse_alignment="bogus")
+        with pytest.raises(ValueError):
+            replace(init_matcher_params(), mvfuse_alignment="backward")
 
     def test_config_defaults(self):
         from mvmatch.config import PipelineConfig
@@ -241,14 +264,28 @@ class TestRunGroup:
             np.testing.assert_array_equal(a[t].confidence, b[t].confidence)
 
     def test_alignment_modes_run(self):
+        # the alignment feeds only the hidden path, so a mode changes the warp
+        # through a non-zero conv-head gain and not at all at zero gain
         scene = make_planar_scene(3, (64, 64), seed=43)
         provider = OracleFeatureProvider(scene, dim=32, seed=8)
         group = ImageGroup(0, (1, 2))
-        for mode in ("invert", "reverse"):
+        zero, gained = {}, {}
+        for mode in ALIGNMENT_MODES:
             params = init_matcher_params(seed=5, mvfuse_alignment=mode)
-            warps = run_group(group, provider, [], params)
-            for w in warps.values():
-                assert np.all(np.isfinite(w.targets))
+            zero[mode] = run_group(group, provider, [], params)
+            gained[mode] = run_group(group, provider, [],
+                                     replace(params, residual_gain=0.05))
+        for mode in ALIGNMENT_MODES:
+            for t in group.targets:
+                np.testing.assert_array_equal(zero[mode][t].targets,
+                                              zero["forward"][t].targets)
+                np.testing.assert_array_equal(zero[mode][t].confidence,
+                                              zero["forward"][t].confidence)
+                assert np.all(np.isfinite(gained[mode][t].targets))
+                assert not np.array_equal(gained[mode][t].targets, zero[mode][t].targets)
+        for mode in ("invert", "reverse"):
+            assert not np.array_equal(gained[mode][1].targets,
+                                      gained["forward"][1].targets)
 
     def test_upsample_factor(self):
         scene = make_planar_scene(2, (32, 32), seed=44)
@@ -302,7 +339,7 @@ class TestMonotonicity:
     def test_pairwise_degradation_equality_with_zero_gain(self):
         # Table 5.B analog: disabling MVFuse never improves mean EPE; with the
         # zero-initialized conv head the fused hidden does not feed the warp,
-        # so disabling fusion changes nothing (equality holds trials-wide)
+        # so disabling fusion changes nothing (the warps are equal)
         for seed in range(3):
             scene = make_planar_scene(3, (64, 64), seed=60 + seed)
             provider = OracleFeatureProvider(scene, dim=32, seed=5)
@@ -312,8 +349,23 @@ class TestMonotonicity:
             w_on = run_group(group, provider, [], on)
             w_off = run_group(group, provider, [], off)
             for tgt in (1, 2):
+                np.testing.assert_array_equal(w_on[tgt].targets, w_off[tgt].targets)
+                np.testing.assert_array_equal(w_on[tgt].confidence,
+                                              w_off[tgt].confidence)
                 gt = gt_warp(scene, 0, tgt)
                 m = gt.confidence > 0
                 e_on = np.linalg.norm(w_on[tgt].targets - gt.targets, axis=-1)[m].mean()
                 e_off = np.linalg.norm(w_off[tgt].targets - gt.targets, axis=-1)[m].mean()
                 assert e_off >= e_on - 1e-12
+
+    def test_mvfuse_reaches_warp_with_gain(self):
+        # the same weights with fusion switched off: at a non-zero gain the
+        # fused hidden state feeds the conv head, so the warps differ
+        scene = make_planar_scene(3, (64, 64), seed=60)
+        provider = OracleFeatureProvider(scene, dim=32, seed=5)
+        group = ImageGroup(0, (1, 2))
+        on = init_matcher_params(seed=3, residual_gain=0.05)
+        w_on = run_group(group, provider, [], on)
+        w_off = run_group(group, provider, [], replace(on, mvfuse_levels=()))
+        for tgt in (1, 2):
+            assert not np.array_equal(w_on[tgt].targets, w_off[tgt].targets)
