@@ -1,8 +1,8 @@
 """Hot inner loops, compiled with numba when available.
 
-The gather, correlation, upsampling, NMS, z-buffer and hole-filling kernels
-exist twice: a pure-numpy implementation (``*_numpy``) and a numba ``@njit``
-version. The active backend is chosen at import time:
+The gather, upsampling, NMS, z-buffer and hole-filling kernels exist twice: a
+pure-numpy implementation (``*_numpy``) and a numba ``@njit`` version. The
+active backend is chosen at import time:
 
 * numba is used when it imports cleanly,
 * unless the environment variable ``MVMATCH_DISABLE_NUMBA`` is set to a
@@ -10,8 +10,10 @@ version. The active backend is chosen at import time:
 
 Both paths implement identical arithmetic (same traversal order, IEEE
 semantics, no fastmath) so results agree bit-for-bit; ``BACKEND`` reports
-which one is live. The two small convolutions exist once, as numpy einsum
-contractions, which measured faster than a jitted scalar loop.
+which one is live. The local correlation and the two small convolutions
+exist once, in numpy, on either backend: the correlation as banded
+integer-cell dot products, the convolutions as einsum contractions, which
+measured faster than a jitted scalar loop.
 Matrix-multiply heavy code (attention, global matching) stays in plain numpy
 throughout the package since BLAS already owns it; only gather/scatter/
 stencil loops live here.
@@ -28,7 +30,7 @@ _DISABLE = os.environ.get("MVMATCH_DISABLE_NUMBA", "0") not in ("", "0")
 try:  # pragma: no cover - exercised implicitly by the backend tests
     if _DISABLE:
         raise ImportError("numba disabled by MVMATCH_DISABLE_NUMBA")
-    from numba import njit, prange
+    from numba import njit
 
     HAS_NUMBA = True
 except ImportError:  # pragma: no cover
@@ -43,8 +45,6 @@ except ImportError:  # pragma: no cover
 
         return wrap
 
-    prange = range
-
 
 BACKEND = "numba" if HAS_NUMBA else "numpy"
 
@@ -57,19 +57,22 @@ def _f64(a):
 # bilinear gather
 # ---------------------------------------------------------------------------
 
+def _axis_taps(p: np.ndarray, size: int):
+    """Border-clamped linear taps along one axis: (i0, i1, frac) for positions p."""
+    p = np.clip(p, 0.0, size - 1.0)
+    i0 = np.minimum(np.floor(p), size - 2 if size > 1 else 0).astype(np.int64)
+    i0 = np.maximum(i0, 0)
+    i1 = np.minimum(i0 + 1, size - 1)
+    return i0, i1, p - i0
+
+
 def bilinear_gather_numpy(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sample ``data`` (H, W, C) at continuous (x, y) positions, border-clamped."""
     h, w = data.shape[:2]
-    x = np.clip(xs, 0.0, w - 1.0)
-    y = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(x), w - 2 if w > 1 else 0).astype(np.int64)
-    y0 = np.minimum(np.floor(y), h - 2 if h > 1 else 0).astype(np.int64)
-    x0 = np.maximum(x0, 0)
-    y0 = np.maximum(y0, 0)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (x - x0)[..., None]
-    fy = (y - y0)[..., None]
+    x0, x1, fx = _axis_taps(xs, w)
+    y0, y1, fy = _axis_taps(ys, h)
+    fx = fx[..., None]
+    fy = fy[..., None]
     v00 = data[y0, x0]
     v01 = data[y0, x1]
     v10 = data[y1, x0]
@@ -133,77 +136,74 @@ def bilinear_gather(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndar
 # local correlation volume
 # ---------------------------------------------------------------------------
 
+# Source rows per band of local_corr_numpy. Pixels are independent, so the
+# band only bounds the scratch memory; any value gives the same bits.
+_CORR_BAND_ROWS = 16
+
+
 def local_corr_numpy(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: int) -> np.ndarray:
     h, w, c = src.shape
+    th, tw = tgt.shape[:2]
     r = (window - 1) // 2
+    span = window + 2
+    steps = np.arange(span)
+    offsets = np.arange(-r, r + 1, dtype=np.float64)
+    inv = 1.0 / np.sqrt(c)
     out = np.empty((h, w, window, window), dtype=np.float64)
-    tx = targets[..., 0]
-    ty = targets[..., 1]
-    inv = 1.0 / np.sqrt(c)
-    for j, dy in enumerate(range(-r, r + 1)):
-        for i, dx in enumerate(range(-r, r + 1)):
-            sampled = bilinear_gather_numpy(tgt, tx + dx, ty + dy)
-            out[:, :, j, i] = np.einsum("ywc,ywc->yw", src, sampled) * inv
-    return out
+    for b0 in range(0, h, _CORR_BAND_ROWS):
+        band = slice(b0, b0 + _CORR_BAND_ROWS)
+        s = src[band]
+        lead = s.shape[:2]
+        # per-offset taps, (rows, w, window): column offsets in x, row offsets in y
+        x0, x1, fx = _axis_taps(targets[band, :, 0, None] + offsets, tw)
+        y0, y1, fy = _axis_taps(targets[band, :, 1, None] + offsets, th)
+        # dot products with the span x span integer cells from offset -r's taps
+        bx = x0[..., :1]
+        by = y0[..., :1]
+        cols = np.minimum(bx + steps, tw - 1)
+        dots = np.empty(lead + (span, span), dtype=np.float64)
+        for k in range(span):
+            rows = np.minimum(by + k, th - 1)
+            dots[..., k, :] = np.einsum("ywc,ywic->ywi", s, tgt[rows, cols])
+        dots = dots.reshape(lead + (span * span,))
 
+        def corner(yi, xi):
+            idx = ((yi - by) * span)[..., :, None] + (xi - bx)[..., None, :]
+            return np.take_along_axis(dots, idx.reshape(lead + (-1,)), axis=2).reshape(idx.shape)
 
-@njit(cache=True, parallel=True)
-def _local_corr_nb(src, tgt, targets, window, out):
-    h, w, c = src.shape
-    th, tw = tgt.shape[0], tgt.shape[1]
-    r = (window - 1) // 2
-    inv = 1.0 / np.sqrt(c)
-    for y in prange(h):
-        for x in range(w):
-            cx = targets[y, x, 0]
-            cy = targets[y, x, 1]
-            for j in range(window):
-                for i in range(window):
-                    sx = cx + (i - r)
-                    sy = cy + (j - r)
-                    if sx < 0.0:
-                        sx = 0.0
-                    if sx > tw - 1.0:
-                        sx = tw - 1.0
-                    if sy < 0.0:
-                        sy = 0.0
-                    if sy > th - 1.0:
-                        sy = th - 1.0
-                    x0 = int(np.floor(sx))
-                    y0 = int(np.floor(sy))
-                    if x0 > tw - 2:
-                        x0 = tw - 2
-                    if x0 < 0:
-                        x0 = 0
-                    if y0 > th - 2:
-                        y0 = th - 2
-                    if y0 < 0:
-                        y0 = 0
-                    x1 = x0 + 1
-                    y1 = y0 + 1
-                    if x1 > tw - 1:
-                        x1 = tw - 1
-                    if y1 > th - 1:
-                        y1 = th - 1
-                    fx = sx - x0
-                    fy = sy - y0
-                    acc = 0.0
-                    for k in range(c):
-                        top = tgt[y0, x0, k] * (1.0 - fx) + tgt[y0, x1, k] * fx
-                        bot = tgt[y1, x0, k] * (1.0 - fx) + tgt[y1, x1, k] * fx
-                        acc += src[y, x, k] * (top * (1.0 - fy) + bot * fy)
-                    out[y, x, j, i] = acc * inv
+        gx = fx[..., None, :]
+        gy = fy[..., :, None]
+        top = corner(y0, x0) * (1.0 - gx) + corner(y0, x1) * gx
+        bot = corner(y1, x0) * (1.0 - gx) + corner(y1, x1) * gx
+        out[band] = (top * (1.0 - gy) + bot * gy) * inv
     return out
 
 
 def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: int) -> np.ndarray:
-    src = _f64(src)
-    tgt = _f64(tgt)
-    targets = _f64(targets)
-    if not HAS_NUMBA:
-        return local_corr_numpy(src, tgt, targets, window)
-    out = np.empty((src.shape[0], src.shape[1], window, window), dtype=np.float64)
-    return _local_corr_nb(src, tgt, targets, window, out)
+    """Correlate each source feature with a window of bilinear target samples.
+
+    Entry [y, x, j, i] is ``src[y, x] . sample(tgt, targets[y, x] + (i - r,
+    j - r)) / sqrt(C)`` with r = (window - 1) // 2, sampled border-clamped as
+    in ``bilinear_gather``. A bilinear sample's dot product is the same blend
+    of the dot products taken at its four integer cells, so the kernel:
+
+    * computes each offset's taps (x0, x1, fx), (y0, y1, fy) with the clip,
+      floor and clamp arithmetic of ``bilinear_gather_numpy``, so offsets
+      that clamp to the same taps give exactly equal scores and the
+      readout's first-index tie-break at the borders is kept;
+    * takes the dot products with the (window + 2)^2 integer cells from the
+      taps of offset -r, clamped to the last row and column. The span is
+      window + 2, not window + 1, because near integer targets
+      floor(t + dx) can step one cell past dx;
+    * blends the four corner dots of each offset with its fx, fy.
+
+    Source rows are processed in bands of ``_CORR_BAND_ROWS``, which bounds
+    the scratch memory and does not change the result. Blending after the
+    channel sum instead of before it moves scores by a few ulps only.
+
+    numpy only on either backend, like the convolutions.
+    """
+    return local_corr_numpy(_f64(src), _f64(tgt), _f64(targets), int(window))
 
 
 # ---------------------------------------------------------------------------

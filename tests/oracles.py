@@ -1,13 +1,15 @@
 """Explicit-loop reference implementations used as independent test oracles.
 
 Everything here recomputes results with plain Python loops and numpy scalars,
-no shared code paths with the library internals beyond parameter containers.
+no shared code paths with the library internals beyond parameter containers
+and the bilinear sampler.
 """
 
 import numpy as np
 
 from mvmatch.attention import grid_token_centers
 from mvmatch.grids import bilinear_sample
+from mvmatch.kernels import bilinear_gather_numpy
 from mvmatch.matcher import MVFuseParams
 
 
@@ -163,6 +165,21 @@ def brute_force_depthwise_conv2d(inp, weights, bias):
                     iy, ix = y + ky - r, x + kx - r
                     if 0 <= iy < h and 0 <= ix < w:
                         out[y, x] += inp[iy, ix] * weights[ky, kx]
+    return out
+
+
+def per_offset_local_corr(src, tgt, targets, window):
+    """Local correlation one window offset at a time: a full bilinear gather of
+    the target per offset, blended per channel, then the channel sum. Only
+    ``bilinear_gather_numpy`` is shared with the library's kernel."""
+    h, w, c = src.shape
+    r = (window - 1) // 2
+    out = np.empty((h, w, window, window))
+    inv = 1.0 / np.sqrt(c)
+    for j, dy in enumerate(range(-r, r + 1)):
+        for i, dx in enumerate(range(-r, r + 1)):
+            sampled = bilinear_gather_numpy(tgt, targets[..., 0] + dx, targets[..., 1] + dy)
+            out[:, :, j, i] = np.einsum("ywc,ywc->yw", src, sampled) * inv
     return out
 
 

@@ -50,7 +50,6 @@ def warm_kernels():
     rng = np.random.default_rng(0)
     data = rng.normal(size=(4, 4, 3))
     kernels.bilinear_gather(data, np.array([1.0]), np.array([1.0]))
-    kernels.local_corr(data, data, rng.uniform(0, 3, (4, 4, 2)), 3)
     kernels.upsample_linear(data, 2)
     kernels.nms_greedy(rng.uniform(0, 1, (4, 4)), 1, -1)
     kernels.zbuffer_min(np.array([0]), np.array([0]), np.array([1.0]), 2, 2)
@@ -65,11 +64,11 @@ def criterion(number: int, name: str, budget_s: float):
     try:
         yield
     except Exception:
-        print(f"ACCEPTANCE {number} ({name}): FAIL")
+        print(f"ACCEPTANCE {number} ({name}): FAIL [backend {kernels.BACKEND}]")
         raise
     elapsed = time.perf_counter() - start
     assert elapsed < budget_s, f"criterion {number} took {elapsed:.1f}s (> {budget_s}s)"
-    print(f"ACCEPTANCE {number} ({name}): PASS in {elapsed:.2f}s")
+    print(f"ACCEPTANCE {number} ({name}): PASS in {elapsed:.2f}s [backend {kernels.BACKEND}]")
 
 
 def random_attention_instance(rng, dim):
@@ -573,3 +572,11 @@ def test_criterion_10_cli_determinism(tmp_path):
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() \
                 == (tmp_path / "b" / rel).read_bytes(), f"{rel} differs"
+
+
+def test_verdict_line_names_backend(capsys):
+    with criterion(0, "verdict format", 10.0):
+        pass
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("ACCEPTANCE 0 (verdict format): PASS in ")
+    assert line.endswith(f"[backend {kernels.BACKEND}]")

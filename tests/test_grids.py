@@ -118,13 +118,29 @@ class TestLocalCorrelation:
         oracle = brute_force_correlation(src, tgt, warp, 5)
         np.testing.assert_allclose(corr.scores, oracle, atol=1e-10)
 
-    def test_symmetry_for_equal_grids(self):
+    def test_swap_symmetry_under_integer_shift(self):
+        # A -> B under the shift (dx, dy) and B -> A under its inverse pair up
+        # the same two pixels, with the window mirrored: A[y, x] . B[yb, xb]
+        # for yb = y + dy + j - r, xb = x + dx + i - r. Only pairs whose B
+        # pixel lies inside the grid are compared, so neither side clamps.
         rng = np.random.default_rng(8)
-        grid = FeatureGrid(rng.normal(size=(4, 4, 5)))
-        warp = identity_warp(4, 4)
-        a = local_correlation(grid, grid, warp, 3).scores
-        b = local_correlation(grid, grid, warp, 3).scores
-        np.testing.assert_allclose(a, b, atol=1e-6)
+        h, w, window, (dx, dy) = 9, 10, 5, (2, -1)
+        r = (window - 1) // 2
+        a = FeatureGrid(rng.normal(size=(h, w, 5)))
+        b = FeatureGrid(rng.normal(size=(h, w, 5)))
+        base = identity_warp(h, w)
+        fwd = DenseWarpField(base.targets + (dx, dy), base.confidence, 0, 1)
+        bwd = DenseWarpField(base.targets - (dx, dy), base.confidence, 1, 0)
+        ab = local_correlation(a, b, fwd, window).scores
+        ba = local_correlation(b, a, bwd, window).scores
+        got, want = [], []
+        for y, x, j, i in np.ndindex(ab.shape):
+            yb, xb = y + dy + j - r, x + dx + i - r
+            if 0 <= yb < h and 0 <= xb < w:
+                got.append(ab[y, x, j, i])
+                want.append(ba[yb, xb, 2 * r - j, 2 * r - i])
+        assert len(got) > ab.size // 2
+        np.testing.assert_allclose(got, want, atol=1e-14, rtol=0)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channel"):
