@@ -1,17 +1,14 @@
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Time the gather/scatter/stencil kernels on production-sized inputs.
 
 Run:  python benchmarks/bench_kernels.py [--repeats 5]
 
-Compares every dual-path kernel on production-sized inputs and prints the
-per-call latency of both backends plus the speedup. The numba path is
-warmed once before timing so JIT compilation is excluded. Where numba is
-missing or disabled, only the numpy latency of each kernel is printed.
-The local correlation is numpy-only on either backend and is timed on its
-own at the refiner's (size, window) pairs.
+Prints the best per-call latency of each kernel in ``mvmatch.kernels``; the
+local correlation is timed at the refiner's (size, window) pairs.
 """
 
 import argparse
 import time
+from functools import partial
 
 import numpy as np
 
@@ -49,45 +46,23 @@ def main():
     valid[0, 0] = True
 
     cases = [
-        ("bilinear_gather (28k pts, 32ch)",
-         lambda: kernels.bilinear_gather(feat, xs, ys),
-         lambda: kernels.bilinear_gather_numpy(feat, xs, ys)),
-        ("upsample_linear (x2)",
-         lambda: kernels.upsample_linear(feat, 2),
-         lambda: kernels.upsample_linear_numpy(feat, 2)),
-        ("nms_greedy (168^2, r=2)",
-         lambda: kernels.nms_greedy(scores, 2, -1),
-         lambda: kernels.nms_greedy_numpy(scores, 2, scores.size + 1)),
-        ("zbuffer_min (200k pts)",
-         lambda: kernels.zbuffer_min(px, py, depth, h, w),
-         lambda: kernels.zbuffer_min_numpy(px, py, depth, h, w)),
-        ("fill_nearest (70% holes)",
-         lambda: kernels.fill_nearest(coords, valid),
-         lambda: kernels.fill_nearest_numpy(coords, valid)),
+        ("bilinear_gather (28k pts, 32ch)", lambda: kernels.bilinear_gather(feat, xs, ys)),
+        ("upsample_linear (x2)", lambda: kernels.upsample_linear(feat, 2)),
+        ("nms_greedy (168^2, r=2)", lambda: kernels.nms_greedy(scores, 2, -1)),
+        ("zbuffer_min (200k pts)", lambda: kernels.zbuffer_min(px, py, depth, h, w)),
+        ("fill_nearest (70% holes)", lambda: kernels.fill_nearest(coords, valid)),
     ]
-
-    print(f"backend: {kernels.BACKEND}; repeats: {args.repeats} (best time shown)")
-    if not kernels.HAS_NUMBA:
-        print("numba unavailable (missing or disabled): numpy timings only")
-        print(f"{'kernel':38s} {'numpy':>10s}")
-        for name, _, npy in cases:
-            print(f"{name:38s} {timeit(npy, args.repeats) * 1e3:9.2f}ms")
-    else:
-        print(f"{'kernel':38s} {'numba':>10s} {'numpy':>10s} {'speedup':>8s}")
-        for name, nb, npy in cases:
-            nb()  # warm the JIT
-            t_nb = timeit(nb, args.repeats)
-            t_np = timeit(npy, args.repeats)
-            print(f"{name:38s} {t_nb * 1e3:9.2f}ms {t_np * 1e3:9.2f}ms "
-                  f"{t_np / t_nb:7.1f}x")
-
-    print(f"\n{'numpy-only kernel':38s} {'numpy':>10s}")
     for size, window in ((168, 5), (84, 7), (42, 9)):
         src = np.ascontiguousarray(feat[:size, :size])
         dst = np.ascontiguousarray(tgt[:size, :size])
         warp = rng.uniform(0, size - 1, size=(size, size, 2))
-        t = timeit(lambda: kernels.local_corr(src, dst, warp, window), args.repeats)
-        print(f"{f'local_corr ({size}^2, win {window})':38s} {t * 1e3:9.2f}ms")
+        cases.append((f"local_corr ({size}^2, win {window})",
+                      partial(kernels.local_corr, src, dst, warp, window)))
+
+    print(f"backend: {kernels.BACKEND}; repeats: {args.repeats} (best time shown)")
+    print(f"{'kernel':38s} {'numpy':>10s}")
+    for name, fn in cases:
+        print(f"{name:38s} {timeit(fn, args.repeats) * 1e3:9.2f}ms")
     return 0
 
 

@@ -26,9 +26,8 @@ from .attention import (AttentionParams, TrackFeatures, attentional_sampling,
 from .features import ArrayFeatureProvider, FeatureProvider, OracleFeatureProvider
 from .matcher import (AnchorGrid, MatcherParams, RefinerState, global_match,
                       init_matcher_params, mvfuse, refine_level, run_group)
-from .postprocess import (PairMatchBank, ScoreMap, assemble_tracks,
-                          build_score_map, nms_select, reciprocity_filter,
-                          select_matches)
+from .postprocess import (ScoreMap, assemble_tracks, build_score_map,
+                          nms_select, reciprocity_filter, select_matches)
 from .grouping import (GroupSamplerParams, ImageGroup, OverlapMatrix,
                        PairUsage, augment_reciprocity, build_group,
                        default_budget, overlap_from_descriptors,

@@ -61,8 +61,11 @@ def _fmt(x: float) -> str:
 
 def cmd_gen_scene(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args)
     size = args.image_size or cfg.base_resolution
+    if size % cfg.strides[0]:
+        raise ValueError(f"image size {size} is not divisible by the coarsest "
+                         f"stride {cfg.strides[0]}")
+    out = _out_dir(args)
     if args.kind == "planar":
         scene = make_planar_scene(args.views, (size, size), args.seed)
     else:
@@ -101,8 +104,7 @@ def cmd_sample_groups(args) -> int:
             warps[(warp.source_view, warp.target_view)] = warp
             m = max(m, warp.source_view + 1, warp.target_view + 1)
         if not warps:
-            print(f"no MVWF files under {args.warps}", file=sys.stderr)
-            return 2
+            raise ValueError(f"no MVWF files under {args.warps}")
         overlap = overlap_from_matches(warps, m, cfg.group_tau_conf)
     elif args.descriptors:
         table = np.loadtxt(args.descriptors, delimiter="\t", ndmin=2)
@@ -118,9 +120,7 @@ def cmd_sample_groups(args) -> int:
                     warps[(i, j)] = gt_warp(scene, i, j)
         overlap = overlap_from_matches(warps, m, cfg.group_tau_conf)
     else:
-        print("sample-groups needs --scene, --warps or --descriptors",
-              file=sys.stderr)
-        return 2
+        raise ValueError("needs --scene, --warps or --descriptors")
     params = GroupSamplerParams(max_targets=cfg.targets_per_group, tau=cfg.group_tau,
                                 tau_conf=cfg.group_tau_conf, beta=cfg.beta,
                                 alpha_src=cfg.alpha_src, alpha_tgt=cfg.alpha_tgt,
@@ -272,8 +272,7 @@ def cmd_eval_homography(args) -> int:
     out = _out_dir(args)
     scene = load_scene(args.scene)
     if scene.kind != "planar":
-        print("eval-homography requires a planar scene", file=sys.stderr)
-        return 2
+        raise ValueError("requires a planar scene")
     thresholds = _parse_thresholds(args.threshold) if args.threshold \
         else cfg.homography_thresholds
     candidates, _, _ = _load_warp_bank(Path(args.warps))
@@ -317,21 +316,23 @@ def cmd_eval_triangulation(args) -> int:
     out = _out_dir(args)
     scene = load_scene(args.scene)
     if scene.kind != "point_cloud":
-        print("eval-triangulation requires a point-cloud scene", file=sys.stderr)
-        return 2
+        raise ValueError("requires a point-cloud scene")
     thresholds = _parse_thresholds(args.threshold) if args.threshold \
         else cfg.triangulation_thresholds
     with open(args.tracks) as f:
         header = f.readline()
         if not header.startswith("# V="):
-            print("track file missing header", file=sys.stderr)
-            return 2
+            raise ValueError(f"{args.tracks}: track file missing header")
         f.readline()
         rows: dict[int, dict[int, tuple[float, float]]] = {}
-        for line in f:
+        for lineno, line in enumerate(f, start=3):
             if not line.strip():
                 continue
-            tid, view, x, y = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise ValueError(f"{args.tracks}:{lineno}: expected 4 tab-separated "
+                                 f"fields, got {len(fields)}")
+            tid, view, x, y = fields
             rows.setdefault(int(tid), {})[int(view)] = (float(x), float(y))
     observations = [rows[tid] for tid in sorted(rows)]
     points, _, skipped = triangulate_observations(observations, scene.cameras)
@@ -428,8 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A ValueError or OSError it raises becomes one
+    line on stderr, ``mvmatch <command>: error: <message>``, and exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"mvmatch {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

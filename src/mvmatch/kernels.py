@@ -1,19 +1,9 @@
-"""Hot inner loops, compiled with numba when available.
+"""Hot inner loops, in numpy.
 
-The gather, upsampling, NMS, z-buffer and hole-filling kernels exist twice: a
-pure-numpy implementation (``*_numpy``) and a numba ``@njit`` version. The
-active backend is chosen at import time:
-
-* numba is used when it imports cleanly,
-* unless the environment variable ``MVMATCH_DISABLE_NUMBA`` is set to a
-  non-empty value other than ``"0"``, which forces the numpy path.
-
-Both paths implement identical arithmetic (same traversal order, IEEE
-semantics, no fastmath) so results agree bit-for-bit; ``BACKEND`` reports
-which one is live. The local correlation and the two small convolutions
-exist once, in numpy, on either backend: the correlation as banded
-integer-cell dot products, the convolutions as einsum contractions, which
-measured faster than a jitted scalar loop.
+The gather, local correlation, upsampling, NMS, z-buffer, hole-filling and
+small-convolution kernels each exist once, as a vectorised numpy function;
+the tests check each against an explicit-loop oracle. ``BACKEND`` names the
+implementation and is recorded with every benchmark run.
 Matrix-multiply heavy code (attention, global matching) stays in plain numpy
 throughout the package since BLAS already owns it; only gather/scatter/
 stencil loops live here.
@@ -21,32 +11,9 @@ stencil loops live here.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("MVMATCH_DISABLE_NUMBA", "0") not in ("", "0")
-
-try:  # pragma: no cover - exercised implicitly by the backend tests
-    if _DISABLE:
-        raise ImportError("numba disabled by MVMATCH_DISABLE_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
 def _f64(a):
@@ -66,11 +33,12 @@ def _axis_taps(p: np.ndarray, size: int):
     return i0, i1, p - i0
 
 
-def bilinear_gather_numpy(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def bilinear_gather(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sample ``data`` (H, W, C) at continuous (x, y) positions, border-clamped."""
+    data = _f64(data)
     h, w = data.shape[:2]
-    x0, x1, fx = _axis_taps(xs, w)
-    y0, y1, fy = _axis_taps(ys, h)
+    x0, x1, fx = _axis_taps(np.asarray(xs, dtype=np.float64), w)
+    y0, y1, fy = _axis_taps(np.asarray(ys, dtype=np.float64), h)
     fx = fx[..., None]
     fy = fy[..., None]
     v00 = data[y0, x0]
@@ -82,66 +50,38 @@ def bilinear_gather_numpy(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> n
     return top * (1.0 - fy) + bot * fy
 
 
-@njit(cache=True)
-def _bilinear_gather_nb(data, xs, ys, out):
-    h, w, c = data.shape
-    n = xs.shape[0]
-    for i in range(n):
-        x = xs[i]
-        y = ys[i]
-        if x < 0.0:
-            x = 0.0
-        if x > w - 1.0:
-            x = w - 1.0
-        if y < 0.0:
-            y = 0.0
-        if y > h - 1.0:
-            y = h - 1.0
-        x0 = int(np.floor(x))
-        y0 = int(np.floor(y))
-        if x0 > w - 2:
-            x0 = w - 2
-        if x0 < 0:
-            x0 = 0
-        if y0 > h - 2:
-            y0 = h - 2
-        if y0 < 0:
-            y0 = 0
-        x1 = x0 + 1
-        y1 = y0 + 1
-        if x1 > w - 1:
-            x1 = w - 1
-        if y1 > h - 1:
-            y1 = h - 1
-        fx = x - x0
-        fy = y - y0
-        for k in range(c):
-            top = data[y0, x0, k] * (1.0 - fx) + data[y0, x1, k] * fx
-            bot = data[y1, x0, k] * (1.0 - fx) + data[y1, x1, k] * fx
-            out[i, k] = top * (1.0 - fy) + bot * fy
-    return out
-
-
-def bilinear_gather(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    data = _f64(data)
-    if not HAS_NUMBA:
-        return bilinear_gather_numpy(data, np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
-    xs = _f64(np.ravel(xs))
-    ys = _f64(np.ravel(ys))
-    out = np.empty((xs.shape[0], data.shape[2]), dtype=np.float64)
-    return _bilinear_gather_nb(data, xs, ys, out)
-
-
 # ---------------------------------------------------------------------------
 # local correlation volume
 # ---------------------------------------------------------------------------
 
-# Source rows per band of local_corr_numpy. Pixels are independent, so the
-# band only bounds the scratch memory; any value gives the same bits.
+# Source rows per band of local_corr. Pixels are independent, so the band
+# only bounds the scratch memory; any value gives the same bits.
 _CORR_BAND_ROWS = 16
 
 
-def local_corr_numpy(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: int) -> np.ndarray:
+def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: int) -> np.ndarray:
+    """Correlate each source feature with a window of bilinear target samples.
+
+    Entry [y, x, j, i] is ``src[y, x] . sample(tgt, targets[y, x] + (i - r,
+    j - r)) / sqrt(C)`` with r = (window - 1) // 2, sampled border-clamped as
+    in ``bilinear_gather``. A bilinear sample's dot product is the same blend
+    of the dot products taken at its four integer cells, so the kernel:
+
+    * computes each offset's taps (x0, x1, fx), (y0, y1, fy) with the clip,
+      floor and clamp arithmetic of ``bilinear_gather``, so offsets that
+      clamp to the same taps give exactly equal scores and the readout's
+      first-index tie-break at the borders is kept;
+    * takes the dot products with the (window + 2)^2 integer cells from the
+      taps of offset -r, clamped to the last row and column. The span is
+      window + 2, not window + 1, because near integer targets
+      floor(t + dx) can step one cell past dx;
+    * blends the four corner dots of each offset with its fx, fy.
+
+    Source rows are processed in bands of ``_CORR_BAND_ROWS``, which bounds
+    the scratch memory and does not change the result. Blending after the
+    channel sum instead of before it moves scores by a few ulps only.
+    """
+    src, tgt, targets, window = _f64(src), _f64(tgt), _f64(targets), int(window)
     h, w, c = src.shape
     th, tw = tgt.shape[:2]
     r = (window - 1) // 2
@@ -179,38 +119,12 @@ def local_corr_numpy(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, wind
     return out
 
 
-def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: int) -> np.ndarray:
-    """Correlate each source feature with a window of bilinear target samples.
-
-    Entry [y, x, j, i] is ``src[y, x] . sample(tgt, targets[y, x] + (i - r,
-    j - r)) / sqrt(C)`` with r = (window - 1) // 2, sampled border-clamped as
-    in ``bilinear_gather``. A bilinear sample's dot product is the same blend
-    of the dot products taken at its four integer cells, so the kernel:
-
-    * computes each offset's taps (x0, x1, fx), (y0, y1, fy) with the clip,
-      floor and clamp arithmetic of ``bilinear_gather_numpy``, so offsets
-      that clamp to the same taps give exactly equal scores and the
-      readout's first-index tie-break at the borders is kept;
-    * takes the dot products with the (window + 2)^2 integer cells from the
-      taps of offset -r, clamped to the last row and column. The span is
-      window + 2, not window + 1, because near integer targets
-      floor(t + dx) can step one cell past dx;
-    * blends the four corner dots of each offset with its fx, fy.
-
-    Source rows are processed in bands of ``_CORR_BAND_ROWS``, which bounds
-    the scratch memory and does not change the result. Blending after the
-    channel sum instead of before it moves scores by a few ulps only.
-
-    numpy only on either backend, like the convolutions.
-    """
-    return local_corr_numpy(_f64(src), _f64(tgt), _f64(targets), int(window))
-
-
 # ---------------------------------------------------------------------------
 # linear upsampling (integer-aligned, extrapolating past the last sample)
 # ---------------------------------------------------------------------------
 
-def upsample_linear_numpy(field: np.ndarray, factor: int) -> np.ndarray:
+def upsample_linear(field: np.ndarray, factor: int) -> np.ndarray:
+    field = _f64(field)
     h, w, c = field.shape
     oh, ow = h * factor, w * factor
 
@@ -229,59 +143,15 @@ def upsample_linear_numpy(field: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
-@njit(cache=True)
-def _upsample_linear_nb(field, factor, out):
-    h, w, c = field.shape
-    oh = h * factor
-    ow = w * factor
-    for oy in range(oh):
-        py = oy / factor
-        if h == 1:
-            y0 = 0
-            y1 = 0
-            ty = 0.0
-        else:
-            y0 = int(np.floor(py))
-            if y0 > h - 2:
-                y0 = h - 2
-            if y0 < 0:
-                y0 = 0
-            y1 = y0 + 1
-            ty = py - y0
-        for ox in range(ow):
-            px = ox / factor
-            if w == 1:
-                x0 = 0
-                x1 = 0
-                tx = 0.0
-            else:
-                x0 = int(np.floor(px))
-                if x0 > w - 2:
-                    x0 = w - 2
-                if x0 < 0:
-                    x0 = 0
-                x1 = x0 + 1
-                tx = px - x0
-            for k in range(c):
-                top = field[y0, x0, k] * (1.0 - tx) + field[y0, x1, k] * tx
-                bot = field[y1, x0, k] * (1.0 - tx) + field[y1, x1, k] * tx
-                out[oy, ox, k] = top * (1.0 - ty) + bot * ty
-    return out
-
-
-def upsample_linear(field: np.ndarray, factor: int) -> np.ndarray:
-    field = _f64(field)
-    if not HAS_NUMBA:
-        return upsample_linear_numpy(field, factor)
-    out = np.empty((field.shape[0] * factor, field.shape[1] * factor, field.shape[2]), dtype=np.float64)
-    return _upsample_linear_nb(field, factor, out)
-
-
 # ---------------------------------------------------------------------------
 # greedy score-map NMS
 # ---------------------------------------------------------------------------
 
-def nms_greedy_numpy(scores: np.ndarray, radius: int, max_keypoints: int) -> np.ndarray:
+def nms_greedy(scores: np.ndarray, radius: int, max_keypoints: int = -1) -> np.ndarray:
+    """Greedy NMS on a score map. Returns selected (y, x) pixels, score order."""
+    scores = _f64(scores)
+    radius = int(radius)
+    cap = max_keypoints if max_keypoints and max_keypoints > 0 else scores.size + 1
     h, w = scores.shape
     flat = scores.ravel()
     order = np.argsort(-flat, kind="stable")
@@ -295,65 +165,20 @@ def nms_greedy_numpy(scores: np.ndarray, radius: int, max_keypoints: int) -> np.
         if suppressed[y, x]:
             continue
         picked.append((y, x))
-        if len(picked) == max_keypoints:
+        if len(picked) == cap:
             break
         suppressed[max(0, y - radius):y + radius + 1, max(0, x - radius):x + radius + 1] = True
     return np.array(picked, dtype=np.int64).reshape(-1, 2)
-
-
-@njit(cache=True)
-def _nms_greedy_nb(scores, radius, max_keypoints):
-    h, w = scores.shape
-    flat = scores.ravel()
-    order = np.argsort(-flat, kind="mergesort")
-    suppressed = np.zeros((h, w), dtype=np.bool_)
-    picked = np.empty((flat.shape[0], 2), dtype=np.int64)
-    count = 0
-    for n in range(order.shape[0]):
-        idx = order[n]
-        if flat[idx] <= 0.0:
-            break
-        y = idx // w
-        x = idx % w
-        if suppressed[y, x]:
-            continue
-        picked[count, 0] = y
-        picked[count, 1] = x
-        count += 1
-        if count == max_keypoints:
-            break
-        ylo = y - radius
-        if ylo < 0:
-            ylo = 0
-        yhi = y + radius + 1
-        if yhi > h:
-            yhi = h
-        xlo = x - radius
-        if xlo < 0:
-            xlo = 0
-        xhi = x + radius + 1
-        if xhi > w:
-            xhi = w
-        for yy in range(ylo, yhi):
-            for xx in range(xlo, xhi):
-                suppressed[yy, xx] = True
-    return picked[:count]
-
-
-def nms_greedy(scores: np.ndarray, radius: int, max_keypoints: int = -1) -> np.ndarray:
-    """Greedy NMS on a score map. Returns selected (y, x) pixels, score order."""
-    scores = _f64(scores)
-    cap = max_keypoints if max_keypoints and max_keypoints > 0 else scores.size + 1
-    if not HAS_NUMBA:
-        return nms_greedy_numpy(scores, int(radius), cap)
-    return _nms_greedy_nb(scores, int(radius), cap)
 
 
 # ---------------------------------------------------------------------------
 # z-buffer splatting (minimum depth, ties to the lowest point index)
 # ---------------------------------------------------------------------------
 
-def zbuffer_min_numpy(px: np.ndarray, py: np.ndarray, depth: np.ndarray, h: int, w: int):
+def zbuffer_min(px: np.ndarray, py: np.ndarray, depth: np.ndarray, h: int, w: int):
+    px = np.ascontiguousarray(px, dtype=np.int64)
+    py = np.ascontiguousarray(py, dtype=np.int64)
+    depth = _f64(depth)
     zbuf = np.full((h, w), np.inf, dtype=np.float64)
     ibuf = np.full((h, w), -1, dtype=np.int64)
     pix = py * w + px
@@ -367,36 +192,13 @@ def zbuffer_min_numpy(px: np.ndarray, py: np.ndarray, depth: np.ndarray, h: int,
     return zbuf, ibuf
 
 
-@njit(cache=True)
-def _zbuffer_min_nb(px, py, depth, h, w):
-    zbuf = np.full((h, w), np.inf, dtype=np.float64)
-    ibuf = np.full((h, w), -1, dtype=np.int64)
-    for i in range(px.shape[0]):
-        x = px[i]
-        y = py[i]
-        d = depth[i]
-        if d < zbuf[y, x] or (d == zbuf[y, x] and (ibuf[y, x] < 0 or i < ibuf[y, x])):
-            zbuf[y, x] = d
-            ibuf[y, x] = i
-    return zbuf, ibuf
-
-
-def zbuffer_min(px: np.ndarray, py: np.ndarray, depth: np.ndarray, h: int, w: int):
-    px = np.ascontiguousarray(px, dtype=np.int64)
-    py = np.ascontiguousarray(py, dtype=np.int64)
-    depth = _f64(depth)
-    if not HAS_NUMBA:
-        return zbuffer_min_numpy(px, py, depth, h, w)
-    return _zbuffer_min_nb(px, py, depth, h, w)
-
-
 # ---------------------------------------------------------------------------
 # nearest-valid hole filling (iterated 4-neighbour dilation, fixed priority)
 # ---------------------------------------------------------------------------
 
-def fill_nearest_numpy(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    filled = valid.copy()
+def fill_nearest(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    out = _f64(values).copy()
+    filled = np.array(valid, dtype=np.bool_)
     h, w = filled.shape
     while not filled.all():
         prev_vals = out.copy()
@@ -424,53 +226,13 @@ def fill_nearest_numpy(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return out
 
 
-@njit(cache=True)
-def _fill_nearest_nb(values, valid):
-    h, w, c = values.shape
-    out = values.copy()
-    filled = valid.copy()
-    done = False
-    while not done:
-        prev_vals = out.copy()
-        prev_fill = filled.copy()
-        progressed = False
-        remaining = False
-        for y in range(h):
-            for x in range(w):
-                if prev_fill[y, x]:
-                    continue
-                if y > 0 and prev_fill[y - 1, x]:
-                    sy, sx = y - 1, x
-                elif y < h - 1 and prev_fill[y + 1, x]:
-                    sy, sx = y + 1, x
-                elif x > 0 and prev_fill[y, x - 1]:
-                    sy, sx = y, x - 1
-                elif x < w - 1 and prev_fill[y, x + 1]:
-                    sy, sx = y, x + 1
-                else:
-                    remaining = True
-                    continue
-                for k in range(c):
-                    out[y, x, k] = prev_vals[sy, sx, k]
-                filled[y, x] = True
-                progressed = True
-        done = (not remaining) or (not progressed)
-    return out
-
-
-def fill_nearest(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    values = _f64(values)
-    valid = np.ascontiguousarray(valid, dtype=np.bool_)
-    if not HAS_NUMBA:
-        return fill_nearest_numpy(values, valid)
-    return _fill_nearest_nb(values, valid)
-
-
 # ---------------------------------------------------------------------------
 # small same-size convolutions (zero padding)
 # ---------------------------------------------------------------------------
 
-def conv2d_numpy(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv2d(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Same-size k x k convolution, zero padding. weights: (k, k, Cin, Cout)."""
+    inp, weights, bias = _f64(inp), _f64(weights), _f64(bias)
     k = weights.shape[0]
     r = (k - 1) // 2
     h, w, cin = inp.shape
@@ -480,16 +242,9 @@ def conv2d_numpy(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     return np.einsum("yxcij,ijco->yxo", win, weights, optimize=True) + bias
 
 
-def conv2d(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-size k x k convolution, zero padding. weights: (k, k, Cin, Cout).
-
-    numpy only on either backend: the einsum contraction measured faster
-    than a jitted scalar loop (numba ~0.4x), so there is no numba variant.
-    """
-    return conv2d_numpy(_f64(inp), _f64(weights), _f64(bias))
-
-
-def depthwise_conv2d_numpy(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def depthwise_conv2d(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Same-size depthwise k x k convolution, zero padding. weights: (k, k, C)."""
+    inp, weights, bias = _f64(inp), _f64(weights), _f64(bias)
     k = weights.shape[0]
     r = (k - 1) // 2
     h, w, c = inp.shape
@@ -497,11 +252,3 @@ def depthwise_conv2d_numpy(inp: np.ndarray, weights: np.ndarray, bias: np.ndarra
     padded[r:r + h, r:r + w] = inp
     win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
     return np.einsum("yxcij,ijc->yxc", win, weights, optimize=True) + bias
-
-
-def depthwise_conv2d(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-size depthwise k x k convolution, zero padding. weights: (k, k, C).
-
-    numpy only on either backend, for the same reason as conv2d.
-    """
-    return depthwise_conv2d_numpy(_f64(inp), _f64(weights), _f64(bias))

@@ -26,8 +26,8 @@ import numpy as np
 from . import kernels
 from .attention import AttentionParams, init_attention_params, exchange_features
 from .features import FeatureProvider
-from .grids import (DenseWarpField, FeatureGrid, invert_warp,
-                    local_correlation, upsample_warp, warp_features)
+from .grids import (DenseWarpField, FeatureGrid, _splat_max_confidence,
+                    invert_warp, local_correlation, upsample_warp, warp_features)
 from .grouping import ImageGroup
 from .tracks import TrackToken
 
@@ -305,20 +305,9 @@ def _aligned_target_grid(phi_tgt: FeatureGrid, warp: DenseWarpField,
         back = global_match(phi_tgt, src_grid, anchors, params.global_temperature,
                             warp.target_view, warp.source_view)
     # scatter target features along the backward warp into the source grid
-    sh, sw = warp.height, warp.width
-    px = np.round(back.targets[..., 0].ravel()).astype(np.int64)
-    py = np.round(back.targets[..., 1].ravel()).astype(np.int64)
-    ok = (px >= 0) & (px < sw) & (py >= 0) & (py < sh)
-    idx = np.nonzero(ok)[0]
-    data = np.zeros((sh, sw, phi_tgt.channels))
-    hit = np.zeros((sh, sw), dtype=bool)
-    if idx.size:
-        _, ibuf = kernels.zbuffer_min(px[idx], py[idx], -back.confidence.ravel()[idx], sh, sw)
-        filled = ibuf >= 0
-        src_idx = idx[ibuf[filled]]
-        ys, xs = np.nonzero(filled)
-        data[ys, xs] = phi_tgt.data.reshape(-1, phi_tgt.channels)[src_idx]
-        hit = filled
+    data, hit = _splat_max_confidence(back.targets, back.confidence,
+                                      phi_tgt.data.reshape(-1, phi_tgt.channels),
+                                      (warp.height, warp.width))
     if hit.any() and not hit.all():
         data = kernels.fill_nearest(data, hit)
     return FeatureGrid(data, stride=phi_tgt.stride)

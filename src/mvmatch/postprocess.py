@@ -20,19 +20,6 @@ from .grids import MISSING, DenseWarpField
 from .tracks import TrackToken
 
 
-@dataclass
-class PairMatchBank:
-    """Candidate warps for one ordered pair, one per group that covers it."""
-
-    pair: tuple[int, int]
-    candidates: list[DenseWarpField]
-    group_ids: list[int]
-
-    def select(self) -> tuple[DenseWarpField, np.ndarray]:
-        warp, chosen = select_matches(self.candidates)
-        return warp, chosen
-
-
 @dataclass(frozen=True)
 class ScoreMap:
     """S = L + C: per-pixel track length plus mean confidence of valid views."""

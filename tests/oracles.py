@@ -5,11 +5,12 @@ no shared code paths with the library internals beyond parameter containers
 and the bilinear sampler.
 """
 
+import math
+
 import numpy as np
 
 from mvmatch.attention import grid_token_centers
 from mvmatch.grids import bilinear_sample
-from mvmatch.kernels import bilinear_gather_numpy
 from mvmatch.matcher import MVFuseParams
 
 
@@ -168,18 +169,127 @@ def brute_force_depthwise_conv2d(inp, weights, bias):
     return out
 
 
+def _clamped_taps(p, size):
+    """Linear taps (i0, i1, frac) of one position on an axis of ``size`` cells,
+    clamped to the border: p is clipped to [0, size - 1] and i0 to size - 2."""
+    if p < 0.0:
+        p = 0.0
+    if p > size - 1.0:
+        p = size - 1.0
+    i0 = math.floor(p)
+    if i0 > size - 2:
+        i0 = size - 2
+    if i0 < 0:
+        i0 = 0
+    i1 = i0 + 1
+    if i1 > size - 1:
+        i1 = size - 1
+    return i0, i1, p - i0
+
+
+def brute_force_gather(data, xs, ys):
+    """Border-clamped bilinear samples of ``data`` (H, W, C) at (xs, ys), as
+    (N, C): the taps of each point in a scalar loop, then the blend."""
+    h, w, _ = data.shape
+    taps = [_clamped_taps(x, w) + _clamped_taps(y, h)
+            for x, y in zip(np.ravel(xs).tolist(), np.ravel(ys).tolist())]
+    x0, x1, fx, y0, y1, fy = np.array(taps).reshape(-1, 6).T
+    x0, x1, y0, y1 = (a.astype(np.int64) for a in (x0, x1, y0, y1))
+    fx, fy = fx[:, None], fy[:, None]
+    top = data[y0, x0] * (1.0 - fx) + data[y0, x1] * fx
+    bot = data[y1, x0] * (1.0 - fx) + data[y1, x1] * fx
+    return top * (1.0 - fy) + bot * fy
+
+
+def brute_force_upsample(field, factor):
+    """Integer-aligned linear upsampling by ``factor``, one output cell and one
+    channel at a time; output X reads the input at X / factor, extrapolating
+    past the last sample."""
+    h, w, c = field.shape
+    out = np.empty((h * factor, w * factor, c))
+    for oy in range(h * factor):
+        py = oy / factor
+        if h == 1:
+            y0, y1, ty = 0, 0, 0.0
+        else:
+            y0 = min(max(math.floor(py), 0), h - 2)
+            y1, ty = y0 + 1, py - y0
+        for ox in range(w * factor):
+            px = ox / factor
+            if w == 1:
+                x0, x1, tx = 0, 0, 0.0
+            else:
+                x0 = min(max(math.floor(px), 0), w - 2)
+                x1, tx = x0 + 1, px - x0
+            for k in range(c):
+                top = field[y0, x0, k] * (1.0 - tx) + field[y0, x1, k] * tx
+                bot = field[y1, x0, k] * (1.0 - tx) + field[y1, x1, k] * tx
+                out[oy, ox, k] = top * (1.0 - ty) + bot * ty
+    return out
+
+
+def brute_force_zbuffer(px, py, depth, h, w):
+    """Minimum-depth splat, one point at a time; equal depths go to the lowest
+    point index. Returns the (h, w) depth and index buffers (inf / -1 empty)."""
+    zbuf = np.full((h, w), np.inf)
+    ibuf = np.full((h, w), -1, dtype=np.int64)
+    for i in range(len(px)):
+        x, y, d = px[i], py[i], depth[i]
+        if d < zbuf[y, x] or (d == zbuf[y, x] and (ibuf[y, x] < 0 or i < ibuf[y, x])):
+            zbuf[y, x] = d
+            ibuf[y, x] = i
+    return zbuf, ibuf
+
+
+def brute_force_fill_nearest(values, valid):
+    """Fill invalid cells of ``values`` (H, W, C) by rounds of 4-neighbour
+    dilation: each round copies from the cells valid before it, preferring
+    the neighbour above, then below, left, right."""
+    h, w, c = values.shape
+    out = values.copy()
+    filled = valid.copy()
+    done = False
+    while not done:
+        prev_vals = out.copy()
+        prev_fill = filled.copy()
+        progressed = False
+        remaining = False
+        for y in range(h):
+            for x in range(w):
+                if prev_fill[y, x]:
+                    continue
+                if y > 0 and prev_fill[y - 1, x]:
+                    sy, sx = y - 1, x
+                elif y < h - 1 and prev_fill[y + 1, x]:
+                    sy, sx = y + 1, x
+                elif x > 0 and prev_fill[y, x - 1]:
+                    sy, sx = y, x - 1
+                elif x < w - 1 and prev_fill[y, x + 1]:
+                    sy, sx = y, x + 1
+                else:
+                    remaining = True
+                    continue
+                for k in range(c):
+                    out[y, x, k] = prev_vals[sy, sx, k]
+                filled[y, x] = True
+                progressed = True
+        done = (not remaining) or (not progressed)
+    return out
+
+
 def per_offset_local_corr(src, tgt, targets, window):
     """Local correlation one window offset at a time: a full bilinear gather of
-    the target per offset, blended per channel, then the channel sum. Only
-    ``bilinear_gather_numpy`` is shared with the library's kernel."""
+    the target per offset with ``brute_force_gather``, blended per channel,
+    then the channel sum."""
     h, w, c = src.shape
     r = (window - 1) // 2
     out = np.empty((h, w, window, window))
     inv = 1.0 / np.sqrt(c)
     for j, dy in enumerate(range(-r, r + 1)):
         for i, dx in enumerate(range(-r, r + 1)):
-            sampled = bilinear_gather_numpy(tgt, targets[..., 0] + dx, targets[..., 1] + dy)
-            out[:, :, j, i] = np.einsum("ywc,ywc->yw", src, sampled) * inv
+            sampled = brute_force_gather(tgt, targets[..., 0] + dx, targets[..., 1] + dy)
+            out[:, :, j, i] = np.einsum("ywc,ywc->yw", src,
+                                        sampled.reshape(h, w, c)) * inv
     return out
 
 

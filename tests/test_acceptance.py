@@ -3,8 +3,7 @@
 Criteria are property-based plus oracle-equivalence with two scaled-down
 quantitative protocol reproductions; every tolerance is pinned here. Run
 with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines and timings. JIT warm-up is excluded from the timed sections (a
-session fixture touches every kernel once up front).
+lines and timings.
 """
 
 import time
@@ -42,20 +41,6 @@ from mvmatch.tracks import (TrackToken, allocate_clusters, kmeans,
 
 from oracles import (brute_force_nms, oracle_mvfuse, oracle_sampling,
                      oracle_splatting, oracle_transformer, random_fuse_params)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    """Compile the numba kernels before any timed section."""
-    rng = np.random.default_rng(0)
-    data = rng.normal(size=(4, 4, 3))
-    kernels.bilinear_gather(data, np.array([1.0]), np.array([1.0]))
-    kernels.upsample_linear(data, 2)
-    kernels.nms_greedy(rng.uniform(0, 1, (4, 4)), 1, -1)
-    kernels.zbuffer_min(np.array([0]), np.array([0]), np.array([1.0]), 2, 2)
-    kernels.fill_nearest(data, np.array(rng.random((4, 4)) < 0.5))
-    kernels.conv2d(data, rng.normal(size=(3, 3, 3, 2)), np.zeros(2))
-    kernels.depthwise_conv2d(data, rng.normal(size=(7, 7, 3)), np.zeros(3))
 
 
 @contextmanager

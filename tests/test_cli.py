@@ -206,6 +206,43 @@ class TestEvalTriangulation:
         assert float(first[1]) == 1.0  # exact tracks triangulate exactly
 
 
+class TestErrorContract:
+    """A bad input ends a subcommand with one stderr line and exit code 2."""
+
+    def assert_one_line_error(self, capsys, command, fragment):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert err.startswith(f"mvmatch {command}: error: "), err
+        assert fragment in err, err
+
+    def test_gen_scene_rejects_size_off_the_coarsest_stride(self, tmp_path, capsys):
+        rc = main(["gen-scene", "--image-size", "20", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "gen-scene", "not divisible by the coarsest stride 8")
+        assert not (tmp_path / "run").exists()
+
+    def test_malformed_track_row(self, tmp_path, capsys):
+        rc = main(["gen-scene", "--kind", "point-cloud", "--views", "2",
+                   "--image-size", "32", "--points", "50", "--out", str(tmp_path)])
+        assert rc == 0
+        tracks = tmp_path / "tracks.tsv"
+        tracks.write_text("# V=2\tT=1\ntoken_id\tview_id\tx\ty\n0\t0\t1.0\t2.0\n0\t1\n")
+        capsys.readouterr()
+        rc = main(["eval-triangulation", "--scene", str(tmp_path / "scene.json"),
+                   "--tracks", str(tracks), "--out", str(tmp_path)])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "eval-triangulation",
+                                   "tracks.tsv:4: expected 4 tab-separated fields, got 2")
+
+    def test_file_that_is_not_mvwf(self, tmp_path, capsys):
+        warps = tmp_path / "warps"
+        warps.mkdir()
+        (warps / "warp.mvwf").write_bytes(b"not a warp field")
+        rc = main(["sample-groups", "--warps", str(warps), "--out", str(tmp_path)])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "sample-groups", "not an MVWF file")
+
+
 class TestDeterminism:
     def test_cli_outputs_byte_identical(self, tmp_path, planar_scene, fast_config):
         outs = []

@@ -1,5 +1,5 @@
-"""Kernel agreement: each numba kernel must match its numpy fallback, and the
-numpy-only correlation and convolutions must match independent oracles."""
+"""Kernel agreement: each numpy kernel must match an independent explicit-loop
+oracle from ``tests/oracles.py``."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +8,9 @@ from mvmatch import kernels
 from mvmatch.grids import DenseWarpField, FeatureGrid
 
 from oracles import (brute_force_conv2d, brute_force_correlation,
-                     brute_force_depthwise_conv2d, per_offset_local_corr)
+                     brute_force_depthwise_conv2d, brute_force_fill_nearest,
+                     brute_force_gather, brute_force_nms, brute_force_upsample,
+                     brute_force_zbuffer, per_offset_local_corr)
 
 
 rng = np.random.default_rng(0)
@@ -48,17 +50,29 @@ def assert_clamped_ties_exact(scores, targets, th, tw):
 
 
 def test_backend_reports():
-    assert kernels.BACKEND in ("numba", "numpy")
+    assert kernels.BACKEND == "numpy"
+
+
+def nms_yx(scores, radius, max_keypoints=None):
+    """brute_force_nms picks as (y, x) rows, the kernel's order."""
+    return brute_force_nms(scores, radius, max_keypoints)[:, ::-1]
 
 
 class TestAgreement:
     def test_bilinear_gather(self):
-        data = rng.normal(size=(7, 9, 4))
-        xs = rng.uniform(-2, 10, 50)
-        ys = rng.uniform(-2, 8, 50)
-        a = kernels.bilinear_gather(data, xs, ys)
-        b = kernels.bilinear_gather_numpy(data, xs, ys)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        # continuous points, then the border cells and one ulp past them, on a
+        # regular grid and on grids one cell high or wide
+        def edges(size):
+            return np.array([0.0, 1.0, size - 1.0, np.nextafter(size - 1.0, np.inf),
+                             np.nextafter(0.0, -np.inf)])
+
+        for shape in ((7, 9, 4), (1, 5, 2), (6, 1, 3)):
+            h, w = shape[:2]
+            data = rng.normal(size=shape)
+            xs = np.concatenate([rng.uniform(-2, w + 1, 50), edges(w), rng.uniform(0, w - 1, 5)])
+            ys = np.concatenate([rng.uniform(-2, h + 1, 50), rng.uniform(0, h - 1, 5), edges(h)])
+            np.testing.assert_array_equal(kernels.bilinear_gather(data, xs, ys),
+                                          brute_force_gather(data, xs, ys))
 
     def test_local_corr(self):
         # 37 rows is not a multiple of the row band
@@ -82,45 +96,49 @@ class TestAgreement:
             np.testing.assert_array_equal(kernels.local_corr(src, tgt, targets, 5), banded)
 
     def test_upsample_linear(self):
-        field = rng.normal(size=(4, 6, 3))
-        for factor in (2, 4):
-            a = kernels.upsample_linear(field, factor)
-            b = kernels.upsample_linear_numpy(field, factor)
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        # the kernel blends along y, then x; the oracle blends each cell's
+        # four corners x first, which moves results by a few ulps
+        for shape in ((4, 6, 3), (1, 5, 2), (3, 1, 2)):
+            field = rng.normal(size=shape)
+            for factor in (2, 4):
+                np.testing.assert_allclose(kernels.upsample_linear(field, factor),
+                                           brute_force_upsample(field, factor),
+                                           atol=1e-12, rtol=0)
 
     def test_nms_greedy(self):
         scores = rng.uniform(-0.5, 1.0, size=(20, 20))
-        a = kernels.nms_greedy(scores, 2, -1)
-        b = kernels.nms_greedy_numpy(scores, 2, scores.size + 1)
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(kernels.nms_greedy(scores, 2, -1), nms_yx(scores, 2))
 
     def test_nms_with_ties(self):
         scores = np.zeros((6, 6))
         scores[1, 1] = scores[1, 4] = scores[4, 1] = 0.5
-        a = kernels.nms_greedy(scores, 1, -1)
-        b = kernels.nms_greedy_numpy(scores, 1, scores.size + 1)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a, [[1, 1], [1, 4], [4, 1]])  # raster ties
+        got = kernels.nms_greedy(scores, 1, -1)
+        np.testing.assert_array_equal(got, nms_yx(scores, 1))
+        np.testing.assert_array_equal(got, [[1, 1], [1, 4], [4, 1]])  # raster ties
 
     def test_zbuffer_min(self):
         n = 200
         px = rng.integers(0, 8, n)
         py = rng.integers(0, 8, n)
+        # continuous depths with one forced tie, then depths on three levels
         depth = rng.uniform(1, 5, n)
-        depth[10] = depth[20]  # force a potential tie path
-        za, ia = kernels.zbuffer_min(px, py, depth, 8, 8)
-        zb, ib = kernels.zbuffer_min_numpy(px, py, depth, 8, 8)
-        np.testing.assert_array_equal(ia, ib)
-        np.testing.assert_array_equal(za, zb)
+        px[20], py[20], depth[20] = px[10], py[10], depth[10]
+        for d in (depth, rng.integers(1, 4, n).astype(np.float64)):
+            got_z, got_i = kernels.zbuffer_min(px, py, d, 8, 8)
+            want_z, want_i = brute_force_zbuffer(px, py, d, 8, 8)
+            np.testing.assert_array_equal(got_i, want_i)
+            np.testing.assert_array_equal(got_z, want_z)
 
     def test_fill_nearest(self):
         values = rng.normal(size=(10, 10, 2))
-        valid = rng.random((10, 10)) < 0.4
-        valid[0, 0] = True
-        a = kernels.fill_nearest(values, valid)
-        b = kernels.fill_nearest_numpy(values.copy(), valid.copy())
-        np.testing.assert_array_equal(a, b)
-        assert np.all(np.isfinite(a))
+        sparse = rng.random((10, 10)) < 0.4
+        sparse[0, 0] = True
+        single = np.zeros((10, 10), dtype=bool)
+        single[6, 3] = True
+        for valid in (sparse, single, np.zeros((10, 10), dtype=bool)):
+            got = kernels.fill_nearest(values, valid)
+            np.testing.assert_array_equal(got, brute_force_fill_nearest(values, valid))
+        assert np.all(np.isfinite(kernels.fill_nearest(values, sparse)))
 
     def test_conv2d(self):
         # every output pixel is compared, the zero-padded border included
@@ -157,26 +175,3 @@ class TestLocalCorrBorders:
         got = kernels.local_corr(src.data, tgt.data, targets, window)
         np.testing.assert_allclose(got, brute_force_correlation(src, tgt, warp, window),
                                    atol=1e-12, rtol=0)
-
-
-class TestEnvFlag:
-    def test_disable_flag_forces_numpy(self):
-        import os
-        import subprocess
-        import sys
-
-        import mvmatch
-
-        # The child inherits this environment and imports the same mvmatch
-        # as this process (installed, editable or PYTHONPATH=src).
-        pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(mvmatch.__file__)))
-        env = dict(os.environ, MVMATCH_DISABLE_NUMBA="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import mvmatch.kernels as k; print(k.BACKEND, k.HAS_NUMBA, k._DISABLE)"],
-            env=env, capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        # The flag is read as "disable" whether or not numba is installed.
-        assert out.stdout.split() == ["numpy", "False", "True"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvmatch.grids import DenseWarpField, identity_warp
 from mvmatch.oracle import gt_track_error, make_planar_scene, gt_warp
@@ -153,13 +154,17 @@ class TestNms:
         picked = nms_select(scores, radius=2)
         np.testing.assert_array_equal(picked, [[2, 5]])
 
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(7)
-        for trial in range(10):
-            scores = rng.uniform(-0.2, 1.0, size=(8, 8))
-            got = nms_select(scores, radius=2)
-            want = brute_force_nms(scores, 2)
-            np.testing.assert_array_equal(got, want)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(h=st.integers(1, 12), w=st.integers(1, 12), radius=st.integers(1, 3),
+           levels=st.integers(1, 4), max_keypoints=st.none() | st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_brute_force(self, h, w, radius, levels, max_keypoints, seed):
+        # scores on a few levels in [-0.5, 1], so ties and non-positive cells
+        # are common
+        gen = np.random.default_rng(seed)
+        scores = gen.integers(-levels // 2, levels + 1, size=(h, w)) / levels
+        got = nms_select(scores, radius=radius, max_keypoints=max_keypoints)
+        np.testing.assert_array_equal(got, brute_force_nms(scores, radius, max_keypoints))
 
     def test_separation_invariant(self):
         rng = np.random.default_rng(8)
