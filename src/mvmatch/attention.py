@@ -22,6 +22,8 @@ from .grids import FeatureGrid
 from .tracks import TrackToken
 
 MASK_LOGIT = -1e9
+# Grid cells per block of splatting logits; see _row_blocks on keeping bits.
+_SPLAT_BLOCK_ROWS = 512
 
 PARAMS_MAGIC = b"MVAP"
 PARAMS_VERSION = 1
@@ -122,6 +124,28 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_blocks(n: int, size: int):
+    """Slices of ``size`` rows covering ``range(n)``; the last one absorbs a short tail.
+
+    A row-wise softmax treats every row alone, so blocking its rows changes
+    the arithmetic only inside BLAS. On OpenBLAS a block's products keep the
+    full matrix's bits when no block is short (a short tail can fall under
+    the small-matrix threshold and round differently) and the column count
+    is a multiple of 8, as at the shipped shapes. With a ragged column count
+    OpenBLAS tiles by row position, and a product can move in the last ulp
+    (the full product there changes with the BLAS thread count, too).
+    Smaller blocks break the bits more often; re-check any other block size
+    against the ``dense_*`` formulations in the tests.
+    """
+    lo = 0
+    while True:
+        hi = n if n - lo < 2 * size else lo + size
+        yield slice(lo, hi)
+        if hi == n:
+            return
+        lo = hi
+
+
 def _normalized(coords: np.ndarray, grid_hw: tuple[int, int]) -> np.ndarray:
     h, w = grid_hw
     return coords / np.array([max(w - 1, 1), max(h - 1, 1)], dtype=np.float64)
@@ -143,12 +167,19 @@ def grid_token_centers(height: int, width: int) -> np.ndarray:
 
 def spatial_bias(track_coords: np.ndarray, grid_size: tuple[int, int],
                  sigma: float) -> np.ndarray:
-    """Locality bias: -(squared distance to each grid-token center) / (2 sigma^2)."""
+    """Locality bias: -(squared distance to each grid-token center) / (2 sigma^2).
+
+    Returns (T, HW) in raster order. The squared distance is built from
+    separable per-column dx^2 and per-row dy^2 terms, which is the same sum
+    as over the (T, HW, 2) coordinate differences without that temporary.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    centers = grid_token_centers(*grid_size)
+    h, w = grid_size
     coords = np.atleast_2d(np.asarray(track_coords, dtype=np.float64))
-    d2 = np.sum((coords[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    dx2 = (coords[:, 0, None] - np.arange(w, dtype=np.float64)) ** 2  # (T, W)
+    dy2 = (coords[:, 1, None] - np.arange(h, dtype=np.float64)) ** 2  # (T, H)
+    d2 = (dx2[:, None, :] + dy2[:, :, None]).reshape(coords.shape[0], h * w)
     return -d2 / (2.0 * sigma * sigma)
 
 
@@ -167,9 +198,13 @@ def attentional_sampling(grid: FeatureGrid, track_coords: np.ndarray,
     queries = coordinate_queries(params, track_coords, hw)
     keys = feats @ params.wk
     values = feats @ params.wv
-    logits = queries @ keys.T / np.sqrt(params.dim)
-    logits = logits + spatial_bias(track_coords, hw, params.sigma)
-    attn = masked_softmax(logits, np.ones_like(logits, dtype=bool))
+    attn = queries @ keys.T
+    attn /= np.sqrt(params.dim)
+    attn += spatial_bias(track_coords, hw, params.sigma)
+    # every entry participates, so the softmax needs no mask
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     return attn @ values
 
 
@@ -208,7 +243,8 @@ def attentional_splatting(grid: FeatureGrid, track_feats: np.ndarray,
     Grid-token centers drive the queries through the same coordinate MLP,
     keys/values come from the track features, the spatial bias enters
     transposed relative to sampling, and invisible tracks are masked out of
-    every row. With no visible track the grid is returned unchanged.
+    every row. With no visible track the grid is returned unchanged. Grid
+    cells are processed in blocks of ``_SPLAT_BLOCK_ROWS`` rows of logits.
     """
     if grid.channels != params.dim:
         raise ValueError(f"grid has {grid.channels} channels, params expect {params.dim}")
@@ -220,11 +256,14 @@ def attentional_splatting(grid: FeatureGrid, track_feats: np.ndarray,
     queries = coordinate_queries(params, grid_token_centers(*hw), hw)
     keys = feats @ params.wk
     values = feats @ params.wv
-    logits = queries @ keys.T / np.sqrt(params.dim)
-    logits = logits + spatial_bias(track_coords, hw, params.sigma).T
-    mask = np.broadcast_to(visibility[None, :], logits.shape)
-    attn = masked_softmax(logits, mask)
-    update = (attn @ values) @ params.wout
+    bias = spatial_bias(track_coords, hw, params.sigma)
+    update = np.empty((queries.shape[0], params.dim))
+    for rows in _row_blocks(queries.shape[0], _SPLAT_BLOCK_ROWS):
+        logits = queries[rows] @ keys.T
+        logits /= np.sqrt(params.dim)
+        logits += bias[:, rows].T
+        mask = np.broadcast_to(visibility[None, :], logits.shape)
+        update[rows] = (masked_softmax(logits, mask) @ values) @ params.wout
     return FeatureGrid(grid.data + update.reshape(grid.data.shape), stride=grid.stride)
 
 

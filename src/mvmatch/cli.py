@@ -195,12 +195,18 @@ def cmd_postprocess(args) -> int:
     candidates, groups, _ = _load_warp_bank(warps_dir)
     selected = {pair: select_matches(cands)[0] for pair, cands in candidates.items()}
     keeps = {}
+    one_way = []
     for (a, b), warp in selected.items():
         back = selected.get((b, a))
         if back is None:
+            one_way.append((a, b))
             keeps[(a, b)] = np.zeros((warp.height, warp.width), dtype=bool)
         else:
             keeps[(a, b)] = reciprocity_filter(warp, back, cfg.eps_p)
+    if one_way:
+        pairs = ", ".join(f"{a}->{b}" for a, b in sorted(one_way))
+        print(f"mvmatch postprocess: warning: no reverse warp for pairs {pairs}; "
+              "none of their matches can pass the reciprocity check", file=sys.stderr)
     all_tracks = []
     per_group_tracks = []
     num_views = 1 + max(max((a for a, _ in selected), default=0),

@@ -249,17 +249,14 @@ def triangulate_tracks(tracks, cameras, views=None):
     return triangulate_observations(observations, cameras)
 
 
-def _nn_within(query: np.ndarray, reference: np.ndarray, threshold: float) -> np.ndarray:
-    """Boolean mask: each query point has a reference point within threshold."""
-    if reference.shape[0] == 0:
-        return np.zeros(query.shape[0], dtype=bool)
-    out = np.zeros(query.shape[0], dtype=bool)
+def _nn_min_d2(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Squared distance from each query point to its nearest reference point."""
+    out = np.empty(query.shape[0])
     chunk = 2048
-    t2 = threshold * threshold
     for lo in range(0, query.shape[0], chunk):
         q = query[lo:lo + chunk]
         d2 = np.sum((q[:, None, :] - reference[None, :, :]) ** 2, axis=2)
-        out[lo:lo + chunk] = d2.min(axis=1) <= t2
+        out[lo:lo + chunk] = d2.min(axis=1)
     return out
 
 
@@ -273,13 +270,16 @@ def accuracy_completeness(points: np.ndarray, gt_points: np.ndarray,
     if gt_points.shape[0] == 0:
         raise ValueError("ground truth must be nonempty")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if points.shape[0] == 0:
+        return {float(t): {"accuracy": 0.0, "completeness": 0.0, "empty": True}
+                for t in thresholds}
+    # one nearest-neighbour search per direction, compared with every t^2
+    acc_d2 = _nn_min_d2(points, gt_points)
+    comp_d2 = _nn_min_d2(gt_points, points)
     out = {}
     for t in thresholds:
         t = float(t)
-        if points.shape[0] == 0:
-            out[t] = {"accuracy": 0.0, "completeness": 0.0, "empty": True}
-            continue
-        acc = float(np.mean(_nn_within(points, gt_points, t)))
-        comp = float(np.mean(_nn_within(gt_points, points, t)))
-        out[t] = {"accuracy": acc, "completeness": comp, "empty": False}
+        t2 = t * t
+        out[t] = {"accuracy": float(np.mean(acc_d2 <= t2)),
+                  "completeness": float(np.mean(comp_d2 <= t2)), "empty": False}
     return out

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .attention import AttentionParams, init_attention_params, exchange_features
+from .attention import (AttentionParams, _row_blocks, exchange_features,
+                        init_attention_params)
 from .features import FeatureProvider
 from .grids import (DenseWarpField, FeatureGrid, _splat_max_confidence,
                     invert_warp, local_correlation, upsample_warp, warp_features)
@@ -35,6 +36,9 @@ DEFAULT_STRIDES = (8, 4, 2, 1)
 DEFAULT_MVFUSE_LEVELS = (4, 1)
 DEFAULT_WINDOWS = {8: 9, 4: 9, 2: 7, 1: 5}
 ALIGNMENT_MODES = ("forward", "invert", "reverse")
+# Source rows per block of global_match logits; see attention._row_blocks on
+# keeping bits.
+_GLOBAL_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -193,18 +197,28 @@ def global_match(src_feat: FeatureGrid, tgt_feat: FeatureGrid, anchors: AnchorGr
     Each source token scores all anchors (scaled inner products, softmax); the
     coarse coordinate is the probability-weighted mean of anchor centers and
     the confidence is the winning anchor's probability.
+
+    Source rows are processed in blocks of ``_GLOBAL_BLOCK_ROWS``, so memory
+    is bounded by one block of logits, not the full (HW, anchors) matrix; at
+    the shipped shapes the output bits are those of the full matrix.
     """
     if src_feat.channels != tgt_feat.channels:
         raise ValueError("source/target channel mismatch")
     d = src_feat.channels
     keys = kernels.bilinear_gather(tgt_feat.data, anchors.centers[:, 0],
                                    anchors.centers[:, 1])
-    logits = src_feat.data.reshape(-1, d) @ keys.T / (np.sqrt(d) * temperature)
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    coords = probs @ anchors.centers
-    conf = probs.max(axis=1)
+    src = src_feat.data.reshape(-1, d)
+    scale = np.sqrt(d) * temperature
+    coords = np.empty((src.shape[0], 2))
+    conf = np.empty(src.shape[0])
+    for rows in _row_blocks(src.shape[0], _GLOBAL_BLOCK_ROWS):
+        probs = src[rows] @ keys.T
+        probs /= scale
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        coords[rows] = probs @ anchors.centers
+        conf[rows] = probs.max(axis=1)
     h, w = src_feat.height, src_feat.width
     return DenseWarpField(coords.reshape(h, w, 2), conf.reshape(h, w),
                           source_view, target_view)

@@ -225,11 +225,6 @@ def gt_transfer_points(oracle: SceneOracle, source: int, target: int,
     return mapped, valid
 
 
-def covisibility_fraction(oracle: SceneOracle, source: int, target: int) -> float:
-    warp = gt_warp(oracle, source, target)
-    return float(np.mean(warp.confidence > 0))
-
-
 def simulate_matcher(oracle: SceneOracle, group: ImageGroup, n: int,
                      noise_sigma: float = 0.0, outlier_rate: float = 0.0,
                      seed: int | None = None) -> list[MatchSample]:

@@ -54,9 +54,6 @@ class TrackToken:
     def num_views(self) -> int:
         return self.visibility.shape[0]
 
-    def view_coords(self, view: int) -> np.ndarray:
-        return self.coords[2 * view:2 * view + 2]
-
 
 @dataclass(frozen=True)
 class VisibilityPartition:

@@ -2,15 +2,18 @@
 
 Everything here recomputes results with plain Python loops and numpy scalars,
 no shared code paths with the library internals beyond parameter containers
-and the bilinear sampler.
+and the bilinear sampler. The ``dense_*`` functions are the exception: they
+keep the full-matrix formulations that the row-blocked global match and
+exchange attention replaced, so blocked outputs can be compared bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from mvmatch.attention import grid_token_centers
-from mvmatch.grids import bilinear_sample
+from mvmatch import kernels
+from mvmatch.attention import MASK_LOGIT, coordinate_queries, grid_token_centers
+from mvmatch.grids import DenseWarpField, FeatureGrid, bilinear_sample
 from mvmatch.matcher import MVFuseParams
 
 
@@ -320,3 +323,66 @@ def brute_force_nms(scores, radius, max_keypoints=None):
             if max_keypoints and len(picked) == max_keypoints:
                 break
     return np.array(picked, dtype=np.int64).reshape(-1, 2)
+
+
+def dense_masked_softmax(logits, mask):
+    shifted = np.where(mask, logits, logits + MASK_LOGIT)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    expd = np.exp(shifted)
+    expd = np.where(mask, expd, 0.0)
+    denom = expd.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.where(denom > 0, expd / np.where(denom > 0, denom, 1.0), 0.0)
+    return out
+
+
+def dense_spatial_bias(track_coords, grid_size, sigma):
+    centers = grid_token_centers(*grid_size)
+    coords = np.atleast_2d(np.asarray(track_coords, dtype=np.float64))
+    d2 = np.sum((coords[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    return -d2 / (2.0 * sigma * sigma)
+
+
+def dense_global_match(src_feat, tgt_feat, anchors, temperature=0.01,
+                       source_view=0, target_view=1):
+    d = src_feat.channels
+    keys = kernels.bilinear_gather(tgt_feat.data, anchors.centers[:, 0],
+                                   anchors.centers[:, 1])
+    logits = src_feat.data.reshape(-1, d) @ keys.T / (np.sqrt(d) * temperature)
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    coords = probs @ anchors.centers
+    conf = probs.max(axis=1)
+    h, w = src_feat.height, src_feat.width
+    return DenseWarpField(coords.reshape(h, w, 2), conf.reshape(h, w),
+                          source_view, target_view)
+
+
+def dense_attentional_sampling(grid, track_coords, params):
+    hw = (grid.height, grid.width)
+    feats = grid.data.reshape(-1, params.dim)
+    queries = coordinate_queries(params, track_coords, hw)
+    keys = feats @ params.wk
+    values = feats @ params.wv
+    logits = queries @ keys.T / np.sqrt(params.dim)
+    logits = logits + dense_spatial_bias(track_coords, hw, params.sigma)
+    attn = dense_masked_softmax(logits, np.ones_like(logits, dtype=bool))
+    return attn @ values
+
+
+def dense_attentional_splatting(grid, track_feats, track_coords, visibility, params):
+    visibility = np.asarray(visibility, dtype=bool)
+    if not visibility.any():
+        return grid
+    hw = (grid.height, grid.width)
+    feats = np.where(visibility[:, None], track_feats, 0.0)
+    queries = coordinate_queries(params, grid_token_centers(*hw), hw)
+    keys = feats @ params.wk
+    values = feats @ params.wv
+    logits = queries @ keys.T / np.sqrt(params.dim)
+    logits = logits + dense_spatial_bias(track_coords, hw, params.sigma).T
+    mask = np.broadcast_to(visibility[None, :], logits.shape)
+    attn = dense_masked_softmax(logits, mask)
+    update = (attn @ values) @ params.wout
+    return FeatureGrid(grid.data + update.reshape(grid.data.shape), stride=grid.stride)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvmatch import attention
 from mvmatch.attention import (AttentionParams, TrackFeatures,
                                attentional_sampling, attentional_splatting,
                                coordinate_queries, exchange_features,
@@ -10,7 +11,9 @@ from mvmatch.attention import (AttentionParams, TrackFeatures,
 from mvmatch.grids import MISSING, FeatureGrid
 from mvmatch.tracks import TrackToken
 
-from oracles import (oracle_sampling, oracle_splatting, oracle_transformer)
+from oracles import (dense_attentional_sampling, dense_attentional_splatting,
+                     dense_spatial_bias, oracle_sampling, oracle_splatting,
+                     oracle_transformer)
 
 
 def params_with(dim=4, sigma=1.0, seed=0, **overrides):
@@ -37,6 +40,67 @@ class TestSpatialBias:
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             spatial_bias(np.zeros((1, 2)), (2, 2), sigma=0.0)
+
+    def test_separable_terms_give_the_dense_bits(self):
+        rng = np.random.default_rng(3)
+        coords = rng.uniform(-2, [55, 39], size=(70, 2))
+        coords[:5] = np.round(coords[:5])
+        for sigma in (1.0, 0.7):
+            np.testing.assert_array_equal(spatial_bias(coords, (37, 53), sigma),
+                                          dense_spatial_bias(coords, (37, 53), sigma))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 511, 512, 1023, 1024, 1535, 1536, 1961, 7056])
+    def test_cover_rows_once_without_short_blocks(self, n):
+        blocks = list(attention._row_blocks(n, 512))
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(512 <= size < 1024 for size in sizes) or sizes == [n]
+
+
+def exchange_case(hw, tracks, seed):
+    rng = np.random.default_rng(seed)
+    h, w = hw
+    params = init_attention_params(32, sigma=1.0, seed=seed)
+    grid = FeatureGrid(rng.normal(size=(h, w, 32)))
+    coords = rng.uniform(-1, [w, h], size=(tracks, 2))
+    vis = rng.random(tracks) < 0.7
+    return params, grid, coords, vis, rng.normal(size=(tracks, 32))
+
+
+class TestBlocksMatchDenseFormulation:
+    """The lean exchange against the full-matrix formulation it replaced.
+
+    84x84 with 512 tracks is the coarse grid and track budget at the shipped
+    672 px; 37x53 grid cells span several splatting blocks with a ragged last
+    one.
+    """
+
+    SHAPES = [((84, 84), 512), ((37, 53), 704), ((37, 53), 700)]
+
+    @pytest.mark.parametrize("hw, tracks", SHAPES)
+    def test_sampling_bits(self, hw, tracks):
+        params, grid, coords, _, _ = exchange_case(hw, tracks, 5)
+        np.testing.assert_array_equal(attentional_sampling(grid, coords, params),
+                                      dense_attentional_sampling(grid, coords, params))
+
+    @pytest.mark.parametrize("hw, tracks", SHAPES[:2])
+    def test_splatting_bits(self, hw, tracks):
+        params, grid, coords, vis, feats = exchange_case(hw, tracks, 6)
+        assert hw[0] * hw[1] > 2 * attention._SPLAT_BLOCK_ROWS
+        got = attentional_splatting(grid, feats, coords, vis, params)
+        want = dense_attentional_splatting(grid, feats, coords, vis, params)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_splatting_ragged_track_count_within_ulps(self):
+        # with a track count off a multiple of 8, OpenBLAS tiles the ragged
+        # columns by row position, so a block's logits can differ from the
+        # full product's in the last ulp
+        params, grid, coords, vis, feats = exchange_case((37, 53), 700, 6)
+        got = attentional_splatting(grid, feats, coords, vis, params)
+        want = dense_attentional_splatting(grid, feats, coords, vis, params)
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-14)
 
 
 class TestMaskedSoftmax:

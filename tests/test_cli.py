@@ -157,6 +157,28 @@ class TestPostprocessAndEval:
         header = (tmp_path / "sfm_tracks.tsv").read_text().splitlines()[0]
         assert header.startswith("# V=")
 
+    def test_postprocess_names_pairs_without_reverse_warp(self, tmp_path, matched_dir,
+                                                          fast_config, capsys):
+        # match without --groups writes only source-0 warps, so no pair has a reverse
+        capsys.readouterr()
+        rc = main(["postprocess", "--warps", str(matched_dir), "--seed", "0",
+                   "--out", str(tmp_path), "--config", fast_config])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err == ("mvmatch postprocess: warning: no reverse warp for pairs "
+                       "0->1, 0->2, 0->3; none of their matches can pass the "
+                       "reciprocity check\n")
+        header = (tmp_path / "sfm_tracks.tsv").read_text().splitlines()[0]
+        assert header.endswith("T=0")
+
+    def test_postprocess_silent_when_every_pair_has_reverse(self, tmp_path, both_dirs,
+                                                            fast_config, capsys):
+        capsys.readouterr()
+        rc = main(["postprocess", "--warps", str(both_dirs), "--seed", "0",
+                   "--out", str(tmp_path), "--config", fast_config])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_eval_homography(self, tmp_path, both_dirs, planar_scene, fast_config):
         rc = main(["eval-homography", "--scene", str(planar_scene),
                    "--warps", str(both_dirs), "--seed", "0",

@@ -240,6 +240,21 @@ class TestAccuracyCompleteness:
         assert row["accuracy"] == 1.0
         assert row["completeness"] == pytest.approx(0.5)
 
+    def test_matches_per_threshold_search(self):
+        # points on an integer lattice put some nearest distances exactly on
+        # a threshold, which counts as within it
+        rng = np.random.default_rng(11)
+        gt = rng.integers(0, 6, size=(300, 3)).astype(float)
+        pts = np.concatenate([gt[:40] + [0.0, 0.0, 1.0], rng.normal(2.5, 2.0, (2100, 3))])
+        thresholds = [0.5, 1.0, 1.5, 2.0]
+        table = accuracy_completeness(pts, gt, thresholds)
+        for t in thresholds:
+            within_gt = [np.min(np.sum((gt - p) ** 2, axis=1)) <= t * t for p in pts]
+            within_pts = [np.min(np.sum((pts - g) ** 2, axis=1)) <= t * t for g in gt]
+            assert table[t] == {"accuracy": float(np.mean(within_gt)),
+                                "completeness": float(np.mean(within_pts)),
+                                "empty": False}
+
     def test_empty_triangulation_flagged(self):
         gt = np.zeros((10, 3))
         table = accuracy_completeness(np.empty((0, 3)), gt, [0.1])

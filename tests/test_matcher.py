@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from mvmatch.matcher import (ALIGNMENT_MODES, AnchorGrid, ConvStack, RefinerStat
 from mvmatch.oracle import gt_warp, make_planar_scene, simulate_matcher
 from mvmatch.tracks import sample_tracks
 
-from oracles import oracle_mvfuse, random_fuse_params as fuse_params
+from oracles import dense_global_match, oracle_mvfuse, random_fuse_params as fuse_params
 
 
 class TestGlobalMatch:
@@ -61,12 +62,48 @@ class TestGlobalMatch:
                          FeatureGrid(np.zeros((2, 2, 4))),
                          AnchorGrid.uniform(2, 2, (2, 2)))
 
+    # 84x84 is the coarse grid at the shipped 672 px; 37x53 source rows span
+    # several blocks with a ragged last one, against 40x40 anchors
+    @pytest.mark.parametrize("src_hw, tgt_hw", [((84, 84), (84, 84)),
+                                                ((37, 53), (40, 40))])
+    @pytest.mark.parametrize("tau", [0.01, 1.0])
+    def test_row_blocks_give_the_dense_bits(self, src_hw, tgt_hw, tau):
+        rng = np.random.default_rng(7)
+        src = FeatureGrid(rng.normal(size=(*src_hw, 32)))
+        tgt = FeatureGrid(rng.normal(size=(*tgt_hw, 32)))
+        anchors = AnchorGrid.uniform(*tgt_hw, tgt_hw)
+        assert src.height * src.width > 2 * matcher._GLOBAL_BLOCK_ROWS
+        got = global_match(src, tgt, anchors, tau, 2, 5)
+        want = dense_global_match(src, tgt, anchors, tau, 2, 5)
+        np.testing.assert_array_equal(got.targets, want.targets)
+        np.testing.assert_array_equal(got.confidence, want.confidence)
+        assert (got.source_view, got.target_view) == (2, 5)
+
     def test_anchor_grid_tiles_uniformly(self):
         a = AnchorGrid.uniform(2, 2, (4, 4))
         np.testing.assert_allclose(a.centers,
                                    [[0.5, 0.5], [2.5, 0.5], [0.5, 2.5], [2.5, 2.5]])
         b = AnchorGrid.uniform(3, 3, (3, 3))
         np.testing.assert_allclose(b.centers[:3], [[0, 0], [1, 0], [2, 0]])
+
+
+class TestReverseAlignmentMemory:
+    def test_stride_one_reverse_stays_bounded(self):
+        # the dense (HW, anchors) logits at 64x64 would be 4096^2 doubles, 134 MB
+        rng = np.random.default_rng(12)
+        h = w = 64
+        params = replace(init_matcher_params(seed=3), mvfuse_alignment="reverse")
+        provider = ArrayFeatureProvider({(0, 1): FeatureGrid(rng.normal(size=(h, w, 32)))})
+        phi_tgt = FeatureGrid(rng.normal(size=(h, w, 32)))
+        warp = identity_warp(h, w)
+        tracemalloc.start()
+        try:
+            aligned = matcher._aligned_target_grid(phi_tgt, warp, params, provider)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert aligned.data.shape == (h, w, 32)
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestMvFuse:
