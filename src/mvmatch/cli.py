@@ -2,7 +2,8 @@
 
 Subcommands: gen-scene, build-tracks, match, postprocess, sample-groups,
 eval-homography, eval-triangulation. Every run is deterministic for a fixed
-config and seed: reruns produce byte-identical MVWF/TSV/CSV/JSON outputs.
+config, seed and BLAS thread count: reruns produce byte-identical
+MVWF/TSV/CSV/JSON outputs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .oracle import (gt_warp, load_scene, make_planar_scene,
                      make_point_cloud_scene, save_scene, simulate_matcher)
 from .postprocess import (match_statistics, postprocess_group,
                           reciprocity_filter, select_matches, write_statistics)
-from .tracks import sample_tracks, write_tracks_tsv
+from .tracks import (read_track_rows, sample_tracks, write_track_rows,
+                     write_tracks_tsv)
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
@@ -124,8 +126,8 @@ def cmd_sample_groups(args) -> int:
     params = GroupSamplerParams(max_targets=cfg.targets_per_group, tau=cfg.group_tau,
                                 tau_conf=cfg.group_tau_conf, beta=cfg.beta,
                                 alpha_src=cfg.alpha_src, alpha_tgt=cfg.alpha_tgt,
-                                lam=cfg.lam, half_budget=(args.budget == "half"))
-    budget = default_budget(m, params.half_budget)
+                                lam=cfg.lam)
+    budget = default_budget(m, args.budget == "half")
     stage1, stage2 = sample_groups(overlap, params, budget)
     path = out / "groups.json"
     write_group_manifest(path, stage1, stage2)
@@ -143,14 +145,7 @@ def cmd_match(args) -> int:
     else:
         groups = [_default_group(scene.num_views, cfg.targets_per_group)]
     provider = OracleFeatureProvider(scene, dim=cfg.feature_dim, seed=args.seed)
-    params = init_matcher_params(
-        feature_dim=cfg.feature_dim, hidden_dim=cfg.hidden_dim, seed=args.seed,
-        strides=cfg.strides, sigma=cfg.sigma,
-        mvfuse_levels=cfg.mvfuse_levels, mvfuse_iters=cfg.mvfuse_iters,
-        mvfuse_alignment=cfg.mvfuse_alignment,
-        global_temperature=cfg.global_temperature,
-        softargmax_temperature=cfg.softargmax_temperature,
-        residual_gain=cfg.residual_gain)
+    params = init_matcher_params(cfg, seed=args.seed)
     manifest = {"seed": args.seed, "strides": list(cfg.strides),
                 "scene": Path(args.scene).name, "groups": [],
                 "config": json.loads(cfg.to_json())}
@@ -188,11 +183,13 @@ def _load_warp_bank(warps_dir: Path):
     return candidates, groups, manifest
 
 
-def cmd_postprocess(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    warps_dir = Path(args.warps)
-    candidates, groups, _ = _load_warp_bank(warps_dir)
+def _select_and_filter(candidates: dict[tuple[int, int], list[DenseWarpField]],
+                       eps_p: float):
+    """Best warp per ordered pair and its reciprocity keep-mask.
+
+    Returns (selected, keeps, one_way): a pair without a reverse warp keeps
+    nothing and is listed in ``one_way``.
+    """
     selected = {pair: select_matches(cands)[0] for pair, cands in candidates.items()}
     keeps = {}
     one_way = []
@@ -202,7 +199,16 @@ def cmd_postprocess(args) -> int:
             one_way.append((a, b))
             keeps[(a, b)] = np.zeros((warp.height, warp.width), dtype=bool)
         else:
-            keeps[(a, b)] = reciprocity_filter(warp, back, cfg.eps_p)
+            keeps[(a, b)] = reciprocity_filter(warp, back, eps_p)
+    return selected, keeps, one_way
+
+
+def cmd_postprocess(args) -> int:
+    cfg = _load_cfg(args)
+    out = _out_dir(args)
+    warps_dir = Path(args.warps)
+    candidates, groups, _ = _load_warp_bank(warps_dir)
+    selected, keeps, one_way = _select_and_filter(candidates, cfg.eps_p)
     if one_way:
         pairs = ", ".join(f"{a}->{b}" for a, b in sorted(one_way))
         print(f"mvmatch postprocess: warning: no reverse warp for pairs {pairs}; "
@@ -222,15 +228,13 @@ def cmd_postprocess(args) -> int:
         per_group_tracks.append(tracks)
         views = (group.source,) + tuple(usable)
         all_tracks.extend((t, views) for t in tracks)
+    rows = []
+    for track, views in all_tracks:
+        pts = track.coords.reshape(-1, 2)
+        rows.append([(view, pts[slot, 0], pts[slot, 1])
+                     for slot, view in enumerate(views) if track.visibility[slot]])
     path = out / "sfm_tracks.tsv"
-    with open(path, "w") as f:
-        f.write(f"# V={num_views}\tT={len(all_tracks)}\n")
-        f.write("token_id\tview_id\tx\ty\n")
-        for tid, (track, views) in enumerate(all_tracks):
-            pts = track.coords.reshape(-1, 2)
-            for slot, view in enumerate(views):
-                if track.visibility[slot]:
-                    f.write(f"{tid}\t{view}\t{_fmt(pts[slot, 0])}\t{_fmt(pts[slot, 1])}\n")
+    write_track_rows(path, num_views, rows)
     stats = match_statistics(keeps, per_group_tracks)
     write_statistics(out / "stats.json", stats)
     print(f"wrote {path} ({len(all_tracks)} tracks) and stats.json")
@@ -282,16 +286,14 @@ def cmd_eval_homography(args) -> int:
     thresholds = _parse_thresholds(args.threshold) if args.threshold \
         else cfg.homography_thresholds
     candidates, _, _ = _load_warp_bank(Path(args.warps))
-    selected = {pair: select_matches(cands)[0] for pair, cands in candidates.items()}
+    selected, keeps, _ = _select_and_filter(candidates, cfg.eps_p)
     errors = {"dlt": [], "ransac": []}
     pairs_used = 0
     for (a, b), warp in sorted(selected.items()):
-        back = selected.get((b, a))
-        if back is None:
+        if (b, a) not in selected:
             continue
-        keep = reciprocity_filter(warp, back, cfg.eps_p)
-        src, dst = _stratified_matches(warp, keep, cfg.tau, cfg.eval_max_matches,
-                                       seed=args.seed)
+        src, dst = _stratified_matches(warp, keeps[(a, b)], cfg.tau,
+                                       cfg.eval_max_matches, seed=args.seed)
         if src.shape[0] < 4:
             continue
         gt = np.linalg.inv(scene.homographies[b]) @ scene.homographies[a]
@@ -325,21 +327,8 @@ def cmd_eval_triangulation(args) -> int:
         raise ValueError("requires a point-cloud scene")
     thresholds = _parse_thresholds(args.threshold) if args.threshold \
         else cfg.triangulation_thresholds
-    with open(args.tracks) as f:
-        header = f.readline()
-        if not header.startswith("# V="):
-            raise ValueError(f"{args.tracks}: track file missing header")
-        f.readline()
-        rows: dict[int, dict[int, tuple[float, float]]] = {}
-        for lineno, line in enumerate(f, start=3):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{args.tracks}:{lineno}: expected 4 tab-separated "
-                                 f"fields, got {len(fields)}")
-            tid, view, x, y = fields
-            rows.setdefault(int(tid), {})[int(view)] = (float(x), float(y))
+    # a view id the scene has no camera for is rejected with the row's line
+    _, rows = read_track_rows(args.tracks, max_views=len(scene.cameras))
     observations = [rows[tid] for tid in sorted(rows)]
     points, _, skipped = triangulate_observations(observations, scene.cameras)
     table = accuracy_completeness(points, scene.points, thresholds)

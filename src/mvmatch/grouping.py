@@ -87,8 +87,6 @@ class GroupSamplerParams:
     alpha_src: float = 1.0
     alpha_tgt: float = 0.25
     lam: float = 1.0            # repeated-pair soft penalty
-    half_budget: bool = False
-    stochastic_seed: int | None = None  # None = deterministic round-robin sources
 
 
 def default_budget(num_images: int, half: bool = False) -> int:
@@ -257,32 +255,21 @@ def augment_reciprocity(groups: list[ImageGroup], overlap: OverlapMatrix,
 
 
 def sample_groups(overlap: OverlapMatrix, params: GroupSamplerParams,
-                  budget: int | None = None) -> tuple[list[ImageGroup], list[ImageGroup]]:
+                  budget: int) -> tuple[list[ImageGroup], list[ImageGroup]]:
     """Run both stages; returns (stage-1 groups, stage-2 reciprocity groups).
 
     Sources are scheduled by a deterministic round-robin over the quota
-    vector; ``params.stochastic_seed`` switches to seeded weighted sampling.
+    vector.
     """
-    if budget is None:
-        budget = default_budget(overlap.num_images, params.half_budget)
     quotas = source_quotas(overlap, params.tau, params.beta, budget)
     usage = PairUsage.empty(overlap.num_images)
     order: list[int] = []
-    if params.stochastic_seed is None:
-        remaining = quotas.copy()
-        while remaining.sum() > 0:
-            for i in range(overlap.num_images):
-                if remaining[i] > 0:
-                    order.append(i)
-                    remaining[i] -= 1
-    else:
-        rng = np.random.Generator(np.random.PCG64(params.stochastic_seed))
-        remaining = quotas.astype(np.float64)
-        while remaining.sum() > 0:
-            probs = remaining / remaining.sum()
-            i = int(rng.choice(overlap.num_images, p=probs))
-            order.append(i)
-            remaining[i] -= 1
+    remaining = quotas.copy()
+    while remaining.sum() > 0:
+        for i in range(overlap.num_images):
+            if remaining[i] > 0:
+                order.append(i)
+                remaining[i] -= 1
     stage1 = [build_group(src, overlap, usage, params) for src in order]
     stage2 = augment_reciprocity(stage1, overlap, usage, params)
     return stage1, stage2

@@ -26,19 +26,22 @@ import numpy as np
 from . import kernels
 from .attention import (AttentionParams, _row_blocks, exchange_features,
                         init_attention_params)
+from .config import PipelineConfig
 from .features import FeatureProvider
 from .grids import (DenseWarpField, FeatureGrid, _splat_max_confidence,
                     invert_warp, local_correlation, upsample_warp, warp_features)
 from .grouping import ImageGroup
 from .tracks import TrackToken
 
-DEFAULT_STRIDES = (8, 4, 2, 1)
-DEFAULT_MVFUSE_LEVELS = (4, 1)
 DEFAULT_WINDOWS = {8: 9, 4: 9, 2: 7, 1: 5}
 ALIGNMENT_MODES = ("forward", "invert", "reverse")
 # Source rows per block of global_match logits; see attention._row_blocks on
 # keeping bits.
 _GLOBAL_BLOCK_ROWS = 512
+SUBPIXEL_LEVELS = (1,)    # levels with parabolic sub-cell fit
+CORR_GATE_MARGIN = 0.03   # cosine lead a move needs over staying put
+VERIFY_MARGIN = 0.01      # cosine improvement a move must verify to
+CONF_BLEND = 0.5          # pull of confidence toward corr sharpness
 
 
 @dataclass(frozen=True)
@@ -104,18 +107,12 @@ class MatcherParams:
     strides: tuple[int, ...]
     levels: dict[int, LevelParams]          # keyed by level index (1 = finest)
     encoder: AttentionParams
-    mvfuse_levels: tuple[int, ...] = DEFAULT_MVFUSE_LEVELS
-    mvfuse_iters: int = 2
-    global_temperature: float = 0.002       # cosine units for global matching
-    softargmax_temperature: float = 0.05    # cosine units for the confidence readout
-    subpixel_levels: tuple[int, ...] = (1,)  # levels with parabolic sub-cell fit
-    corr_gate_margin: float = 0.03          # cosine lead a move needs over staying put
-    verify_margin: float = 0.01             # cosine improvement a move must verify to
-    conf_blend: float = 0.5                 # pull of confidence toward corr sharpness
-    residual_gain: float = 0.0              # conv-head output scale (zero-initialized)
-    zero_residual: bool = False             # g_i == 0: pure upsampling pass-through
-    mvfuse_alignment: str = "forward"       # "forward" | "invert" | "reverse"
-    anchor_resolution: tuple[int, int] | None = None  # None: target feature resolution
+    mvfuse_levels: tuple[int, ...]
+    mvfuse_iters: int
+    global_temperature: float               # cosine units for global matching
+    softargmax_temperature: float           # cosine units for the confidence readout
+    residual_gain: float                    # conv-head output scale (zero-initialized)
+    mvfuse_alignment: str                   # "forward" | "invert" | "reverse"
 
     def __post_init__(self):
         if self.mvfuse_alignment not in ALIGNMENT_MODES:
@@ -132,16 +129,14 @@ class MatcherParams:
         return self.strides[self.num_levels - level]
 
 
-def init_matcher_params(feature_dim: int = 32, hidden_dim: int = 48, seed: int = 0,
-                        strides: tuple[int, ...] = DEFAULT_STRIDES,
-                        windows: dict[int, int] | None = None,
-                        sigma: float = 1.0, **overrides) -> MatcherParams:
-    """Seeded parameter set; conv stacks Gaussian, attention per the encoder."""
+def init_matcher_params(config: PipelineConfig | None = None, seed: int = 0) -> MatcherParams:
+    """Seeded parameter set for ``config`` (the shipped ``PipelineConfig()``
+    when None); conv stacks Gaussian, attention per the encoder."""
+    cfg = PipelineConfig() if config is None else config
     rng = np.random.Generator(np.random.PCG64(seed))
-    windows = dict(DEFAULT_WINDOWS if windows is None else windows)
+    strides = tuple(cfg.strides)
     levels: dict[int, LevelParams] = {}
     num_levels = len(strides)
-    mvfuse_levels = overrides.get("mvfuse_levels", DEFAULT_MVFUSE_LEVELS)
 
     def conv_init(k, cin, cout):
         std = 1.0 / np.sqrt(k * k * cin)
@@ -149,14 +144,14 @@ def init_matcher_params(feature_dim: int = 32, hidden_dim: int = 48, seed: int =
 
     for level in range(num_levels, 0, -1):
         stride = strides[num_levels - level]
-        window = windows.get(stride, 5)
-        cin = 2 * feature_dim + window * window
-        w1, b1 = conv_init(3, cin, hidden_dim)
-        w2, b2 = conv_init(3, hidden_dim, hidden_dim)
-        head_w, head_b = conv_init(3, hidden_dim, 3)
+        window = DEFAULT_WINDOWS.get(stride, 5)
+        cin = 2 * cfg.feature_dim + window * window
+        w1, b1 = conv_init(3, cin, cfg.hidden_dim)
+        w2, b2 = conv_init(3, cfg.hidden_dim, cfg.hidden_dim)
+        head_w, head_b = conv_init(3, cfg.hidden_dim, 3)
         fuse = None
-        if level in mvfuse_levels:
-            d = hidden_dim
+        if level in cfg.mvfuse_levels:
+            d = cfg.hidden_dim
             dff = 2 * d
             std = 1.0 / np.sqrt(d)
             fuse = MVFuseParams(
@@ -168,10 +163,15 @@ def init_matcher_params(feature_dim: int = 32, hidden_dim: int = 48, seed: int =
             )
         levels[level] = LevelParams(stride, window, ConvStack(w1, b1, w2, b2),
                                     head_w, head_b, fuse)
-    encoder = init_attention_params(feature_dim, sigma=sigma, seed=seed + 1)
-    return MatcherParams(feature_dim=feature_dim, hidden_dim=hidden_dim,
-                         strides=tuple(strides), levels=levels, encoder=encoder,
-                         **overrides)
+    encoder = init_attention_params(cfg.feature_dim, sigma=cfg.sigma, seed=seed + 1)
+    return MatcherParams(feature_dim=cfg.feature_dim, hidden_dim=cfg.hidden_dim,
+                         strides=strides, levels=levels, encoder=encoder,
+                         mvfuse_levels=tuple(cfg.mvfuse_levels),
+                         mvfuse_iters=cfg.mvfuse_iters,
+                         global_temperature=cfg.global_temperature,
+                         softargmax_temperature=cfg.softargmax_temperature,
+                         residual_gain=cfg.residual_gain,
+                         mvfuse_alignment=cfg.mvfuse_alignment)
 
 
 @dataclass
@@ -190,7 +190,7 @@ class RefinerState:
 
 
 def global_match(src_feat: FeatureGrid, tgt_feat: FeatureGrid, anchors: AnchorGrid,
-                 temperature: float = 0.01, source_view: int = 0,
+                 temperature: float, source_view: int = 0,
                  target_view: int = 1) -> DenseWarpField:
     """Regression-by-classification over the anchor grid.
 
@@ -258,11 +258,11 @@ def mvfuse(hidden: list[FeatureGrid], params: MVFuseParams, iterations: int) -> 
 
 
 def _corr_readout(corr_scores: np.ndarray, channels: int, temperature: float,
-                  subpixel: bool, gate_margin: float = 0.02):
+                  subpixel: bool):
     """Residual warp update read off the correlation window.
 
     The integer part moves to the window argmax only when it beats the center
-    cell by ``gate_margin`` (cosine units); ties and small leads keep the
+    cell by ``CORR_GATE_MARGIN`` (cosine units); ties and small leads keep the
     current estimate, so a correct warp is a fixed point and, with similarity
     decreasing in distance, the update never moves away from the truth. When
     ``subpixel`` is set, a parabolic fit through the argmax and its axis
@@ -274,7 +274,7 @@ def _corr_readout(corr_scores: np.ndarray, channels: int, temperature: float,
     flat = corr_scores.reshape(h, w, -1)
     center = window * r + r
     amax = flat.argmax(axis=-1)
-    margin = gate_margin / np.sqrt(channels)
+    margin = CORR_GATE_MARGIN / np.sqrt(channels)
     keep = flat[..., center] >= np.take_along_axis(flat, amax[..., None], -1)[..., 0] - margin
     amax = np.where(keep, center, amax)
     jj, ii = np.divmod(amax, window)
@@ -362,8 +362,7 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
     (verify-then-apply). Only when ``residual_gain`` is non-zero are the
     hidden states built (conv stack, MVFuse at fusion levels) and the gained
     conv-head output added to the warp and confidence updates. Confidence is
-    clamped to [0, 1] after the additive update. With ``zero_residual`` the
-    upsampled warps are returned unchanged.
+    clamped to [0, 1] after the additive update.
     """
     if state.level <= 1:
         raise ValueError("state is already at the finest level")
@@ -374,9 +373,6 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
 
     ups = {tgt: upsample_warp(state.warps[tgt], factor) if factor > 1 else state.warps[tgt]
            for tgt in sorted(state.warps)}
-    if params.zero_residual:
-        return RefinerState(out_level, ups)
-
     source_view = next(iter(ups.values())).source_view
     phi_src = provider.features(source_view, lp.stride)
     d = phi_src.channels
@@ -390,8 +386,7 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
         corr = local_correlation(phi_src, phi_tgt, w_up, lp.window).scores
         delta, peak = _corr_readout(corr, params.feature_dim,
                                     params.softargmax_temperature,
-                                    subpixel=out_level in params.subpixel_levels,
-                                    gate_margin=params.corr_gate_margin)
+                                    subpixel=out_level in SUBPIXEL_LEVELS)
         # verify-then-apply: keep a move only if the correlation at the moved
         # position actually beats staying put, so updates never regress
         cand = w_up.targets + delta
@@ -399,9 +394,9 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
                                           cand[..., 1].ravel())
         sc_new = np.einsum("nc,nc->n", phi_src.data.reshape(-1, d),
                            sampled).reshape(cand.shape[:2]) / np.sqrt(d)
-        improved = sc_new > corr[:, :, r, r] + params.verify_margin / np.sqrt(d)
+        improved = sc_new > corr[:, :, r, r] + VERIFY_MARGIN / np.sqrt(d)
         delta = np.where(improved[..., None], delta, 0.0)
-        updates[tgt] = delta, params.conf_blend * (peak - w_up.confidence)
+        updates[tgt] = delta, CONF_BLEND * (peak - w_up.confidence)
         corrs[tgt] = corr
 
     hiddens: dict[int, FeatureGrid] = {}
@@ -433,7 +428,7 @@ def run_group(group: ImageGroup, provider: FeatureProvider,
     grids = [provider.features(v, coarse) for v in group.views]
     if tracks:
         grids = exchange_features(grids, tracks, params.encoder)
-    ha, wa = params.anchor_resolution or (grids[0].height, grids[0].width)
+    ha, wa = grids[0].height, grids[0].width
     warps: dict[int, DenseWarpField] = {}
     for slot, tgt in enumerate(group.targets, start=1):
         anchors = AnchorGrid.uniform(ha, wa, (grids[slot].height, grids[slot].width))

@@ -215,42 +215,78 @@ def sample_tracks(raw: list[MatchSample], budget: int, seed: int,
 # TSV track files
 # ---------------------------------------------------------------------------
 
-def write_tracks_tsv(path, tracks: list[TrackToken], num_views: int | None = None) -> None:
-    """One row per (token, view) observation: token_id, view_id, x, y.
+def write_track_rows(path, num_views: int,
+                     rows: list[list[tuple[int, float, float]]]) -> None:
+    """Write a track TSV: ``rows[t]`` lists token t's (view_id, x, y) observations.
 
-    Visibility is implied by row presence; the header line records V and T.
+    View ids are global. The header line records V and T, then a column-name
+    line, then one ``token_id  view_id  x  y`` line per observation.
     """
-    if num_views is None:
-        num_views = tracks[0].num_views if tracks else 0
     with open(path, "w") as f:
-        f.write(f"# V={num_views}\tT={len(tracks)}\n")
+        f.write(f"# V={num_views}\tT={len(rows)}\n")
         f.write("token_id\tview_id\tx\ty\n")
-        for tid, track in enumerate(tracks):
-            pts = track.coords.reshape(-1, 2)
-            for view in range(track.num_views):
-                if track.visibility[view]:
-                    f.write(f"{tid}\t{view}\t{pts[view, 0]:.6f}\t{pts[view, 1]:.6f}\n")
+        for tid, obs in enumerate(rows):
+            for view, x, y in obs:
+                f.write(f"{tid}\t{view}\t{x:.6f}\t{y:.6f}\n")
 
 
-def read_tracks_tsv(path) -> tuple[list[TrackToken], int]:
+def read_track_rows(path, max_views: int | None = None
+                    ) -> tuple[int, dict[int, dict[int, tuple[float, float]]]]:
+    """Read a track TSV into (V, observations per token id).
+
+    ``observations[tid]`` maps view ids to (x, y) in file order. A malformed
+    row, or a view id outside [0, V) (and outside [0, ``max_views``) when
+    given), raises ValueError naming ``path:line``.
+    """
     with open(path) as f:
         header = f.readline()
         if not header.startswith("# V="):
             raise ValueError(f"{path}: missing track-file header")
-        fields = header[2:].split()
-        num_views = int(fields[0].split("=")[1])
+        try:
+            num_views = int(header[2:].split()[0].split("=")[1])
+        except ValueError:
+            raise ValueError(f"{path}:1: malformed track-file header") from None
+        limit = num_views if max_views is None else min(num_views, max_views)
         f.readline()  # column names
-        rows: dict[int, list[tuple[int, float, float]]] = {}
-        for line in f:
+        rows: dict[int, dict[int, tuple[float, float]]] = {}
+        for lineno, line in enumerate(f, start=3):
             if not line.strip():
                 continue
-            tid_s, view_s, x_s, y_s = line.split("\t")
-            rows.setdefault(int(tid_s), []).append((int(view_s), float(x_s), float(y_s)))
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated "
+                                 f"fields, got {len(fields)}")
+            try:
+                tid, view = int(fields[0]), int(fields[1])
+                x, y = float(fields[2]), float(fields[3])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed track row "
+                                 f"{line.rstrip()!r}") from None
+            if not 0 <= view < limit:
+                raise ValueError(f"{path}:{lineno}: view {view} outside [0, {limit})")
+            rows.setdefault(tid, {})[view] = (x, y)
+    return num_views, rows
+
+
+def write_tracks_tsv(path, tracks: list[TrackToken], num_views: int | None = None) -> None:
+    """One row per (token, view) observation; visibility is implied by row presence."""
+    if num_views is None:
+        num_views = tracks[0].num_views if tracks else 0
+    rows = []
+    for track in tracks:
+        pts = track.coords.reshape(-1, 2)
+        rows.append([(view, pts[view, 0], pts[view, 1])
+                     for view in range(track.num_views) if track.visibility[view]])
+    write_track_rows(path, num_views, rows)
+
+
+def read_tracks_tsv(path) -> tuple[list[TrackToken], int]:
+    num_views, rows = read_track_rows(path)
     tracks = []
     for tid in sorted(rows):
         coords = np.full(2 * num_views, MISSING)
         vis = np.zeros(num_views, dtype=bool)
-        for view, x, y in rows[tid]:
+        for view, (x, y) in rows[tid].items():
             coords[2 * view] = x
             coords[2 * view + 1] = y
             vis[view] = True

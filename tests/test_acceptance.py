@@ -453,7 +453,7 @@ def test_criterion_9_budget_trade_off():
             overlap = overlap_from_matches(gt, m, 0.3)
 
             def run_budget(half):
-                params = GroupSamplerParams(max_targets=4, half_budget=half)
+                params = GroupSamplerParams(max_targets=4)
                 budget = default_budget(m, half)
                 s1, s2 = sample_groups(overlap, params, budget)
                 groups = s1 + s2

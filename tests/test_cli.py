@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from mvmatch.cli import main
-from mvmatch.config import PipelineConfig, save_config
+from mvmatch.config import PipelineConfig, load_config, save_config
 from mvmatch.grids import read_warp_file
 from mvmatch.tracks import read_tracks_tsv
 
@@ -131,6 +132,19 @@ class TestMatch:
         assert rc == 0
         assert len(sorted(out.glob("*.mvwf"))) == 2
 
+    def test_config_reaches_the_matcher(self, tmp_path, planar_scene, matched_dir,
+                                        fast_config):
+        config = tmp_path / "config.json"
+        save_config(config, replace(load_config(fast_config), global_temperature=0.05))
+        out = tmp_path / "warps"
+        rc = main(["match", "--scene", str(planar_scene), "--seed", "3",
+                   "--out", str(out), "--config", str(config)])
+        assert rc == 0
+        names = sorted(p.name for p in matched_dir.glob("*.mvwf"))
+        assert names == sorted(p.name for p in out.glob("*.mvwf"))
+        for name in names:
+            assert (out / name).read_bytes() != (matched_dir / name).read_bytes(), name
+
 
 @pytest.fixture(scope="module")
 def both_dirs(tmp_path_factory, planar_scene, fast_config):
@@ -255,6 +269,30 @@ class TestErrorContract:
         assert rc == 2
         self.assert_one_line_error(capsys, "eval-triangulation",
                                    "tracks.tsv:4: expected 4 tab-separated fields, got 2")
+
+    def run_triangulation_on_view(self, tmp_path, capsys, header_views, view):
+        rc = main(["gen-scene", "--kind", "point-cloud", "--views", "3",
+                   "--image-size", "32", "--points", "50", "--out", str(tmp_path)])
+        assert rc == 0
+        tracks = tmp_path / "tracks.tsv"
+        tracks.write_text(f"# V={header_views}\tT=1\ntoken_id\tview_id\tx\ty\n"
+                          f"0\t0\t1.0\t2.0\n0\t1\t3.0\t4.0\n0\t{view}\t5.0\t6.0\n")
+        capsys.readouterr()
+        rc = main(["eval-triangulation", "--scene", str(tmp_path / "scene.json"),
+                   "--tracks", str(tracks), "--out", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "triangulation.csv").exists()
+
+    def test_track_view_without_a_camera(self, tmp_path, capsys):
+        # the header admits 8 views, the scene has 3 cameras
+        self.run_triangulation_on_view(tmp_path, capsys, 8, 7)
+        self.assert_one_line_error(capsys, "eval-triangulation",
+                                   "tracks.tsv:5: view 7 outside [0, 3)")
+
+    def test_negative_track_view(self, tmp_path, capsys):
+        self.run_triangulation_on_view(tmp_path, capsys, 3, -1)
+        self.assert_one_line_error(capsys, "eval-triangulation",
+                                   "tracks.tsv:5: view -1 outside [0, 3)")
 
     def test_file_that_is_not_mvwf(self, tmp_path, capsys):
         warps = tmp_path / "warps"

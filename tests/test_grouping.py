@@ -242,15 +242,6 @@ class TestSampleGroups:
         assert default_budget(4) == 8
         assert default_budget(4, half=True) == 4  # floored at M
 
-    def test_stochastic_mode_runs(self):
-        rng = np.random.default_rng(7)
-        o = random_overlap(rng, 6)
-        params = GroupSamplerParams(max_targets=2, stochastic_seed=5)
-        stage1, stage2 = sample_groups(o, params, budget=8)
-        assert len(stage1) == 8
-        adj = pair_adjacency(stage1 + stage2, 6)
-        np.testing.assert_array_equal(adj, adj.T)
-
 
 class TestManifest:
     def test_round_trip(self, tmp_path):

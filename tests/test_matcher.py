@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mvmatch import matcher
+from mvmatch.config import PipelineConfig
 from mvmatch.features import ArrayFeatureProvider, OracleFeatureProvider
 from mvmatch.grids import FeatureGrid, identity_warp
 from mvmatch.grouping import ImageGroup
@@ -60,7 +61,7 @@ class TestGlobalMatch:
         with pytest.raises(ValueError):
             global_match(FeatureGrid(np.zeros((2, 2, 3))),
                          FeatureGrid(np.zeros((2, 2, 4))),
-                         AnchorGrid.uniform(2, 2, (2, 2)))
+                         AnchorGrid.uniform(2, 2, (2, 2)), 0.002)
 
     # 84x84 is the coarse grid at the shipped 672 px; 37x53 source rows span
     # several blocks with a ragged last one, against 40x40 anchors
@@ -160,18 +161,6 @@ def planar_setup():
 
 
 class TestRefineLevel:
-    def test_zero_residual_is_pass_through(self, planar_setup):
-        scene, provider, params = planar_setup
-        zero = replace(params, zero_residual=True)
-        gt = gt_warp(scene, 0, 1, stride=2)
-        state = RefinerState(2, {1: gt})
-        out = refine_level(state, provider, zero)
-        from mvmatch.grids import upsample_warp
-        expected = upsample_warp(gt, 2)
-        np.testing.assert_array_equal(out.warps[1].targets, expected.targets)
-        np.testing.assert_array_equal(out.warps[1].confidence, expected.confidence)
-        assert out.level == 1
-
     def test_gt_initialized_residual_is_small(self, planar_setup):
         scene, provider, params = planar_setup
         gt = gt_warp(scene, 0, 1, stride=2)
@@ -241,14 +230,42 @@ class TestDefaults:
         assert params.levels[1].mvfuse is not None
         assert params.levels[3].mvfuse is None
 
+    def test_params_carry_every_config_value(self):
+        shipped = PipelineConfig()
+        cfg = PipelineConfig(feature_dim=16, hidden_dim=24, strides=(4, 2, 1), sigma=2.5,
+                             mvfuse_levels=(2,), mvfuse_iters=3, global_temperature=0.004,
+                             softargmax_temperature=0.07, residual_gain=0.05,
+                             mvfuse_alignment="invert")
+        carried = ("feature_dim", "hidden_dim", "strides", "mvfuse_levels", "mvfuse_iters",
+                   "global_temperature", "softargmax_temperature", "residual_gain",
+                   "mvfuse_alignment")
+        for name in carried + ("sigma",):
+            assert getattr(cfg, name) != getattr(shipped, name), name
+        params = init_matcher_params(cfg, seed=4)
+        for name in carried:
+            assert getattr(params, name) == getattr(cfg, name), name
+        assert params.encoder.sigma == 2.5
+        assert params.encoder.dim == 16
+        assert [params.levels[lv].stride for lv in (3, 2, 1)] == [4, 2, 1]
+        assert [params.levels[lv].mvfuse is not None for lv in (3, 2, 1)] == [False, True, False]
+        assert params.levels[1].hidden.w1.shape == (3, 3, 2 * 16 + 5 * 5, 24)
+        assert params.levels[2].mvfuse.wq.shape == (24, 24)
+
+    def test_no_config_means_the_shipped_config(self):
+        a = init_matcher_params(seed=2)
+        b = init_matcher_params(PipelineConfig(), seed=2)
+        assert (a.strides, a.mvfuse_levels, a.global_temperature) \
+            == (b.strides, b.mvfuse_levels, b.global_temperature)
+        np.testing.assert_array_equal(a.levels[1].hidden.w1, b.levels[1].hidden.w1)
+        np.testing.assert_array_equal(a.encoder.w1, b.encoder.w1)
+
     def test_unknown_alignment_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
-            init_matcher_params(mvfuse_alignment="bogus")
+            init_matcher_params(PipelineConfig(mvfuse_alignment="bogus"))
         with pytest.raises(ValueError):
             replace(init_matcher_params(), mvfuse_alignment="backward")
 
     def test_config_defaults(self):
-        from mvmatch.config import PipelineConfig
         cfg = PipelineConfig()
         assert cfg.track_tokens == 512
         assert cfg.eps_p == 3.0
@@ -308,7 +325,7 @@ class TestRunGroup:
         group = ImageGroup(0, (1, 2))
         zero, gained = {}, {}
         for mode in ALIGNMENT_MODES:
-            params = init_matcher_params(seed=5, mvfuse_alignment=mode)
+            params = init_matcher_params(PipelineConfig(mvfuse_alignment=mode), seed=5)
             zero[mode] = run_group(group, provider, [], params)
             gained[mode] = run_group(group, provider, [],
                                      replace(params, residual_gain=0.05))
@@ -382,7 +399,7 @@ class TestMonotonicity:
             provider = OracleFeatureProvider(scene, dim=32, seed=5)
             group = ImageGroup(0, (1, 2))
             on = init_matcher_params(seed=3)
-            off = init_matcher_params(seed=3, mvfuse_levels=())
+            off = init_matcher_params(PipelineConfig(mvfuse_levels=()), seed=3)
             w_on = run_group(group, provider, [], on)
             w_off = run_group(group, provider, [], off)
             for tgt in (1, 2):
@@ -401,7 +418,7 @@ class TestMonotonicity:
         scene = make_planar_scene(3, (64, 64), seed=60)
         provider = OracleFeatureProvider(scene, dim=32, seed=5)
         group = ImageGroup(0, (1, 2))
-        on = init_matcher_params(seed=3, residual_gain=0.05)
+        on = init_matcher_params(PipelineConfig(residual_gain=0.05), seed=3)
         w_on = run_group(group, provider, [], on)
         w_off = run_group(group, provider, [], replace(on, mvfuse_levels=()))
         for tgt in (1, 2):

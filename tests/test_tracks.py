@@ -260,3 +260,15 @@ class TestTsv:
         assert lines[1] == "token_id\tview_id\tx\ty"
         assert lines[2] == "0\t0\t1.500000\t2.500000"
         assert len(lines) == 4  # invisible view contributes no row
+
+    @pytest.mark.parametrize("row, message", [
+        ("0\t1\t3.0", "t.tsv:4: expected 4 tab-separated fields, got 3"),
+        ("0\tone\t3.0\t4.0", "t.tsv:4: malformed track row"),
+        ("0\t3\t3.0\t4.0", "t.tsv:4: view 3 outside [0, 3)"),
+    ], ids=["short-row", "non-integer-view", "view-past-header"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "t.tsv"
+        path.write_text(f"# V=3\tT=1\ntoken_id\tview_id\tx\ty\n0\t0\t1.0\t2.0\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            read_tracks_tsv(path)
+        assert str(info.value).startswith(f"{path.parent}/{message}"), info.value
