@@ -7,12 +7,15 @@ local correlation is timed at the refiner's (size, window) pairs.
 """
 
 import argparse
+import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
-from mvmatch import kernels
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from mvmatch import kernels  # noqa: E402
 
 
 def timeit(fn, repeats):

@@ -21,14 +21,14 @@ from .tracks import (TrackToken, VisibilityPartition, allocate_clusters,
                      sample_tracks, write_tracks_tsv)
 from .attention import (AttentionParams, TrackFeatures, attentional_sampling,
                         attentional_splatting, exchange_features,
-                        init_attention_params, load_params, masked_softmax,
-                        save_params, spatial_bias, track_transformer)
+                        init_attention_params, masked_softmax,
+                        spatial_bias, track_transformer)
 from .features import ArrayFeatureProvider, FeatureProvider, OracleFeatureProvider
 from .matcher import (AnchorGrid, MatcherParams, RefinerState, global_match,
                       init_matcher_params, mvfuse, refine_level, run_group)
 from .postprocess import (ScoreMap, assemble_tracks, build_score_map,
                           nms_select, reciprocity_filter, select_matches)
-from .grouping import (GroupSamplerParams, ImageGroup, OverlapMatrix,
+from .grouping import (ImageGroup, OverlapMatrix,
                        PairUsage, augment_reciprocity, build_group,
                        default_budget, overlap_from_descriptors,
                        overlap_from_matches, sample_groups, source_quotas)

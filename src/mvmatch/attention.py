@@ -13,7 +13,6 @@ masked entries contribute exactly zero weight.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,8 @@ from .tracks import TrackToken
 MASK_LOGIT = -1e9
 # Grid cells per block of splatting logits; see _row_blocks on keeping bits.
 _SPLAT_BLOCK_ROWS = 512
-
-PARAMS_MAGIC = b"MVAP"
-PARAMS_VERSION = 1
+# The output projection's init std relative to the other weights'.
+OUT_INIT_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -64,17 +62,15 @@ class AttentionParams:
                 raise ValueError(f"{name} must have shape {shape}")
 
 
-def init_attention_params(dim: int, sigma: float, seed: int,
-                          scale: float | None = None,
-                          out_scale: float = 0.1) -> AttentionParams:
-    """Seeded Gaussian initialization (std 1/sqrt(D) unless overridden).
+def init_attention_params(dim: int, sigma: float, seed: int) -> AttentionParams:
+    """Seeded Gaussian initialization with std 1/sqrt(D).
 
-    The output projection is drawn ``out_scale`` times smaller so the splat
-    residual perturbs rather than overwrites the grid features, keeping the
-    encoder exchange near-identity at initialization.
+    The output projection is drawn ``OUT_INIT_SCALE`` times smaller so the
+    splat residual perturbs rather than overwrites the grid features, keeping
+    the encoder exchange near-identity at initialization.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    s = scale if scale is not None else 1.0 / np.sqrt(dim)
+    s = 1.0 / np.sqrt(dim)
     return AttentionParams(
         dim=dim,
         w1=rng.normal(0, s, (2, dim)),
@@ -83,7 +79,7 @@ def init_attention_params(dim: int, sigma: float, seed: int,
         b2=rng.normal(0, s, dim),
         wk=rng.normal(0, s, (dim, dim)),
         wv=rng.normal(0, s, (dim, dim)),
-        wout=rng.normal(0, s * out_scale, (dim, dim)),
+        wout=rng.normal(0, s * OUT_INIT_SCALE, (dim, dim)),
         sigma=float(sigma),
     )
 
@@ -122,6 +118,17 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(denom > 0, expd / np.where(denom > 0, denom, 1.0), 0.0)
     return out
+
+
+def _softmax_(logits: np.ndarray) -> np.ndarray:
+    """Unmasked softmax over the last axis, in place; returns ``logits``.
+
+    Subtracts each row's max, exponentiates and divides by the row sum.
+    """
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _row_blocks(n: int, size: int):
@@ -202,10 +209,7 @@ def attentional_sampling(grid: FeatureGrid, track_coords: np.ndarray,
     attn /= np.sqrt(params.dim)
     attn += spatial_bias(track_coords, hw, params.sigma)
     # every entry participates, so the softmax needs no mask
-    attn -= attn.max(axis=-1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
-    return attn @ values
+    return _softmax_(attn) @ values
 
 
 def track_transformer(feats: TrackFeatures, params: AttentionParams) -> TrackFeatures:
@@ -297,42 +301,3 @@ def exchange_features(grids: list[FeatureGrid], tracks: list[TrackToken],
         out.append(attentional_splatting(grid, propagated.values[view],
                                          per_view_coords[view], vis[:, view], params))
     return out
-
-
-# ---------------------------------------------------------------------------
-# MVAP parameter files
-# ---------------------------------------------------------------------------
-
-_MATRIX_ORDER = ("w1", "b1", "w2", "b2", "wk", "wv", "wout")
-
-
-def save_params(path, params: AttentionParams) -> None:
-    """Binary MVAP format: magic "MVAP", little-endian uint32 version (=1) and
-    dim, float32 sigma, then w1, b1, w2, b2, wk, wv, wout row-major float32."""
-    with open(path, "wb") as f:
-        f.write(PARAMS_MAGIC)
-        f.write(struct.pack("<2If", PARAMS_VERSION, params.dim, params.sigma))
-        for name in _MATRIX_ORDER:
-            f.write(np.ascontiguousarray(getattr(params, name), dtype="<f4").tobytes())
-
-
-def load_params(path) -> AttentionParams:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != PARAMS_MAGIC:
-        raise ValueError(f"{path}: not an MVAP file")
-    version, dim = struct.unpack_from("<2I", blob, 4)
-    if version != PARAMS_VERSION:
-        raise ValueError(f"{path}: unsupported MVAP version {version}")
-    (sigma,) = struct.unpack_from("<f", blob, 12)
-    shapes = {"w1": (2, dim), "b1": (dim,), "w2": (dim, dim), "b2": (dim,),
-              "wk": (dim, dim), "wv": (dim, dim), "wout": (dim, dim)}
-    offset = 16
-    fields = {}
-    for name in _MATRIX_ORDER:
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        fields[name] = arr.reshape(shape).astype(np.float64)
-        offset += 4 * count
-    return AttentionParams(dim=dim, sigma=float(sigma), **fields)

@@ -20,7 +20,7 @@ from .geometry import (ErrorCurve, corner_error, dlt_homography,
                        ransac_homography, accuracy_completeness,
                        triangulate_observations)
 from .grids import DenseWarpField, read_warp_file, write_warp_file
-from .grouping import (GroupSamplerParams, ImageGroup, default_budget,
+from .grouping import (ImageGroup, default_budget,
                        overlap_from_descriptors, overlap_from_matches,
                        read_group_manifest, sample_groups, write_group_manifest)
 from .matcher import init_matcher_params, run_group
@@ -123,12 +123,8 @@ def cmd_sample_groups(args) -> int:
         overlap = overlap_from_matches(warps, m, cfg.group_tau_conf)
     else:
         raise ValueError("needs --scene, --warps or --descriptors")
-    params = GroupSamplerParams(max_targets=cfg.targets_per_group, tau=cfg.group_tau,
-                                tau_conf=cfg.group_tau_conf, beta=cfg.beta,
-                                alpha_src=cfg.alpha_src, alpha_tgt=cfg.alpha_tgt,
-                                lam=cfg.lam)
     budget = default_budget(m, args.budget == "half")
-    stage1, stage2 = sample_groups(overlap, params, budget)
+    stage1, stage2 = sample_groups(overlap, cfg, budget)
     path = out / "groups.json"
     write_group_manifest(path, stage1, stage2)
     print(f"wrote {path} ({len(stage1)} stage-1 + {len(stage2)} stage-2 groups, "
@@ -149,7 +145,13 @@ def cmd_match(args) -> int:
     manifest = {"seed": args.seed, "strides": list(cfg.strides),
                 "scene": Path(args.scene).name, "groups": [],
                 "config": json.loads(cfg.to_json())}
+    empty = [gid for gid, group in enumerate(groups) if not group.targets]
+    if empty:
+        print(f"mvmatch match: warning: skipped group(s) {', '.join(map(str, empty))} "
+              "with no targets", file=sys.stderr)
     for gid, group in enumerate(groups):
+        if not group.targets:
+            continue
         samples = simulate_matcher(scene, group, cfg.matcher_samples,
                                    cfg.matcher_noise_sigma, cfg.matcher_outlier_rate,
                                    seed=args.seed + gid)
@@ -174,12 +176,15 @@ def _load_warp_bank(warps_dir: Path):
     manifest_path = warps_dir / "manifest.json"
     with open(manifest_path) as f:
         manifest = json.load(f)
+    try:
+        groups = [(g["id"], ImageGroup(g["source"], tuple(g["targets"])))
+                  for g in manifest["groups"]]
+    except KeyError as exc:
+        raise ValueError(f"{manifest_path}: missing key {exc}") from None
     candidates: dict[tuple[int, int], list[DenseWarpField]] = {}
     for path in sorted(warps_dir.glob("warp_g*.mvwf")):
         warp = read_warp_file(path)
         candidates.setdefault((warp.source_view, warp.target_view), []).append(warp)
-    groups = [(g["id"], ImageGroup(g["source"], tuple(g["targets"])))
-              for g in manifest["groups"]]
     return candidates, groups, manifest
 
 

@@ -80,7 +80,9 @@ def load_config(path) -> PipelineConfig:
     known = {f.name for f in fields(PipelineConfig)}
     unknown = set(payload) - known
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
     for key in _TUPLE_FIELDS & set(payload):
+        if not isinstance(payload[key], list):
+            raise ValueError(f"{path}: {key} must be a list, got {payload[key]!r}")
         payload[key] = tuple(payload[key])
     return PipelineConfig(**payload)

@@ -14,6 +14,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .geometry import apply_homography
 from .grids import FeatureGrid
 from .oracle import SceneOracle, _level_size, _point_cloud_buffers
 
@@ -52,12 +53,10 @@ class OracleFeatureProvider:
     matching unambiguous). Grids are cached per (view, stride).
     """
 
-    def __init__(self, oracle: SceneOracle, dim: int = 32, seed: int = 0,
-                 wavelength_per_stride: float = 4.0):
+    def __init__(self, oracle: SceneOracle, dim: int = 32, seed: int = 0):
         self.oracle = oracle
         self.dim = dim
         self.seed = seed
-        self.wavelength_per_stride = wavelength_per_stride
         self._fields: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._cache: dict[tuple[int, int], FeatureGrid] = {}
 
@@ -70,7 +69,7 @@ class OracleFeatureProvider:
     def _field(self, stride: int):
         if stride not in self._fields:
             extent = float(max(self.oracle.image_size))
-            lo = self.wavelength_per_stride * stride
+            lo = 4.0 * stride
             hi = max(2.0 * extent, lo * 2.0)
             self._fields[stride] = _smooth_field_params(self.dim, self.seed + stride,
                                                         lo, hi)
@@ -82,11 +81,7 @@ class OracleFeatureProvider:
         ys, xs = np.mgrid[0:lh, 0:lw]
         base = np.stack([xs * stride, ys * stride], axis=-1).astype(np.float64)
         if self.oracle.kind == "planar":
-            h = self.oracle.homographies[view]
-            flat = base.reshape(-1, 2)
-            ph = np.concatenate([flat, np.ones((flat.shape[0], 1))], axis=1)
-            q = ph @ h.T
-            ref = q[:, :2] / q[:, 2:3]
+            ref = apply_homography(self.oracle.homographies[view], base.reshape(-1, 2))
             data = _evaluate_field(ref, freqs, phases).reshape(lh, lw, self.dim)
             return FeatureGrid(data, stride=stride)
         _, ibuf, _, _ = _point_cloud_buffers(self.oracle, view, stride)

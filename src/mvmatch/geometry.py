@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Probability that RANSAC has drawn an all-inlier sample when it stops early.
+RANSAC_CONFIDENCE = 0.99
+
 
 class DegenerateConfigurationError(ValueError):
     """Raised when a solver's input admits no unique solution."""
@@ -118,12 +121,12 @@ def symmetric_transfer_errors(h: np.ndarray, src: np.ndarray, dst: np.ndarray) -
 
 
 def ransac_homography(src: np.ndarray, dst: np.ndarray, inlier_threshold: float = 3.0,
-                      max_iters: int = 2000, seed: int = 0,
-                      confidence: float = 0.99) -> tuple[np.ndarray, np.ndarray]:
+                      max_iters: int = 2000,
+                      seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Seeded RANSAC; returns (homography, inlier mask).
 
     Minimal 4-point DLT hypotheses, symmetric-transfer inlier test, adaptive
-    early stopping at the requested confidence, and a final DLT refit on the
+    early stopping at ``RANSAC_CONFIDENCE``, and a final DLT refit on the
     best consensus set. Deterministic for a fixed seed.
     """
     src = np.atleast_2d(np.asarray(src, dtype=np.float64))
@@ -154,7 +157,8 @@ def ransac_homography(src: np.ndarray, dst: np.ndarray, inlier_threshold: float 
             if 0.0 < ratio < 1.0:
                 denom = np.log1p(-(ratio ** 4))
                 if denom < 0:
-                    needed = min(max_iters, int(np.ceil(np.log(1.0 - confidence) / denom)))
+                    needed = min(max_iters,
+                                 int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom)))
             elif ratio >= 1.0:
                 break
     if best_mask is None or best_count < 4:

@@ -220,11 +220,10 @@ def _splat_max_confidence(targets: np.ndarray, confidence: np.ndarray, values: n
     return out, hit
 
 
-def invert_warp(warp: DenseWarpField, target_hw: tuple[int, int],
-                min_confidence: float = 0.0) -> DenseWarpField:
+def invert_warp(warp: DenseWarpField, target_hw: tuple[int, int]) -> DenseWarpField:
     """Numerically invert a warp by scatter-then-fill.
 
-    Every source pixel with confidence above ``min_confidence`` splats its own
+    Every source pixel with positive confidence splats its own
     coordinate into the target cell it maps to (nearest integer cell; when
     several land in one cell the highest-confidence one wins, ties to raster
     order). Unhit target cells are filled from their nearest valid neighbour.
@@ -233,7 +232,7 @@ def invert_warp(warp: DenseWarpField, target_hw: tuple[int, int],
     own = np.stack([n % warp.width, n // warp.width, warp.confidence.ravel()],
                    axis=1).astype(np.float64)
     splat, hit = _splat_max_confidence(warp.targets, warp.confidence, own,
-                                       target_hw, min_confidence)
+                                       target_hw, 0.0)
     coords = splat[..., :2]
     if hit.any() and not hit.all():
         coords = kernels.fill_nearest(coords, hit)

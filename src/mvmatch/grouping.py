@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PipelineConfig
 from .grids import DenseWarpField
 
 logger = logging.getLogger(__name__)
@@ -78,17 +79,6 @@ class PairUsage:
             self.pending.add((target, source))
 
 
-@dataclass(frozen=True)
-class GroupSamplerParams:
-    max_targets: int = 4        # K
-    tau: float = 0.3            # high-overlap threshold for neighbor counts
-    tau_conf: float = 0.3       # confidence threshold for visibility overlap
-    beta: float = 0.75          # source quota exponent
-    alpha_src: float = 1.0
-    alpha_tgt: float = 0.25
-    lam: float = 1.0            # repeated-pair soft penalty
-
-
 def default_budget(num_images: int, half: bool = False) -> int:
     """Group budget ~ M * sqrt(M), floored at M so every image can source once."""
     budget = math.ceil(num_images * math.sqrt(num_images))
@@ -97,7 +87,7 @@ def default_budget(num_images: int, half: bool = False) -> int:
     return max(budget, num_images)
 
 
-def overlap_from_matches(warps: dict, num_images: int, tau_conf: float = 0.3) -> OverlapMatrix:
+def overlap_from_matches(warps: dict, num_images: int, tau_conf: float) -> OverlapMatrix:
     """Visibility overlap: fraction of source pixels with confidence above tau_conf.
 
     ``warps`` maps ordered pairs (i, j) to DenseWarpField; missing pairs score 0.
@@ -169,19 +159,19 @@ def source_quotas(overlap: OverlapMatrix, tau: float, beta: float, budget: int) 
 
 
 def _selection_scores(source: int, overlap: np.ndarray, current: list[int],
-                      usage: PairUsage, params: GroupSamplerParams,
+                      usage: PairUsage, cfg: PipelineConfig,
                       candidates: np.ndarray) -> np.ndarray:
-    base = params.alpha_src * overlap[source, candidates]
+    base = cfg.alpha_src * overlap[source, candidates]
     if current:
-        base = base + params.alpha_tgt * overlap[np.array(current)][:, candidates].sum(axis=0)
-    penalty = 1.0 + params.lam * usage.counts[source, candidates]
+        base = base + cfg.alpha_tgt * overlap[np.array(current)][:, candidates].sum(axis=0)
+    penalty = 1.0 + cfg.lam * usage.counts[source, candidates]
     return base / penalty
 
 
 def build_group(source: int, overlap: OverlapMatrix, usage: PairUsage,
-                params: GroupSamplerParams,
-                candidate_pool: np.ndarray | None = None) -> ImageGroup:
-    """Greedily attach up to K targets to ``source`` and record pair usage.
+                cfg: PipelineConfig) -> ImageGroup:
+    """Greedily attach up to ``cfg.targets_per_group`` targets to ``source``
+    and record pair usage.
 
     Stops early when no remaining candidate has a positive score; a group with
     no targets is returned (with a warning) when there are no candidates at all.
@@ -189,15 +179,12 @@ def build_group(source: int, overlap: OverlapMatrix, usage: PairUsage,
     m = overlap.num_images
     values = overlap.values
     chosen: list[int] = []
-    if candidate_pool is None:
-        pool = np.array([j for j in range(m) if j != source], dtype=np.int64)
-    else:
-        pool = np.array([j for j in candidate_pool if j != source], dtype=np.int64)
-    while len(chosen) < params.max_targets:
-        cands = np.array([j for j in pool if j not in chosen], dtype=np.int64)
+    while len(chosen) < cfg.targets_per_group:
+        cands = np.array([j for j in range(m) if j != source and j not in chosen],
+                         dtype=np.int64)
         if cands.size == 0:
             break
-        scores = _selection_scores(source, values, chosen, usage, params, cands)
+        scores = _selection_scores(source, values, chosen, usage, cfg, cands)
         best = int(np.argmax(scores))  # argmax takes the first max: lowest index wins ties
         if scores[best] <= 0.0:
             break
@@ -211,7 +198,7 @@ def build_group(source: int, overlap: OverlapMatrix, usage: PairUsage,
 
 
 def augment_reciprocity(groups: list[ImageGroup], overlap: OverlapMatrix,
-                        usage: PairUsage, params: GroupSamplerParams) -> list[ImageGroup]:
+                        usage: PairUsage, cfg: PipelineConfig) -> list[ImageGroup]:
     """Stage 2: extra groups so every directed pair exists in both directions.
 
     For each image with pending reciprocal needs a new group is created with
@@ -226,22 +213,22 @@ def augment_reciprocity(groups: list[ImageGroup], overlap: OverlapMatrix,
         partners = sorted(t for s, t in usage.pending if s == source)
         while partners:
             cands = np.array(partners, dtype=np.int64)
-            scores = _selection_scores(source, overlap.values, [], usage, params, cands)
+            scores = _selection_scores(source, overlap.values, [], usage, cfg, cands)
             order = np.lexsort((cands, -scores))
-            first = [int(cands[k]) for k in order[:params.max_targets]]
+            first = [int(cands[k]) for k in order[:cfg.targets_per_group]]
             group = ImageGroup(source, tuple(first))
             for t in group.targets:
                 usage.record(source, t)
             partners = [p for p in partners if p not in first]
-            if not partners and len(first) < params.max_targets:
+            if not partners and len(first) < cfg.targets_per_group:
                 # top up from already-connected images only
                 connected = np.nonzero((usage.counts[source] > 0) | (usage.counts[:, source] > 0))[0]
                 pool = np.array([j for j in connected if j != source and j not in first],
                                 dtype=np.int64)
                 extra_targets = list(first)
-                while len(extra_targets) < params.max_targets and pool.size:
+                while len(extra_targets) < cfg.targets_per_group and pool.size:
                     scores = _selection_scores(source, overlap.values, extra_targets,
-                                               usage, params, pool)
+                                               usage, cfg, pool)
                     best = int(np.argmax(scores))
                     if scores[best] <= 0.0:
                         break
@@ -254,14 +241,15 @@ def augment_reciprocity(groups: list[ImageGroup], overlap: OverlapMatrix,
     return extra
 
 
-def sample_groups(overlap: OverlapMatrix, params: GroupSamplerParams,
+def sample_groups(overlap: OverlapMatrix, cfg: PipelineConfig,
                   budget: int) -> tuple[list[ImageGroup], list[ImageGroup]]:
     """Run both stages; returns (stage-1 groups, stage-2 reciprocity groups).
 
-    Sources are scheduled by a deterministic round-robin over the quota
-    vector.
+    Reads ``targets_per_group``, ``group_tau``, ``beta``, ``alpha_src``,
+    ``alpha_tgt`` and ``lam`` from ``cfg``. Sources are scheduled by a
+    deterministic round-robin over the quota vector.
     """
-    quotas = source_quotas(overlap, params.tau, params.beta, budget)
+    quotas = source_quotas(overlap, cfg.group_tau, cfg.beta, budget)
     usage = PairUsage.empty(overlap.num_images)
     order: list[int] = []
     remaining = quotas.copy()
@@ -270,8 +258,8 @@ def sample_groups(overlap: OverlapMatrix, params: GroupSamplerParams,
             if remaining[i] > 0:
                 order.append(i)
                 remaining[i] -= 1
-    stage1 = [build_group(src, overlap, usage, params) for src in order]
-    stage2 = augment_reciprocity(stage1, overlap, usage, params)
+    stage1 = [build_group(src, overlap, usage, cfg) for src in order]
+    stage2 = augment_reciprocity(stage1, overlap, usage, cfg)
     return stage1, stage2
 
 
@@ -300,5 +288,8 @@ def write_group_manifest(path, stage1: list[ImageGroup], stage2: list[ImageGroup
 def read_group_manifest(path) -> list[tuple[ImageGroup, int]]:
     with open(path) as f:
         payload = json.load(f)
-    return [(ImageGroup(g["source"], tuple(g["targets"])), g["stage"])
-            for g in payload["groups"]]
+    try:
+        return [(ImageGroup(g["source"], tuple(g["targets"])), g["stage"])
+                for g in payload["groups"]]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None

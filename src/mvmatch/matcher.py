@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .attention import (AttentionParams, _row_blocks, exchange_features,
-                        init_attention_params)
+from .attention import (AttentionParams, _row_blocks, _softmax_,
+                        exchange_features, init_attention_params)
 from .config import PipelineConfig
 from .features import FeatureProvider
 from .grids import (DenseWarpField, FeatureGrid, _splat_max_confidence,
@@ -214,9 +214,7 @@ def global_match(src_feat: FeatureGrid, tgt_feat: FeatureGrid, anchors: AnchorGr
     for rows in _row_blocks(src.shape[0], _GLOBAL_BLOCK_ROWS):
         probs = src[rows] @ keys.T
         probs /= scale
-        probs -= probs.max(axis=1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
+        _softmax_(probs)
         coords[rows] = probs @ anchors.centers
         conf[rows] = probs.max(axis=1)
     h, w = src_feat.height, src_feat.width
@@ -243,9 +241,7 @@ def mvfuse(hidden: list[FeatureGrid], params: MVFuseParams, iterations: int) -> 
         k = stack @ params.wk
         v = stack @ params.wv
         logits = np.einsum("vhwd,uhwd->hwvu", q, k, optimize=True) / np.sqrt(d)
-        logits -= logits.max(axis=-1, keepdims=True)
-        attn = np.exp(logits)
-        attn /= attn.sum(axis=-1, keepdims=True)
+        attn = _softmax_(logits)
         fused = np.einsum("hwvu,uhwd->vhwd", attn, v, optimize=True)
         stack = stack + (fused - v) @ params.wo
         mixed = np.empty_like(stack)
@@ -297,10 +293,7 @@ def _corr_readout(corr_scores: np.ndarray, channels: int, temperature: float,
                       (jj > 0) & (jj < window - 1))
         delta[..., 0] += dx
         delta[..., 1] += dy
-    logits = flat * (np.sqrt(channels) / temperature)
-    logits -= logits.max(axis=-1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = _softmax_(flat * (np.sqrt(channels) / temperature))
     return delta, probs.max(axis=-1).reshape(h, w)
 
 

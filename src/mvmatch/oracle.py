@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .geometry import apply_homography
 from .grids import MISSING, DenseWarpField
 from .grouping import ImageGroup
 
@@ -111,13 +112,6 @@ class SceneOracle:
         return len(self.homographies) if self.kind == "planar" else len(self.cameras)
 
 
-def _apply_homography(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    pts = np.atleast_2d(pts)
-    ph = np.concatenate([pts, np.ones((pts.shape[0], 1))], axis=1)
-    q = ph @ h.T
-    return q[:, :2] / q[:, 2:3]
-
-
 def _level_size(oracle: SceneOracle, stride: int) -> tuple[int, int]:
     h, w = oracle.image_size
     if h % stride or w % stride:
@@ -170,7 +164,7 @@ def gt_warp(oracle: SceneOracle, source: int, target: int, stride: int = 1) -> D
         transfer = np.linalg.inv(oracle.homographies[target]) @ oracle.homographies[source]
         if np.linalg.cond(transfer) >= MAX_CONDITION:
             raise ValueError("degenerate homography transfer")
-        mapped = _apply_homography(transfer, base)
+        mapped = apply_homography(transfer, base)
         inside = ((mapped[:, 0] >= 0) & (mapped[:, 0] <= w - 1)
                   & (mapped[:, 1] >= 0) & (mapped[:, 1] <= h - 1))
         targets = (mapped / stride).reshape(lh, lw, 2)
@@ -213,7 +207,7 @@ def gt_transfer_points(oracle: SceneOracle, source: int, target: int,
     h, w = oracle.image_size
     if oracle.kind == "planar":
         transfer = np.linalg.inv(oracle.homographies[target]) @ oracle.homographies[source]
-        mapped = _apply_homography(transfer, pts)
+        mapped = apply_homography(transfer, pts)
         valid = ((mapped[:, 0] >= 0) & (mapped[:, 0] <= w - 1)
                  & (mapped[:, 1] >= 0) & (mapped[:, 1] <= h - 1))
         return mapped, valid
@@ -305,10 +299,13 @@ def gt_track_error(oracle: SceneOracle, track, views=None) -> np.ndarray:
 # scene generators
 # ---------------------------------------------------------------------------
 
-def make_planar_scene(num_views: int, image_size: tuple[int, int], seed: int,
-                      translation_frac: float = 0.08, rotation_deg: float = 4.0,
-                      scale_jitter: float = 0.04, perspective: float = 2e-5) -> SceneOracle:
-    """Random planar scene: view 0 is the reference, others near-identity warps."""
+def make_planar_scene(num_views: int, image_size: tuple[int, int], seed: int) -> SceneOracle:
+    """Random planar scene: view 0 is the reference, others near-identity warps.
+
+    Each other view is a similarity (rotation within 4 degrees, scale within
+    4 %, translation within 8 % of the image) about the image center, with a
+    perspective term within 2e-5.
+    """
     if num_views < 2:
         raise ValueError("need at least 2 views")
     h, w = image_size
@@ -318,17 +315,17 @@ def make_planar_scene(num_views: int, image_size: tuple[int, int], seed: int,
     center = np.array([[1, 0, -cx], [0, 1, -cy], [0, 0, 1]], dtype=np.float64)
     uncenter = np.array([[1, 0, cx], [0, 1, cy], [0, 0, 1]], dtype=np.float64)
     for _ in range(num_views - 1):
-        ang = np.deg2rad(rng.uniform(-rotation_deg, rotation_deg))
-        s = 1.0 + rng.uniform(-scale_jitter, scale_jitter)
-        tx = rng.uniform(-translation_frac, translation_frac) * w
-        ty = rng.uniform(-translation_frac, translation_frac) * h
+        ang = np.deg2rad(rng.uniform(-4.0, 4.0))
+        s = 1.0 + rng.uniform(-0.04, 0.04)
+        tx = rng.uniform(-0.08, 0.08) * w
+        ty = rng.uniform(-0.08, 0.08) * h
         ca, sa = np.cos(ang), np.sin(ang)
         sim = np.array([[s * ca, -s * sa, tx],
                         [s * sa, s * ca, ty],
                         [0, 0, 1]], dtype=np.float64)
         proj = np.eye(3)
-        proj[2, 0] = rng.uniform(-perspective, perspective)
-        proj[2, 1] = rng.uniform(-perspective, perspective)
+        proj[2, 0] = rng.uniform(-2e-5, 2e-5)
+        proj[2, 1] = rng.uniform(-2e-5, 2e-5)
         homographies.append(uncenter @ proj @ sim @ center)
     return SceneOracle("planar", (h, w), int(seed), homographies=tuple(homographies))
 
@@ -348,9 +345,12 @@ def _look_at(center: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def make_point_cloud_scene(num_views: int, image_size: tuple[int, int], seed: int,
-                           num_points: int = 4000, arc_degrees: float = 25.0,
-                           radius: float = 4.0) -> SceneOracle:
-    """Random bumpy-surface point cloud observed by cameras on an arc."""
+                           num_points: int = 4000) -> SceneOracle:
+    """Random bumpy-surface point cloud observed by cameras on an arc.
+
+    The cameras sit at distance 4 from the origin, spread over +-25 degrees,
+    and look at the origin.
+    """
     if num_views < 2:
         raise ValueError("need at least 2 views")
     h, w = image_size
@@ -368,11 +368,11 @@ def make_point_cloud_scene(num_views: int, image_size: tuple[int, int], seed: in
                   [0, focal, (h - 1) / 2.0],
                   [0, 0, 1]], dtype=np.float64)
     cameras = []
-    angles = np.linspace(-np.deg2rad(arc_degrees), np.deg2rad(arc_degrees), num_views)
+    angles = np.linspace(-np.deg2rad(25.0), np.deg2rad(25.0), num_views)
     for ang in angles:
-        center = np.array([radius * np.sin(ang),
+        center = np.array([4.0 * np.sin(ang),
                            rng.uniform(-0.15, 0.15),
-                           -radius * np.cos(ang)])
+                           -4.0 * np.cos(ang)])
         r = _look_at(center, np.zeros(3))
         t = -r @ center
         cameras.append(PinholeCamera(k, r, t))
@@ -409,16 +409,22 @@ def save_scene(path, oracle: SceneOracle) -> None:
 def load_scene(path) -> SceneOracle:
     with open(path) as f:
         payload = json.load(f)
-    kind = payload["kind"]
-    size = tuple(payload["image_size"])
-    seed = int(payload["noise_seed"])
-    if kind == "planar":
-        return SceneOracle(kind, size, seed,
-                           homographies=tuple(np.array(h) for h in payload["homographies"]))
-    cameras = tuple(
-        PinholeCamera(np.array(c["intrinsics"]), np.array(c["rotation"]),
-                      np.array(c["translation"]))
-        for c in payload["cameras"]
-    )
-    return SceneOracle(kind, size, seed, cameras=cameras,
-                       points=np.array(payload["points"]))
+    try:
+        kind = payload["kind"]
+        size = tuple(payload["image_size"])
+        seed = int(payload["noise_seed"])
+        views = {}
+        if kind == "planar":
+            views["homographies"] = tuple(np.array(h) for h in payload["homographies"])
+        elif kind == "point_cloud":
+            views["cameras"] = tuple(
+                PinholeCamera(np.array(c["intrinsics"]), np.array(c["rotation"]),
+                              np.array(c["translation"]))
+                for c in payload["cameras"]
+            )
+            views["points"] = np.array(payload["points"])
+        return SceneOracle(kind, size, seed, **views)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

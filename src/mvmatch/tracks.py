@@ -136,12 +136,11 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def kmeans(points: np.ndarray, k: int, seed: int,
-           max_iters: int = KMEANS_MAX_ITERS, tol: float = KMEANS_TOL):
+def kmeans(points: np.ndarray, k: int, seed: int):
     """Seeded k-means++ plus Lloyd iterations; returns (centers, labels).
 
-    Runs at most ``max_iters`` rounds or until the largest centroid movement
-    drops below ``tol``. Emptied clusters are re-anchored at the farthest
+    Runs at most ``KMEANS_MAX_ITERS`` rounds or until the largest centroid
+    movement drops below ``KMEANS_TOL``. Emptied clusters are re-anchored at the farthest
     member of the largest cluster so exactly k clusters always survive.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -151,7 +150,7 @@ def kmeans(points: np.ndarray, k: int, seed: int,
     rng = np.random.Generator(np.random.PCG64(seed))
     centers = _kmeans_pp_init(points, k, rng)
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
         new_centers = centers.copy()
@@ -167,7 +166,7 @@ def kmeans(points: np.ndarray, k: int, seed: int,
             new_centers[c] = points[labels == c].mean(axis=0)
         move = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
-        if move < tol:
+        if move < KMEANS_TOL:
             break
     return centers, labels
 

@@ -25,7 +25,7 @@ from mvmatch.geometry import (accuracy_completeness, apply_homography,
                               ransac_homography, triangulate_observations,
                               triangulate_tracks)
 from mvmatch.grids import DenseWarpField, FeatureGrid, identity_warp
-from mvmatch.grouping import (GroupSamplerParams, ImageGroup, default_budget,
+from mvmatch.grouping import (ImageGroup, default_budget,
                               overlap_from_matches, pair_adjacency,
                               quotas_from_neighbor_counts, sample_groups)
 from mvmatch.matcher import (AnchorGrid, RefinerState, global_match,
@@ -284,9 +284,7 @@ def test_criterion_5_group_sampler_contract():
             budget = default_budget(m)
             q = source_quotas(overlap, 0.3, 0.75, budget)
             assert q.sum() == budget and q.min() >= 1
-            stage1, stage2 = sample_groups(overlap,
-                                           GroupSamplerParams(max_targets=4),
-                                           budget)
+            stage1, stage2 = sample_groups(overlap, PipelineConfig(), budget)
             adj = pair_adjacency(stage1 + stage2, m)
             np.testing.assert_array_equal(adj, adj.T)
             assert {g.source for g in stage1} == set(range(m))
@@ -453,9 +451,8 @@ def test_criterion_9_budget_trade_off():
             overlap = overlap_from_matches(gt, m, 0.3)
 
             def run_budget(half):
-                params = GroupSamplerParams(max_targets=4)
                 budget = default_budget(m, half)
-                s1, s2 = sample_groups(overlap, params, budget)
+                s1, s2 = sample_groups(overlap, PipelineConfig(), budget)
                 groups = s1 + s2
                 adj = pair_adjacency(groups, m)
                 np.testing.assert_array_equal(adj, adj.T)

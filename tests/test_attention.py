@@ -6,8 +6,7 @@ from mvmatch.attention import (AttentionParams, TrackFeatures,
                                attentional_sampling, attentional_splatting,
                                coordinate_queries, exchange_features,
                                grid_token_centers, init_attention_params,
-                               load_params, masked_softmax, save_params,
-                               spatial_bias, track_transformer)
+                               masked_softmax, spatial_bias, track_transformer)
 from mvmatch.grids import MISSING, FeatureGrid
 from mvmatch.tracks import TrackToken
 
@@ -336,24 +335,3 @@ class TestExchange:
         params = params_with(dim=2)
         grids = [FeatureGrid(np.ones((2, 2, 2)))]
         assert exchange_features(grids, [], params)[0] is grids[0]
-
-
-class TestParamsFile:
-    def test_round_trip(self, tmp_path):
-        params = init_attention_params(8, sigma=2.5, seed=31)
-        path = tmp_path / "p.mvap"
-        save_params(path, params)
-        back = load_params(path)
-        assert back.dim == 8
-        assert back.sigma == pytest.approx(2.5, abs=1e-6)
-        for name in ("w1", "b1", "w2", "b2", "wk", "wv", "wout"):
-            np.testing.assert_allclose(getattr(back, name), getattr(params, name),
-                                       atol=1e-6)
-
-    def test_magic(self, tmp_path):
-        path = tmp_path / "p.mvap"
-        save_params(path, init_attention_params(4, 1.0, 0))
-        assert path.read_bytes()[:4] == b"MVAP"
-        path.write_bytes(b"XXXX" + path.read_bytes()[4:])
-        with pytest.raises(ValueError):
-            load_params(path)

@@ -145,6 +145,31 @@ class TestMatch:
         for name in names:
             assert (out / name).read_bytes() != (matched_dir / name).read_bytes(), name
 
+    def test_skips_groups_without_targets(self, tmp_path, fast_config, capsys):
+        rc = main(["gen-scene", "--views", "3", "--image-size", "48",
+                   "--out", str(tmp_path), "--config", fast_config])
+        assert rc == 0
+        # image 2's descriptor is orthogonal to the others', so both of its
+        # stage-1 groups (ids 2 and 5) come out with no targets
+        table = tmp_path / "desc.tsv"
+        table.write_text("1\t0\t0\n1\t0.1\t0\n0\t0\t1\n")
+        rc = main(["sample-groups", "--descriptors", str(table),
+                   "--out", str(tmp_path), "--config", fast_config])
+        assert rc == 0
+        capsys.readouterr()
+        out = tmp_path / "warps"
+        rc = main(["match", "--scene", str(tmp_path / "scene.json"), "--seed", "3",
+                   "--groups", str(tmp_path / "groups.json"), "--out", str(out),
+                   "--config", fast_config])
+        assert rc == 0
+        assert capsys.readouterr().err == \
+            "mvmatch match: warning: skipped group(s) 2, 5 with no targets\n"
+        assert sorted(p.name for p in out.glob("*.mvwf")) == [
+            "warp_g0000_000_001.mvwf", "warp_g0001_001_000.mvwf",
+            "warp_g0003_000_001.mvwf", "warp_g0004_001_000.mvwf"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [g["id"] for g in manifest["groups"]] == [0, 1, 3, 4]
+
 
 @pytest.fixture(scope="module")
 def both_dirs(tmp_path_factory, planar_scene, fast_config):
@@ -302,6 +327,50 @@ class TestErrorContract:
         assert rc == 2
         self.assert_one_line_error(capsys, "sample-groups", "not an MVWF file")
 
+    def run_on_scene(self, tmp_path, payload):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(payload))
+        rc = main(["build-tracks", "--scene", str(scene), "--out", str(tmp_path)])
+        assert rc == 2
+
+    def test_scene_without_noise_seed(self, tmp_path, capsys):
+        eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        self.run_on_scene(tmp_path, {"kind": "planar", "image_size": [16, 16],
+                                     "homographies": [eye, eye]})
+        self.assert_one_line_error(capsys, "build-tracks",
+                                   "scene.json: missing key 'noise_seed'")
+
+    def test_scene_of_unknown_kind(self, tmp_path, capsys):
+        self.run_on_scene(tmp_path, {"kind": "cube", "image_size": [16, 16],
+                                     "noise_seed": 0})
+        self.assert_one_line_error(capsys, "build-tracks",
+                                   "scene.json: unknown scene kind 'cube'")
+
+    def test_group_without_targets_key(self, tmp_path, capsys, planar_scene):
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"groups": [{"source": 0, "stage": 1}]}))
+        rc = main(["match", "--scene", str(planar_scene), "--groups", str(groups),
+                   "--out", str(tmp_path / "warps")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "match", "groups.json: missing key 'targets'")
+
+    def test_warp_manifest_without_groups(self, tmp_path, capsys):
+        warps = tmp_path / "warps"
+        warps.mkdir()
+        (warps / "manifest.json").write_text("{}")
+        rc = main(["postprocess", "--warps", str(warps), "--out", str(tmp_path)])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "postprocess",
+                                   "manifest.json: missing key 'groups'")
+
+    def test_config_with_scalar_strides(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"strides": 8}')
+        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "gen-scene",
+                                   "config.json: strides must be a list, got 8")
+
 
 class TestDeterminism:
     def test_cli_outputs_byte_identical(self, tmp_path, planar_scene, fast_config):
@@ -329,6 +398,19 @@ class TestConfigFile:
         from mvmatch.config import load_config
         cfg = load_config(tmp_path / "config.json")
         assert cfg == PipelineConfig()
+
+    def test_sample_groups_reads_targets_per_group(self, tmp_path, planar_scene,
+                                                   fast_config):
+        config = tmp_path / "config.json"
+        save_config(config, replace(load_config(fast_config), targets_per_group=1))
+        written = []
+        for name, cfg in (("shipped", fast_config), ("one", str(config))):
+            rc = main(["sample-groups", "--scene", str(planar_scene), "--seed", "0",
+                       "--out", str(tmp_path / name), "--config", cfg])
+            assert rc == 0
+            written.append(json.loads((tmp_path / name / "groups.json").read_text()))
+        assert written[0] != written[1]
+        assert all(len(g["targets"]) == 1 for g in written[1]["groups"])
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

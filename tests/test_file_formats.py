@@ -1,8 +1,8 @@
-"""Round trips of the on-disk formats: MVWF warps, track TSV, MVAP params, scenes.
+"""Round trips of the on-disk formats: MVWF warps, track TSV, scenes.
 
 Each property writes a drawn value, reads it back and expects it unchanged.
-Values are drawn so that the format can hold them exactly: float32 for MVWF
-and MVAP, six decimals for track TSV; scene JSON keeps every double.
+Values are drawn so that the format can hold them exactly: float32 for MVWF,
+six decimals for track TSV; scene JSON keeps every double.
 """
 
 import tempfile
@@ -12,7 +12,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mvmatch.attention import AttentionParams, load_params, save_params
 from mvmatch.grids import MISSING, DenseWarpField, read_warp_file, write_warp_file
 from mvmatch.oracle import PinholeCamera, SceneOracle, load_scene, save_scene
 from mvmatch.tracks import TrackToken, read_tracks_tsv, write_tracks_tsv
@@ -84,25 +83,6 @@ def test_track_tsv_round_trip(drawn):
     for got, want in zip(back, tracks):
         np.testing.assert_array_equal(got.visibility, want.visibility)
         np.testing.assert_array_equal(got.coords, want.coords)
-
-
-@st.composite
-def attention_params(draw):
-    d = draw(st.integers(1, 5))
-    shapes = {"w1": (2, d), "b1": (d,), "w2": (d, d), "b2": (d,),
-              "wk": (d, d), "wv": (d, d), "wout": (d, d)}
-    fields = {name: draw(f32_arrays(shape)) for name, shape in shapes.items()}
-    sigma = draw(st.floats(2.0**-20, 2.0**20, width=32))
-    return AttentionParams(dim=d, sigma=sigma, **fields)
-
-
-@ROUND_TRIP
-@given(attention_params())
-def test_mvap_round_trip(params):
-    back = round_trip(save_params, load_params, params, "p.mvap")
-    assert (back.dim, back.sigma) == (params.dim, params.sigma)
-    for name in ("w1", "b1", "w2", "b2", "wk", "wv", "wout"):
-        np.testing.assert_array_equal(getattr(back, name), getattr(params, name))
 
 
 def rotation(a, b, c):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mvmatch.grouping import (GroupSamplerParams, ImageGroup, OverlapMatrix,
+from mvmatch.config import PipelineConfig
+from mvmatch.grouping import (ImageGroup, OverlapMatrix,
                               quotas_from_neighbor_counts,
                               PairUsage, augment_reciprocity, build_group,
                               default_budget, overlap_from_descriptors,
@@ -119,28 +120,28 @@ class TestBuildGroup:
                      [0.2, 1.0, 0.1, 0.1],
                      [0.9, 0.1, 1.0, 0.3],
                      [0.5, 0.1, 0.3, 1.0]])
-        params = GroupSamplerParams(max_targets=1, alpha_tgt=0.0, lam=0.0)
+        cfg = PipelineConfig(targets_per_group=1, alpha_tgt=0.0, lam=0.0)
         usage = PairUsage.empty(4)
-        group = build_group(0, o, usage, params)
+        group = build_group(0, o, usage, cfg)
         assert group.targets == (2,)
 
     def test_usage_penalty_flips_pick(self):
         o = overlap([[1.0, 0.8, 0.8], [0.8, 1.0, 0.0], [0.8, 0.0, 1.0]])
-        params = GroupSamplerParams(max_targets=1, alpha_tgt=0.0, lam=1.0)
+        cfg = PipelineConfig(targets_per_group=1, alpha_tgt=0.0, lam=1.0)
         usage = PairUsage.empty(3)
         usage.counts[0, 1] = 3  # 0.8 / 4 = 0.2 for image 1, 0.8 for image 2
-        group = build_group(0, o, usage, params)
+        group = build_group(0, o, usage, cfg)
         assert group.targets == (2,)
 
     def test_coherence_term_vs_enumeration(self):
         rng = np.random.default_rng(2)
         o = random_overlap(rng, 5)
-        params = GroupSamplerParams(max_targets=2, alpha_src=1.0,
-                                    alpha_tgt=0.6, lam=0.5)
+        cfg = PipelineConfig(targets_per_group=2, alpha_src=1.0,
+                             alpha_tgt=0.6, lam=0.5)
         usage = PairUsage.empty(5)
         usage.counts[:] = rng.integers(0, 3, size=(5, 5))
         counts_before = usage.counts.copy()
-        group = build_group(0, o, usage, params)
+        group = build_group(0, o, usage, cfg)
 
         # exhaustive greedy replay
         chosen = []
@@ -149,9 +150,9 @@ class TestBuildGroup:
             for j in range(5):
                 if j == 0 or j in chosen:
                     continue
-                score = (params.alpha_src * o.values[0, j]
-                         + params.alpha_tgt * sum(o.values[k, j] for k in chosen))
-                score /= 1.0 + params.lam * counts_before[0, j]
+                score = (cfg.alpha_src * o.values[0, j]
+                         + cfg.alpha_tgt * sum(o.values[k, j] for k in chosen))
+                score /= 1.0 + cfg.lam * counts_before[0, j]
                 if score > best_score:
                     best, best_score = j, score
             if best is None:
@@ -162,7 +163,7 @@ class TestBuildGroup:
     def test_usage_counts_updated(self):
         o = overlap(np.full((3, 3), 0.5))
         usage = PairUsage.empty(3)
-        group = build_group(0, o, usage, GroupSamplerParams(max_targets=2))
+        group = build_group(0, o, usage, PipelineConfig(targets_per_group=2))
         for t in group.targets:
             assert usage.counts[0, t] == 1
             assert (t, 0) in usage.pending
@@ -171,7 +172,7 @@ class TestBuildGroup:
         o = overlap(np.zeros((2, 2)))
         usage = PairUsage.empty(2)
         with caplog.at_level("WARNING"):
-            group = build_group(0, o, usage, GroupSamplerParams())
+            group = build_group(0, o, usage, PipelineConfig())
         assert group.targets == ()
 
 
@@ -179,32 +180,32 @@ class TestReciprocity:
     def test_single_pending_pair(self):
         o = overlap(np.full((2, 2), 0.9))
         usage = PairUsage.empty(2)
-        g1 = [build_group(0, o, usage, GroupSamplerParams(max_targets=1))]
-        extra = augment_reciprocity(g1, o, usage, GroupSamplerParams(max_targets=1))
+        g1 = [build_group(0, o, usage, PipelineConfig(targets_per_group=1))]
+        extra = augment_reciprocity(g1, o, usage, PipelineConfig(targets_per_group=1))
         assert len(extra) == 1
         assert extra[0].source == 1 and extra[0].targets == (0,)
 
     def test_symmetric_stage1_is_fixed_point(self):
         o = overlap(np.full((2, 2), 0.9))
         usage = PairUsage.empty(2)
-        params = GroupSamplerParams(max_targets=1)
-        g1 = [build_group(0, o, usage, params), build_group(1, o, usage, params)]
-        extra = augment_reciprocity(g1, o, usage, params)
+        cfg = PipelineConfig(targets_per_group=1)
+        g1 = [build_group(0, o, usage, cfg), build_group(1, o, usage, cfg)]
+        extra = augment_reciprocity(g1, o, usage, cfg)
         assert extra == []
 
     def test_adjacency_symmetric_after_stage2(self):
         rng = np.random.default_rng(3)
         o = random_overlap(rng, 8)
-        params = GroupSamplerParams(max_targets=4)
-        stage1, stage2 = sample_groups(o, params, budget=12)
+        cfg = PipelineConfig(targets_per_group=4)
+        stage1, stage2 = sample_groups(o, cfg, budget=12)
         adj = pair_adjacency(stage1 + stage2, 8)
         np.testing.assert_array_equal(adj, adj.T)
 
     def test_stage2_fillers_restricted(self):
         rng = np.random.default_rng(4)
         o = random_overlap(rng, 10)
-        params = GroupSamplerParams(max_targets=3)
-        stage1, stage2 = sample_groups(o, params, budget=12)
+        cfg = PipelineConfig(targets_per_group=3)
+        stage1, stage2 = sample_groups(o, cfg, budget=12)
         adj1 = pair_adjacency(stage1, 10)
         linked1 = adj1 | adj1.T
         for g in stage2:
@@ -218,9 +219,9 @@ class TestSampleGroups:
             rng = np.random.default_rng(seed)
             m = int(rng.integers(8, 20))
             o = random_overlap(rng, m)
-            params = GroupSamplerParams(max_targets=4)
+            cfg = PipelineConfig(targets_per_group=4)
             budget = default_budget(m)
-            stage1, stage2 = sample_groups(o, params, budget)
+            stage1, stage2 = sample_groups(o, cfg, budget)
             assert len(stage1) == budget
             adj = pair_adjacency(stage1 + stage2, m)
             np.testing.assert_array_equal(adj, adj.T)
@@ -230,11 +231,33 @@ class TestSampleGroups:
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         o = random_overlap(rng, 9)
-        params = GroupSamplerParams(max_targets=3)
-        a1, a2 = sample_groups(o, params, budget=15)
-        b1, b2 = sample_groups(o, params, budget=15)
+        cfg = PipelineConfig(targets_per_group=3)
+        a1, a2 = sample_groups(o, cfg, budget=15)
+        b1, b2 = sample_groups(o, cfg, budget=15)
         assert [(g.source, g.targets) for g in a1 + a2] \
             == [(g.source, g.targets) for g in b1 + b2]
+
+    # image 0 overlaps every other image above group_tau; the others overlap
+    # each other below it, so neighbor counts and selection scores all differ
+    HUB = [[1.0, 0.9, 0.8, 0.7, 0.6, 0.5],
+           [0.9, 1.0, 0.2, 0.1, 0.05, 0.1],
+           [0.8, 0.2, 1.0, 0.25, 0.1, 0.05],
+           [0.7, 0.1, 0.25, 1.0, 0.15, 0.2],
+           [0.6, 0.05, 0.1, 0.15, 1.0, 0.25],
+           [0.5, 0.1, 0.05, 0.2, 0.25, 1.0]]
+
+    @pytest.mark.parametrize("field, value", [
+        ("targets_per_group", 2), ("group_tau", 0.1), ("beta", 0.25),
+        ("alpha_src", 0.1), ("alpha_tgt", 2.0), ("lam", 0.0)])
+    def test_each_config_field_reaches_the_sampler(self, field, value):
+        o = overlap(self.HUB)
+        budget = default_budget(6)
+
+        def groups(cfg):
+            stage1, stage2 = sample_groups(o, cfg, budget)
+            return [(g.source, g.targets) for g in stage1 + stage2]
+
+        assert groups(PipelineConfig(**{field: value})) != groups(PipelineConfig())
 
     def test_half_budget(self):
         assert default_budget(16) == 64

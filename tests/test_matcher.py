@@ -12,7 +12,7 @@ from mvmatch.grouping import ImageGroup
 from mvmatch.matcher import (ALIGNMENT_MODES, AnchorGrid, ConvStack, RefinerState,
                              global_match, init_matcher_params, mvfuse,
                              refine_level, run_group)
-from mvmatch.oracle import gt_warp, make_planar_scene, simulate_matcher
+from mvmatch.oracle import SceneOracle, gt_warp, make_planar_scene, simulate_matcher
 from mvmatch.tracks import sample_tracks
 
 from oracles import dense_global_match, oracle_mvfuse, random_fuse_params as fuse_params
@@ -278,8 +278,7 @@ class TestDefaults:
 
 class TestRunGroup:
     def test_identical_images_near_identity(self):
-        scene = make_planar_scene(2, (96, 96), seed=50, translation_frac=0,
-                                  rotation_deg=0, scale_jitter=0, perspective=0)
+        scene = SceneOracle("planar", (96, 96), 50, homographies=(np.eye(3), np.eye(3)))
         provider = OracleFeatureProvider(scene, dim=32, seed=7)
         params = init_matcher_params(seed=3)
         group = ImageGroup(0, (1,))
