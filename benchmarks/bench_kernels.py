@@ -1,9 +1,12 @@
-"""Time the gather/scatter/stencil kernels on production-sized inputs.
+"""Time the gather/scatter/stencil and exchange kernels on production-sized inputs.
 
 Run:  python benchmarks/bench_kernels.py [--repeats 5]
 
 Prints the best per-call latency of each kernel in ``mvmatch.kernels``; the
-local correlation is timed at the refiner's (size, window) pairs.
+local correlation is timed at the refiner's (size, window) pairs. The
+track-guided exchange's sampling and splatting are timed at the shipped
+672 px coarse grid (84^2 cells), 512 tracks and D = 32, with about 10% of
+the tracks invisible in the view.
 """
 
 import argparse
@@ -15,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from mvmatch import kernels  # noqa: E402
+from mvmatch import attention, kernels  # noqa: E402
+from mvmatch.grids import FeatureGrid  # noqa: E402
 
 
 def timeit(fn, repeats):
@@ -61,6 +65,20 @@ def main():
         warp = rng.uniform(0, size - 1, size=(size, size, 2))
         cases.append((f"local_corr ({size}^2, win {window})",
                       partial(kernels.local_corr, src, dst, warp, window)))
+
+    side, tracks = 84, 512
+    params = attention.init_attention_params(c, sigma=1.0, seed=0)
+    grid = FeatureGrid(rng.normal(size=(side, side, c)))
+    track_xy = rng.uniform(0, side - 1, size=(tracks, 2))
+    track_feats = rng.normal(size=(tracks, c))
+    visible = rng.random(tracks) >= 0.1
+    cases += [
+        (f"attentional_sampling ({side}^2, {tracks} tr)",
+         partial(attention.attentional_sampling, grid, track_xy, params)),
+        (f"attentional_splatting ({side}^2, {tracks} tr)",
+         partial(attention.attentional_splatting, grid, track_feats, track_xy,
+                 visible, params)),
+    ]
 
     print(f"backend: {kernels.BACKEND}; repeats: {args.repeats} (best time shown)")
     print(f"{'kernel':38s} {'numpy':>10s}")

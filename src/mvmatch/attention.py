@@ -8,7 +8,9 @@ is no training here, the module's contract is the math.
 
 Masking follows a fixed recipe: a -1e9 additive constant on masked logits,
 then a post-softmax re-zero of the masked columns (and renormalization) so
-masked entries contribute exactly zero weight.
+masked entries contribute exactly zero weight. Splatting, whose mask is a
+column mask, writes -inf into the masked columns instead, with the same
+bits.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .grids import FeatureGrid
 from .tracks import TrackToken
 
 MASK_LOGIT = -1e9
+# A max-shifted logit below this has a subnormal (or zero) exp; see _softmax_.
+EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 # Grid cells per block of splatting logits; see _row_blocks on keeping bits.
 _SPLAT_BLOCK_ROWS = 512
 # The output projection's init std relative to the other weights'.
@@ -120,15 +124,28 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_(logits: np.ndarray) -> np.ndarray:
-    """Unmasked softmax over the last axis, in place; returns ``logits``.
+def _softmax_(logits: np.ndarray, flush: bool = False) -> np.ndarray:
+    """Unmasked softmax over the last axis, in place; returns the row sums.
 
-    Subtracts each row's max, exponentiates and divides by the row sum.
+    Subtracts each row's max, exponentiates and divides by the row sum, which
+    is returned with ``keepdims``; the row's largest probability is
+    ``1 / sum`` exactly, since the max term is ``exp(0) = 1``. Entries of
+    -inf get weight 0.
+
+    With ``flush``, shifted logits below ``EXP_FLOOR`` become -inf before the
+    ``exp``, so their weights are exact zeros rather than subnormals, which
+    run far slower through ``exp``, the sum and a later matrix product. The
+    bits stay the same: the row sum is at least 1, so a term below
+    ``finfo.tiny`` is under half an ulp of it and of the weighted sums it
+    enters, short of a rounding tie broken below 2**-1022.
     """
     logits -= logits.max(axis=-1, keepdims=True)
+    if flush:
+        np.copyto(logits, -np.inf, where=logits < EXP_FLOOR)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
+    sums = logits.sum(axis=-1, keepdims=True)
+    logits /= sums
+    return sums
 
 
 def _row_blocks(n: int, size: int):
@@ -173,12 +190,14 @@ def grid_token_centers(height: int, width: int) -> np.ndarray:
 
 
 def spatial_bias(track_coords: np.ndarray, grid_size: tuple[int, int],
-                 sigma: float) -> np.ndarray:
+                 sigma: float, cells_first: bool = False) -> np.ndarray:
     """Locality bias: -(squared distance to each grid-token center) / (2 sigma^2).
 
-    Returns (T, HW) in raster order. The squared distance is built from
-    separable per-column dx^2 and per-row dy^2 terms, which is the same sum
-    as over the (T, HW, 2) coordinate differences without that temporary.
+    Returns (T, HW) in raster order, or (HW, T) with ``cells_first``, the
+    layout splatting reads. The squared distance is built from separable
+    per-column dx^2 and per-row dy^2 terms, which is the same sum as over the
+    (T, HW, 2) coordinate differences without that temporary, and is scaled
+    in place.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -186,8 +205,13 @@ def spatial_bias(track_coords: np.ndarray, grid_size: tuple[int, int],
     coords = np.atleast_2d(np.asarray(track_coords, dtype=np.float64))
     dx2 = (coords[:, 0, None] - np.arange(w, dtype=np.float64)) ** 2  # (T, W)
     dy2 = (coords[:, 1, None] - np.arange(h, dtype=np.float64)) ** 2  # (T, H)
-    d2 = (dx2[:, None, :] + dy2[:, :, None]).reshape(coords.shape[0], h * w)
-    return -d2 / (2.0 * sigma * sigma)
+    if cells_first:
+        d2 = (dy2.T[:, None, :] + dx2.T[None, :, :]).reshape(h * w, -1)
+    else:
+        d2 = (dx2[:, None, :] + dy2[:, :, None]).reshape(-1, h * w)
+    # x / -c is -(x / c) bit for bit
+    d2 /= -2.0 * sigma * sigma
+    return d2
 
 
 def attentional_sampling(grid: FeatureGrid, track_coords: np.ndarray,
@@ -209,7 +233,8 @@ def attentional_sampling(grid: FeatureGrid, track_coords: np.ndarray,
     attn /= np.sqrt(params.dim)
     attn += spatial_bias(track_coords, hw, params.sigma)
     # every entry participates, so the softmax needs no mask
-    return _softmax_(attn) @ values
+    _softmax_(attn, flush=True)
+    return attn @ values
 
 
 def track_transformer(feats: TrackFeatures, params: AttentionParams) -> TrackFeatures:
@@ -247,8 +272,10 @@ def attentional_splatting(grid: FeatureGrid, track_feats: np.ndarray,
     Grid-token centers drive the queries through the same coordinate MLP,
     keys/values come from the track features, the spatial bias enters
     transposed relative to sampling, and invisible tracks are masked out of
-    every row. With no visible track the grid is returned unchanged. Grid
-    cells are processed in blocks of ``_SPLAT_BLOCK_ROWS`` rows of logits.
+    every row: their bias columns are -inf, which gives them weight 0 as the
+    post-softmax re-zero of ``masked_softmax`` does. With no visible track
+    the grid is returned unchanged. Grid cells are processed in blocks of
+    ``_SPLAT_BLOCK_ROWS`` rows of logits.
     """
     if grid.channels != params.dim:
         raise ValueError(f"grid has {grid.channels} channels, params expect {params.dim}")
@@ -260,14 +287,15 @@ def attentional_splatting(grid: FeatureGrid, track_feats: np.ndarray,
     queries = coordinate_queries(params, grid_token_centers(*hw), hw)
     keys = feats @ params.wk
     values = feats @ params.wv
-    bias = spatial_bias(track_coords, hw, params.sigma)
+    bias = spatial_bias(track_coords, hw, params.sigma, cells_first=True)
+    bias[:, ~visibility] = -np.inf
     update = np.empty((queries.shape[0], params.dim))
     for rows in _row_blocks(queries.shape[0], _SPLAT_BLOCK_ROWS):
         logits = queries[rows] @ keys.T
         logits /= np.sqrt(params.dim)
-        logits += bias[:, rows].T
-        mask = np.broadcast_to(visibility[None, :], logits.shape)
-        update[rows] = (masked_softmax(logits, mask) @ values) @ params.wout
+        logits += bias[rows]
+        _softmax_(logits, flush=True)
+        update[rows] = (logits @ values) @ params.wout
     return FeatureGrid(grid.data + update.reshape(grid.data.shape), stride=grid.stride)
 
 

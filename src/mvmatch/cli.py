@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig, load_config, save_config
+from .config import PipelineConfig, load_config, read_json, save_config
 from .geometry import (ErrorCurve, corner_error, dlt_homography,
                        ransac_homography, accuracy_completeness,
                        triangulate_observations)
@@ -125,6 +125,13 @@ def cmd_sample_groups(args) -> int:
         raise ValueError("needs --scene, --warps or --descriptors")
     budget = default_budget(m, args.budget == "half")
     stage1, stage2 = sample_groups(overlap, cfg, budget)
+    # stage-1 groups come first in the manifest, so their index is the group id
+    empty = [(gid, g.source) for gid, g in enumerate(stage1) if not g.targets]
+    if empty:
+        ids = ", ".join(str(gid) for gid, _ in empty)
+        sources = ", ".join(str(s) for s in sorted({s for _, s in empty}))
+        print(f"mvmatch sample-groups: warning: group(s) {ids} (source(s) {sources}) "
+              "have no targets", file=sys.stderr)
     path = out / "groups.json"
     write_group_manifest(path, stage1, stage2)
     print(f"wrote {path} ({len(stage1)} stage-1 + {len(stage2)} stage-2 groups, "
@@ -174,8 +181,7 @@ def cmd_match(args) -> int:
 def _load_warp_bank(warps_dir: Path):
     """Read every MVWF file; returns candidates per ordered pair plus groups."""
     manifest_path = warps_dir / "manifest.json"
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    manifest = read_json(manifest_path)
     try:
         groups = [(g["id"], ImageGroup(g["source"], tuple(g["targets"])))
                   for g in manifest["groups"]]

@@ -9,7 +9,8 @@ multi-view fusion at levels {4, 1}.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -65,8 +66,34 @@ class PipelineConfig:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-_TUPLE_FIELDS = {"strides", "mvfuse_levels", "homography_thresholds",
-                 "triangulation_thresholds"}
+def read_json(path):
+    """The JSON value in ``path``; a file that does not parse raises a
+    ValueError that starts with the path."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
+def _is_scalar_of(kind, value) -> bool:
+    """Whether a parsed JSON scalar fits the field type ``kind``; an int
+    fits a float field, a bool fits only a bool field."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_value(path, key: str, kind, value) -> None:
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{path}: {key} must be a list, got {value!r}")
+        item = typing.get_args(kind)[0]
+        if not all(_is_scalar_of(item, v) for v in value):
+            raise ValueError(f"{path}: {key} must be a list of {item.__name__}, "
+                             f"got {value!r}")
+    elif not _is_scalar_of(kind, value):
+        raise ValueError(f"{path}: {key} must be {kind.__name__}, got {value!r}")
 
 
 def save_config(path, config: PipelineConfig) -> None:
@@ -75,14 +102,15 @@ def save_config(path, config: PipelineConfig) -> None:
 
 
 def load_config(path) -> PipelineConfig:
-    with open(path) as f:
-        payload = json.load(f)
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(payload) - known
+    payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a config must be a JSON object")
+    kinds = typing.get_type_hints(PipelineConfig)
+    unknown = set(payload) - set(kinds)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-    for key in _TUPLE_FIELDS & set(payload):
-        if not isinstance(payload[key], list):
-            raise ValueError(f"{path}: {key} must be a list, got {payload[key]!r}")
-        payload[key] = tuple(payload[key])
+    for key, value in payload.items():
+        _check_value(path, key, kinds[key], value)
+        if isinstance(value, list):
+            payload[key] = tuple(value)
     return PipelineConfig(**payload)

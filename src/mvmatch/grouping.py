@@ -11,16 +11,13 @@ requires.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, read_json
 from .grids import DenseWarpField
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ def build_group(source: int, overlap: OverlapMatrix, usage: PairUsage,
     and record pair usage.
 
     Stops early when no remaining candidate has a positive score; a group with
-    no targets is returned (with a warning) when there are no candidates at all.
+    no targets is returned when no candidate scores above zero.
     """
     m = overlap.num_images
     values = overlap.values
@@ -189,8 +186,6 @@ def build_group(source: int, overlap: OverlapMatrix, usage: PairUsage,
         if scores[best] <= 0.0:
             break
         chosen.append(int(cands[best]))
-    if not chosen:
-        logger.warning("group for source %d has no targets", source)
     group = ImageGroup(source, tuple(chosen))
     for t in group.targets:
         usage.record(source, t)
@@ -286,8 +281,7 @@ def write_group_manifest(path, stage1: list[ImageGroup], stage2: list[ImageGroup
 
 
 def read_group_manifest(path) -> list[tuple[ImageGroup, int]]:
-    with open(path) as f:
-        payload = json.load(f)
+    payload = read_json(path)
     try:
         return [(ImageGroup(g["source"], tuple(g["targets"])), g["stage"])
                 for g in payload["groups"]]

@@ -196,11 +196,12 @@ def global_match(src_feat: FeatureGrid, tgt_feat: FeatureGrid, anchors: AnchorGr
 
     Each source token scores all anchors (scaled inner products, softmax); the
     coarse coordinate is the probability-weighted mean of anchor centers and
-    the confidence is the winning anchor's probability.
+    the confidence is the winning anchor's probability, read as 1 / row sum.
 
-    Source rows are processed in blocks of ``_GLOBAL_BLOCK_ROWS``, so memory
-    is bounded by one block of logits, not the full (HW, anchors) matrix; at
-    the shipped shapes the output bits are those of the full matrix.
+    Source rows are processed in blocks of ``_GLOBAL_BLOCK_ROWS`` that share
+    one logits buffer, so memory is bounded by the largest block, not the
+    full (HW, anchors) matrix; at the shipped shapes the output bits are
+    those of the full matrix.
     """
     if src_feat.channels != tgt_feat.channels:
         raise ValueError("source/target channel mismatch")
@@ -211,12 +212,14 @@ def global_match(src_feat: FeatureGrid, tgt_feat: FeatureGrid, anchors: AnchorGr
     scale = np.sqrt(d) * temperature
     coords = np.empty((src.shape[0], 2))
     conf = np.empty(src.shape[0])
-    for rows in _row_blocks(src.shape[0], _GLOBAL_BLOCK_ROWS):
-        probs = src[rows] @ keys.T
+    blocks = list(_row_blocks(src.shape[0], _GLOBAL_BLOCK_ROWS))
+    logits = np.empty((max(b.stop - b.start for b in blocks), keys.shape[0]))
+    for rows in blocks:
+        probs = np.matmul(src[rows], keys.T, out=logits[:rows.stop - rows.start])
         probs /= scale
-        _softmax_(probs)
+        sums = _softmax_(probs)
         coords[rows] = probs @ anchors.centers
-        conf[rows] = probs.max(axis=1)
+        conf[rows] = 1.0 / sums[:, 0]
     h, w = src_feat.height, src_feat.width
     return DenseWarpField(coords.reshape(h, w, 2), conf.reshape(h, w),
                           source_view, target_view)
@@ -241,8 +244,8 @@ def mvfuse(hidden: list[FeatureGrid], params: MVFuseParams, iterations: int) -> 
         k = stack @ params.wk
         v = stack @ params.wv
         logits = np.einsum("vhwd,uhwd->hwvu", q, k, optimize=True) / np.sqrt(d)
-        attn = _softmax_(logits)
-        fused = np.einsum("hwvu,uhwd->vhwd", attn, v, optimize=True)
+        _softmax_(logits)
+        fused = np.einsum("hwvu,uhwd->vhwd", logits, v, optimize=True)
         stack = stack + (fused - v) @ params.wo
         mixed = np.empty_like(stack)
         for view in range(stack.shape[0]):
@@ -293,8 +296,8 @@ def _corr_readout(corr_scores: np.ndarray, channels: int, temperature: float,
                       (jj > 0) & (jj < window - 1))
         delta[..., 0] += dx
         delta[..., 1] += dy
-    probs = _softmax_(flat * (np.sqrt(channels) / temperature))
-    return delta, probs.max(axis=-1).reshape(h, w)
+    sums = _softmax_(flat * (np.sqrt(channels) / temperature))
+    return delta, 1.0 / sums.reshape(h, w)
 
 
 def _aligned_target_grid(phi_tgt: FeatureGrid, warp: DenseWarpField,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .config import read_json
 from .geometry import apply_homography
 from .grids import MISSING, DenseWarpField
 from .grouping import ImageGroup
@@ -407,8 +408,7 @@ def save_scene(path, oracle: SceneOracle) -> None:
 
 
 def load_scene(path) -> SceneOracle:
-    with open(path) as f:
-        payload = json.load(f)
+    payload = read_json(path)
     try:
         kind = payload["kind"]
         size = tuple(payload["image_size"])

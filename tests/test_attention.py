@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mvmatch import attention
-from mvmatch.attention import (AttentionParams, TrackFeatures,
+from mvmatch.attention import (EXP_FLOOR, AttentionParams, TrackFeatures,
                                attentional_sampling, attentional_splatting,
                                coordinate_queries, exchange_features,
                                grid_token_centers, init_attention_params,
@@ -13,6 +13,8 @@ from mvmatch.tracks import TrackToken
 from oracles import (dense_attentional_sampling, dense_attentional_splatting,
                      dense_spatial_bias, oracle_sampling, oracle_splatting,
                      oracle_transformer)
+
+TINY = np.finfo(np.float64).tiny
 
 
 def params_with(dim=4, sigma=1.0, seed=0, **overrides):
@@ -45,8 +47,10 @@ class TestSpatialBias:
         coords = rng.uniform(-2, [55, 39], size=(70, 2))
         coords[:5] = np.round(coords[:5])
         for sigma in (1.0, 0.7):
-            np.testing.assert_array_equal(spatial_bias(coords, (37, 53), sigma),
-                                          dense_spatial_bias(coords, (37, 53), sigma))
+            want = dense_spatial_bias(coords, (37, 53), sigma)
+            np.testing.assert_array_equal(spatial_bias(coords, (37, 53), sigma), want)
+            np.testing.assert_array_equal(
+                spatial_bias(coords, (37, 53), sigma, cells_first=True), want.T)
 
 
 class TestRowBlocks:
@@ -73,10 +77,11 @@ class TestBlocksMatchDenseFormulation:
 
     84x84 with 512 tracks is the coarse grid and track budget at the shipped
     672 px; 37x53 grid cells span several splatting blocks with a ragged last
-    one.
+    one; 44x61 is a non-square grid wide enough for the subnormal flush to
+    fire.
     """
 
-    SHAPES = [((84, 84), 512), ((37, 53), 704), ((37, 53), 700)]
+    SHAPES = [((84, 84), 512), ((37, 53), 704), ((37, 53), 700), ((44, 61), 512)]
 
     @pytest.mark.parametrize("hw, tracks", SHAPES)
     def test_sampling_bits(self, hw, tracks):
@@ -84,10 +89,11 @@ class TestBlocksMatchDenseFormulation:
         np.testing.assert_array_equal(attentional_sampling(grid, coords, params),
                                       dense_attentional_sampling(grid, coords, params))
 
-    @pytest.mark.parametrize("hw, tracks", SHAPES[:2])
+    @pytest.mark.parametrize("hw, tracks", SHAPES[:2] + SHAPES[3:])
     def test_splatting_bits(self, hw, tracks):
         params, grid, coords, vis, feats = exchange_case(hw, tracks, 6)
         assert hw[0] * hw[1] > 2 * attention._SPLAT_BLOCK_ROWS
+        assert 0 < vis.sum() < tracks
         got = attentional_splatting(grid, feats, coords, vis, params)
         want = dense_attentional_splatting(grid, feats, coords, vis, params)
         np.testing.assert_array_equal(got.data, want.data)
@@ -100,6 +106,60 @@ class TestBlocksMatchDenseFormulation:
         got = attentional_splatting(grid, feats, coords, vis, params)
         want = dense_attentional_splatting(grid, feats, coords, vis, params)
         np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-14)
+
+
+def shifted_exchange_logits(hw, tracks, seed, splat):
+    """The dense formulation's max-shifted logits for ``exchange_case``:
+    (T, HW) for sampling, (HW, visible tracks) for splatting."""
+    params, grid, coords, vis, track_feats = exchange_case(hw, tracks, seed)
+    bias = dense_spatial_bias(coords, hw, params.sigma)
+    if splat:
+        queries = coordinate_queries(params, grid_token_centers(*hw), hw)
+        keys = track_feats[vis] @ params.wk
+        bias = bias.T[:, vis]
+    else:
+        queries = coordinate_queries(params, coords, hw)
+        keys = grid.data.reshape(-1, params.dim) @ params.wk
+    logits = queries @ keys.T / np.sqrt(params.dim) + bias
+    return logits - logits.max(axis=1, keepdims=True)
+
+
+class TestSubnormalFlush:
+    """Shifted logits below log(tiny) become exact zeros before the exp."""
+
+    def test_floor_is_log_tiny(self):
+        assert EXP_FLOOR == np.log(TINY)
+        assert -709 < EXP_FLOOR < -708
+
+    def test_boundary_step(self):
+        above = np.nextafter(EXP_FLOOR, 0.0)
+        below = np.nextafter(EXP_FLOOR, -np.inf)
+        assert np.exp(above) >= TINY
+        assert 0.0 < np.exp(below) < TINY
+        row = np.array([[0.0, above, below]])
+        sums = attention._softmax_(row, flush=True)
+        assert sums[0, 0] == 1.0
+        assert row[0, 1] == np.exp(above)
+        assert row[0, 2] == 0.0
+
+    def test_unflushed_softmax_keeps_the_subnormal(self):
+        below = np.nextafter(EXP_FLOOR, -np.inf)
+        row = np.array([[0.0, below]])
+        attention._softmax_(row)
+        assert 0.0 < row[0, 1] < TINY
+
+    # the cases TestBlocksMatchDenseFormulation holds to the dense bits:
+    # sampling at seed 5, splatting at seed 6
+    @pytest.mark.parametrize("splat, seed", [(False, 5), (True, 6)])
+    @pytest.mark.parametrize("hw", [(84, 84), (44, 61)])
+    def test_flush_fires_only_below_tiny(self, hw, splat, seed):
+        shifted = shifted_exchange_logits(hw, 512, seed, splat)
+        flushed = shifted < EXP_FLOOR
+        expd = np.exp(shifted)
+        # subnormal terms the flush turns into zeros, not just underflows
+        assert np.count_nonzero(flushed & (expd > 0.0)) > 0
+        assert expd[flushed].max() < TINY
+        assert expd[~flushed].min() >= TINY
 
 
 class TestMaskedSoftmax:

@@ -108,6 +108,19 @@ class TestSampleGroups:
         rc = main(["sample-groups", "--seed", "0", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_groups_without_targets_warn_on_one_line(self, tmp_path, fast_config, capsys):
+        # image 2's descriptor is orthogonal to the others', so both of its
+        # stage-1 groups (ids 2 and 5) come out with no targets
+        table = tmp_path / "desc.tsv"
+        table.write_text("1\t0\t0\n1\t0.1\t0\n0\t0\t1\n")
+        rc = main(["sample-groups", "--descriptors", str(table),
+                   "--out", str(tmp_path), "--config", fast_config])
+        assert rc == 0
+        assert capsys.readouterr().err == ("mvmatch sample-groups: warning: group(s) 2, 5 "
+                                           "(source(s) 2) have no targets\n")
+        payload = json.loads((tmp_path / "groups.json").read_text())
+        assert [g["targets"] for g in payload["groups"]][2::3] == [[], []]
+
 
 class TestMatch:
     def test_emits_warps_and_manifest(self, matched_dir):
@@ -370,6 +383,71 @@ class TestErrorContract:
         assert rc == 2
         self.assert_one_line_error(capsys, "gen-scene",
                                    "config.json: strides must be a list, got 8")
+
+    def test_config_with_string_track_tokens(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"track_tokens": "32"}')
+        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "gen-scene",
+                                   "config.json: track_tokens must be int, got '32'")
+
+    def test_config_with_a_string_stride(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"strides": [8, "4"]}')
+        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "gen-scene",
+                                   "config.json: strides must be a list of int, got [8, '4']")
+
+    def test_config_with_boolean_for_a_number(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"sigma": true}')
+        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "gen-scene",
+                                   "config.json: sigma must be float, got True")
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[]")
+        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "gen-scene",
+                                   "config.json: a config must be a JSON object")
+
+    def assert_names_unparsed_file(self, capsys, command, path):
+        self.assert_one_line_error(capsys, command, f"error: {path}: not valid JSON: ")
+
+    def test_scene_that_is_not_json(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        scene.write_text("not json")
+        rc = main(["build-tracks", "--scene", str(scene), "--out", str(tmp_path)])
+        assert rc == 2
+        self.assert_names_unparsed_file(capsys, "build-tracks", scene)
+
+    def test_config_that_is_not_json(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"sigma": 1.0,}')
+        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 2
+        self.assert_names_unparsed_file(capsys, "gen-scene", config)
+
+    def test_group_manifest_that_is_not_json(self, tmp_path, capsys, planar_scene):
+        groups = tmp_path / "groups.json"
+        groups.write_text("")
+        rc = main(["match", "--scene", str(planar_scene), "--groups", str(groups),
+                   "--out", str(tmp_path / "warps")])
+        assert rc == 2
+        self.assert_names_unparsed_file(capsys, "match", groups)
+
+    def test_warp_manifest_that_is_not_json(self, tmp_path, capsys):
+        warps = tmp_path / "warps"
+        warps.mkdir()
+        (warps / "manifest.json").write_text("{groups: []}")
+        rc = main(["postprocess", "--warps", str(warps), "--out", str(tmp_path)])
+        assert rc == 2
+        self.assert_names_unparsed_file(capsys, "postprocess", warps / "manifest.json")
 
 
 class TestDeterminism:

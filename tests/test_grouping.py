@@ -168,12 +168,12 @@ class TestBuildGroup:
             assert usage.counts[0, t] == 1
             assert (t, 0) in usage.pending
 
-    def test_no_candidates_warns_empty(self, caplog):
+    def test_no_candidates_gives_empty_group(self):
         o = overlap(np.zeros((2, 2)))
         usage = PairUsage.empty(2)
-        with caplog.at_level("WARNING"):
-            group = build_group(0, o, usage, PipelineConfig())
+        group = build_group(0, o, usage, PipelineConfig())
         assert group.targets == ()
+        assert not usage.pending
 
 
 class TestReciprocity:

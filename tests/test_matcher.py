@@ -64,10 +64,11 @@ class TestGlobalMatch:
                          AnchorGrid.uniform(2, 2, (2, 2)), 0.002)
 
     # 84x84 is the coarse grid at the shipped 672 px; 37x53 source rows span
-    # several blocks with a ragged last one, against 40x40 anchors
+    # several blocks with a ragged last one, against 40x40 anchors; 0.002 is
+    # the shipped temperature. The confidence is read as 1 / row sum.
     @pytest.mark.parametrize("src_hw, tgt_hw", [((84, 84), (84, 84)),
                                                 ((37, 53), (40, 40))])
-    @pytest.mark.parametrize("tau", [0.01, 1.0])
+    @pytest.mark.parametrize("tau", [0.01, 1.0, 0.002])
     def test_row_blocks_give_the_dense_bits(self, src_hw, tgt_hw, tau):
         rng = np.random.default_rng(7)
         src = FeatureGrid(rng.normal(size=(*src_hw, 32)))
