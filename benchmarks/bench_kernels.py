@@ -3,7 +3,10 @@
 Run:  python benchmarks/bench_kernels.py [--repeats 5]
 
 Prints the best per-call latency of each kernel in ``mvmatch.kernels``; the
-local correlation is timed at the refiner's (size, window) pairs. The
+local correlation is timed at the refiner's (size, window) pairs and at the
+48 px scene's finest level, each under a uniform-random warp and a smooth
+one (a slight rotation and zoom): its products are keyed by target block,
+so the two should cost the same. The
 track-guided exchange's sampling and splatting are timed at the shipped
 672 px coarse grid (84^2 cells), 512 tracks and D = 32, with about 10% of
 the tracks invisible in the view.
@@ -29,6 +32,15 @@ def timeit(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def smooth_warp(size):
+    """Targets of a 3 degree rotation and 5% zoom about the grid centre."""
+    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64) - (size - 1) / 2
+    a = np.deg2rad(3.0)
+    x = 1.05 * (np.cos(a) * xs - np.sin(a) * ys)
+    y = 1.05 * (np.sin(a) * xs + np.cos(a) * ys)
+    return np.stack([x, y], axis=-1) + (size - 1) / 2
 
 
 def main():
@@ -59,12 +71,14 @@ def main():
         ("zbuffer_min (200k pts)", lambda: kernels.zbuffer_min(px, py, depth, h, w)),
         ("fill_nearest (70% holes)", lambda: kernels.fill_nearest(coords, valid)),
     ]
-    for size, window in ((168, 5), (84, 7), (42, 9)):
+    for size, window in ((168, 5), (84, 7), (42, 9), (48, 5)):
         src = np.ascontiguousarray(feat[:size, :size])
         dst = np.ascontiguousarray(tgt[:size, :size])
-        warp = rng.uniform(0, size - 1, size=(size, size, 2))
-        cases.append((f"local_corr ({size}^2, win {window})",
-                      partial(kernels.local_corr, src, dst, warp, window)))
+        warps = {"random": rng.uniform(0, size - 1, size=(size, size, 2)),
+                 "smooth": smooth_warp(size)}
+        for kind, warp in warps.items():
+            cases.append((f"local_corr ({size}^2, win {window}, {kind})",
+                          partial(kernels.local_corr, src, dst, warp, window)))
 
     side, tracks = 84, 512
     params = attention.init_attention_params(c, sigma=1.0, seed=0)
@@ -81,9 +95,9 @@ def main():
     ]
 
     print(f"backend: {kernels.BACKEND}; repeats: {args.repeats} (best time shown)")
-    print(f"{'kernel':38s} {'numpy':>10s}")
+    print(f"{'kernel':44s} {'numpy':>10s}")
     for name, fn in cases:
-        print(f"{name:38s} {timeit(fn, args.repeats) * 1e3:9.2f}ms")
+        print(f"{name:44s} {timeit(fn, args.repeats) * 1e3:9.2f}ms")
     return 0
 
 

@@ -87,6 +87,9 @@ def cmd_build_tracks(args) -> int:
     samples = simulate_matcher(scene, group, cfg.matcher_samples,
                                cfg.matcher_noise_sigma, cfg.matcher_outlier_rate,
                                seed=args.seed)
+    if cfg.track_tokens > len(samples):
+        print(f"mvmatch build-tracks: warning: track budget {cfg.track_tokens} exceeds "
+              f"{len(samples)} raw matches; capping", file=sys.stderr)
     tracks = sample_tracks(samples, cfg.track_tokens, seed=args.seed,
                            normalize=cfg.normalize_track_coords)
     path = out / "tracks.tsv"
@@ -156,12 +159,15 @@ def cmd_match(args) -> int:
     if empty:
         print(f"mvmatch match: warning: skipped group(s) {', '.join(map(str, empty))} "
               "with no targets", file=sys.stderr)
+    capped = []
     for gid, group in enumerate(groups):
         if not group.targets:
             continue
         samples = simulate_matcher(scene, group, cfg.matcher_samples,
                                    cfg.matcher_noise_sigma, cfg.matcher_outlier_rate,
                                    seed=args.seed + gid)
+        if cfg.track_tokens > len(samples):
+            capped.append(f"{gid} ({len(samples)} matches)")
         tracks = sample_tracks(samples, cfg.track_tokens, seed=args.seed + gid,
                                normalize=cfg.normalize_track_coords)
         warps = run_group(group, provider, tracks, params,
@@ -171,6 +177,9 @@ def cmd_match(args) -> int:
             write_warp_file(out / name, warp)
         manifest["groups"].append({"id": gid, "source": group.source,
                                    "targets": list(group.targets)})
+    if capped:
+        print(f"mvmatch match: warning: track budget {cfg.track_tokens} exceeds the raw "
+              f"matches of group(s) {', '.join(capped)}; capping", file=sys.stderr)
     with open(out / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")

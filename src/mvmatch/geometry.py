@@ -254,9 +254,13 @@ def triangulate_tracks(tracks, cameras, views=None):
 
 
 def _nn_min_d2(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Squared distance from each query point to its nearest reference point."""
+    """Squared distance from each query point to its nearest reference point.
+
+    Query points go in chunks of 64, so the (chunk, reference, 3) temporaries
+    stay near 6 MB for 4000 reference points.
+    """
     out = np.empty(query.shape[0])
-    chunk = 2048
+    chunk = 64
     for lo in range(0, query.shape[0], chunk):
         q = query[lo:lo + chunk]
         d2 = np.sum((q[:, None, :] - reference[None, :, :]) ** 2, axis=2)

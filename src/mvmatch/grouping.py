@@ -281,9 +281,27 @@ def write_group_manifest(path, stage1: list[ImageGroup], stage2: list[ImageGroup
 
 
 def read_group_manifest(path) -> list[tuple[ImageGroup, int]]:
+    """Read a manifest written by ``write_group_manifest`` as (group, stage)
+    pairs. A file that is not a JSON object holding a list of group objects,
+    or a group with a missing key or bad value, raises a ValueError that
+    starts with the path."""
     payload = read_json(path)
     try:
-        return [(ImageGroup(g["source"], tuple(g["targets"])), g["stage"])
-                for g in payload["groups"]]
+        groups = payload["groups"] if isinstance(payload, dict) else None
+        if not isinstance(groups, list) or not all(isinstance(g, dict) for g in groups):
+            raise ValueError("a group manifest must be a JSON object whose "
+                             "\"groups\" is a list of objects")
+        return [_manifest_group(g) for g in groups]
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _manifest_group(g: dict) -> tuple[ImageGroup, int]:
+    source, targets, stage = g["source"], g["targets"], g["stage"]
+    if not (isinstance(source, int) and isinstance(stage, int)
+            and isinstance(targets, list) and all(isinstance(t, int) for t in targets)):
+        raise ValueError(f"a group needs an int source and stage and a list of "
+                         f"int targets, got {g}")
+    return ImageGroup(source, tuple(targets)), stage

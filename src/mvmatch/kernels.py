@@ -34,29 +34,50 @@ def _axis_taps(p: np.ndarray, size: int):
 
 
 def bilinear_gather(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample ``data`` (H, W, C) at continuous (x, y) positions, border-clamped."""
+    """Sample ``data`` (H, W, C) at continuous (x, y) positions, border-clamped.
+
+    The blend runs in place on three gathered arrays, so the scratch memory
+    is three times the output's.
+    """
     data = _f64(data)
     h, w = data.shape[:2]
+    cells = data.reshape(h * w, -1)
     x0, x1, fx = _axis_taps(np.asarray(xs, dtype=np.float64), w)
     y0, y1, fy = _axis_taps(np.asarray(ys, dtype=np.float64), h)
-    fx = fx[..., None]
-    fy = fy[..., None]
-    v00 = data[y0, x0]
-    v01 = data[y0, x1]
-    v10 = data[y1, x0]
-    v11 = data[y1, x1]
-    top = v00 * (1.0 - fx) + v01 * fx
-    bot = v10 * (1.0 - fx) + v11 * fx
-    return top * (1.0 - fy) + bot * fy
+    fx = fx.reshape(-1, 1)
+    fy = fy.reshape(-1, 1)
+    gx = 1.0 - fx
+
+    def corner(yi, xi, out=None):
+        # the taps are in range; "clip" writes into ``out`` without a buffer
+        return np.take(cells, (yi * w + xi).ravel(), axis=0, out=out, mode="clip")
+
+    top = corner(y0, x0)
+    top *= gx
+    other = corner(y0, x1)
+    other *= fx
+    top += other
+    bot = corner(y1, x0)
+    bot *= gx
+    corner(y1, x1, out=other)
+    other *= fx
+    bot += other
+    top *= 1.0 - fy
+    bot *= fy
+    top += bot
+    return top.reshape(x0.shape + data.shape[2:])
 
 
 # ---------------------------------------------------------------------------
 # local correlation volume
 # ---------------------------------------------------------------------------
 
-# Source rows per band of local_corr. Pixels are independent, so the band
-# only bounds the scratch memory; any value gives the same bits.
-_CORR_BAND_ROWS = 16
+# Side, in target cells, of the square blocks that key local_corr's products.
+_CORR_BLOCK = 16
+# Most source pixels in one product; a fuller block is split into near-equal
+# parts, which bounds the scratch memory when warps pile up at one target
+# cell (e.g. all targets off one corner of the image).
+_CORR_PRODUCT_ROWS = 2048
 
 
 def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: int) -> np.ndarray:
@@ -71,52 +92,74 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
       floor and clamp arithmetic of ``bilinear_gather``, so offsets that
       clamp to the same taps give exactly equal scores and the readout's
       first-index tie-break at the borders is kept;
-    * takes the dot products with the (window + 2)^2 integer cells from the
-      taps of offset -r, clamped to the last row and column. The span is
-      window + 2, not window + 1, because near integer targets
-      floor(t + dx) can step one cell past dx;
-    * blends the four corner dots of each offset with its fx, fy.
+    * keys every source pixel by the ``_CORR_BLOCK`` x ``_CORR_BLOCK`` block
+      of target cells that holds its offset -r taps. All taps of the pixel
+      lie within span = window + 2 cells of those (span, not window + 1,
+      because near integer targets floor(t + dx) can step one cell past dx),
+      so they lie in the block's region: _CORR_BLOCK + span - 1 rows and as
+      many columns, plus the few more that make its cell count a multiple
+      of 8. Region cells past the last target row or column repeat it, as
+      the taps are clamped;
+    * takes the dot products of the block's pixels with every region cell
+      in one BLAS product, ``S[pix] @ region.T``, and blends the four
+      corner dots of each offset with its fx, fy. A block of more than
+      ``_CORR_PRODUCT_ROWS`` pixels is split into near-equal products.
 
-    Source rows are processed in bands of ``_CORR_BAND_ROWS``, which bounds
-    the scratch memory and does not change the result. Blending after the
-    channel sum instead of before it moves scores by a few ulps only.
+    Blending after the channel sum instead of before it, and BLAS's order
+    of the channel sum, move scores by a few ulps: they agree with the
+    per-offset gather to ``CORR_ATOL`` = 1e-13 (``tests/test_kernels.py``).
+    The bits may change with ``_CORR_BLOCK``, not with the BLAS thread
+    count or the product split: with a column count that is a multiple of
+    8, OpenBLAS gives a product entry the same bits however it splits the
+    rows of a product of three or more rows (measured at 1 and 2 threads).
     """
     src, tgt, targets, window = _f64(src), _f64(tgt), _f64(targets), int(window)
     h, w, c = src.shape
     th, tw = tgt.shape[:2]
     r = (window - 1) // 2
-    span = window + 2
-    steps = np.arange(span)
+    side = _CORR_BLOCK + window + 1
+    width = side
+    while side * width % 8:
+        width += 1
     offsets = np.arange(-r, r + 1, dtype=np.float64)
     inv = 1.0 / np.sqrt(c)
-    out = np.empty((h, w, window, window), dtype=np.float64)
-    for b0 in range(0, h, _CORR_BAND_ROWS):
-        band = slice(b0, b0 + _CORR_BAND_ROWS)
-        s = src[band]
-        lead = s.shape[:2]
-        # per-offset taps, (rows, w, window): column offsets in x, row offsets in y
-        x0, x1, fx = _axis_taps(targets[band, :, 0, None] + offsets, tw)
-        y0, y1, fy = _axis_taps(targets[band, :, 1, None] + offsets, th)
-        # dot products with the span x span integer cells from offset -r's taps
-        bx = x0[..., :1]
-        by = y0[..., :1]
-        cols = np.minimum(bx + steps, tw - 1)
-        dots = np.empty(lead + (span, span), dtype=np.float64)
-        for k in range(span):
-            rows = np.minimum(by + k, th - 1)
-            dots[..., k, :] = np.einsum("ywc,ywic->ywi", s, tgt[rows, cols])
-        dots = dots.reshape(lead + (span * span,))
+    s = src.reshape(h * w, c)
+    t = targets.reshape(h * w, 2)
+    out = np.empty((h * w, window, window), dtype=np.float64)
 
-        def corner(yi, xi):
-            idx = ((yi - by) * span)[..., :, None] + (xi - bx)[..., None, :]
-            return np.take_along_axis(dots, idx.reshape(lead + (-1,)), axis=2).reshape(idx.shape)
+    # block of each pixel's offset -r taps, pixels sorted by block
+    nbx = (tw - 1) // _CORR_BLOCK + 1
+    by = _axis_taps(t[:, 1] - r, th)[0] // _CORR_BLOCK
+    bx = _axis_taps(t[:, 0] - r, tw)[0] // _CORR_BLOCK
+    key = by * nbx + bx
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    ends = np.r_[starts[1:], key.size]
+    cells_y, cells_x = np.arange(side)[:, None], np.arange(width)
 
-        gx = fx[..., None, :]
-        gy = fy[..., :, None]
-        top = corner(y0, x0) * (1.0 - gx) + corner(y0, x1) * gx
-        bot = corner(y1, x0) * (1.0 - gx) + corner(y1, x1) * gx
-        out[band] = (top * (1.0 - gy) + bot * gy) * inv
-    return out
+    for lo, hi in zip(starts, ends):
+        oy, ox = divmod(int(key[lo]), nbx)
+        oy *= _CORR_BLOCK
+        ox *= _CORR_BLOCK
+        region = tgt[np.minimum(oy + cells_y, th - 1),
+                     np.minimum(ox + cells_x, tw - 1)].reshape(-1, c)
+        for pix in np.array_split(order[lo:hi], -(-(hi - lo) // _CORR_PRODUCT_ROWS)):
+            dots = (s[pix] @ region.T).ravel()
+            x0, x1, fx = _axis_taps(t[pix, 0, None] + offsets, tw)
+            y0, y1, fy = _axis_taps(t[pix, 1, None] + offsets, th)
+            # flat index of each tap's cell in its pixel's row of dots
+            rows = np.arange(pix.size)[:, None] * (side * width) - oy * width - ox
+            y0 = (rows + y0 * width)[:, :, None]
+            y1 = (rows + y1 * width)[:, :, None]
+            x0 = x0[:, None, :]
+            x1 = x1[:, None, :]
+            gx = fx[:, None, :]
+            gy = fy[:, :, None]
+            top = dots[y0 + x0] * (1.0 - gx) + dots[y0 + x1] * gx
+            bot = dots[y1 + x0] * (1.0 - gx) + dots[y1 + x1] * gx
+            out[pix] = (top * (1.0 - gy) + bot * gy) * inv
+    return out.reshape(h, w, window, window)
 
 
 # ---------------------------------------------------------------------------

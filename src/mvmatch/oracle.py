@@ -408,7 +408,12 @@ def save_scene(path, oracle: SceneOracle) -> None:
 
 
 def load_scene(path) -> SceneOracle:
+    """Read a scene written by ``save_scene``. A file that is not a JSON
+    object of the scene's keys and value shapes raises a ValueError that
+    starts with the path."""
     payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a scene must be a JSON object")
     try:
         kind = payload["kind"]
         size = tuple(payload["image_size"])
@@ -426,5 +431,7 @@ def load_scene(path) -> SceneOracle:
         return SceneOracle(kind, size, seed, **views)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed scene: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -8,7 +8,6 @@ real input matches, never synthetic centroids.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +15,11 @@ import numpy as np
 from .grids import MISSING
 from .oracle import MatchSample
 
-logger = logging.getLogger(__name__)
-
 KMEANS_MAX_ITERS = 50
 KMEANS_TOL = 1e-4
+# Points per block of k-means' squared distances; bounds the (block, k, dim)
+# temporary of differences.
+KMEANS_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,6 @@ def allocate_clusters(partitions: list[VisibilityPartition], budget: int) -> tup
     sizes = np.array([p.size for p in partitions], dtype=np.int64)
     total = int(sizes.sum())
     capped = budget > total
-    if capped:
-        logger.warning("track budget %d exceeds %d raw matches; capping", budget, total)
     remaining = min(budget, total)
     counts = np.zeros(len(partitions), dtype=np.int64)
     active = sizes.copy()
@@ -136,6 +134,18 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
+def _sq_distances(points: np.ndarray, centers: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` (n, k) with the squared distances of points to centers,
+    ``KMEANS_BLOCK`` points at a time."""
+    diff = np.empty((KMEANS_BLOCK,) + centers.shape)
+    for i in range(0, points.shape[0], KMEANS_BLOCK):
+        block = points[i:i + KMEANS_BLOCK]
+        d = diff[:block.shape[0]]
+        np.subtract(block[:, None, :], centers, out=d)
+        np.square(d, out=d)
+        np.sum(d, axis=2, out=out[i:i + KMEANS_BLOCK])
+
+
 def kmeans(points: np.ndarray, k: int, seed: int):
     """Seeded k-means++ plus Lloyd iterations; returns (centers, labels).
 
@@ -150,8 +160,9 @@ def kmeans(points: np.ndarray, k: int, seed: int):
     rng = np.random.Generator(np.random.PCG64(seed))
     centers = _kmeans_pp_init(points, k, rng)
     labels = np.zeros(n, dtype=np.int64)
+    d2 = np.empty((n, k))
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        _sq_distances(points, centers, d2)
         labels = np.argmin(d2, axis=1)
         new_centers = centers.copy()
         counts = np.bincount(labels, minlength=k)

@@ -63,6 +63,16 @@ class TestBuildTracks:
         assert v == 4
         assert len(tracks) == 32
 
+    def test_capped_budget_warns_on_one_line(self, tmp_path, planar_scene, capsys):
+        config = tmp_path / "config.json"
+        save_config(config, PipelineConfig(track_tokens=32, matcher_samples=20))
+        rc = main(["build-tracks", "--scene", str(planar_scene), "--seed", "1",
+                   "--out", str(tmp_path), "--config", str(config)])
+        assert rc == 0
+        assert capsys.readouterr().err == ("mvmatch build-tracks: warning: track budget 32 "
+                                           "exceeds 20 raw matches; capping\n")
+        assert len(read_tracks_tsv(tmp_path / "tracks.tsv")[0]) == 20
+
 
 class TestSampleGroups:
     def test_full_budget(self, tmp_path, planar_scene, fast_config):
@@ -144,6 +154,26 @@ class TestMatch:
                    "--config", fast_config])
         assert rc == 0
         assert len(sorted(out.glob("*.mvwf"))) == 2
+
+    def test_capped_budget_names_the_groups(self, tmp_path, planar_scene, fast_config,
+                                            capsys):
+        # every group simulates 20 matches for 32 track tokens; group 1 has no
+        # targets, is skipped, and is not named in the capping line
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({
+            "groups": [{"source": 0, "targets": [1, 2, 3], "stage": 1},
+                       {"source": 1, "targets": [], "stage": 2},
+                       {"source": 2, "targets": [0], "stage": 2}]}))
+        config = tmp_path / "config.json"
+        save_config(config, replace(load_config(fast_config), matcher_samples=20))
+        rc = main(["match", "--scene", str(planar_scene), "--seed", "3",
+                   "--groups", str(groups), "--out", str(tmp_path / "warps"),
+                   "--config", str(config)])
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "mvmatch match: warning: skipped group(s) 1 with no targets",
+            "mvmatch match: warning: track budget 32 exceeds the raw matches of "
+            "group(s) 0 (20 matches), 2 (20 matches); capping"]
 
     def test_config_reaches_the_matcher(self, tmp_path, planar_scene, matched_dir,
                                         fast_config):
@@ -366,6 +396,30 @@ class TestErrorContract:
                    "--out", str(tmp_path / "warps")])
         assert rc == 2
         self.assert_one_line_error(capsys, "match", "groups.json: missing key 'targets'")
+
+    def test_scene_that_is_not_an_object(self, tmp_path, capsys):
+        self.run_on_scene(tmp_path, [])
+        self.assert_one_line_error(capsys, "build-tracks",
+                                   "scene.json: a scene must be a JSON object")
+
+    def test_group_manifest_with_groups_not_a_list(self, tmp_path, capsys, planar_scene):
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"groups": {"a": 1}}))
+        rc = main(["match", "--scene", str(planar_scene), "--groups", str(groups),
+                   "--out", str(tmp_path / "warps")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "match", "groups.json: a group manifest must "
+                                   'be a JSON object whose "groups" is a list of objects')
+
+    def test_group_with_a_string_source(self, tmp_path, capsys, planar_scene):
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"groups": [{"source": "a", "targets": [1],
+                                                  "stage": 1}]}))
+        rc = main(["match", "--scene", str(planar_scene), "--groups", str(groups),
+                   "--out", str(tmp_path / "warps")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "match", "groups.json: a group needs an int "
+                                   "source and stage and a list of int targets")
 
     def test_warp_manifest_without_groups(self, tmp_path, capsys):
         warps = tmp_path / "warps"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,20 @@ class TestAccuracyCompleteness:
         row = table[1e-9]
         assert row["accuracy"] == 1.0
         assert row["completeness"] == pytest.approx(0.5)
+
+    def test_scratch_memory_stays_small(self):
+        # 1200 points against 4000: the nearest-neighbour search runs in
+        # chunks of 64 queries, about 12 MB of temporaries; chunks of 2048
+        # queries peaked at 146 MB
+        rng = np.random.default_rng(12)
+        pts, gt = rng.normal(size=(1200, 3)), rng.normal(size=(4000, 3))
+        tracemalloc.start()
+        try:
+            accuracy_completeness(pts, gt, [0.05])
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 16, peak
 
     def test_matches_per_threshold_search(self):
         # points on an integer lattice put some nearest distances exactly on

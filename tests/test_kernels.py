@@ -1,6 +1,8 @@
 """Kernel agreement: each numpy kernel must match an independent explicit-loop
 oracle from ``tests/oracles.py``."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
@@ -74,8 +76,22 @@ class TestAgreement:
             np.testing.assert_array_equal(kernels.bilinear_gather(data, xs, ys),
                                           brute_force_gather(data, xs, ys))
 
+    def test_bilinear_gather_scratch_is_three_outputs(self):
+        # 4096 points of 32 channels: 1 MB of output; the blend out of place
+        # peaked at 8 MB
+        data = rng.normal(size=(64, 64, 32))
+        xs, ys = rng.uniform(-1, 64, size=(2, 4096))
+        out_mb = 4096 * 32 * 8 / 2**20
+        tracemalloc.start()
+        try:
+            kernels.bilinear_gather(data, xs, ys)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * out_mb, peak
+
     def test_local_corr(self):
-        # 37 rows is not a multiple of the row band
+        # 37 is not a multiple of the target block
         for n, window in ((21, 9), (42, 9), (84, 7), (37, 5)):
             src = rng.normal(size=(n, n, 32))
             tgt = rng.normal(size=(n, n, 32))
@@ -86,14 +102,39 @@ class TestAgreement:
                 atol=CORR_ATOL, rtol=0)
             assert_clamped_ties_exact(got, targets, n, n)
 
-    def test_local_corr_bands_do_not_change_bits(self, monkeypatch):
+    @staticmethod
+    def assert_local_corr(src, tgt, targets, window, want):
+        got = kernels.local_corr(src, tgt, targets, window)
+        np.testing.assert_allclose(got, want, atol=CORR_ATOL, rtol=0)
+        np.testing.assert_allclose(got, per_offset_local_corr(src, tgt, targets, window),
+                                   atol=CORR_ATOL, rtol=0)
+        assert_clamped_ties_exact(got, targets, *tgt.shape[:2])
+        return got
+
+    def test_local_corr_block_sizes(self, monkeypatch):
+        # the target block that keys a product may change the order of the
+        # channel sums only; 40 puts the whole 29 x 34 target grid in one block
         src = rng.normal(size=(37, 11, 8))
+        tgt = rng.normal(size=(29, 34, 8))
+        targets = border_targets(rng, 37, 11, 29, 34)
+        shipped = kernels.local_corr(src, tgt, targets, 5)
+        for block in (4, 8, 32, 40):
+            monkeypatch.setattr(kernels, "_CORR_BLOCK", block)
+            self.assert_local_corr(src, tgt, targets, 5, shipped)
+
+    def test_local_corr_all_pixels_in_one_cell(self, monkeypatch):
+        # every offset -r tap lands in target cell (0, 0), so one block holds
+        # every pixel; splitting its product into parts of 3 to 5 rows keeps
+        # the bits, since the product's column count is a multiple of 8
+        src = rng.normal(size=(23, 19, 8))
         tgt = rng.normal(size=(9, 14, 8))
-        targets = border_targets(rng, 37, 11, 9, 14)
-        banded = kernels.local_corr(src, tgt, targets, 5)
-        for rows in (1, 7, 1000):
-            monkeypatch.setattr(kernels, "_CORR_BAND_ROWS", rows)
-            np.testing.assert_array_equal(kernels.local_corr(src, tgt, targets, 5), banded)
+        targets = rng.uniform(-2.0, 0.999, size=(23, 19, 2))
+        targets[::4] = -5.0  # clamped taps: offsets tie
+        whole = kernels.local_corr(src, tgt, targets, 3)
+        for rows in (5, 4, 3):
+            monkeypatch.setattr(kernels, "_CORR_PRODUCT_ROWS", rows)
+            got = self.assert_local_corr(src, tgt, targets, 3, whole)
+            np.testing.assert_array_equal(got, whole)
 
     def test_upsample_linear(self):
         # the kernel blends along y, then x; the oracle blends each cell's
