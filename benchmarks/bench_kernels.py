@@ -9,7 +9,11 @@ one (a slight rotation and zoom): its products are keyed by target block,
 so the two should cost the same. The
 track-guided exchange's sampling and splatting are timed at the shipped
 672 px coarse grid (84^2 cells), 512 tracks and D = 32, with about 10% of
-the tracks invisible in the view.
+the tracks invisible in the view. Track building is timed on the inputs of
+two benchmark workloads at seed 1: ``simulate_matcher`` with 2000 samples
+on a 672 px planar scene and 800 samples on a 48 px point-cloud scene, and
+``kmeans`` on each one's largest visibility partition with the cluster count
+its track budget (512 and 128 tokens) allots.
 """
 
 import argparse
@@ -23,6 +27,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from mvmatch import attention, kernels  # noqa: E402
 from mvmatch.grids import FeatureGrid  # noqa: E402
+from mvmatch.grouping import ImageGroup  # noqa: E402
+from mvmatch.oracle import (make_planar_scene, make_point_cloud_scene,  # noqa: E402
+                            simulate_matcher)
+from mvmatch.tracks import allocate_clusters, kmeans, partition_by_visibility  # noqa: E402
 
 
 def timeit(fn, repeats):
@@ -93,6 +101,21 @@ def main():
          partial(attention.attentional_splatting, grid, track_feats, track_xy,
                  visible, params)),
     ]
+
+    group = ImageGroup(0, (1, 2, 3, 4))
+    for scene, samples, budget in ((make_planar_scene(5, (672, 672), 1), 2000, 512),
+                                   (make_point_cloud_scene(5, (48, 48), 1), 800, 128)):
+        size = scene.image_size[0]
+        cases.append((f"simulate_matcher ({size} px {scene.kind}, {samples})",
+                      partial(simulate_matcher, scene, group, samples, 0.5, 0.05, 1)))
+        raw, raw_vis = simulate_matcher(scene, group, samples, 0.5, 0.05, seed=1)
+        parts = partition_by_visibility(raw_vis)
+        counts, _ = allocate_clusters(parts, budget)
+        big = max(range(len(parts)), key=lambda i: parts[i].size)
+        pts = raw[parts[big].members][:, np.asarray(parts[big].mask, dtype=bool)]
+        pts = pts.reshape(parts[big].size, -1)
+        cases.append((f"kmeans ({pts.shape[0]} x {counts[big]} x {pts.shape[1]})",
+                      partial(kmeans, pts, int(counts[big]), 1)))
 
     print(f"backend: {kernels.BACKEND}; repeats: {args.repeats} (best time shown)")
     print(f"{'kernel':44s} {'numpy':>10s}")

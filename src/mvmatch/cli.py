@@ -84,17 +84,17 @@ def cmd_build_tracks(args) -> int:
     out = _out_dir(args)
     scene = load_scene(args.scene)
     group = _default_group(scene.num_views, cfg.targets_per_group)
-    samples = simulate_matcher(scene, group, cfg.matcher_samples,
-                               cfg.matcher_noise_sigma, cfg.matcher_outlier_rate,
-                               seed=args.seed)
-    if cfg.track_tokens > len(samples):
+    coords, vis = simulate_matcher(scene, group, cfg.matcher_samples,
+                                   cfg.matcher_noise_sigma, cfg.matcher_outlier_rate,
+                                   seed=args.seed)
+    if cfg.track_tokens > len(coords):
         print(f"mvmatch build-tracks: warning: track budget {cfg.track_tokens} exceeds "
-              f"{len(samples)} raw matches; capping", file=sys.stderr)
-    tracks = sample_tracks(samples, cfg.track_tokens, seed=args.seed,
+              f"{len(coords)} raw matches; capping", file=sys.stderr)
+    tracks = sample_tracks(coords, vis, cfg.track_tokens, seed=args.seed,
                            normalize=cfg.normalize_track_coords)
     path = out / "tracks.tsv"
     write_tracks_tsv(path, tracks, num_views=len(group.views))
-    print(f"wrote {path} ({len(tracks)} tracks from {len(samples)} matches)")
+    print(f"wrote {path} ({len(tracks)} tracks from {len(coords)} matches)")
     return 0
 
 
@@ -163,12 +163,12 @@ def cmd_match(args) -> int:
     for gid, group in enumerate(groups):
         if not group.targets:
             continue
-        samples = simulate_matcher(scene, group, cfg.matcher_samples,
-                                   cfg.matcher_noise_sigma, cfg.matcher_outlier_rate,
-                                   seed=args.seed + gid)
-        if cfg.track_tokens > len(samples):
-            capped.append(f"{gid} ({len(samples)} matches)")
-        tracks = sample_tracks(samples, cfg.track_tokens, seed=args.seed + gid,
+        coords, vis = simulate_matcher(scene, group, cfg.matcher_samples,
+                                       cfg.matcher_noise_sigma, cfg.matcher_outlier_rate,
+                                       seed=args.seed + gid)
+        if cfg.track_tokens > len(coords):
+            capped.append(f"{gid} ({len(coords)} matches)")
+        tracks = sample_tracks(coords, vis, cfg.track_tokens, seed=args.seed + gid,
                                normalize=cfg.normalize_track_coords)
         warps = run_group(group, provider, tracks, params,
                           upsample_factor=cfg.upsample_factor)

@@ -96,6 +96,17 @@ def _check_value(path, key: str, kind, value) -> None:
         raise ValueError(f"{path}: {key} must be {kind.__name__}, got {value!r}")
 
 
+# Track-building values outside these ranges would run wrongly or fail deep
+# inside a command, so loading rejects them: key -> (check, requirement).
+_RANGES = {
+    "track_tokens": (lambda v: v >= 1, "must be >= 1"),
+    "matcher_samples": (lambda v: v >= 1, "must be >= 1"),
+    "matcher_noise_sigma": (lambda v: v >= 0, "must be >= 0"),
+    "matcher_outlier_rate": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "targets_per_group": (lambda v: v >= 1, "must be >= 1"),
+}
+
+
 def save_config(path, config: PipelineConfig) -> None:
     with open(path, "w") as f:
         f.write(config.to_json())
@@ -111,6 +122,8 @@ def load_config(path) -> PipelineConfig:
         raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
     for key, value in payload.items():
         _check_value(path, key, kinds[key], value)
+        if key in _RANGES and not _RANGES[key][0](value):
+            raise ValueError(f"{path}: {key} {_RANGES[key][1]}, got {value!r}")
         if isinstance(value, list):
             payload[key] = tuple(value)
     return PipelineConfig(**payload)

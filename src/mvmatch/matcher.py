@@ -393,7 +393,8 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
         improved = sc_new > corr[:, :, r, r] + VERIFY_MARGIN / np.sqrt(d)
         delta = np.where(improved[..., None], delta, 0.0)
         updates[tgt] = delta, CONF_BLEND * (peak - w_up.confidence)
-        corrs[tgt] = corr
+        if params.residual_gain != 0.0:  # only the hidden states read the volumes
+            corrs[tgt] = corr
 
     hiddens: dict[int, FeatureGrid] = {}
     if params.residual_gain != 0.0:

@@ -59,25 +59,6 @@ class PinholeCamera:
 
 
 @dataclass(frozen=True)
-class MatchSample:
-    """One simulated multi-view match: a source pixel and its per-view targets."""
-
-    source_pixel: np.ndarray  # (2,) float
-    target_pixels: np.ndarray  # (V, 2) float, MISSING rows for invisible views
-    visibility: np.ndarray     # (V,) bool; slot 0 is the source and is always True
-
-    def __post_init__(self):
-        object.__setattr__(self, "source_pixel",
-                           np.asarray(self.source_pixel, dtype=np.float64).reshape(2))
-        object.__setattr__(self, "target_pixels",
-                           np.asarray(self.target_pixels, dtype=np.float64))
-        object.__setattr__(self, "visibility",
-                           np.asarray(self.visibility, dtype=bool))
-        if not self.visibility[0]:
-            raise ValueError("source slot must be visible")
-
-
-@dataclass(frozen=True)
 class SceneOracle:
     kind: str                 # "planar" or "point_cloud"
     image_size: tuple[int, int]  # (H, W)
@@ -222,15 +203,17 @@ def gt_transfer_points(oracle: SceneOracle, source: int, target: int,
 
 def simulate_matcher(oracle: SceneOracle, group: ImageGroup, n: int,
                      noise_sigma: float = 0.0, outlier_rate: float = 0.0,
-                     seed: int | None = None) -> list[MatchSample]:
+                     seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Noisy pairwise-matcher stand-in seeded from the oracle.
 
     Draws ``n`` source pixels uniformly from the pixels covisible with at
     least one target; inlier targets are the ground-truth transfer plus
-    isotropic Gaussian noise, and an ``outlier_rate`` fraction of the visible
-    target coordinates is replaced by uniform in-image positions. Visibility
-    masks always reflect true covisibility. Deterministic for a fixed seed
-    (defaults to the oracle's noise_seed).
+    isotropic Gaussian noise, clipped into the image, and an
+    ``outlier_rate`` fraction of the visible target coordinates is replaced
+    by uniform in-image positions. Returns (n, V, 2) coordinates, slot 0
+    being the integer source pixel and invisible slots the -1 sentinel, and
+    the (n, V) visibility, which always reflects true covisibility.
+    Deterministic for a fixed seed (defaults to the oracle's noise_seed).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -251,24 +234,17 @@ def simulate_matcher(oracle: SceneOracle, group: ImageGroup, n: int,
     is_outlier = rng.random((n, nt)) < outlier_rate if outlier_rate > 0 else np.zeros((n, nt), dtype=bool)
     uniform = np.stack([rng.uniform(0, w - 1, size=(n, nt)),
                         rng.uniform(0, h - 1, size=(n, nt))], axis=-1)
-    samples = []
-    for i in range(n):
-        coords = np.full((nt + 1, 2), MISSING)
-        vis = np.zeros(nt + 1, dtype=bool)
-        vis[0] = True
-        coords[0] = (float(sx[i]), float(sy[i]))
-        for t in range(nt):
-            if not covis[t, sy[i], sx[i]]:
-                continue
-            vis[t + 1] = True
-            if is_outlier[i, t]:
-                coords[t + 1] = uniform[i, t]
-            else:
-                # clamp so visible coordinates always stay inside the image
-                noisy = warps[t].targets[sy[i], sx[i]] + noise[i, t]
-                coords[t + 1] = np.clip(noisy, 0.0, [w - 1, h - 1])
-        samples.append(MatchSample(coords[0], coords, vis))
-    return samples
+    vis = np.ones((n, nt + 1), dtype=bool)
+    vis[:, 1:] = covis[:, sy, sx].T
+    truth = np.stack([wp.targets[sy, sx] for wp in warps], axis=1)  # (n, nt, 2)
+    # clip so visible coordinates always stay inside the image
+    inlier = np.clip(truth + noise, 0.0, [w - 1, h - 1])
+    coords = np.empty((n, nt + 1, 2))
+    coords[:, 0, 0] = sx
+    coords[:, 0, 1] = sy
+    coords[:, 1:] = np.where(is_outlier[..., None], uniform, inlier)
+    coords[~vis] = MISSING
+    return coords, vis
 
 
 def gt_track_error(oracle: SceneOracle, track, views=None) -> np.ndarray:

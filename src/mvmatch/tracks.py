@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import MISSING
-from .oracle import MatchSample
 
 KMEANS_MAX_ITERS = 50
 KMEANS_TOL = 1e-4
@@ -65,22 +64,18 @@ class VisibilityPartition:
         return self.members.shape[0]
 
 
-def token_from_sample(sample: MatchSample) -> TrackToken:
-    coords = np.where(sample.visibility[:, None], sample.target_pixels,
-                      MISSING).reshape(-1)
-    return TrackToken(coords, sample.visibility.copy())
-
-
-def partition_by_visibility(raw: list[MatchSample]) -> list[VisibilityPartition]:
-    """Group raw matches by identical visibility mask, lexicographic order."""
-    if not raw:
+def partition_by_visibility(visibility: np.ndarray) -> list[VisibilityPartition]:
+    """Group raw matches by identical (n, V) visibility row, in lexicographic
+    mask order; each partition's members ascend."""
+    visibility = np.asarray(visibility, dtype=bool)
+    if visibility.shape[0] == 0:
         raise ValueError("no raw matches to partition")
-    buckets: dict[tuple, list[int]] = {}
-    for i, sample in enumerate(raw):
-        key = tuple(int(v) for v in sample.visibility)
-        buckets.setdefault(key, []).append(i)
-    return [VisibilityPartition(mask, np.array(buckets[mask], dtype=np.int64))
-            for mask in sorted(buckets)]
+    masks, inverse = np.unique(visibility, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse))[:-1]
+    return [VisibilityPartition(tuple(int(b) for b in mask), members)
+            for mask, members in zip(masks, np.split(order, bounds))]
 
 
 def allocate_clusters(partitions: list[VisibilityPartition], budget: int) -> tuple[np.ndarray, bool]:
@@ -146,12 +141,77 @@ def _sq_distances(points: np.ndarray, centers: np.ndarray, out: np.ndarray) -> N
         np.sum(d, axis=2, out=out[i:i + KMEANS_BLOCK])
 
 
+def _nearest_centers(points: np.ndarray, sq_norms: np.ndarray,
+                     centers: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest center, equal to the argmin of
+    ``_sq_distances`` (lowest index among equal distances).
+
+    The GEMM form g = |x|^2 - 2 x.c + |c|^2 only proposes the label. With
+    unit roundoff u = 2^-53, dim m and S = (|x| + |c|)^2, g is within
+    gamma_{m+2} S of the true squared distance D, and ``_sq_distances``
+    (m differences, m squares, a sum of m non-negative terms in any order)
+    is within gamma_{m+2} D <= gamma_{m+2} S of it, where
+    gamma_j = j u / (1 - j u). So the two differ by at most about
+    2 (m + 2) u S. The bound used, ``slack``, is 4 (m + 4) u S with the
+    largest center norm, which also covers the rounding of the norms and of
+    the bound itself. A row keeps its GEMM argmin only where the
+    second-smallest g exceeds the smallest by more than 2 * slack: then no
+    other center's exact distance can reach the winner's. Every other row
+    is recomputed with ``_sq_distances``.
+    """
+    n, m = points.shape
+    k = centers.shape[0]
+    if k == 1:
+        return np.zeros(n, dtype=np.int64)
+    c_sq = np.einsum("ij,ij->i", centers, centers)
+    g = points @ centers.T
+    g *= -2.0
+    g += sq_norms[:, None]
+    g += c_sq
+    labels = np.argmin(g, axis=1)
+    rows = np.arange(n)
+    best = g[rows, labels]
+    g[rows, labels] = np.inf
+    gap = g.min(axis=1) - best
+    slack = 4.0 * (m + 4) * 2.0 ** -53 * (np.sqrt(sq_norms) + np.sqrt(c_sq.max())) ** 2
+    unsure = np.nonzero(~(gap > 2.0 * slack))[0]
+    if unsure.size:
+        d2 = np.empty((unsure.size, k))
+        _sq_distances(points[unsure], centers, d2)
+        labels[unsure] = np.argmin(d2, axis=1)
+    return labels
+
+
+def _cluster_means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-cluster mean of the points, every cluster non-empty.
+
+    Equal bit for bit to ``points[labels == c].mean(axis=0)`` for two or more
+    columns, where numpy adds a cluster's rows in index order: the members
+    are sorted stably by label, and rank j of every cluster that has one is
+    added in one vectorised step. Clusters go largest first, so the clusters
+    still adding at rank j are a prefix.
+    """
+    ranked = points[np.argsort(labels, kind="stable")]
+    desc = np.argsort(-counts, kind="stable")
+    sizes = counts[desc]
+    first = (np.cumsum(counts) - counts)[desc]
+    sums = ranked[first]
+    live = np.searchsorted(-sizes, -np.arange(1, sizes[0]))  # clusters larger than j
+    for j, nl in enumerate(live, start=1):
+        sums[:nl] += ranked[first[:nl] + j]
+    means = np.empty_like(sums)
+    means[desc] = sums / sizes[:, None]
+    return means
+
+
 def kmeans(points: np.ndarray, k: int, seed: int):
     """Seeded k-means++ plus Lloyd iterations; returns (centers, labels).
 
     Runs at most ``KMEANS_MAX_ITERS`` rounds or until the largest centroid
     movement drops below ``KMEANS_TOL``. Emptied clusters are re-anchored at the farthest
     member of the largest cluster so exactly k clusters always survive.
+    Labels are those of exact distances (``_nearest_centers``), and with two
+    or more columns the centres are bit-identical to per-cluster means.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -159,22 +219,21 @@ def kmeans(points: np.ndarray, k: int, seed: int):
         return points.copy(), np.arange(n, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(seed))
     centers = _kmeans_pp_init(points, k, rng)
+    sq_norms = np.einsum("ij,ij->i", points, points)
     labels = np.zeros(n, dtype=np.int64)
-    d2 = np.empty((n, k))
     for _ in range(KMEANS_MAX_ITERS):
-        _sq_distances(points, centers, d2)
-        labels = np.argmin(d2, axis=1)
-        new_centers = centers.copy()
+        labels = _nearest_centers(points, sq_norms, centers)
         counts = np.bincount(labels, minlength=k)
         for c in np.nonzero(counts == 0)[0]:
             donor = int(np.argmax(counts))
             members = np.nonzero(labels == donor)[0]
-            far = members[int(np.argmax(d2[members, donor]))]
+            d2 = np.empty((members.size, 1))
+            _sq_distances(points[members], centers[donor:donor + 1], d2)
+            far = members[int(np.argmax(d2[:, 0]))]
             labels[far] = c
             counts[donor] -= 1
             counts[c] += 1
-        for c in range(k):
-            new_centers[c] = points[labels == c].mean(axis=0)
+        new_centers = _cluster_means(points, labels, counts)
         move = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
         if move < KMEANS_TOL:
@@ -182,30 +241,31 @@ def kmeans(points: np.ndarray, k: int, seed: int):
     return centers, labels
 
 
-def sample_tracks(raw: list[MatchSample], budget: int, seed: int,
+def sample_tracks(coords: np.ndarray, visibility: np.ndarray, budget: int, seed: int,
                   normalize: bool = False) -> list[TrackToken]:
     """Clustering-based selection of representative tracks.
 
-    Per visibility partition, k-means runs on the coordinate vectors
-    restricted to the visible entries (all members share the mask, so the
-    dimensionality is uniform); each cluster contributes the member closest
-    to its centroid, ties to the lowest raw index. Output order is partition
-    order then cluster index. ``normalize`` rescales coordinates to [0, 1]
-    per axis before clustering (distance shaping only; emitted coordinates
-    are always the raw ones).
+    ``coords`` (n, V, 2) and ``visibility`` (n, V) are raw matches as
+    ``simulate_matcher`` returns them. Per visibility partition, k-means runs
+    on the coordinate vectors restricted to the visible entries (all members
+    share the mask, so the dimensionality is uniform); each cluster
+    contributes the member closest to its centroid, ties to the lowest raw
+    index. Output order is partition order then cluster index. ``normalize``
+    rescales coordinates to [0, 1] per axis before clustering (distance
+    shaping only; emitted coordinates are always the raw ones).
     """
-    if not raw:
+    visibility = np.asarray(visibility, dtype=bool)
+    if visibility.shape[0] == 0:
         raise ValueError("no raw matches to sample from")
-    partitions = partition_by_visibility(raw)
+    coords = np.where(visibility[..., None], coords, MISSING)
+    partitions = partition_by_visibility(visibility)
     counts, _ = allocate_clusters(partitions, budget)
-    tokens: list[TrackToken] = []
+    picked = []
     for part_idx, (part, k) in enumerate(zip(partitions, counts)):
         if k == 0:
             continue
         mask = np.asarray(part.mask, dtype=bool)
-        vectors = np.stack([
-            raw[i].target_pixels[mask].reshape(-1) for i in part.members
-        ])
+        vectors = coords[part.members][:, mask].reshape(part.size, -1)
         if normalize:
             span = vectors.max(axis=0) - vectors.min(axis=0)
             span[span == 0] = 1.0
@@ -213,12 +273,14 @@ def sample_tracks(raw: list[MatchSample], budget: int, seed: int,
         else:
             feats = vectors
         centers, labels = kmeans(feats, int(k), seed=seed + part_idx)
-        for c in range(int(min(k, part.size))):
-            members = np.nonzero(labels == c)[0]
-            d = np.linalg.norm(feats[members] - centers[c], axis=1)
-            best = members[int(np.argmin(d))]  # argmin: lowest local index wins ties
-            tokens.append(token_from_sample(raw[part.members[best]]))
-    return tokens
+        d = np.linalg.norm(feats - centers[labels], axis=1)
+        # lexsort is stable, so the lowest index wins ties within a cluster
+        order = np.lexsort((d, labels))
+        firsts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+        picked.append(part.members[order[firsts]])
+    rows = np.concatenate(picked)
+    return [TrackToken(c, v) for c, v in
+            zip(coords[rows].reshape(rows.size, -1), visibility[rows])]
 
 
 # ---------------------------------------------------------------------------

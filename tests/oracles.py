@@ -5,6 +5,9 @@ no shared code paths with the library internals beyond parameter containers
 and the bilinear sampler. The ``dense_*`` functions are the exception: they
 keep the full-matrix formulations that the row-blocked global match and
 exchange attention replaced, so blocked outputs can be compared bit for bit.
+The ``loop_*`` track-building references share the library's ground-truth
+warps, k-means++ seeding and cluster allocation, which they do not test, and
+keep the per-sample and per-cluster loops that the array code replaced.
 """
 
 import math
@@ -13,8 +16,11 @@ import numpy as np
 
 from mvmatch import kernels
 from mvmatch.attention import MASK_LOGIT, coordinate_queries, grid_token_centers
-from mvmatch.grids import DenseWarpField, FeatureGrid, bilinear_sample
+from mvmatch.grids import MISSING, DenseWarpField, FeatureGrid, bilinear_sample
 from mvmatch.matcher import MVFuseParams
+from mvmatch.oracle import gt_warp
+from mvmatch.tracks import (KMEANS_MAX_ITERS, KMEANS_TOL, VisibilityPartition,
+                            _kmeans_pp_init, allocate_clusters)
 
 
 def oracle_softmax(logits):
@@ -386,3 +392,105 @@ def dense_attentional_splatting(grid, track_feats, track_coords, visibility, par
     attn = dense_masked_softmax(logits, mask)
     update = (attn @ values) @ params.wout
     return FeatureGrid(grid.data + update.reshape(grid.data.shape), stride=grid.stride)
+
+
+# ---------------------------------------------------------------------------
+# track building, one sample and one cluster at a time
+# ---------------------------------------------------------------------------
+
+def loop_simulate_matcher(oracle, group, n, noise_sigma=0.0, outlier_rate=0.0, seed=None):
+    """``simulate_matcher`` with one Python iteration per sample and target;
+    it draws the same random numbers in the same order."""
+    h, w = oracle.image_size
+    views = group.views
+    nt = len(views) - 1
+    warps = [gt_warp(oracle, views[0], t) for t in views[1:]]
+    covis = np.stack([wp.confidence > 0 for wp in warps])
+    candidates = np.nonzero(covis.any(axis=0).ravel())[0]
+    rng = np.random.Generator(np.random.PCG64(oracle.noise_seed if seed is None else seed))
+    picks = rng.choice(candidates, size=n, replace=candidates.size < n)
+    sy, sx = np.divmod(picks, w)
+    noise = rng.normal(0.0, noise_sigma, size=(n, nt, 2)) if noise_sigma > 0 else np.zeros((n, nt, 2))
+    is_outlier = rng.random((n, nt)) < outlier_rate if outlier_rate > 0 else np.zeros((n, nt), dtype=bool)
+    uniform = np.stack([rng.uniform(0, w - 1, size=(n, nt)),
+                        rng.uniform(0, h - 1, size=(n, nt))], axis=-1)
+    coords = np.full((n, nt + 1, 2), MISSING)
+    vis = np.zeros((n, nt + 1), dtype=bool)
+    for i in range(n):
+        vis[i, 0] = True
+        coords[i, 0] = (float(sx[i]), float(sy[i]))
+        for t in range(nt):
+            if not covis[t, sy[i], sx[i]]:
+                continue
+            vis[i, t + 1] = True
+            if is_outlier[i, t]:
+                coords[i, t + 1] = uniform[i, t]
+            else:
+                noisy = warps[t].targets[sy[i], sx[i]] + noise[i, t]
+                coords[i, t + 1] = np.clip(noisy, 0.0, [w - 1, h - 1])
+    return coords, vis
+
+
+def loop_partition_by_visibility(visibility):
+    buckets = {}
+    for i, row in enumerate(np.asarray(visibility, dtype=bool)):
+        buckets.setdefault(tuple(int(v) for v in row), []).append(i)
+    return [VisibilityPartition(mask, np.array(buckets[mask], dtype=np.int64))
+            for mask in sorted(buckets)]
+
+
+def loop_kmeans(points, k, seed):
+    """``kmeans`` with exact distances to every center and one mean per cluster."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    if k >= n:
+        return points.copy(), np.arange(n, dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    centers = _kmeans_pp_init(points, k, rng)
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(KMEANS_MAX_ITERS):
+        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        counts = np.bincount(labels, minlength=k)
+        for c in np.nonzero(counts == 0)[0]:
+            donor = int(np.argmax(counts))
+            members = np.nonzero(labels == donor)[0]
+            far = members[int(np.argmax(d2[members, donor]))]
+            labels[far] = c
+            counts[donor] -= 1
+            counts[c] += 1
+        for c in range(k):
+            new_centers[c] = points[labels == c].mean(axis=0)
+        move = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+        centers = new_centers
+        if move < KMEANS_TOL:
+            break
+    return centers, labels
+
+
+def loop_sample_tracks(coords, visibility, budget, seed, normalize=False):
+    """``sample_tracks`` as (T, 2V) coordinates and (T, V) visibility, picking
+    each cluster's representative in its own loop iteration."""
+    visibility = np.asarray(visibility, dtype=bool)
+    partitions = loop_partition_by_visibility(visibility)
+    counts, _ = allocate_clusters(partitions, budget)
+    rows = []
+    for part_idx, (part, k) in enumerate(zip(partitions, counts)):
+        if k == 0:
+            continue
+        mask = np.asarray(part.mask, dtype=bool)
+        vectors = np.stack([coords[i][mask].reshape(-1) for i in part.members])
+        if normalize:
+            span = vectors.max(axis=0) - vectors.min(axis=0)
+            span[span == 0] = 1.0
+            feats = (vectors - vectors.min(axis=0)) / span
+        else:
+            feats = vectors
+        centers, labels = loop_kmeans(feats, int(k), seed=seed + part_idx)
+        for c in range(int(min(k, part.size))):
+            members = np.nonzero(labels == c)[0]
+            d = np.linalg.norm(feats[members] - centers[c], axis=1)
+            rows.append(part.members[members[int(np.argmin(d))]])
+    out = np.where(visibility[rows][..., None], coords[rows], MISSING)
+    return out.reshape(len(rows), -1), visibility[rows]

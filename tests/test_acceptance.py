@@ -36,8 +36,7 @@ from mvmatch.oracle import (gt_track_error, gt_warp, make_planar_scene,
 from mvmatch.postprocess import (nms_select, postprocess_group,
                                  reciprocity_filter, select_matches)
 from mvmatch.tracks import (TrackToken, allocate_clusters, kmeans,
-                            partition_by_visibility, sample_tracks,
-                            token_from_sample)
+                            partition_by_visibility, sample_tracks)
 
 from oracles import (brute_force_nms, oracle_mvfuse, oracle_sampling,
                      oracle_splatting, oracle_transformer, random_fuse_params)
@@ -160,26 +159,24 @@ def test_criterion_3_track_builder_contract():
         rng = np.random.default_rng(3003)
 
         # representatives are real inputs; counts sum to min(T, |raw|)
-        from mvmatch.oracle import MatchSample
         def make_samples(n, v, r):
-            out = []
-            for _ in range(n):
-                vis = np.zeros(v, dtype=bool)
-                vis[0] = True
-                vis[1:] = r.random(v - 1) < 0.7
-                if not vis[1:].any():
-                    vis[1] = True
-                pixels = np.where(vis[:, None], r.uniform(0, 200, (v, 2)), -1.0)
-                out.append(MatchSample(pixels[0], pixels, vis))
-            return out
+            coords = np.empty((n, v, 2))
+            vis = np.zeros((n, v), dtype=bool)
+            for i in range(n):
+                vis[i, 0] = True
+                vis[i, 1:] = r.random(v - 1) < 0.7
+                if not vis[i, 1:].any():
+                    vis[i, 1] = True
+                coords[i] = np.where(vis[i][:, None], r.uniform(0, 200, (v, 2)), -1.0)
+            return coords, vis
 
-        samples = make_samples(300, 4, rng)
-        inputs = {tuple(token_from_sample(s).coords) for s in samples}
+        coords, vis = make_samples(300, 4, rng)
+        inputs = {tuple(c) for c in coords.reshape(300, -1)}
         for budget in (40, 300, 999):
-            tracks = sample_tracks(samples, budget, seed=7)
+            tracks = sample_tracks(coords, vis, budget, seed=7)
             assert len(tracks) == min(budget, 300)
             assert all(tuple(t.coords) in inputs for t in tracks)
-        parts = partition_by_visibility(samples)
+        parts = partition_by_visibility(vis)
         counts, _ = allocate_clusters(parts, 40)
         assert counts.sum() == 40
 
@@ -199,15 +196,14 @@ def test_criterion_3_track_builder_contract():
         wins = 0
         for trial in range(20):
             r = np.random.default_rng(500 + trial)
-            scattered = []
-            for _ in range(500):
+            scattered = np.empty((500, 2, 2))
+            for i in range(500):
                 src = r.uniform(0, 200, 2)
-                pixels = np.stack([src, src + r.normal(0, 1, 2)])
-                scattered.append(MatchSample(src, pixels, np.array([True, True])))
-            tracks = sample_tracks(scattered, 64, seed=trial)
+                scattered[i] = src, src + r.normal(0, 1, 2)
+            tracks = sample_tracks(scattered, np.ones((500, 2), dtype=bool), 64, seed=trial)
             sel = np.array([t.coords[:2] for t in tracks])
             idx = r.choice(500, size=64, replace=False)
-            rand = np.array([scattered[i].source_pixel for i in idx])
+            rand = scattered[idx, 0]
 
             def mean_nn(p):
                 d = np.linalg.norm(p[:, None] - p[None, :], axis=-1)
@@ -357,8 +353,8 @@ def test_criterion_7_end_to_end_noiseless_pipeline():
         params = init_matcher_params(seed=3)
 
         # full pipeline exercise: tracks -> run_group -> valid dense warps
-        samples = simulate_matcher(scene, group, 800, 0.5, 0.05, seed=11)
-        tracks = sample_tracks(samples, 128, seed=11)
+        coords, vis = simulate_matcher(scene, group, 800, 0.5, 0.05, seed=11)
+        tracks = sample_tracks(coords, vis, 128, seed=11)
         warps = run_group(group, provider, tracks, params)
         for t, w in warps.items():
             assert w.targets.shape == (168, 168, 2)

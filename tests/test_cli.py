@@ -462,6 +462,25 @@ class TestErrorContract:
         self.assert_one_line_error(capsys, "gen-scene",
                                    "config.json: sigma must be float, got True")
 
+    @pytest.mark.parametrize("key, value, requirement", [
+        ("matcher_noise_sigma", -0.5, "must be >= 0, got -0.5"),
+        ("targets_per_group", 0, "must be >= 1, got 0"),
+        ("matcher_samples", 0, "must be >= 1, got 0"),
+        ("track_tokens", -3, "must be >= 1, got -3"),
+        ("matcher_outlier_rate", 1.0, "must lie in [0, 1), got 1.0"),
+        ("matcher_outlier_rate", -0.1, "must lie in [0, 1), got -0.1"),
+    ])
+    def test_config_with_track_value_out_of_range(self, tmp_path, capsys, planar_scene,
+                                                  key, value, requirement):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        rc = main(["build-tracks", "--scene", str(planar_scene), "--config", str(config),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "build-tracks",
+                                   f"config.json: {key} {requirement}")
+        assert not (tmp_path / "run").exists()
+
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("[]")

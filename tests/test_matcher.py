@@ -211,6 +211,30 @@ class TestRefineLevel:
         assert out.hidden == {}
         assert sorted(out.warps) == [1, 2]
 
+    def test_zero_gain_keeps_no_correlation_volume_per_target(self):
+        # at gain 0 nothing reads a target's volume after its readout, so
+        # each extra target may add its warps and updates (about 0.7 of a
+        # volume here) but not a whole (H, W, window, window) volume
+        size = 96
+        scene = make_planar_scene(5, (size, size), seed=31)
+        provider = OracleFeatureProvider(scene, dim=32, seed=6)
+        params = init_matcher_params(seed=11)
+        assert params.residual_gain == 0.0
+
+        def peak(targets):
+            state = RefinerState(2, {t: gt_warp(scene, 0, t, stride=2) for t in targets})
+            refine_level(state, provider, params)  # renders and caches the features
+            tracemalloc.start()
+            try:
+                refine_level(state, provider, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        volume = size * size * params.levels[1].window ** 2 * 8
+        growth = (peak((1, 2, 3, 4)) - peak((1,))) / volume
+        assert growth < 3.0, f"three more targets added {growth:.2f} volumes"
+
     def test_provider_stride_mismatch_raises(self, planar_setup):
         scene, _, params = planar_setup
         bad = ArrayFeatureProvider({
@@ -283,8 +307,8 @@ class TestRunGroup:
         provider = OracleFeatureProvider(scene, dim=32, seed=7)
         params = init_matcher_params(seed=3)
         group = ImageGroup(0, (1,))
-        samples = simulate_matcher(scene, group, 300, 0.0, 0.0, seed=1)
-        tracks = sample_tracks(samples, 64, seed=2)
+        coords, vis = simulate_matcher(scene, group, 300, 0.0, 0.0, seed=1)
+        tracks = sample_tracks(coords, vis, 64, seed=2)
         warps = run_group(group, provider, tracks, params)
         epe = np.linalg.norm(warps[1].targets - identity_warp(96, 96).targets,
                              axis=-1)
@@ -295,8 +319,8 @@ class TestRunGroup:
         provider = OracleFeatureProvider(scene, dim=32, seed=8)
         params = init_matcher_params(seed=5)
         group = ImageGroup(0, (1, 2, 3))
-        samples = simulate_matcher(scene, group, 400, 0.5, 0.05, seed=3)
-        tracks = sample_tracks(samples, 48, seed=1)
+        coords, vis = simulate_matcher(scene, group, 400, 0.5, 0.05, seed=3)
+        tracks = sample_tracks(coords, vis, 48, seed=1)
         warps = run_group(group, provider, tracks, params)
         assert sorted(warps) == [1, 2, 3]
         for t, w in warps.items():
@@ -309,8 +333,8 @@ class TestRunGroup:
         provider = OracleFeatureProvider(scene, dim=32, seed=8)
         params = init_matcher_params(seed=5)
         group = ImageGroup(0, (1, 2))
-        samples = simulate_matcher(scene, group, 200, 0.5, 0.0, seed=3)
-        tracks = sample_tracks(samples, 32, seed=1)
+        coords, vis = simulate_matcher(scene, group, 200, 0.5, 0.0, seed=3)
+        tracks = sample_tracks(coords, vis, 32, seed=1)
         a = run_group(group, provider, tracks, params)
         b = run_group(group, provider, tracks, params)
         for t in (1, 2):

@@ -9,6 +9,8 @@ from mvmatch.oracle import (PinholeCamera, SceneOracle, gt_track_error, gt_warp,
 from mvmatch.tracks import TrackToken
 import mvmatch.kernels as kernels
 
+from oracles import loop_simulate_matcher
+
 
 def translation_scene(tx, size=(16, 16)):
     """Source homography shifts by +tx into the reference; target is identity."""
@@ -121,66 +123,74 @@ class TestSimulateMatcher:
     def test_noiseless_matches_gt(self):
         scene = make_planar_scene(4, (32, 32), seed=9)
         group = ImageGroup(0, (1, 2, 3))
-        samples = simulate_matcher(scene, group, 100, 0.0, 0.0)
+        coords, vis = simulate_matcher(scene, group, 100, 0.0, 0.0)
         warps = [gt_warp(scene, 0, t) for t in (1, 2, 3)]
-        for s in samples:
-            x, y = int(s.source_pixel[0]), int(s.source_pixel[1])
+        for c, v in zip(coords, vis):
+            x, y = int(c[0, 0]), int(c[0, 1])
             for t in range(3):
-                if s.visibility[t + 1]:
-                    np.testing.assert_allclose(s.target_pixels[t + 1],
-                                               warps[t].targets[y, x], atol=1e-6)
+                if v[t + 1]:
+                    np.testing.assert_allclose(c[t + 1], warps[t].targets[y, x], atol=1e-6)
 
     def test_outlier_fraction(self):
         scene = make_planar_scene(2, (64, 64), seed=2)
         group = ImageGroup(0, (1,))
         sigma = 0.5
-        samples = simulate_matcher(scene, group, 1000, sigma, 0.3, seed=4)
+        coords, vis = simulate_matcher(scene, group, 1000, sigma, 0.3, seed=4)
         warp = gt_warp(scene, 0, 1)
         errs = []
-        for s in samples:
-            if s.visibility[1]:
-                x, y = int(s.source_pixel[0]), int(s.source_pixel[1])
-                errs.append(np.linalg.norm(s.target_pixels[1] - warp.targets[y, x]))
+        for c, v in zip(coords, vis):
+            if v[1]:
+                x, y = int(c[0, 0]), int(c[0, 1])
+                errs.append(np.linalg.norm(c[1] - warp.targets[y, x]))
         frac = np.mean(np.array(errs) > 5 * sigma)
         assert abs(frac - 0.3) < 0.04
 
     def test_full_covisibility_single_target(self):
         scene = SceneOracle("planar", (16, 16), 0, homographies=(np.eye(3), np.eye(3)))
-        samples = simulate_matcher(scene, ImageGroup(0, (1,)), 50)
-        for s in samples:
-            assert s.visibility.tolist() == [True, True]
+        _, vis = simulate_matcher(scene, ImageGroup(0, (1,)), 50)
+        assert vis.shape == (50, 2) and vis.all()
 
     def test_bit_reproducible(self):
         scene = make_planar_scene(3, (32, 32), seed=1)
         group = ImageGroup(0, (1, 2))
         a = simulate_matcher(scene, group, 64, 1.0, 0.1, seed=11)
         b = simulate_matcher(scene, group, 64, 1.0, 0.1, seed=11)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.target_pixels, sb.target_pixels)
-            np.testing.assert_array_equal(sa.visibility, sb.visibility)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_visibility_reflects_covisibility(self):
         scene = translation_scene(8.0)
-        samples = simulate_matcher(scene, ImageGroup(0, (1,)), 200, 0.0, 0.5, seed=3)
+        coords, vis = simulate_matcher(scene, ImageGroup(0, (1,)), 200, 0.0, 0.5, seed=3)
         warp = gt_warp(scene, 0, 1)
-        for s in samples:
-            x, y = int(s.source_pixel[0]), int(s.source_pixel[1])
-            assert bool(s.visibility[1]) == bool(warp.confidence[y, x] > 0)
+        x, y = coords[:, 0, 0].astype(int), coords[:, 0, 1].astype(int)
+        np.testing.assert_array_equal(vis[:, 1], warp.confidence[y, x] > 0)
 
     def test_bad_outlier_rate_rejected(self):
         scene = translation_scene(1.0)
         with pytest.raises(ValueError):
             simulate_matcher(scene, ImageGroup(0, (1,)), 10, 0.0, 1.0)
 
+    @pytest.mark.parametrize("kind", ["planar", "point_cloud"])
+    @pytest.mark.parametrize("sigma, outlier_rate", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.3),
+                                                      (2.0, 0.05)])
+    def test_matches_loop_oracle(self, kind, sigma, outlier_rate):
+        make = make_planar_scene if kind == "planar" else make_point_cloud_scene
+        scene = make(5, (48, 48), seed=13)
+        group = ImageGroup(0, (1, 2, 3, 4))
+        got = simulate_matcher(scene, group, 700, sigma, outlier_rate, seed=2)
+        want = loop_simulate_matcher(scene, group, 700, sigma, outlier_rate, seed=2)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert not got[1].all()  # some views are invisible, so the sentinel is exercised
+
 
 class TestGtTrackError:
     def test_noiseless_tracks_error_free(self):
         scene = make_planar_scene(3, (32, 32), seed=6)
         group = ImageGroup(0, (1, 2))
-        samples = simulate_matcher(scene, group, 20, 0.0, 0.0)
-        for s in samples:
-            token = TrackToken(np.where(s.visibility[:, None], s.target_pixels,
-                                        MISSING).reshape(-1), s.visibility)
+        coords, vis = simulate_matcher(scene, group, 20, 0.0, 0.0)
+        for c, v in zip(coords, vis):
+            token = TrackToken(c.reshape(-1), v)
             errs = gt_track_error(scene, token)
             assert np.nanmax(errs) < 1e-6
 

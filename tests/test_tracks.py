@@ -2,63 +2,69 @@ import numpy as np
 import pytest
 
 from mvmatch.grids import MISSING
-from mvmatch.oracle import MatchSample
 from mvmatch.tracks import (TrackToken, VisibilityPartition, allocate_clusters,
                             kmeans, partition_by_visibility, read_tracks_tsv,
-                            sample_tracks, token_from_sample, write_tracks_tsv)
+                            sample_tracks, write_tracks_tsv)
+
+from oracles import loop_kmeans, loop_partition_by_visibility, loop_sample_tracks
 
 
 def sample(src, targets, vis):
+    """One raw match as a (V, 2) coordinate row and its (V,) visibility."""
     v = len(vis)
     pixels = np.full((v, 2), MISSING)
     pixels[0] = src
     for i, t in enumerate(targets, start=1):
         if vis[i]:
             pixels[i] = t
-    return MatchSample(np.asarray(src, dtype=float), pixels, np.asarray(vis, dtype=bool))
+    return pixels, np.asarray(vis, dtype=bool)
+
+
+def stack(rows):
+    """(n, V, 2) coordinates and (n, V) visibility from ``sample`` rows."""
+    return np.stack([p for p, _ in rows]), np.stack([v for _, v in rows])
 
 
 def random_samples(n, v, seed, size=100.0):
     rng = np.random.default_rng(seed)
-    out = []
+    rows = []
     for _ in range(n):
         vis = np.zeros(v, dtype=bool)
         vis[0] = True
         vis[1:] = rng.random(v - 1) < 0.7
         if not vis[1:].any():
             vis[1] = True
-        pixels = np.where(vis[:, None], rng.uniform(0, size, (v, 2)), MISSING)
-        out.append(MatchSample(pixels[0], pixels, vis))
-    return out
+        rows.append((np.where(vis[:, None], rng.uniform(0, size, (v, 2)), MISSING), vis))
+    return stack(rows)
 
 
 class TestPartition:
     def test_two_groups(self):
-        s = [sample((1, 1), [(2, 2), None], [1, 1, 0]),
-             sample((3, 3), [(4, 4), None], [1, 1, 0]),
-             sample((5, 5), [None, (6, 6)], [1, 0, 1])]
-        parts = partition_by_visibility(s)
+        _, vis = stack([sample((1, 1), [(2, 2), None], [1, 1, 0]),
+                        sample((3, 3), [(4, 4), None], [1, 1, 0]),
+                        sample((5, 5), [None, (6, 6)], [1, 0, 1])])
+        parts = partition_by_visibility(vis)
         assert len(parts) == 2
         assert sorted(p.size for p in parts) == [1, 2]
 
     def test_single_partition_when_all_visible(self):
-        s = [sample((i, i), [(i, i)], [1, 1]) for i in range(5)]
-        parts = partition_by_visibility(s)
+        _, vis = stack([sample((i, i), [(i, i)], [1, 1]) for i in range(5)])
+        parts = partition_by_visibility(vis)
         assert len(parts) == 1 and parts[0].size == 5
 
     def test_matches_hash_set_oracle(self):
         rng = np.random.default_rng(42)
-        samples = []
+        rows = []
         for _ in range(200):
             vis = np.zeros(5, dtype=bool)
             vis[0] = True
             vis[1:] = rng.random(4) < 0.5
             if not vis[1:].any():
                 vis[rng.integers(1, 5)] = True
-            pixels = np.where(vis[:, None], rng.uniform(0, 50, (5, 2)), MISSING)
-            samples.append(MatchSample(pixels[0], pixels, vis))
-        parts = partition_by_visibility(samples)
-        oracle = {tuple(int(x) for x in s.visibility) for s in samples}
+            rows.append((np.where(vis[:, None], rng.uniform(0, 50, (5, 2)), MISSING), vis))
+        _, vis = stack(rows)
+        parts = partition_by_visibility(vis)
+        oracle = {tuple(int(x) for x in row) for row in vis}
         assert len(parts) == len(oracle)
         assert sum(p.size for p in parts) == 200
         masks = [p.mask for p in parts]
@@ -66,7 +72,7 @@ class TestPartition:
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            partition_by_visibility([])
+            partition_by_visibility(np.zeros((0, 3), dtype=bool))
 
 
 def make_partitions(sizes):
@@ -156,40 +162,40 @@ class TestKMeans:
 
 class TestSampleTracks:
     def test_budget_equal_to_input_is_permutation(self):
-        samples = random_samples(12, 3, seed=1)
-        tracks = sample_tracks(samples, 12, seed=0)
+        coords, vis = random_samples(12, 3, seed=1)
+        tracks = sample_tracks(coords, vis, 12, seed=0)
         assert len(tracks) == 12
-        inputs = {tuple(token_from_sample(s).coords) for s in samples}
+        inputs = {tuple(c) for c in coords.reshape(12, -1)}
         outputs = {tuple(t.coords) for t in tracks}
         assert inputs == outputs
 
     def test_representatives_are_real_inputs(self):
-        samples = random_samples(200, 4, seed=2)
-        tracks = sample_tracks(samples, 40, seed=1)
-        inputs = {tuple(token_from_sample(s).coords) for s in samples}
+        coords, vis = random_samples(200, 4, seed=2)
+        tracks = sample_tracks(coords, vis, 40, seed=1)
+        inputs = {tuple(c) for c in coords.reshape(200, -1)}
         for t in tracks:
             assert tuple(t.coords) in inputs
 
     def test_count_is_min_budget_raw(self):
-        samples = random_samples(30, 3, seed=3)
-        assert len(sample_tracks(samples, 100, seed=0)) == 30
-        assert len(sample_tracks(samples, 7, seed=0)) == 7
+        coords, vis = random_samples(30, 3, seed=3)
+        assert len(sample_tracks(coords, vis, 100, seed=0)) == 30
+        assert len(sample_tracks(coords, vis, 7, seed=0)) == 7
 
     def test_two_blobs_one_representative_each(self):
         rng = np.random.default_rng(4)
-        samples = []
+        rows = []
         for cx in (5.0, 95.0):
             for _ in range(6):
                 src = np.array([cx, cx]) + rng.uniform(-1, 1, 2)
-                samples.append(sample(src, [src], [1, 1]))
-        tracks = sample_tracks(samples, 2, seed=6)
+                rows.append(sample(src, [src], [1, 1]))
+        tracks = sample_tracks(*stack(rows), 2, seed=6)
         xs = sorted(t.coords[0] for t in tracks)
         assert xs[0] < 10 and xs[1] > 90
 
     def test_deterministic(self):
-        samples = random_samples(100, 4, seed=5)
-        a = sample_tracks(samples, 24, seed=9)
-        b = sample_tracks(samples, 24, seed=9)
+        coords, vis = random_samples(100, 4, seed=5)
+        a = sample_tracks(coords, vis, 24, seed=9)
+        b = sample_tracks(coords, vis, 24, seed=9)
         assert [tuple(t.coords) for t in a] == [tuple(t.coords) for t in b]
 
     def test_spatial_coverage_beats_random(self):
@@ -198,14 +204,15 @@ class TestSampleTracks:
         wins = 0
         for trial in range(20):
             rng = np.random.default_rng(100 + trial)
-            samples = []
+            rows = []
             for _ in range(500):
                 src = rng.uniform(0, 200, 2)
-                samples.append(sample(src, [src + rng.normal(0, 1, 2)], [1, 1]))
-            tracks = sample_tracks(samples, 64, seed=trial)
+                rows.append(sample(src, [src + rng.normal(0, 1, 2)], [1, 1]))
+            coords, vis = stack(rows)
+            tracks = sample_tracks(coords, vis, 64, seed=trial)
             sel = np.array([t.coords[:2] for t in tracks])
             idx = rng.choice(500, size=64, replace=False)
-            rand = np.array([samples[i].source_pixel for i in idx])
+            rand = coords[idx, 0]
 
             def mean_nn(pts):
                 d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
@@ -217,8 +224,8 @@ class TestSampleTracks:
         assert wins >= 16  # >= 80% of trials
 
     def test_normalize_flag_runs(self):
-        samples = random_samples(50, 3, seed=8)
-        tracks = sample_tracks(samples, 10, seed=1, normalize=True)
+        coords, vis = random_samples(50, 3, seed=8)
+        tracks = sample_tracks(coords, vis, 10, seed=1, normalize=True)
         assert len(tracks) == 10
 
 
@@ -240,8 +247,8 @@ class TestTrackToken:
 
 class TestTsv:
     def test_round_trip(self, tmp_path):
-        samples = random_samples(20, 4, seed=12)
-        tracks = sample_tracks(samples, 10, seed=3)
+        coords, vis = random_samples(20, 4, seed=12)
+        tracks = sample_tracks(coords, vis, 10, seed=3)
         path = tmp_path / "tracks.tsv"
         write_tracks_tsv(path, tracks, num_views=4)
         back, v = read_tracks_tsv(path)
@@ -272,3 +279,78 @@ class TestTsv:
         with pytest.raises(ValueError) as info:
             read_tracks_tsv(path)
         assert str(info.value).startswith(f"{path.parent}/{message}"), info.value
+
+
+def assert_kmeans_matches_loop(points, k, seed):
+    centers, labels = kmeans(points, k, seed)
+    want_centers, want_labels = loop_kmeans(points, k, seed)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(centers, want_centers)
+    return labels
+
+
+class TestMatchesLoopOracle:
+    """Bit-for-bit equality with the one-cluster-at-a-time loops in oracles.py.
+
+    Centres are compared with two or more columns, where numpy's per-cluster
+    mean adds rows in index order; sample_tracks always has at least four.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kmeans_random_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            n = int(rng.integers(3, 400))
+            dim = int(rng.integers(2, 12))
+            k = int(rng.integers(2, n))
+            points = rng.uniform(0, 672, size=(n, dim))
+            assert_kmeans_matches_loop(points, k, seed)
+
+    def test_kmeans_ties_on_an_offset_integer_grid(self):
+        # every distance is an exact integer on the exact path, so rows tie
+        # exactly between centres; the offset makes the squared norms of the
+        # GEMM form round, so only the exact path can break those ties
+        ys, xs = np.mgrid[0:12, 0:12]
+        grid = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+        for offset in (0.0, 2.0 ** 26):
+            for k in (2, 7, 30):
+                for seed in range(3):
+                    assert_kmeans_matches_loop(grid + offset, k, seed)
+
+    def test_kmeans_duplicate_points(self):
+        rng = np.random.default_rng(5)
+        distinct = rng.uniform(0, 100, size=(25, 4))
+        points = distinct[rng.integers(0, 25, size=300)]
+        for k in (3, 20, 25, 40):
+            assert_kmeans_matches_loop(points, k, seed=k)
+
+    def test_kmeans_one_cluster_and_n_minus_one(self):
+        rng = np.random.default_rng(8)
+        points = rng.normal(size=(50, 6)) * 300.0
+        labels = assert_kmeans_matches_loop(points, 1, seed=2)
+        assert not labels.any()
+        labels = assert_kmeans_matches_loop(points, 49, seed=2)
+        assert len(np.unique(labels)) == 49
+
+    def test_kmeans_forced_empty_cluster_repair(self):
+        # three distinct positions and five clusters: once those three are
+        # centres, k-means++ picks duplicates, whose clusters start empty
+        points = np.repeat(np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]), [8, 6, 4], axis=0)
+        labels = assert_kmeans_matches_loop(points, 5, seed=1)
+        assert len(np.unique(labels)) == 5
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("budget", [7, 40, 500])
+    def test_sample_tracks(self, normalize, budget):
+        coords, vis = random_samples(400, 5, seed=budget, size=672.0)
+        tracks = sample_tracks(coords, vis, budget, seed=3, normalize=normalize)
+        want_coords, want_vis = loop_sample_tracks(coords, vis, budget, 3, normalize)
+        assert np.array_equal(np.stack([t.coords for t in tracks]), want_coords)
+        assert np.array_equal(np.stack([t.visibility for t in tracks]), want_vis)
+
+    def test_partition(self):
+        _, vis = random_samples(300, 5, seed=4)
+        got = partition_by_visibility(vis)
+        want = loop_partition_by_visibility(vis)
+        assert [p.mask for p in got] == [p.mask for p in want]
+        assert all(np.array_equal(a.members, b.members) for a, b in zip(got, want))
