@@ -7,9 +7,12 @@ local correlation is timed at the refiner's (size, window) pairs and at the
 48 px scene's finest level, each under a uniform-random warp and a smooth
 one (a slight rotation and zoom): its products are keyed by target block,
 so the two should cost the same. The
-track-guided exchange's sampling and splatting are timed at the shipped
-672 px coarse grid (84^2 cells), 512 tracks and D = 32, with about 10% of
-the tracks invisible in the view. Track building is timed on the inputs of
+track-guided exchange's sampling and splatting are timed with D = 32 and
+about 10% of the tracks invisible in the view, at the coarse grids of three
+benchmark workloads: the shipped 672 px (84^2 cells, 512 tracks), 168 px
+(21^2 cells, 128 tracks) and the 48 px scene (6^2 cells, 128 tracks). On
+the small grids a window is most of the grid, so there its bookkeeping
+shows. Track building is timed on the inputs of
 two benchmark workloads at seed 1: ``simulate_matcher`` with 2000 samples
 on a 672 px planar scene and 800 samples on a 48 px point-cloud scene, and
 ``kmeans`` on each one's largest visibility partition with the cluster count
@@ -88,19 +91,19 @@ def main():
             cases.append((f"local_corr ({size}^2, win {window}, {kind})",
                           partial(kernels.local_corr, src, dst, warp, window)))
 
-    side, tracks = 84, 512
     params = attention.init_attention_params(c, sigma=1.0, seed=0)
-    grid = FeatureGrid(rng.normal(size=(side, side, c)))
-    track_xy = rng.uniform(0, side - 1, size=(tracks, 2))
-    track_feats = rng.normal(size=(tracks, c))
-    visible = rng.random(tracks) >= 0.1
-    cases += [
-        (f"attentional_sampling ({side}^2, {tracks} tr)",
-         partial(attention.attentional_sampling, grid, track_xy, params)),
-        (f"attentional_splatting ({side}^2, {tracks} tr)",
-         partial(attention.attentional_splatting, grid, track_feats, track_xy,
-                 visible, params)),
-    ]
+    for side, tracks in ((84, 512), (21, 128), (6, 128)):
+        grid = FeatureGrid(rng.normal(size=(side, side, c)))
+        track_xy = rng.uniform(0, side - 1, size=(tracks, 2))
+        track_feats = rng.normal(size=(tracks, c))
+        visible = rng.random(tracks) >= 0.1
+        cases += [
+            (f"attentional_sampling ({side}^2, {tracks} tr)",
+             partial(attention.attentional_sampling, grid, track_xy, params)),
+            (f"attentional_splatting ({side}^2, {tracks} tr)",
+             partial(attention.attentional_splatting, grid, track_feats, track_xy,
+                     visible, params)),
+        ]
 
     group = ImageGroup(0, (1, 2, 3, 4))
     for scene, samples, budget in ((make_planar_scene(5, (672, 672), 1), 2000, 512),

@@ -6,11 +6,25 @@ view-order-invariant transformer, and scattered back onto the grids as a
 residual. All parameters live in an explicit, inspectable dataclass; there
 is no training here, the module's contract is the math.
 
+Sampling and splatting score each query against a window of columns, not
+the whole row; this is 2-D neighbourhood attention with a certified window.
+Sampling bins the tracks by ``_TILE`` x ``_TILE``-cell tile and scores each
+tile's tracks against the cells within R of their extent; splatting scores
+each tile of cells against the visible tracks near it. By Cauchy-Schwarz a
+row's q.k/sqrt(D) terms spread by at most Delta = 2 |q| max|k| / sqrt(D), so
+a column at distance r from the query scores at most
+Delta + (d_near^2 - r^2) / 2 sigma^2 below the row's maximum, where d_near
+bounds the distance to the query's nearest column. The windows keep every
+column that could score above ln(``WINDOW_TAIL`` / n) for a row of n
+columns, so the columns left out weigh at most ``WINDOW_TAIL`` = 1e-17 of
+the row's largest weight all together, and the outputs agree with the
+dense formulation to a few ulps. Each window's column count is a multiple
+of 8, which keeps the products' bits independent of BLAS's thread count.
+
 Masking follows a fixed recipe: a -1e9 additive constant on masked logits,
 then a post-softmax re-zero of the masked columns (and renormalization) so
-masked entries contribute exactly zero weight. Splatting, whose mask is a
-column mask, writes -inf into the masked columns instead, with the same
-bits.
+masked entries contribute exactly zero weight. Splatting leaves invisible
+tracks out of its windows, which gives them the same exact zero weight.
 """
 
 from __future__ import annotations
@@ -25,8 +39,10 @@ from .tracks import TrackToken
 MASK_LOGIT = -1e9
 # A max-shifted logit below this has a subnormal (or zero) exp; see _softmax_.
 EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
-# Grid cells per block of splatting logits; see _row_blocks on keeping bits.
-_SPLAT_BLOCK_ROWS = 512
+# Most total weight, relative to a row's largest, that a window leaves out.
+WINDOW_TAIL = 1e-17
+# Side, in grid cells, of the tiles that key the exchange's windows.
+_TILE = 8
 # The output projection's init std relative to the other weights'.
 OUT_INIT_SCALE = 0.1
 
@@ -190,28 +206,144 @@ def grid_token_centers(height: int, width: int) -> np.ndarray:
 
 
 def spatial_bias(track_coords: np.ndarray, grid_size: tuple[int, int],
-                 sigma: float, cells_first: bool = False) -> np.ndarray:
+                 sigma: float, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
     """Locality bias: -(squared distance to each grid-token center) / (2 sigma^2).
 
-    Returns (T, HW) in raster order, or (HW, T) with ``cells_first``, the
-    layout splatting reads. The squared distance is built from separable
-    per-column dx^2 and per-row dy^2 terms, which is the same sum as over the
-    (T, HW, 2) coordinate differences without that temporary, and is scaled
-    in place.
+    Returns (T, h w) in raster order over the window of ``grid_size`` =
+    (h, w) cells whose first cell is ``origin`` = (y, x), by default a whole
+    grid. The squared distance is built from separable per-column dx^2 and
+    per-row dy^2 terms, which is the same sum as over the (T, h w, 2)
+    coordinate differences without that temporary, and is scaled in place.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    h, w = grid_size
+    (h, w), (oy, ox) = grid_size, origin
     coords = np.atleast_2d(np.asarray(track_coords, dtype=np.float64))
-    dx2 = (coords[:, 0, None] - np.arange(w, dtype=np.float64)) ** 2  # (T, W)
-    dy2 = (coords[:, 1, None] - np.arange(h, dtype=np.float64)) ** 2  # (T, H)
-    if cells_first:
-        d2 = (dy2.T[:, None, :] + dx2.T[None, :, :]).reshape(h * w, -1)
-    else:
-        d2 = (dx2[:, None, :] + dy2[:, :, None]).reshape(-1, h * w)
+    dx2 = (coords[:, 0, None] - np.arange(ox, ox + w, dtype=np.float64)) ** 2  # (T, w)
+    dy2 = (coords[:, 1, None] - np.arange(oy, oy + h, dtype=np.float64)) ** 2  # (T, h)
+    d2 = (dx2[:, None, :] + dy2[:, :, None]).reshape(-1, h * w)
     # x / -c is -(x / c) bit for bit
     d2 /= -2.0 * sigma * sigma
     return d2
+
+
+def _row_spread(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per query, a bound on the spread of its q.k / sqrt(D) terms over all
+    keys: 2 |q| max|k| / sqrt(D), by Cauchy-Schwarz."""
+    kmax = np.sqrt(np.max(np.einsum("ij,ij->i", keys, keys)))
+    qnorm = np.sqrt(np.einsum("...j,...j->...", queries, queries))
+    return 2.0 * qnorm * kmax / np.sqrt(keys.shape[1])
+
+
+def _margin2(spread, columns: int, sigma: float):
+    """Squared distance, past the nearest column's squared distance, beyond
+    which a column of a row of ``columns`` with this spread has a max-shifted
+    logit below ln(WINDOW_TAIL / columns)."""
+    return 2.0 * sigma * sigma * (spread + np.log(columns) - np.log(WINDOW_TAIL))
+
+
+def _widened(lo: np.ndarray, hi: np.ndarray, size) -> tuple[np.ndarray, np.ndarray]:
+    """Grow the boxes [lo, hi) of (x, y) cells within [0, size) to cell counts
+    that are multiples of 8, by the fewest cells; a box that cannot grow so
+    is kept."""
+    extent = hi - lo
+    grow = np.arange(8)
+    wide = extent[:, 0, None, None] + grow          # (n, 1, 8) columns
+    tall = extent[:, 1, None, None] + grow[:, None]  # (n, 8, 1) rows
+    cells = wide * tall
+    fits = (cells % 8 == 0) & (wide <= size[0]) & (tall <= size[1])
+    cells = np.where(fits, cells, np.iinfo(np.int64).max).reshape(len(lo), 64)
+    best = cells.argmin(axis=1)
+    step = np.stack([best % 8, best // 8], axis=1)
+    step[~fits.reshape(len(lo), 64).any(axis=1)] = 0
+    hi = np.minimum(hi + step, size)
+    return hi - extent - step, hi
+
+
+def _sampling_windows(coords: np.ndarray, grid_size: tuple[int, int],
+                      sigma: float, spread: np.ndarray):
+    """Bin the tracks by tile and give each bin its window of cells.
+
+    Yields (tracks, rows, cols): one tile's track indices and the row and
+    column slices of the cells they are scored against. A track is binned by
+    its nearest cell, at d_near from it, and needs every cell within R of
+    it, R^2 = d_near^2 + ``_margin2`` over all h w cells; the window is the
+    bin's extent grown by its largest R and then, within the grid, to a
+    multiple of 8 cells.
+    """
+    h, w = grid_size
+    if not len(coords):
+        return
+    near = np.clip(np.rint(coords), 0, [w - 1, h - 1])
+    reach = np.sqrt(np.einsum("ij,ij->i", coords - near, coords - near)
+                    + _margin2(spread, h * w, sigma))[:, None]
+    tile = near.astype(np.int64) // _TILE
+    key = tile[:, 1] * -(-w // _TILE) + tile[:, 0]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.concatenate([[0], np.flatnonzero(key[1:] != key[:-1]) + 1])
+    lo = np.minimum.reduceat(coords[order] - reach[order], starts)
+    hi = np.maximum.reduceat(coords[order] + reach[order], starts)
+    lo = np.maximum(np.ceil(lo), 0).astype(np.int64)
+    hi = np.minimum(np.floor(hi) + 1, [w, h]).astype(np.int64)
+    lo, hi = _widened(lo, hi, (w, h))
+    for tracks, (x0, y0), (x1, y1) in zip(np.split(order, starts[1:]), lo, hi):
+        yield tracks, slice(y0, y1), slice(x0, x1)
+
+
+def _splatting_windows(coords: np.ndarray, grid_size: tuple[int, int],
+                       sigma: float, spread: np.ndarray):
+    """Give each tile of cells the tracks it is scored against.
+
+    Yields (rows, cols, tracks): a tile's row and column slices and its
+    track indices, ascending. dn, the smallest distance from a track to the
+    tile's farthest cell, bounds every cell's distance to its nearest track;
+    a track at distance D from the tile is kept when
+    D^2 <= dn^2 + ``_margin2`` over all T tracks, with the tile's largest
+    cell spread, and the nearest others are added up to a multiple of 8.
+    """
+    h, w = grid_size
+    t = coords.shape[0]
+    y0 = np.arange(0, h, _TILE)
+    x0 = np.arange(0, w, _TILE)
+
+    def axis_d2(p, lo, size):
+        # squared distances from each tile's span on one axis to each track:
+        # to its nearest cell, and to its farthest
+        below = lo[:, None] - p
+        above = p - (np.minimum(lo + _TILE, size) - 1)[:, None]
+        return np.maximum(np.maximum(below, above), 0.0) ** 2, np.maximum(-below, -above) ** 2
+
+    near_y, far_y = axis_d2(coords[:, 1], y0, h)
+    near_x, far_x = axis_d2(coords[:, 0], x0, w)
+    d2 = near_y[:, None] + near_x[None]             # (tiles down, across, T)
+    dn2 = (far_y[:, None] + far_x[None]).min(axis=-1)
+    tile_spread = np.maximum.reduceat(np.maximum.reduceat(spread, y0, axis=0), x0, axis=1)
+    kept = np.count_nonzero(d2 <= (dn2 + _margin2(tile_spread, t, sigma))[..., None], axis=-1)
+    kept = np.minimum(-(-kept // 8) * 8, t)
+    order = np.argsort(d2, axis=-1, kind="stable")
+    for i, j in np.ndindex(kept.shape):
+        yield (slice(y0[i], y0[i] + _TILE), slice(x0[j], x0[j] + _TILE),
+               np.sort(order[i, j, :kept[i, j]]))
+
+
+def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
+            bias: np.ndarray) -> np.ndarray:
+    """softmax(queries keys^T / sqrt(D) + bias) values over one window.
+
+    Where the window's key count is not a multiple of 8, zero keys with -inf
+    logits (weight 0) pad it to one.
+    """
+    n, d = keys.shape
+    if n % 8:
+        pad = np.zeros((-n % 8, d))
+        keys, values = np.concatenate([keys, pad]), np.concatenate([values, pad])
+    logits = queries @ keys.T
+    logits /= np.sqrt(d)
+    logits[:, :n] += bias
+    logits[:, n:] = -np.inf
+    _softmax_(logits, flush=True)
+    return logits @ values
 
 
 def attentional_sampling(grid: FeatureGrid, track_coords: np.ndarray,
@@ -220,21 +352,29 @@ def attentional_sampling(grid: FeatureGrid, track_coords: np.ndarray,
 
     Queries come from the coordinate MLP, keys and values are the flattened
     grid features (run through the key/value projections), and the spatial
-    bias is added to the logits before the softmax. Returns (T, D).
+    bias is added to the logits before the softmax. Each tile's tracks are
+    scored against their window of cells (``_sampling_windows``). Returns
+    (T, D).
     """
     if grid.channels != params.dim:
         raise ValueError(f"grid has {grid.channels} channels, params expect {params.dim}")
     hw = (grid.height, grid.width)
-    feats = grid.data.reshape(-1, params.dim)
-    queries = coordinate_queries(params, track_coords, hw)
+    d = params.dim
+    coords = np.atleast_2d(np.asarray(track_coords, dtype=np.float64))
+    feats = grid.data.reshape(-1, d)
+    queries = coordinate_queries(params, coords, hw)
     keys = feats @ params.wk
-    values = feats @ params.wv
-    attn = queries @ keys.T
-    attn /= np.sqrt(params.dim)
-    attn += spatial_bias(track_coords, hw, params.sigma)
-    # every entry participates, so the softmax needs no mask
-    _softmax_(attn, flush=True)
-    return attn @ values
+    values = (feats @ params.wv).reshape(grid.data.shape)
+    spread = _row_spread(queries, keys)
+    keys = keys.reshape(grid.data.shape)
+    out = np.empty((coords.shape[0], d))
+    for tracks, rows, cols in _sampling_windows(coords, hw, params.sigma, spread):
+        window = keys[rows, cols]
+        bias = spatial_bias(coords[tracks], window.shape[:2], params.sigma,
+                            origin=(rows.start, cols.start))
+        out[tracks] = _attend(queries[tracks], window.reshape(-1, d),
+                              values[rows, cols].reshape(-1, d), bias)
+    return out
 
 
 def track_transformer(feats: TrackFeatures, params: AttentionParams) -> TrackFeatures:
@@ -270,12 +410,11 @@ def attentional_splatting(grid: FeatureGrid, track_feats: np.ndarray,
     """Scatter track features back onto the grid as a residual update.
 
     Grid-token centers drive the queries through the same coordinate MLP,
-    keys/values come from the track features, the spatial bias enters
-    transposed relative to sampling, and invisible tracks are masked out of
-    every row: their bias columns are -inf, which gives them weight 0 as the
-    post-softmax re-zero of ``masked_softmax`` does. With no visible track
-    the grid is returned unchanged. Grid cells are processed in blocks of
-    ``_SPLAT_BLOCK_ROWS`` rows of logits.
+    keys/values come from the track features, and the spatial bias enters
+    transposed relative to sampling. Invisible tracks take no part, which
+    gives them weight 0 as the post-softmax re-zero of ``masked_softmax``
+    does. With no visible track the grid is returned unchanged. Each tile of
+    cells is scored against its visible tracks (``_splatting_windows``).
     """
     if grid.channels != params.dim:
         raise ValueError(f"grid has {grid.channels} channels, params expect {params.dim}")
@@ -283,19 +422,22 @@ def attentional_splatting(grid: FeatureGrid, track_feats: np.ndarray,
     if not visibility.any():
         return grid
     hw = (grid.height, grid.width)
-    feats = np.where(visibility[:, None], track_feats, 0.0)
+    d = params.dim
+    coords = np.asarray(track_coords, dtype=np.float64)[visibility]
+    feats = np.asarray(track_feats, dtype=np.float64)[visibility]
     queries = coordinate_queries(params, grid_token_centers(*hw), hw)
     keys = feats @ params.wk
     values = feats @ params.wv
-    bias = spatial_bias(track_coords, hw, params.sigma, cells_first=True)
-    bias[:, ~visibility] = -np.inf
-    update = np.empty((queries.shape[0], params.dim))
-    for rows in _row_blocks(queries.shape[0], _SPLAT_BLOCK_ROWS):
-        logits = queries[rows] @ keys.T
-        logits /= np.sqrt(params.dim)
-        logits += bias[rows]
-        _softmax_(logits, flush=True)
-        update[rows] = (logits @ values) @ params.wout
+    spread = _row_spread(queries, keys).reshape(hw)
+    queries = queries.reshape(grid.data.shape)
+    mixed = np.empty(grid.data.shape)
+    for rows, cols, tracks in _splatting_windows(coords, hw, params.sigma, spread):
+        tile = queries[rows, cols]
+        bias = spatial_bias(coords[tracks], tile.shape[:2], params.sigma,
+                            origin=(rows.start, cols.start))
+        mixed[rows, cols] = _attend(tile.reshape(-1, d), keys[tracks], values[tracks],
+                                    bias.T).reshape(tile.shape)
+    update = mixed.reshape(-1, d) @ params.wout
     return FeatureGrid(grid.data + update.reshape(grid.data.shape), stride=grid.stride)
 
 

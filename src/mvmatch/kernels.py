@@ -239,33 +239,35 @@ def zbuffer_min(px: np.ndarray, py: np.ndarray, depth: np.ndarray, h: int, w: in
 # nearest-valid hole filling (iterated 4-neighbour dilation, fixed priority)
 # ---------------------------------------------------------------------------
 
+# (destination, source) cells of each neighbour, in priority order: the
+# neighbour above, below, to the left and to the right
+_NEIGHBOURS = (((slice(1, None), slice(None)), (slice(None, -1), slice(None))),
+               ((slice(None, -1), slice(None)), (slice(1, None), slice(None))),
+               ((slice(None), slice(1, None)), (slice(None), slice(None, -1))),
+               ((slice(None), slice(None, -1)), (slice(None), slice(1, None))))
+
+
 def fill_nearest(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Fill the cells of ``values`` (H, W, ...) where ``valid`` is False.
+
+    Each round of 4-neighbour dilation copies into every unfilled cell from
+    a neighbour filled before the round, preferring the one above, then
+    below, left and right, as whole-array shifts. A round writes only
+    unfilled cells and reads only filled ones, so it needs no copy of the
+    grid. Cells no round reaches keep their values.
+    """
     out = _f64(values).copy()
     filled = np.array(valid, dtype=np.bool_)
-    h, w = filled.shape
     while not filled.all():
-        prev_vals = out.copy()
-        prev_fill = filled.copy()
-        progressed = False
-        for y in range(h):
-            for x in range(w):
-                if prev_fill[y, x]:
-                    continue
-                # priority: up, down, left, right
-                if y > 0 and prev_fill[y - 1, x]:
-                    out[y, x] = prev_vals[y - 1, x]
-                elif y < h - 1 and prev_fill[y + 1, x]:
-                    out[y, x] = prev_vals[y + 1, x]
-                elif x > 0 and prev_fill[y, x - 1]:
-                    out[y, x] = prev_vals[y, x - 1]
-                elif x < w - 1 and prev_fill[y, x + 1]:
-                    out[y, x] = prev_vals[y, x + 1]
-                else:
-                    continue
-                filled[y, x] = True
-                progressed = True
-        if not progressed:
+        todo = ~filled
+        grew = np.zeros_like(filled)
+        for dst, src in _NEIGHBOURS:
+            take = todo[dst] & filled[src] & ~grew[dst]
+            out[dst][take] = out[src][take]
+            grew[dst] |= take
+        if not grew.any():
             break
+        filled |= grew
     return out
 
 

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mvmatch import attention
-from mvmatch.attention import (EXP_FLOOR, AttentionParams, TrackFeatures,
+from mvmatch.attention import (EXP_FLOOR, WINDOW_TAIL, AttentionParams, TrackFeatures,
                                attentional_sampling, attentional_splatting,
                                coordinate_queries, exchange_features,
                                grid_token_centers, init_attention_params,
@@ -15,6 +20,8 @@ from oracles import (dense_attentional_sampling, dense_attentional_splatting,
                      oracle_transformer)
 
 TINY = np.finfo(np.float64).tiny
+# Largest deviation of the windowed exchange from the dense formulation.
+EXCHANGE_ATOL = 1e-13
 
 
 def params_with(dim=4, sigma=1.0, seed=0, **overrides):
@@ -49,8 +56,10 @@ class TestSpatialBias:
         for sigma in (1.0, 0.7):
             want = dense_spatial_bias(coords, (37, 53), sigma)
             np.testing.assert_array_equal(spatial_bias(coords, (37, 53), sigma), want)
+            # a window's bias is the same bits as its cells' columns of the grid's
+            window = spatial_bias(coords, (5, 7), sigma, origin=(30, 46))
             np.testing.assert_array_equal(
-                spatial_bias(coords, (37, 53), sigma, cells_first=True), want.T)
+                window, want.reshape(-1, 37, 53)[:, 30:35, 46:53].reshape(-1, 35))
 
 
 class TestRowBlocks:
@@ -62,23 +71,26 @@ class TestRowBlocks:
         assert all(512 <= size < 1024 for size in sizes) or sizes == [n]
 
 
-def exchange_case(hw, tracks, seed):
+def exchange_case(hw, tracks, seed, outside=1.0):
+    # track coordinates reach up to ``outside`` cells past the grid's edges
     rng = np.random.default_rng(seed)
     h, w = hw
     params = init_attention_params(32, sigma=1.0, seed=seed)
     grid = FeatureGrid(rng.normal(size=(h, w, 32)))
-    coords = rng.uniform(-1, [w, h], size=(tracks, 2))
+    coords = rng.uniform(-outside, [w - 1 + outside, h - 1 + outside], size=(tracks, 2))
     vis = rng.random(tracks) < 0.7
     return params, grid, coords, vis, rng.normal(size=(tracks, 32))
 
 
 class TestBlocksMatchDenseFormulation:
-    """The lean exchange against the full-matrix formulation it replaced.
+    """The windowed exchange against the full-matrix formulation it replaced.
 
     84x84 with 512 tracks is the coarse grid and track budget at the shipped
-    672 px; 37x53 grid cells span several splatting blocks with a ragged last
-    one; 44x61 is a non-square grid wide enough for the subnormal flush to
-    fire.
+    672 px; 37x53 grid cells give ragged tiles and windows; 44x61 is a
+    non-square grid wide enough for the subnormal flush to fire. The
+    windows leave out at most ``WINDOW_TAIL`` = 1e-17 of each row's weight,
+    and the products and sums run over other shapes and orders than the
+    dense ones, so outputs agree to ``EXCHANGE_ATOL``, not bit for bit.
     """
 
     SHAPES = [((84, 84), 512), ((37, 53), 704), ((37, 53), 700), ((44, 61), 512)]
@@ -86,32 +98,32 @@ class TestBlocksMatchDenseFormulation:
     @pytest.mark.parametrize("hw, tracks", SHAPES)
     def test_sampling_bits(self, hw, tracks):
         params, grid, coords, _, _ = exchange_case(hw, tracks, 5)
-        np.testing.assert_array_equal(attentional_sampling(grid, coords, params),
-                                      dense_attentional_sampling(grid, coords, params))
+        np.testing.assert_allclose(attentional_sampling(grid, coords, params),
+                                   dense_attentional_sampling(grid, coords, params),
+                                   rtol=0, atol=EXCHANGE_ATOL)
 
     @pytest.mark.parametrize("hw, tracks", SHAPES[:2] + SHAPES[3:])
     def test_splatting_bits(self, hw, tracks):
         params, grid, coords, vis, feats = exchange_case(hw, tracks, 6)
-        assert hw[0] * hw[1] > 2 * attention._SPLAT_BLOCK_ROWS
         assert 0 < vis.sum() < tracks
         got = attentional_splatting(grid, feats, coords, vis, params)
         want = dense_attentional_splatting(grid, feats, coords, vis, params)
-        np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=EXCHANGE_ATOL)
 
     def test_splatting_ragged_track_count_within_ulps(self):
-        # with a track count off a multiple of 8, OpenBLAS tiles the ragged
-        # columns by row position, so a block's logits can differ from the
-        # full product's in the last ulp
+        # a visible-track count off a multiple of 8; each window's track count
+        # is padded to one
         params, grid, coords, vis, feats = exchange_case((37, 53), 700, 6)
+        assert vis.sum() % 8
         got = attentional_splatting(grid, feats, coords, vis, params)
         want = dense_attentional_splatting(grid, feats, coords, vis, params)
-        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=EXCHANGE_ATOL)
 
 
-def shifted_exchange_logits(hw, tracks, seed, splat):
+def shifted_exchange_logits(hw, tracks, seed, splat, outside=1.0):
     """The dense formulation's max-shifted logits for ``exchange_case``:
     (T, HW) for sampling, (HW, visible tracks) for splatting."""
-    params, grid, coords, vis, track_feats = exchange_case(hw, tracks, seed)
+    params, grid, coords, vis, track_feats = exchange_case(hw, tracks, seed, outside)
     bias = dense_spatial_bias(coords, hw, params.sigma)
     if splat:
         queries = coordinate_queries(params, grid_token_centers(*hw), hw)
@@ -122,6 +134,88 @@ def shifted_exchange_logits(hw, tracks, seed, splat):
         keys = grid.data.reshape(-1, params.dim) @ params.wk
     logits = queries @ keys.T / np.sqrt(params.dim) + bias
     return logits - logits.max(axis=1, keepdims=True)
+
+
+class TestWindowBound:
+    """Every dense logit a window leaves out is negligible.
+
+    Its max-shifted value lies below ln(WINDOW_TAIL / n) for a row of n
+    columns (HW cells in sampling, the visible tracks in splatting), so the
+    left-out weights add up to at most WINDOW_TAIL of the row's largest.
+    ``exchange_case`` puts some tracks outside the grid. In one case they
+    reach 6 cells out and are few, so some tiles hold only such tracks and
+    their windows rest on the tracks' distance to the nearest cell. On the
+    6x6 grid the sampling window is the whole grid.
+    """
+
+    CASES = [((84, 84), 512, 1.0), ((37, 53), 700, 1.0), ((37, 53), 40, 6.0),
+             ((6, 6), 128, 1.0)]
+
+    @pytest.mark.parametrize("hw, tracks, outside", CASES)
+    def test_sampling_leaves_out_only_negligible_logits(self, hw, tracks, outside):
+        params, grid, coords, _, _ = exchange_case(hw, tracks, 5, outside)
+        h, w = hw
+        assert np.any((coords < 0) | (coords > [w - 1, h - 1]))
+        queries = coordinate_queries(params, coords, hw)
+        keys = grid.data.reshape(-1, params.dim) @ params.wk
+        spread = attention._row_spread(queries, keys)
+        inside = np.zeros((tracks, h, w), dtype=bool)
+        windows = attention._sampling_windows(coords, hw, params.sigma, spread)
+        for bin_tracks, rows, cols in windows:
+            assert not inside[bin_tracks].any()
+            inside[bin_tracks, rows, cols] = True
+            assert inside[bin_tracks[0]].sum() % 8 == 0 or inside[bin_tracks[0]].all()
+        assert inside.any(axis=(1, 2)).all()
+        shifted = shifted_exchange_logits(hw, tracks, 5, False, outside).reshape(tracks, h, w)
+        assert np.all(shifted[~inside] < np.log(WINDOW_TAIL) - np.log(h * w))
+        if hw == (6, 6):
+            assert inside.all()
+        else:
+            assert inside.mean() < 0.5
+
+    @pytest.mark.parametrize("hw, tracks, outside", CASES)
+    def test_splatting_leaves_out_only_negligible_logits(self, hw, tracks, outside):
+        params, grid, coords, vis, feats = exchange_case(hw, tracks, 6, outside)
+        h, w = hw
+        t_vis = int(vis.sum())
+        queries = coordinate_queries(params, grid_token_centers(*hw), hw)
+        spread = attention._row_spread(queries, feats[vis] @ params.wk).reshape(hw)
+        inside = np.zeros((h, w, t_vis), dtype=bool)
+        for rows, cols, kept in attention._splatting_windows(coords[vis], hw, params.sigma,
+                                                             spread):
+            assert not inside[rows, cols].any()
+            inside[rows, cols, kept] = True
+            assert kept.size % 8 == 0 or kept.size == t_vis
+        assert inside.any(axis=2).all()
+        shifted = shifted_exchange_logits(hw, tracks, 6, True, outside).reshape(h, w, t_vis)
+        assert np.all(shifted[~inside] < np.log(WINDOW_TAIL) - np.log(t_vis))
+        if hw == (84, 84):
+            assert inside.mean() < 0.5
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+from test_attention import exchange_case
+from mvmatch.attention import attentional_sampling, attentional_splatting
+params, grid, coords, vis, feats = exchange_case((37, 53), 700, 6)
+sampled = attentional_sampling(grid, coords, params)
+splatted = attentional_splatting(grid, feats, coords, vis, params)
+print(hashlib.sha256(sampled.tobytes() + splatted.data.tobytes()).hexdigest())
+"""
+
+
+def exchange_digest(threads):
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    done = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def test_exchange_bits_do_not_depend_on_blas_threads():
+    # a ragged case: 37x53 = 1961 cells and 700 tracks, neither a multiple of 8
+    assert exchange_digest(1) == exchange_digest(2)
 
 
 class TestSubnormalFlush:
@@ -148,7 +242,7 @@ class TestSubnormalFlush:
         attention._softmax_(row)
         assert 0.0 < row[0, 1] < TINY
 
-    # the cases TestBlocksMatchDenseFormulation holds to the dense bits:
+    # the cases TestBlocksMatchDenseFormulation compares with the dense outputs:
     # sampling at seed 5, splatting at seed 6
     @pytest.mark.parametrize("splat, seed", [(False, 5), (True, 6)])
     @pytest.mark.parametrize("hw", [(84, 84), (44, 61)])

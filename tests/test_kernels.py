@@ -180,6 +180,13 @@ class TestAgreement:
             got = kernels.fill_nearest(values, valid)
             np.testing.assert_array_equal(got, brute_force_fill_nearest(values, valid))
         assert np.all(np.isfinite(kernels.fill_nearest(values, sparse)))
+        # non-square grids and a single row, where the shifts meet the borders
+        for h, w in ((7, 13), (13, 7), (1, 9)):
+            values = rng.normal(size=(h, w, 3))
+            valid = rng.random((h, w)) < 0.3
+            valid[0, -1] = True
+            np.testing.assert_array_equal(kernels.fill_nearest(values, valid),
+                                          brute_force_fill_nearest(values, valid))
 
     def test_conv2d(self):
         # every output pixel is compared, the zero-padded border included
