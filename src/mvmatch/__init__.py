@@ -16,7 +16,7 @@ from .grids import (CorrelationVolume, DenseWarpField, FeatureGrid,
 from .oracle import (PinholeCamera, SceneOracle, gt_track_error,
                      gt_warp, load_scene, make_planar_scene,
                      make_point_cloud_scene, save_scene, simulate_matcher)
-from .tracks import (TrackToken, VisibilityPartition, allocate_clusters,
+from .tracks import (Tracks, VisibilityPartition, allocate_clusters,
                      kmeans, partition_by_visibility, read_tracks_tsv,
                      sample_tracks, write_tracks_tsv)
 from .attention import (AttentionParams, TrackFeatures, attentional_sampling,

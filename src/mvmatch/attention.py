@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import FeatureGrid
-from .tracks import TrackToken
+from .tracks import Tracks
 
 MASK_LOGIT = -1e9
 # A max-shifted logit below this has a subnormal (or zero) exp; see _softmax_.
@@ -441,7 +441,7 @@ def attentional_splatting(grid: FeatureGrid, track_feats: np.ndarray,
     return FeatureGrid(grid.data + update.reshape(grid.data.shape), stride=grid.stride)
 
 
-def exchange_features(grids: list[FeatureGrid], tracks: list[TrackToken],
+def exchange_features(grids: list[FeatureGrid], tracks: Tracks,
                       params: AttentionParams) -> list[FeatureGrid]:
     """Full sample -> propagate -> splat round trip over one group's views.
 
@@ -450,13 +450,12 @@ def exchange_features(grids: list[FeatureGrid], tracks: list[TrackToken],
     each grid's stride. Views where a track is invisible contribute zeros to
     the propagation and receive no splat from it.
     """
-    if not tracks:
+    if not len(tracks):
         return list(grids)
     v = len(grids)
     t = len(tracks)
     d = params.dim
-    vis = np.stack([tr.visibility for tr in tracks])          # (T, V)
-    coords = np.stack([tr.coords.reshape(-1, 2) for tr in tracks])  # (T, V, 2)
+    vis, coords = tracks.visibility, tracks.coords  # (T, V), (T, V, 2)
     sampled = np.zeros((v, t, d))
     per_view_coords = []
     for view, grid in enumerate(grids):

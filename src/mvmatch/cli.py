@@ -93,7 +93,7 @@ def cmd_build_tracks(args) -> int:
     tracks = sample_tracks(coords, vis, cfg.track_tokens, seed=args.seed,
                            normalize=cfg.normalize_track_coords)
     path = out / "tracks.tsv"
-    write_tracks_tsv(path, tracks, num_views=len(group.views))
+    write_tracks_tsv(path, tracks)
     print(f"wrote {path} ({len(tracks)} tracks from {len(coords)} matches)")
     return 0
 
@@ -233,31 +233,22 @@ def cmd_postprocess(args) -> int:
         pairs = ", ".join(f"{a}->{b}" for a, b in sorted(one_way))
         print(f"mvmatch postprocess: warning: no reverse warp for pairs {pairs}; "
               "none of their matches can pass the reciprocity check", file=sys.stderr)
-    all_tracks = []
-    per_group_tracks = []
+    track_sets = []
     num_views = 1 + max(max((a for a, _ in selected), default=0),
                         max((b for _, b in selected), default=0))
     for gid, group in groups:
         usable = [t for t in group.targets if (group.source, t) in selected]
         if not usable:
-            per_group_tracks.append([])
             continue
         tracks = postprocess_group(group.source, usable, selected, keeps,
                                    cfg.tau, cfg.nms_radius,
                                    cfg.max_keypoints or None)
-        per_group_tracks.append(tracks)
-        views = (group.source,) + tuple(usable)
-        all_tracks.extend((t, views) for t in tracks)
-    rows = []
-    for track, views in all_tracks:
-        pts = track.coords.reshape(-1, 2)
-        rows.append([(view, pts[slot, 0], pts[slot, 1])
-                     for slot, view in enumerate(views) if track.visibility[slot]])
+        track_sets.append((tracks, (group.source,) + tuple(usable)))
     path = out / "sfm_tracks.tsv"
-    write_track_rows(path, num_views, rows)
-    stats = match_statistics(keeps, per_group_tracks)
+    write_track_rows(path, num_views, track_sets)
+    stats = match_statistics(keeps, [tracks for tracks, _ in track_sets])
     write_statistics(out / "stats.json", stats)
-    print(f"wrote {path} ({len(all_tracks)} tracks) and stats.json")
+    print(f"wrote {path} ({stats['track_count']} tracks) and stats.json")
     return 0
 
 

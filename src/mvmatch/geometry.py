@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tracks import Tracks
+
 # Probability that RANSAC has drawn an all-inlier sample when it stops early.
 RANSAC_CONFIDENCE = 0.99
 
@@ -237,19 +239,15 @@ def triangulate_observations(observations, cameras):
     return pts, np.array(kept, dtype=np.int64), skipped
 
 
-def triangulate_tracks(tracks, cameras, views=None):
-    """Triangulate TrackTokens visible in >= 2 views.
+def triangulate_tracks(tracks: Tracks, cameras, views=None):
+    """Triangulate the tracks visible in >= 2 views.
 
     ``views`` maps track slots to camera indices (identity by default).
     Returns (points (K, 3), track indices (K,), skipped count).
     """
-    observations = []
-    for track in tracks:
-        obs_map = {}
-        for slot in np.nonzero(track.visibility)[0]:
-            cam_idx = int(slot if views is None else views[slot])
-            obs_map[cam_idx] = track.coords[2 * slot:2 * slot + 2]
-        observations.append(obs_map)
+    cams = np.arange(tracks.visibility.shape[1]) if views is None else np.asarray(views)
+    observations = [{int(cams[s]): xy[s] for s in np.flatnonzero(vis)}
+                    for xy, vis in zip(tracks.coords, tracks.visibility)]
     return triangulate_observations(observations, cameras)
 
 

@@ -31,7 +31,7 @@ from .features import FeatureProvider
 from .grids import (DenseWarpField, FeatureGrid, _splat_max_confidence,
                     invert_warp, local_correlation, upsample_warp, warp_features)
 from .grouping import ImageGroup
-from .tracks import TrackToken
+from .tracks import Tracks
 
 DEFAULT_WINDOWS = {8: 9, 4: 9, 2: 7, 1: 5}
 ALIGNMENT_MODES = ("forward", "invert", "reverse")
@@ -412,7 +412,7 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
 
 
 def run_group(group: ImageGroup, provider: FeatureProvider,
-              tracks: list[TrackToken], params: MatcherParams,
+              tracks: Tracks, params: MatcherParams,
               upsample_factor: int = 1) -> dict[int, DenseWarpField]:
     """Full matcher over one image group: encoder exchange, global match, refine.
 
@@ -423,7 +423,7 @@ def run_group(group: ImageGroup, provider: FeatureProvider,
         raise ValueError("group has no targets")
     coarse = params.strides[0]
     grids = [provider.features(v, coarse) for v in group.views]
-    if tracks:
+    if len(tracks):
         grids = exchange_features(grids, tracks, params.encoder)
     ha, wa = grids[0].height, grids[0].width
     warps: dict[int, DenseWarpField] = {}

@@ -22,6 +22,7 @@ from .config import read_json
 from .geometry import apply_homography
 from .grids import MISSING, DenseWarpField
 from .grouping import ImageGroup
+from .tracks import Tracks
 
 DEPTH_TOLERANCE = 0.005  # relative z-buffer tolerance for occlusion tests
 MAX_CONDITION = 1e8
@@ -247,28 +248,26 @@ def simulate_matcher(oracle: SceneOracle, group: ImageGroup, n: int,
     return coords, vis
 
 
-def gt_track_error(oracle: SceneOracle, track, views=None) -> np.ndarray:
-    """Per-view reprojection error of a track against the ground truth.
+def gt_track_error(oracle: SceneOracle, tracks: Tracks, views=None) -> np.ndarray:
+    """(T, V) per-view reprojection errors of tracks against the ground truth.
 
     ``views`` maps track slots to oracle view indices (defaults to identity).
-    The source slot scores 0; invisible slots are NaN. Errors the moment a
+    Source slots score 0; invisible slots are NaN. Errors the moment a
     track is visible in fewer than two views.
     """
-    vis = np.asarray(track.visibility, dtype=bool)
-    coords = np.asarray(track.coords, dtype=np.float64).reshape(-1, 2)
-    v = vis.shape[0]
+    vis = tracks.visibility
+    coords = tracks.coords
+    t, v = vis.shape
     if views is None:
         views = tuple(range(v))
-    if int(vis.sum()) < 2:
+    if np.any(vis.sum(axis=1) < 2):
         raise ValueError("track must be visible in at least two views")
-    out = np.full(v, np.nan)
-    out[0] = 0.0
-    src = coords[0]
+    out = np.full((t, v), np.nan)
+    out[:, 0] = 0.0
     for slot in range(1, v):
-        if not vis[slot]:
-            continue
-        mapped, _ = gt_transfer_points(oracle, views[0], views[slot], src[None, :])
-        out[slot] = float(np.linalg.norm(coords[slot] - mapped[0]))
+        rows = vis[:, slot]
+        mapped, _ = gt_transfer_points(oracle, views[0], views[slot], coords[rows, 0])
+        out[rows, slot] = np.linalg.norm(coords[rows, slot] - mapped, axis=1)
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .grids import MISSING, DenseWarpField
-from .tracks import TrackToken
+from .tracks import Tracks
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def build_score_map(confidences: list[np.ndarray], keeps: list[np.ndarray],
     return ScoreMap(length, mean_conf)
 
 
-def nms_select(score: ScoreMap | np.ndarray, radius: int,
+def nms_select(scores: np.ndarray, radius: int,
                max_keypoints: int | None = None) -> np.ndarray:
     """Greedy-by-score NMS; returns selected (x, y) pixels.
 
@@ -101,63 +101,55 @@ def nms_select(score: ScoreMap | np.ndarray, radius: int,
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    scores = score.scores if isinstance(score, ScoreMap) else np.asarray(score, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     picked_yx = kernels.nms_greedy(scores, radius, max_keypoints or -1)
     return picked_yx[:, ::-1].copy()  # (y, x) -> (x, y)
 
 
 def assemble_tracks(keypoints: np.ndarray, selected_warps: list[DenseWarpField],
-                    keeps: list[np.ndarray], tau: float) -> list[TrackToken]:
+                    keeps: list[np.ndarray], tau: float) -> Tracks:
     """One track per keypoint from the per-target selected warps.
 
     A target entry is present iff its confidence exceeds tau and the pixel
     passed the reciprocity check; keypoints with no valid target are dropped.
     Slot 0 is the source; slot v is selected_warps[v-1]'s target view.
     """
-    tracks: list[TrackToken] = []
-    nt = len(selected_warps)
-    for kp in np.atleast_2d(keypoints):
-        x, y = int(kp[0]), int(kp[1])
-        coords = np.full(2 * (nt + 1), MISSING)
-        vis = np.zeros(nt + 1, dtype=bool)
-        coords[0:2] = (x, y)
-        vis[0] = True
-        for v, (warp, keep) in enumerate(zip(selected_warps, keeps), start=1):
-            if keep[y, x] and warp.confidence[y, x] > tau:
-                coords[2 * v:2 * v + 2] = warp.targets[y, x]
-                vis[v] = True
-        if vis[1:].any():
-            tracks.append(TrackToken(coords, vis))
-    return tracks
+    kp = np.atleast_2d(keypoints).astype(np.int64)
+    xs, ys = kp[:, 0], kp[:, 1]
+    valid = np.stack([keep[ys, xs] & (warp.confidence[ys, xs] > tau)
+                      for warp, keep in zip(selected_warps, keeps)], axis=1)
+    vis = np.column_stack([np.ones(len(kp), dtype=bool), valid])
+    coords = np.stack([kp] + [warp.targets[ys, xs] for warp in selected_warps], axis=1)
+    coords = np.where(vis[..., None], coords, MISSING)
+    rows = valid.any(axis=1)
+    return Tracks(coords[rows], vis[rows])
 
 
 def postprocess_group(source: int, targets: list[int],
                       selected: dict[tuple[int, int], DenseWarpField],
                       keeps: dict[tuple[int, int], np.ndarray],
                       tau: float, nms_radius: int,
-                      max_keypoints: int | None = None) -> list[TrackToken]:
+                      max_keypoints: int | None = None) -> Tracks:
     """Score-map keypoint sampling and track assembly for one group."""
     warps = [selected[(source, t)] for t in targets]
     keep_masks = [keeps[(source, t)] for t in targets]
     score = build_score_map([w.confidence for w in warps], keep_masks, tau)
-    keypoints = nms_select(score, nms_radius, max_keypoints)
+    keypoints = nms_select(score.scores, nms_radius, max_keypoints)
     return assemble_tracks(keypoints, warps, keep_masks, tau)
 
 
 def match_statistics(keeps: dict[tuple[int, int], np.ndarray],
-                     tracks_per_group: list[list[TrackToken]]) -> dict:
+                     tracks_per_group: list[Tracks]) -> dict:
     """Kept-match rate plus a track-length histogram, JSON-ready."""
     total = sum(int(k.size) for k in keeps.values())
     kept = sum(int(k.sum()) for k in keeps.values())
-    hist: dict[str, int] = {}
-    for tracks in tracks_per_group:
-        for t in tracks:
-            key = str(int(t.visibility.sum()))
-            hist[key] = hist.get(key, 0) + 1
+    lengths = np.concatenate([np.zeros(0, dtype=np.int64)]
+                             + [t.visibility.sum(axis=1) for t in tracks_per_group])
+    hist = {str(n): int(c) for n, c in enumerate(np.bincount(lengths)) if c}
     return {
         "kept_match_rate": (kept / total) if total else 0.0,
         "pairs": len(keeps),
-        "track_count": sum(len(t) for t in tracks_per_group),
+        "track_count": int(lengths.size),
         "track_length_histogram": dict(sorted(hist.items())),
     }
 

@@ -1,4 +1,4 @@
-"""Multi-view track tokens from raw pairwise matches.
+"""Multi-view tracks from raw pairwise matches.
 
 Raw matches are grouped into partitions sharing the same visibility mask,
 cluster budgets are allocated proportionally to partition size, and k-means
@@ -22,35 +22,34 @@ KMEANS_BLOCK = 32
 
 
 @dataclass(frozen=True)
-class TrackToken:
-    """One scene point's 2D positions across V views plus a visibility mask.
+class Tracks:
+    """T scene points' 2D positions across V views plus their visibility.
 
-    ``coords`` stacks (x, y) per view into a 2V vector with -1 sentinels for
-    missing views; slot 0 is the source view and is always visible.
+    ``coords`` (T, V, 2) holds (x, y) per view with the -1 sentinel in
+    invisible slots; slot 0 is the source view and is always visible, and
+    every track is visible in at least one target view. T = 0 is allowed.
     """
 
-    coords: np.ndarray      # (2V,)
-    visibility: np.ndarray  # (V,) bool
+    coords: np.ndarray      # (T, V, 2) float64
+    visibility: np.ndarray  # (T, V) bool
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64).reshape(-1)
+        coords = np.asarray(self.coords, dtype=np.float64)
         vis = np.asarray(self.visibility, dtype=bool)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "visibility", vis)
-        if coords.shape[0] != 2 * vis.shape[0]:
+        if vis.ndim != 2 or vis.shape[1] == 0 or coords.shape != vis.shape + (2,):
             raise ValueError("coords must hold (x, y) per view")
-        if not vis[0]:
+        if not vis[:, 0].all():
             raise ValueError("source view must be visible")
-        if not vis[1:].any():
+        if not vis[:, 1:].any(axis=1).all():
             raise ValueError("at least one target view must be visible")
-        pts = coords.reshape(-1, 2)
-        if np.any(pts[~vis] != MISSING):
+        if np.any(coords[~vis] != MISSING):
             raise ValueError("invisible views must carry the -1 sentinel")
-        if np.any(pts[vis] == MISSING):
+        if np.any(coords[vis] == MISSING):
             raise ValueError("visible views must carry real coordinates")
 
-    @property
-    def num_views(self) -> int:
+    def __len__(self) -> int:
         return self.visibility.shape[0]
 
 
@@ -242,7 +241,7 @@ def kmeans(points: np.ndarray, k: int, seed: int):
 
 
 def sample_tracks(coords: np.ndarray, visibility: np.ndarray, budget: int, seed: int,
-                  normalize: bool = False) -> list[TrackToken]:
+                  normalize: bool = False) -> Tracks:
     """Clustering-based selection of representative tracks.
 
     ``coords`` (n, V, 2) and ``visibility`` (n, V) are raw matches as
@@ -279,8 +278,7 @@ def sample_tracks(coords: np.ndarray, visibility: np.ndarray, budget: int, seed:
         firsts = np.flatnonzero(np.diff(labels[order], prepend=-1))
         picked.append(part.members[order[firsts]])
     rows = np.concatenate(picked)
-    return [TrackToken(c, v) for c, v in
-            zip(coords[rows].reshape(rows.size, -1), visibility[rows])]
+    return Tracks(coords[rows], visibility[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +286,23 @@ def sample_tracks(coords: np.ndarray, visibility: np.ndarray, budget: int, seed:
 # ---------------------------------------------------------------------------
 
 def write_track_rows(path, num_views: int,
-                     rows: list[list[tuple[int, float, float]]]) -> None:
-    """Write a track TSV: ``rows[t]`` lists token t's (view_id, x, y) observations.
+                     track_sets: list[tuple[Tracks, tuple[int, ...]]]) -> None:
+    """Write a track TSV from track sets, each with its slots' global view ids.
 
-    View ids are global. The header line records V and T, then a column-name
-    line, then one ``token_id  view_id  x  y`` line per observation.
+    Token ids run on across the sets in order. The header line records V and
+    T, then a column-name line, then one ``token_id  view_id  x  y`` line per
+    visible slot.
     """
+    rows, count = [np.empty((0, 4))], 0
+    for tracks, views in track_sets:
+        tid, slot = np.nonzero(tracks.visibility)
+        rows.append(np.column_stack([count + tid, np.asarray(views)[slot],
+                                     tracks.coords[tid, slot]]))
+        count += len(tracks)
     with open(path, "w") as f:
-        f.write(f"# V={num_views}\tT={len(rows)}\n")
+        f.write(f"# V={num_views}\tT={count}\n")
         f.write("token_id\tview_id\tx\ty\n")
-        for tid, obs in enumerate(rows):
-            for view, x, y in obs:
-                f.write(f"{tid}\t{view}\t{x:.6f}\t{y:.6f}\n")
+        np.savetxt(f, np.concatenate(rows), fmt="%d\t%d\t%.6f\t%.6f")
 
 
 def read_track_rows(path, max_views: int | None = None
@@ -340,27 +343,23 @@ def read_track_rows(path, max_views: int | None = None
     return num_views, rows
 
 
-def write_tracks_tsv(path, tracks: list[TrackToken], num_views: int | None = None) -> None:
+def write_tracks_tsv(path, tracks: Tracks) -> None:
     """One row per (token, view) observation; visibility is implied by row presence."""
-    if num_views is None:
-        num_views = tracks[0].num_views if tracks else 0
-    rows = []
-    for track in tracks:
-        pts = track.coords.reshape(-1, 2)
-        rows.append([(view, pts[view, 0], pts[view, 1])
-                     for view in range(track.num_views) if track.visibility[view]])
-    write_track_rows(path, num_views, rows)
+    num_views = tracks.visibility.shape[1]
+    write_track_rows(path, num_views, [(tracks, tuple(range(num_views)))])
 
 
-def read_tracks_tsv(path) -> tuple[list[TrackToken], int]:
+def read_tracks_tsv(path) -> Tracks:
+    """Read a track TSV; tokens go in ascending token id. An invalid token
+    raises ValueError naming ``path``."""
     num_views, rows = read_track_rows(path)
-    tracks = []
-    for tid in sorted(rows):
-        coords = np.full(2 * num_views, MISSING)
-        vis = np.zeros(num_views, dtype=bool)
-        for view, (x, y) in rows[tid].items():
-            coords[2 * view] = x
-            coords[2 * view + 1] = y
-            vis[view] = True
-        tracks.append(TrackToken(coords, vis))
-    return tracks, num_views
+    coords = np.full((len(rows), num_views, 2), MISSING)
+    vis = np.zeros((len(rows), num_views), dtype=bool)
+    for t, tid in enumerate(sorted(rows)):
+        for view, xy in rows[tid].items():
+            coords[t, view] = xy
+            vis[t, view] = True
+    try:
+        return Tracks(coords, vis)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

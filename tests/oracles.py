@@ -494,3 +494,25 @@ def loop_sample_tracks(coords, visibility, budget, seed, normalize=False):
             rows.append(part.members[members[int(np.argmin(d))]])
     out = np.where(visibility[rows][..., None], coords[rows], MISSING)
     return out.reshape(len(rows), -1), visibility[rows]
+
+
+def loop_assemble_tracks(keypoints, selected_warps, keeps, tau):
+    """``assemble_tracks`` as (T, V, 2) coordinates and (T, V) visibility,
+    one keypoint and one target at a time."""
+    nt = len(selected_warps)
+    coords, vis = [], []
+    for kp in np.atleast_2d(keypoints):
+        x, y = int(kp[0]), int(kp[1])
+        c = np.full((nt + 1, 2), MISSING)
+        v = np.zeros(nt + 1, dtype=bool)
+        c[0] = (x, y)
+        v[0] = True
+        for slot, (warp, keep) in enumerate(zip(selected_warps, keeps), start=1):
+            if keep[y, x] and warp.confidence[y, x] > tau:
+                c[slot] = warp.targets[y, x]
+                v[slot] = True
+        if v[1:].any():
+            coords.append(c)
+            vis.append(v)
+    return (np.array(coords).reshape(-1, nt + 1, 2),
+            np.array(vis, dtype=bool).reshape(-1, nt + 1))

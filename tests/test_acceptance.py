@@ -35,7 +35,7 @@ from mvmatch.oracle import (gt_track_error, gt_warp, make_planar_scene,
                             make_point_cloud_scene, simulate_matcher)
 from mvmatch.postprocess import (nms_select, postprocess_group,
                                  reciprocity_filter, select_matches)
-from mvmatch.tracks import (TrackToken, allocate_clusters, kmeans,
+from mvmatch.tracks import (Tracks, allocate_clusters, kmeans,
                             partition_by_visibility, sample_tracks)
 
 from oracles import (brute_force_nms, oracle_mvfuse, oracle_sampling,
@@ -138,16 +138,14 @@ def test_criterion_2_masking_and_equivariance():
             if trial % 10 == 0:
                 grids = [FeatureGrid(rng.normal(size=(grid.height, grid.width, dim)))
                          for _ in range(v)]
-                tracks = []
-                for ti in range(t):
-                    pts = np.where(vis[ti][:, None],
-                                   rng.uniform(0, grid.width - 1, (v, 2)), -1.0)
-                    tracks.append(TrackToken(pts.reshape(-1), vis[ti]))
+                pts = np.stack([np.where(vis[ti][:, None],
+                                         rng.uniform(0, grid.width - 1, (v, 2)), -1.0)
+                                for ti in range(t)])
+                tracks = Tracks(pts, vis)
                 base_out = exchange_features(grids, tracks, params)
                 perm = np.concatenate([[0], 1 + rng.permutation(v - 1)])
                 grids_p = [grids[i] for i in perm]
-                tracks_p = [TrackToken(tr.coords.reshape(-1, 2)[perm].reshape(-1),
-                                       tr.visibility[perm]) for tr in tracks]
+                tracks_p = Tracks(pts[:, perm], vis[:, perm])
                 out_p = exchange_features(grids_p, tracks_p, params)
                 for slot, orig in enumerate(perm):
                     np.testing.assert_allclose(out_p[slot].data,
@@ -175,7 +173,7 @@ def test_criterion_3_track_builder_contract():
         for budget in (40, 300, 999):
             tracks = sample_tracks(coords, vis, budget, seed=7)
             assert len(tracks) == min(budget, 300)
-            assert all(tuple(t.coords) in inputs for t in tracks)
+            assert all(tuple(c) in inputs for c in tracks.coords.reshape(len(tracks), -1))
         parts = partition_by_visibility(vis)
         counts, _ = allocate_clusters(parts, 40)
         assert counts.sum() == 40
@@ -201,7 +199,7 @@ def test_criterion_3_track_builder_contract():
                 src = r.uniform(0, 200, 2)
                 scattered[i] = src, src + r.normal(0, 1, 2)
             tracks = sample_tracks(scattered, np.ones((500, 2), dtype=bool), 64, seed=trial)
-            sel = np.array([t.coords[:2] for t in tracks])
+            sel = tracks.coords[:, 0]
             idx = r.choice(500, size=64, replace=False)
             rand = scattered[idx, 0]
 
@@ -377,9 +375,8 @@ def test_criterion_7_end_to_end_noiseless_pipeline():
         tracks_out = postprocess_group(0, targets, selected, keeps,
                                        cfg.tau, cfg.nms_radius)
         assert len(tracks_out) > 100
-        for token in tracks_out:
-            errs = gt_track_error(scene, token, views=group.views)
-            assert np.nanmax(errs) < cfg.eps_p
+        errs = gt_track_error(scene, tracks_out, views=group.views)
+        assert np.nanmax(errs) < cfg.eps_p
 
         # homography eval on the gt-quality warps: AUC@1px = 1.0 with DLT
         errors = []

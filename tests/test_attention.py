@@ -13,7 +13,7 @@ from mvmatch.attention import (EXP_FLOOR, WINDOW_TAIL, AttentionParams, TrackFea
                                grid_token_centers, init_attention_params,
                                masked_softmax, spatial_bias, track_transformer)
 from mvmatch.grids import MISSING, FeatureGrid
-from mvmatch.tracks import TrackToken
+from mvmatch.tracks import Tracks
 
 from oracles import (dense_attentional_sampling, dense_attentional_splatting,
                      dense_spatial_bias, oracle_sampling, oracle_splatting,
@@ -195,12 +195,25 @@ class TestWindowBound:
 
 _DIGEST_SCRIPT = """
 import hashlib
+import numpy as np
 from test_attention import exchange_case
-from mvmatch.attention import attentional_sampling, attentional_splatting
+from mvmatch.attention import attentional_sampling, attentional_splatting, exchange_features
+from mvmatch.grids import FeatureGrid
+from mvmatch.tracks import Tracks
 params, grid, coords, vis, feats = exchange_case((37, 53), 700, 6)
 sampled = attentional_sampling(grid, coords, params)
 splatted = attentional_splatting(grid, feats, coords, vis, params)
-print(hashlib.sha256(sampled.tobytes() + splatted.data.tobytes()).hexdigest())
+# the whole exchange over five views, 700 tracks each visible in a ragged subset
+rng = np.random.default_rng(7)
+grids = [FeatureGrid(rng.normal(size=(37, 53, 32))) for _ in range(5)]
+track_vis = rng.random((700, 5)) < 0.7
+track_vis[:, 0] = True
+track_vis[~track_vis[:, 1:].any(axis=1), 1] = True
+track_coords = np.where(track_vis[..., None],
+                        rng.uniform(-1.0, [53.0, 37.0], size=(700, 5, 2)), -1.0)
+exchanged = exchange_features(grids, Tracks(track_coords, track_vis), params)
+print(hashlib.sha256(b"".join([sampled.tobytes(), splatted.data.tobytes()]
+                              + [g.data.tobytes() for g in exchanged])).hexdigest())
 """
 
 
@@ -214,7 +227,8 @@ def exchange_digest(threads):
 
 
 def test_exchange_bits_do_not_depend_on_blas_threads():
-    # a ragged case: 37x53 = 1961 cells and 700 tracks, neither a multiple of 8
+    # ragged cases: 37x53 = 1961 cells and 700 tracks, neither a multiple of
+    # 8, and five views whose visible track counts differ
     assert exchange_digest(1) == exchange_digest(2)
 
 
@@ -432,16 +446,15 @@ class TestAttentionalSplatting:
 
 class TestExchange:
     def _tracks(self, rng, t, v, size=16.0):
-        tracks = []
-        for _ in range(t):
-            vis = np.zeros(v, dtype=bool)
-            vis[0] = True
-            vis[1:] = rng.random(v - 1) < 0.8
-            if not vis[1:].any():
-                vis[1] = True
-            pts = np.where(vis[:, None], rng.uniform(0, size, (v, 2)), MISSING)
-            tracks.append(TrackToken(pts.reshape(-1), vis))
-        return tracks
+        coords = np.empty((t, v, 2))
+        vis = np.zeros((t, v), dtype=bool)
+        for i in range(t):
+            vis[i, 0] = True
+            vis[i, 1:] = rng.random(v - 1) < 0.8
+            if not vis[i, 1:].any():
+                vis[i, 1] = True
+            coords[i] = np.where(vis[i, :, None], rng.uniform(0, size, (v, 2)), MISSING)
+        return Tracks(coords, vis)
 
     def test_round_trip_permutation_equivariance(self):
         rng = np.random.default_rng(23)
@@ -452,10 +465,7 @@ class TestExchange:
         base = exchange_features(grids, tracks, params)
         perm = [0, 2, 3, 1]
         grids_p = [grids[i] for i in perm]
-        tracks_p = []
-        for t in tracks:
-            pts = t.coords.reshape(-1, 2)[perm]
-            tracks_p.append(TrackToken(pts.reshape(-1), t.visibility[perm]))
+        tracks_p = Tracks(tracks.coords[:, perm], tracks.visibility[:, perm])
         out_p = exchange_features(grids_p, tracks_p, params)
         for slot, orig in enumerate(perm):
             np.testing.assert_allclose(out_p[slot].data, base[orig].data, atol=1e-6)
@@ -468,18 +478,16 @@ class TestExchange:
         tracks = self._tracks(rng, 5, v, size=2.0)
         base = exchange_features(grids, tracks, params)
         # garbage in an invisible slot's coordinates must change nothing;
-        # bypass the token validation to plant it
-        mutated = []
+        # bypass the track validation to plant it
+        pts = tracks.coords.copy()
         changed = False
-        for t in tracks:
-            pts = t.coords.reshape(-1, 2).copy()
+        for ti in range(len(tracks)):
             for view in range(v):
-                if not t.visibility[view]:
-                    pts[view] = rng.normal(0, 1e6, 2)
+                if not tracks.visibility[ti, view]:
+                    pts[ti, view] = rng.normal(0, 1e6, 2)
                     changed = True
-            token = TrackToken(t.coords.copy(), t.visibility)
-            object.__setattr__(token, "coords", pts.reshape(-1))
-            mutated.append(token)
+        mutated = Tracks(tracks.coords, tracks.visibility)
+        object.__setattr__(mutated, "coords", pts)
         assert changed
         out = exchange_features(grids, mutated, params)
         for a, b in zip(base, out):
@@ -488,4 +496,5 @@ class TestExchange:
     def test_no_tracks_is_identity(self):
         params = params_with(dim=2)
         grids = [FeatureGrid(np.ones((2, 2, 2)))]
-        assert exchange_features(grids, [], params)[0] is grids[0]
+        empty = Tracks(np.empty((0, 1, 2)), np.empty((0, 1), dtype=bool))
+        assert exchange_features(grids, empty, params)[0] is grids[0]

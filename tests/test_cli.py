@@ -59,8 +59,8 @@ class TestBuildTracks:
         rc = main(["build-tracks", "--scene", str(planar_scene), "--seed", "1",
                    "--out", str(tmp_path), "--config", fast_config])
         assert rc == 0
-        tracks, v = read_tracks_tsv(tmp_path / "tracks.tsv")
-        assert v == 4
+        tracks = read_tracks_tsv(tmp_path / "tracks.tsv")
+        assert tracks.visibility.shape[1] == 4
         assert len(tracks) == 32
 
     def test_capped_budget_warns_on_one_line(self, tmp_path, planar_scene, capsys):
@@ -71,7 +71,7 @@ class TestBuildTracks:
         assert rc == 0
         assert capsys.readouterr().err == ("mvmatch build-tracks: warning: track budget 32 "
                                            "exceeds 20 raw matches; capping\n")
-        assert len(read_tracks_tsv(tmp_path / "tracks.tsv")[0]) == 20
+        assert len(read_tracks_tsv(tmp_path / "tracks.tsv")) == 20
 
 
 class TestSampleGroups:

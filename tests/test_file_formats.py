@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from mvmatch.grids import MISSING, DenseWarpField, read_warp_file, write_warp_file
 from mvmatch.oracle import PinholeCamera, SceneOracle, load_scene, save_scene
-from mvmatch.tracks import TrackToken, read_tracks_tsv, write_tracks_tsv
+from mvmatch.tracks import Tracks, read_tracks_tsv, write_tracks_tsv
 
 ROUND_TRIP = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -57,32 +57,28 @@ def test_mvwf_round_trip(warp):
 
 
 @st.composite
-def track_lists(draw):
+def track_sets(draw):
     views = draw(st.integers(2, 5))
-    tracks = []
-    for _ in range(draw(st.integers(0, 6))):
-        vis = [True] + draw(st.lists(st.booleans(), min_size=views - 1,
-                                     max_size=views - 1).filter(any))
-        coords = np.full(2 * views, MISSING)
-        for v in np.nonzero(vis)[0]:
+    count = draw(st.integers(0, 6))
+    coords = np.full((count, views, 2), MISSING)
+    vis = np.zeros((count, views), dtype=bool)
+    for t in range(count):
+        vis[t] = [True] + draw(st.lists(st.booleans(), min_size=views - 1,
+                                        max_size=views - 1).filter(any))
+        for v in np.nonzero(vis[t])[0]:
             # micro-pixel integers divided by 1e6 print and parse back exactly
-            coords[2 * v:2 * v + 2] = np.array(
+            coords[t, v] = np.array(
                 draw(st.lists(st.integers(0, 4 * 10**9), min_size=2, max_size=2))) / 1e6
-        tracks.append(TrackToken(coords, np.array(vis)))
-    return tracks, views
+    return Tracks(coords, vis)
 
 
 @ROUND_TRIP
-@given(track_lists())
-def test_track_tsv_round_trip(drawn):
-    tracks, views = drawn
-    back, back_views = round_trip(lambda p, d: write_tracks_tsv(p, *d),
-                                  read_tracks_tsv, drawn, "tracks.tsv")
-    assert back_views == views
-    assert len(back) == len(tracks)
-    for got, want in zip(back, tracks):
-        np.testing.assert_array_equal(got.visibility, want.visibility)
-        np.testing.assert_array_equal(got.coords, want.coords)
+@given(track_sets())
+def test_track_tsv_round_trip(tracks):
+    back = round_trip(write_tracks_tsv, read_tracks_tsv, tracks, "tracks.tsv")
+    assert back.visibility.shape == tracks.visibility.shape
+    np.testing.assert_array_equal(back.visibility, tracks.visibility)
+    np.testing.assert_array_equal(back.coords, tracks.coords)
 
 
 def rotation(a, b, c):

@@ -9,7 +9,7 @@ from mvmatch.geometry import (DegenerateConfigurationError, accuracy_completenes
                               triangulate_observations,
                               triangulate_tracks)
 from mvmatch.oracle import PinholeCamera
-from mvmatch.tracks import TrackToken
+from mvmatch.tracks import Tracks
 
 
 def random_homography(rng, scale=200.0):
@@ -221,8 +221,8 @@ class TestTriangulation:
         for cam in cams:
             uv, _ = cam.project(point[None])
             coords.extend(uv[0])
-        token = TrackToken(np.array(coords), np.ones(3, dtype=bool))
-        pts, kept, skipped = triangulate_tracks([token], cams)
+        token = Tracks(np.array(coords).reshape(1, 3, 2), np.ones((1, 3), dtype=bool))
+        pts, kept, skipped = triangulate_tracks(token, cams)
         np.testing.assert_allclose(pts[0], point, atol=1e-6)
 
 

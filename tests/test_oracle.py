@@ -6,7 +6,7 @@ from mvmatch.grouping import ImageGroup
 from mvmatch.oracle import (PinholeCamera, SceneOracle, gt_track_error, gt_warp,
                             gt_transfer_points, load_scene, make_planar_scene,
                             make_point_cloud_scene, save_scene, simulate_matcher)
-from mvmatch.tracks import TrackToken
+from mvmatch.tracks import Tracks
 import mvmatch.kernels as kernels
 
 from oracles import loop_simulate_matcher
@@ -189,36 +189,33 @@ class TestGtTrackError:
         scene = make_planar_scene(3, (32, 32), seed=6)
         group = ImageGroup(0, (1, 2))
         coords, vis = simulate_matcher(scene, group, 20, 0.0, 0.0)
-        for c, v in zip(coords, vis):
-            token = TrackToken(c.reshape(-1), v)
-            errs = gt_track_error(scene, token)
-            assert np.nanmax(errs) < 1e-6
+        errs = gt_track_error(scene, Tracks(coords, vis))
+        assert np.nanmax(errs) < 1e-6
 
     def test_three_four_five(self):
         scene = SceneOracle("planar", (32, 32), 0, homographies=(np.eye(3), np.eye(3)))
-        token = TrackToken(np.array([10.0, 10.0, 13.0, 14.0]),
-                           np.array([True, True]))
+        token = Tracks(np.array([[[10.0, 10.0], [13.0, 14.0]]]),
+                       np.array([[True, True]]))
         errs = gt_track_error(scene, token)
-        assert errs[1] == pytest.approx(5.0)
+        assert errs[0, 1] == pytest.approx(5.0)
 
     def test_rayleigh_mean(self):
         scene = SceneOracle("planar", (64, 64), 0, homographies=(np.eye(3), np.eye(3)))
         rng = np.random.default_rng(0)
         sigma = 1.0
-        errors = []
-        for _ in range(1000):
-            src = rng.uniform(5, 58, size=2)
-            tgt = src + rng.normal(0, sigma, size=2)
-            token = TrackToken(np.concatenate([src, tgt]), np.array([True, True]))
-            errors.append(gt_track_error(scene, token)[1])
+        coords = np.empty((1000, 2, 2))
+        for i in range(1000):
+            coords[i, 0] = rng.uniform(5, 58, size=2)
+            coords[i, 1] = coords[i, 0] + rng.normal(0, sigma, size=2)
+        errors = gt_track_error(scene, Tracks(coords, np.ones((1000, 2), dtype=bool)))[:, 1]
         expected = sigma * np.sqrt(np.pi / 2)
         assert abs(np.mean(errors) - expected) / expected < 0.10
 
     def test_source_only_track_rejected(self):
         scene = translation_scene(1.0)
         with pytest.raises(ValueError):
-            token = TrackToken(np.array([1.0, 1.0, 2.0, 2.0]), np.array([True, True]))
-            object.__setattr__(token, "visibility", np.array([True, False]))
+            token = Tracks(np.array([[[1.0, 1.0], [2.0, 2.0]]]), np.array([[True, True]]))
+            object.__setattr__(token, "visibility", np.array([[True, False]]))
             gt_track_error(scene, token)
 
 

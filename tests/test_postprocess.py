@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvmatch.grids import DenseWarpField, identity_warp
 from mvmatch.oracle import gt_track_error, make_planar_scene, gt_warp
-from oracles import brute_force_nms
+from oracles import brute_force_nms, loop_assemble_tracks
 from mvmatch.postprocess import (ScoreMap, assemble_tracks, build_score_map,
                                  match_statistics, nms_select, postprocess_group,
                                  reciprocity_filter, select_matches)
@@ -193,7 +193,7 @@ class TestNms:
 
     def test_accepts_score_map(self):
         sm = ScoreMap(np.ones((4, 4), dtype=np.int64), np.full((4, 4), 0.5))
-        picked = nms_select(sm, radius=3)
+        picked = nms_select(sm.scores, radius=3)
         assert len(picked) == 1
 
     def test_bad_radius(self):
@@ -207,20 +207,64 @@ class TestAssembleTracks:
         keeps = [np.ones((4, 4), dtype=bool)] * 4
         tracks = assemble_tracks(np.array([[1, 2]]), warps, keeps, tau=0.3)
         assert len(tracks) == 1
-        assert tracks[0].visibility.tolist() == [True] * 5
+        assert tracks.visibility[0].tolist() == [True] * 5
 
     def test_invalid_everywhere_dropped(self):
         warps = [identity_warp(4, 4, 0, 1)]
         keeps = [np.zeros((4, 4), dtype=bool)]
         tracks = assemble_tracks(np.array([[1, 1]]), warps, keeps, tau=0.3)
-        assert tracks == []
+        assert len(tracks) == 0
 
     def test_partial_validity(self):
         w1 = identity_warp(4, 4, 0, 1)
         low = DenseWarpField(w1.targets, np.full((4, 4), 0.1), 0, 2)
         keeps = [np.ones((4, 4), dtype=bool)] * 2
         tracks = assemble_tracks(np.array([[2, 3]]), [w1, low], keeps, tau=0.3)
-        assert tracks[0].visibility.tolist() == [True, True, False]
+        assert tracks.visibility[0].tolist() == [True, True, False]
+
+    @staticmethod
+    def assert_matches_loop(keypoints, warps, keeps, tau):
+        got = assemble_tracks(keypoints, warps, keeps, tau)
+        want_coords, want_vis = loop_assemble_tracks(keypoints, warps, keeps, tau)
+        assert np.array_equal(got.coords, want_coords)
+        assert np.array_equal(got.visibility, want_vis)
+        return got
+
+    def random_case(self, seed, h=12, w=17, targets=4):
+        rng = np.random.default_rng(seed)
+        # confidences on a coarse grid of levels, so many equal tau exactly
+        warps = [DenseWarpField(rng.uniform(-2, max(h, w) + 2, size=(h, w, 2)),
+                                rng.integers(0, 11, size=(h, w)) / 10, 0, t)
+                 for t in range(1, targets + 1)]
+        keeps = [rng.random((h, w)) < 0.6 for _ in range(targets)]
+        ys, xs = np.divmod(rng.permutation(h * w)[:40], w)
+        return np.stack([xs, ys], axis=1), warps, keeps
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("tau", [0.3, 0.5, 0.7])
+    def test_matches_loop_oracle(self, seed, tau):
+        keypoints, warps, keeps = self.random_case(seed)
+        got = self.assert_matches_loop(keypoints, warps, keeps, tau)
+        assert 0 < len(got) < len(keypoints)
+        conf = np.stack([wp.confidence for wp in warps])
+        assert np.any(conf[:, keypoints[:, 1], keypoints[:, 0]] == tau)
+
+    def test_matches_loop_oracle_on_the_border(self):
+        _, warps, keeps = self.random_case(3)
+        h, w = keeps[0].shape
+        border = np.array([[0, 0], [w - 1, 0], [0, h - 1], [w - 1, h - 1],
+                           [5, 0], [0, 7], [w - 1, 4], [9, h - 1]])
+        self.assert_matches_loop(border, warps, keeps, 0.2)
+
+    def test_matches_loop_oracle_without_keypoints(self):
+        _, warps, keeps = self.random_case(4)
+        got = self.assert_matches_loop(np.empty((0, 2), dtype=np.int64), warps, keeps, 0.3)
+        assert got.visibility.shape == (0, 5)
+
+    def test_matches_loop_oracle_when_every_keypoint_is_dropped(self):
+        keypoints, warps, keeps = self.random_case(5)
+        got = self.assert_matches_loop(keypoints, warps, [k & False for k in keeps], 0.3)
+        assert len(got) == 0 and got.coords.shape == (0, 5, 2)
 
     def test_noiseless_end_to_end_reprojection(self):
         scene = make_planar_scene(3, (32, 32), seed=10)
@@ -233,16 +277,15 @@ class TestAssembleTracks:
         tracks = postprocess_group(0, targets, selected, keeps, tau=0.3,
                                    nms_radius=2)
         assert len(tracks) > 5
-        for token in tracks:
-            errs = gt_track_error(scene, token, views=(0, 1, 2))
-            assert np.nanmax(errs) < 3.0
+        errs = gt_track_error(scene, tracks, views=(0, 1, 2))
+        assert np.nanmax(errs) < 3.0
 
 
 class TestStatistics:
     def test_shapes(self):
         keeps = {(0, 1): np.array([[True, False]]), (1, 0): np.array([[True, True]])}
         warps = [identity_warp(1, 2, 0, 1)]
-        stats = match_statistics(keeps, [[]])
+        stats = match_statistics(keeps, [])
         assert stats["kept_match_rate"] == pytest.approx(0.75)
         assert stats["pairs"] == 2
         assert stats["track_count"] == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mvmatch.grids import MISSING
-from mvmatch.tracks import (TrackToken, VisibilityPartition, allocate_clusters,
+from mvmatch.tracks import (Tracks, VisibilityPartition, allocate_clusters,
                             kmeans, partition_by_visibility, read_tracks_tsv,
                             sample_tracks, write_tracks_tsv)
 
@@ -166,15 +166,15 @@ class TestSampleTracks:
         tracks = sample_tracks(coords, vis, 12, seed=0)
         assert len(tracks) == 12
         inputs = {tuple(c) for c in coords.reshape(12, -1)}
-        outputs = {tuple(t.coords) for t in tracks}
+        outputs = {tuple(c) for c in tracks.coords.reshape(12, -1)}
         assert inputs == outputs
 
     def test_representatives_are_real_inputs(self):
         coords, vis = random_samples(200, 4, seed=2)
         tracks = sample_tracks(coords, vis, 40, seed=1)
         inputs = {tuple(c) for c in coords.reshape(200, -1)}
-        for t in tracks:
-            assert tuple(t.coords) in inputs
+        for c in tracks.coords.reshape(len(tracks), -1):
+            assert tuple(c) in inputs
 
     def test_count_is_min_budget_raw(self):
         coords, vis = random_samples(30, 3, seed=3)
@@ -189,14 +189,14 @@ class TestSampleTracks:
                 src = np.array([cx, cx]) + rng.uniform(-1, 1, 2)
                 rows.append(sample(src, [src], [1, 1]))
         tracks = sample_tracks(*stack(rows), 2, seed=6)
-        xs = sorted(t.coords[0] for t in tracks)
+        xs = sorted(tracks.coords[:, 0, 0])
         assert xs[0] < 10 and xs[1] > 90
 
     def test_deterministic(self):
         coords, vis = random_samples(100, 4, seed=5)
         a = sample_tracks(coords, vis, 24, seed=9)
         b = sample_tracks(coords, vis, 24, seed=9)
-        assert [tuple(t.coords) for t in a] == [tuple(t.coords) for t in b]
+        assert a.coords.tolist() == b.coords.tolist()
 
     def test_spatial_coverage_beats_random(self):
         # clustering-selected source points should spread out more than a
@@ -210,7 +210,7 @@ class TestSampleTracks:
                 rows.append(sample(src, [src + rng.normal(0, 1, 2)], [1, 1]))
             coords, vis = stack(rows)
             tracks = sample_tracks(coords, vis, 64, seed=trial)
-            sel = np.array([t.coords[:2] for t in tracks])
+            sel = tracks.coords[:, 0]
             idx = rng.choice(500, size=64, replace=False)
             rand = coords[idx, 0]
 
@@ -229,20 +229,55 @@ class TestSampleTracks:
         assert len(tracks) == 10
 
 
-class TestTrackToken:
+def three_tracks():
+    """Three valid (3, 3, 2) tracks: every target pattern of three views."""
+    vis = np.array([[True, True, False], [True, False, True], [True, True, True]])
+    coords = np.where(vis[..., None], np.arange(18.0).reshape(3, 3, 2), MISSING)
+    return coords, vis
+
+
+class TestTracks:
+    """Each invariant broken in one row of an otherwise valid three-row set."""
+
+    def test_valid_set(self):
+        tracks = Tracks(*three_tracks())
+        assert len(tracks) == 3 and tracks.coords.dtype == np.float64
+
+    def test_empty_set_keeps_views(self):
+        tracks = Tracks(np.empty((0, 4, 2)), np.empty((0, 4), dtype=bool))
+        assert len(tracks) == 0 and tracks.visibility.shape == (0, 4)
+
     def test_source_must_be_visible(self):
-        with pytest.raises(ValueError):
-            TrackToken(np.array([1.0, 2.0, 3.0, 4.0]), np.array([False, True]))
+        coords, vis = three_tracks()
+        vis[1, 0] = False
+        coords[1, 0] = MISSING
+        with pytest.raises(ValueError, match="source view must be visible"):
+            Tracks(coords, vis)
 
     def test_sentinel_enforced(self):
+        coords, vis = three_tracks()
+        coords[0, 2] = (5.0, 6.0)
         with pytest.raises(ValueError, match="sentinel"):
-            TrackToken(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
-                       np.array([True, True, False]))
+            Tracks(coords, vis)
 
     def test_needs_target(self):
-        with pytest.raises(ValueError):
-            TrackToken(np.array([1.0, 2.0, MISSING, MISSING]),
-                       np.array([True, False]))
+        coords, vis = three_tracks()
+        vis[2, 1:] = False
+        coords[2, 1:] = MISSING
+        with pytest.raises(ValueError, match="at least one target view must be visible"):
+            Tracks(coords, vis)
+
+    def test_visible_slot_holds_real_coordinates(self):
+        coords, vis = three_tracks()
+        coords[1, 2] = MISSING
+        with pytest.raises(ValueError, match="visible views must carry real coordinates"):
+            Tracks(coords, vis)
+
+    @pytest.mark.parametrize("coords_shape", [(3, 3), (3, 2, 2), (3, 3, 3), (2, 3, 2)])
+    def test_shapes_must_agree(self, coords_shape):
+        _, vis = three_tracks()
+        with pytest.raises(ValueError, match="coords must hold"):
+            Tracks(np.zeros(coords_shape), vis)
 
 
 class TestTsv:
@@ -250,18 +285,18 @@ class TestTsv:
         coords, vis = random_samples(20, 4, seed=12)
         tracks = sample_tracks(coords, vis, 10, seed=3)
         path = tmp_path / "tracks.tsv"
-        write_tracks_tsv(path, tracks, num_views=4)
-        back, v = read_tracks_tsv(path)
+        write_tracks_tsv(path, tracks)
+        back = read_tracks_tsv(path)
+        v = back.visibility.shape[1]
         assert v == 4 and len(back) == 10
-        for a, b in zip(tracks, back):
-            np.testing.assert_array_equal(a.visibility, b.visibility)
-            np.testing.assert_allclose(a.coords, b.coords, atol=1e-6)
+        np.testing.assert_array_equal(tracks.visibility, back.visibility)
+        np.testing.assert_allclose(tracks.coords, back.coords, atol=1e-6)
 
     def test_header_and_rows(self, tmp_path):
-        t = TrackToken(np.array([1.5, 2.5, 3.25, 4.0, MISSING, MISSING]),
-                       np.array([True, True, False]))
+        t = Tracks(np.array([[[1.5, 2.5], [3.25, 4.0], [MISSING, MISSING]]]),
+                   np.array([[True, True, False]]))
         path = tmp_path / "t.tsv"
-        write_tracks_tsv(path, [t], num_views=3)
+        write_tracks_tsv(path, t)
         lines = path.read_text().splitlines()
         assert lines[0] == "# V=3\tT=1"
         assert lines[1] == "token_id\tview_id\tx\ty"
@@ -272,7 +307,10 @@ class TestTsv:
         ("0\t1\t3.0", "t.tsv:4: expected 4 tab-separated fields, got 3"),
         ("0\tone\t3.0\t4.0", "t.tsv:4: malformed track row"),
         ("0\t3\t3.0\t4.0", "t.tsv:4: view 3 outside [0, 3)"),
-    ], ids=["short-row", "non-integer-view", "view-past-header"])
+        ("1\t0\t3.0\t4.0", "t.tsv: at least one target view must be visible"),
+        ("1\t2\t3.0\t4.0", "t.tsv: source view must be visible"),
+    ], ids=["short-row", "non-integer-view", "view-past-header", "no-target",
+            "no-source-row"])
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "t.tsv"
         path.write_text(f"# V=3\tT=1\ntoken_id\tview_id\tx\ty\n0\t0\t1.0\t2.0\n{row}\n")
@@ -345,8 +383,8 @@ class TestMatchesLoopOracle:
         coords, vis = random_samples(400, 5, seed=budget, size=672.0)
         tracks = sample_tracks(coords, vis, budget, seed=3, normalize=normalize)
         want_coords, want_vis = loop_sample_tracks(coords, vis, budget, 3, normalize)
-        assert np.array_equal(np.stack([t.coords for t in tracks]), want_coords)
-        assert np.array_equal(np.stack([t.visibility for t in tracks]), want_vis)
+        assert np.array_equal(tracks.coords.reshape(len(tracks), -1), want_coords)
+        assert np.array_equal(tracks.visibility, want_vis)
 
     def test_partition(self):
         _, vis = random_samples(300, 5, seed=4)
