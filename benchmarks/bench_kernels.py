@@ -16,24 +16,34 @@ shows. Track building is timed on the inputs of
 two benchmark workloads at seed 1: ``simulate_matcher`` with 2000 samples
 on a 672 px planar scene and 800 samples on a 48 px point-cloud scene, and
 ``kmeans`` on each one's largest visibility partition with the cluster count
-its track budget (512 and 128 tokens) allots.
+its track budget (512 and 128 tokens) allots. Triangulation and the
+accuracy/completeness search are timed on the SfM tracks (about 765) that
+one operation of the ``scene-pc-48`` benchmark workload in ``perfbench``
+writes at seed 1.
 """
 
 import argparse
 import sys
+import tempfile
 import time
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 from mvmatch import attention, kernels  # noqa: E402
+from mvmatch.config import PipelineConfig  # noqa: E402
+from mvmatch.geometry import accuracy_completeness, triangulate_observations  # noqa: E402
 from mvmatch.grids import FeatureGrid  # noqa: E402
 from mvmatch.grouping import ImageGroup  # noqa: E402
 from mvmatch.oracle import (make_planar_scene, make_point_cloud_scene,  # noqa: E402
-                            simulate_matcher)
-from mvmatch.tracks import allocate_clusters, kmeans, partition_by_visibility  # noqa: E402
+                            load_scene, simulate_matcher)
+from mvmatch.tracks import (allocate_clusters, kmeans,  # noqa: E402
+                            partition_by_visibility, read_track_rows)
+from workloads import WORKLOADS  # noqa: E402
 
 
 def timeit(fn, repeats):
@@ -43,6 +53,17 @@ def timeit(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def scene_chain_tracks(work):
+    """Scene and SfM tracks of one ``scene-pc-48`` benchmark operation at seed 1."""
+    workload = WORKLOADS["scene-pc-48"]
+    workload.setup(work, 1)
+    if workload.op(work, work / "out", 1):
+        raise RuntimeError("scene-pc-48 operation failed")
+    scene = load_scene(work / "scene.json")
+    return scene, read_track_rows(work / "out" / "post" / "sfm_tracks.tsv",
+                                  max_views=len(scene.cameras))
 
 
 def smooth_warp(size):
@@ -119,6 +140,17 @@ def main():
         pts = pts.reshape(parts[big].size, -1)
         cases.append((f"kmeans ({pts.shape[0]} x {counts[big]} x {pts.shape[1]})",
                       partial(kmeans, pts, int(counts[big]), 1)))
+
+    with tempfile.TemporaryDirectory() as work:
+        scene, (sfm_xy, sfm_vis) = scene_chain_tracks(Path(work))
+    points, _, _ = triangulate_observations(sfm_xy, sfm_vis, scene.cameras)
+    cases += [
+        (f"triangulate_observations ({len(sfm_xy)} tracks)",
+         partial(triangulate_observations, sfm_xy, sfm_vis, scene.cameras)),
+        (f"accuracy_completeness ({len(points)} x {len(scene.points)})",
+         partial(accuracy_completeness, points, scene.points,
+                 PipelineConfig().triangulation_thresholds)),
+    ]
 
     print(f"backend: {kernels.BACKEND}; repeats: {args.repeats} (best time shown)")
     print(f"{'kernel':44s} {'numpy':>10s}")

@@ -339,9 +339,8 @@ def cmd_eval_triangulation(args) -> int:
     thresholds = _parse_thresholds(args.threshold) if args.threshold \
         else cfg.triangulation_thresholds
     # a view id the scene has no camera for is rejected with the row's line
-    _, rows = read_track_rows(args.tracks, max_views=len(scene.cameras))
-    observations = [rows[tid] for tid in sorted(rows)]
-    points, _, skipped = triangulate_observations(observations, scene.cameras)
+    coords, visibility = read_track_rows(args.tracks, max_views=len(scene.cameras))
+    points, _, skipped = triangulate_observations(coords, visibility, scene.cameras)
     table = accuracy_completeness(points, scene.points, thresholds)
     path = out / "triangulation.csv"
     with open(path, "w") as f:

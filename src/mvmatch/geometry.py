@@ -5,7 +5,10 @@ mean 0 and mean distance sqrt(2)); unconditioned DLT does not survive the
 round-trip tolerance on image-sized coordinates. RANSAC is the standard
 hypothesize-and-verify loop with a 4-point minimal solver, a symmetric
 transfer inlier test and a final refit on the consensus set. Triangulation
-is linear multi-view DLT.
+is linear multi-view DLT over tracks held as (T, V, 2) coordinates and (T, V)
+visibility: the tracks seen in the same number of views share one batched
+SVD, and the skip tests run on whole arrays. The accuracy/completeness
+nearest-neighbour search runs over chunks of query points.
 """
 
 from __future__ import annotations
@@ -186,82 +189,78 @@ def corner_auc(errors, thresholds) -> dict[float, float]:
             for t in thresholds}
 
 
-def triangulate_point(observations: list[tuple[np.ndarray, "PinholeCamera"]]):
-    """Linear DLT triangulation of one point from (pixel, camera) pairs.
+def triangulate_observations(coords: np.ndarray, visibility: np.ndarray, cameras):
+    """Linear multi-view DLT of every track, one batched SVD per view count.
 
-    Returns (point, degenerate flag, cheirality flag): ``degenerate`` marks a
-    non-unique nullspace (e.g. zero baseline), ``behind`` marks a solution
-    failing the cheirality test in at least one observing camera.
+    ``coords`` (T, V, 2) and ``visibility`` (T, V) hold the tracks; column v
+    is seen by ``cameras[v]``. A track with k visible views gives a (2k, 4)
+    system, two rows per view in ascending view order, x p3 - p1 and
+    y p3 - p2 of the view's projection matrix P = K [R | t]; its point is the
+    smallest right singular vector. A track is skipped and counted when it
+    has fewer than 2 views, a non-unique nullspace (second-smallest singular
+    value at most 1e-8 of the largest, e.g. zero baseline), a solution at
+    infinity (|w| < 1e-12) or a depth <= 0 in some observing camera.
+    Returns (points (K, 3), kept track indices (K,) ascending, skipped count).
     """
-    rows = []
-    for uv, cam in observations:
-        p = cam.intrinsics @ np.concatenate([cam.rotation, cam.translation[:, None]], axis=1)
-        rows.append(uv[0] * p[2] - p[0])
-        rows.append(uv[1] * p[2] - p[1])
-    a = np.stack(rows)
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
-    degenerate = bool(s[-2] <= s[0] * 1e-8)
-    x = vt[-1]
-    if abs(x[3]) < 1e-12:
-        return np.full(3, np.nan), True, True
-    point = x[:3] / x[3]
-    behind = False
-    for _, cam in observations:
-        if (cam.rotation @ point + cam.translation)[2] <= 0:
-            behind = True
-            break
-    return point, degenerate, behind
-
-
-def triangulate_observations(observations, cameras):
-    """Triangulate tracks given as {camera index: (x, y)} mappings.
-
-    Tracks observed by fewer than 2 cameras, degenerate systems and
-    behind-camera solutions are skipped and counted. Returns
-    (points (K, 3), kept track indices (K,), skipped count).
-    """
-    points = []
-    kept = []
-    skipped = 0
-    for i, obs_map in enumerate(observations):
-        if len(obs_map) < 2:
-            skipped += 1
-            continue
-        obs = [(np.asarray(obs_map[v], dtype=np.float64), cameras[v])
-               for v in sorted(obs_map)]
-        point, degenerate, behind = triangulate_point(obs)
-        if degenerate or behind:
-            skipped += 1
-            continue
-        points.append(point)
-        kept.append(i)
-    pts = np.array(points).reshape(-1, 3)
-    return pts, np.array(kept, dtype=np.int64), skipped
+    coords = np.asarray(coords, dtype=np.float64)
+    visibility = np.asarray(visibility, dtype=bool)
+    proj = np.stack([cam.intrinsics @ np.concatenate([cam.rotation, cam.translation[:, None]],
+                                                     axis=1) for cam in cameras])
+    rot = np.stack([cam.rotation for cam in cameras])
+    trans = np.stack([cam.translation for cam in cameras])
+    counts = visibility.sum(axis=1)
+    points = np.empty((counts.shape[0], 3))
+    kept = np.zeros(counts.shape[0], dtype=bool)
+    for k in np.unique(counts[counts >= 2]):
+        rows = np.flatnonzero(counts == k)
+        views = np.nonzero(visibility[rows])[1].reshape(-1, k)  # ascending per track
+        p = proj[views]                                          # (n, k, 3, 4)
+        uv = coords[rows[:, None], views]                        # (n, k, 2)
+        a = uv[..., None] * p[:, :, 2:3] - p[:, :, :2]
+        _, s, vt = np.linalg.svd(a.reshape(rows.shape[0], 2 * k, 4), full_matrices=False)
+        x = vt[:, -1]
+        ok = ~((s[:, -2] <= s[:, 0] * 1e-8) | (np.abs(x[:, 3]) < 1e-12))
+        rows, views, x = rows[ok], views[ok], x[ok]
+        pts = x[:, :3] / x[:, 3:]
+        # stacked 3x3 @ 3x1 products round as cam.rotation @ point does
+        depth = np.matmul(rot[views], pts[:, None, :, None])[..., 2, 0] + trans[views][..., 2]
+        front = ~(depth <= 0).any(axis=1)
+        points[rows[front]] = pts[front]
+        kept[rows[front]] = True
+    idx = np.flatnonzero(kept)
+    return points[idx], idx, counts.shape[0] - idx.shape[0]
 
 
 def triangulate_tracks(tracks: Tracks, cameras, views=None):
     """Triangulate the tracks visible in >= 2 views.
 
-    ``views`` maps track slots to camera indices (identity by default).
-    Returns (points (K, 3), track indices (K,), skipped count).
+    ``views`` maps track slots to camera indices (identity by default); each
+    system's rows go in ascending camera index. Returns (points (K, 3),
+    track indices (K,), skipped count).
     """
-    cams = np.arange(tracks.visibility.shape[1]) if views is None else np.asarray(views)
-    observations = [{int(cams[s]): xy[s] for s in np.flatnonzero(vis)}
-                    for xy, vis in zip(tracks.coords, tracks.visibility)]
-    return triangulate_observations(observations, cameras)
+    views = np.arange(tracks.visibility.shape[1]) if views is None else np.asarray(views)
+    order = np.argsort(views, kind="stable")
+    return triangulate_observations(tracks.coords[:, order], tracks.visibility[:, order],
+                                    [cameras[v] for v in views[order]])
 
 
 def _nn_min_d2(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Squared distance from each query point to its nearest reference point.
 
-    Query points go in chunks of 64, so the (chunk, reference, 3) temporaries
-    stay near 6 MB for 4000 reference points.
+    d2 = dx^2 + dy^2 + dz^2 is added in that order over chunks of 64 query
+    points, so the (chunk, reference) temporaries stay near 2 MB each for
+    4000 reference points.
     """
     out = np.empty(query.shape[0])
+    ref = np.ascontiguousarray(reference.T)
     chunk = 64
     for lo in range(0, query.shape[0], chunk):
         q = query[lo:lo + chunk]
-        d2 = np.sum((q[:, None, :] - reference[None, :, :]) ** 2, axis=2)
+        d2 = q[:, 0:1] - ref[0]
+        np.square(d2, out=d2)
+        for axis in (1, 2):
+            diff = q[:, axis:axis + 1] - ref[axis]
+            d2 += np.square(diff, out=diff)
         out[lo:lo + chunk] = d2.min(axis=1)
     return out
 

@@ -93,30 +93,6 @@ class DenseWarpField:
         return self.targets.shape[1]
 
 
-@dataclass(frozen=True)
-class CorrelationVolume:
-    """Per-pixel window x window similarity scores around the current targets."""
-
-    scores: np.ndarray  # (H, W, window, window); [j, i] indexes (dy, dx) offsets
-    window: int
-
-    def __post_init__(self):
-        if self.window < 1 or self.window % 2 == 0:
-            raise ValueError("window must be odd and >= 1")
-        if self.scores.shape[2:] != (self.window, self.window):
-            raise ValueError("scores trailing dims must equal (window, window)")
-        if not np.all(np.isfinite(self.scores)):
-            raise ValueError("correlation scores contain non-finite values")
-
-    @property
-    def height(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.scores.shape[1]
-
-
 def identity_warp(height: int, width: int, source_view: int = 0, target_view: int = 1,
                   confidence: float = 1.0) -> DenseWarpField:
     """Warp mapping every pixel to itself."""
@@ -157,12 +133,13 @@ def warp_features(target: FeatureGrid, warp: DenseWarpField) -> FeatureGrid:
 
 
 def local_correlation(source: FeatureGrid, target: FeatureGrid, warp: DenseWarpField,
-                      window: int) -> CorrelationVolume:
+                      window: int) -> np.ndarray:
     """Inner products of each source feature against a window of warped target samples.
 
-    Scores are normalized by sqrt(channels), mirroring attention scaling.
-    Entry [y, x, j, i] correlates source pixel (x, y) with the target sampled
-    at ``warp.targets[y, x] + (i - r, j - r)`` where r = (window - 1) / 2.
+    Returns the (H, W, window, window) scores, normalized by sqrt(channels),
+    mirroring attention scaling. Entry [y, x, j, i] correlates source pixel
+    (x, y) with the target sampled at ``warp.targets[y, x] + (i - r, j - r)``
+    where r = (window - 1) / 2.
     """
     if source.channels != target.channels:
         raise ValueError(
@@ -171,8 +148,7 @@ def local_correlation(source: FeatureGrid, target: FeatureGrid, warp: DenseWarpF
         raise ValueError("window must be odd and >= 1")
     if (warp.height, warp.width) != (source.height, source.width):
         raise ValueError("warp grid size must match the source grid")
-    scores = kernels.local_corr(source.data, target.data, warp.targets, int(window))
-    return CorrelationVolume(scores, int(window))
+    return kernels.local_corr(source.data, target.data, warp.targets, int(window))
 
 
 def upsample_warp(warp: DenseWarpField, factor: int) -> DenseWarpField:

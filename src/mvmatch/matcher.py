@@ -379,7 +379,7 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
         phi_tgt = provider.features(tgt, lp.stride)
         if (w_up.height, w_up.width) != (phi_src.height, phi_src.width):
             raise ValueError("provider stride does not match the level resolution")
-        corr = local_correlation(phi_src, phi_tgt, w_up, lp.window).scores
+        corr = local_correlation(phi_src, phi_tgt, w_up, lp.window)
         delta, peak = _corr_readout(corr, params.feature_dim,
                                     params.softargmax_temperature,
                                     subpixel=out_level in SUBPIXEL_LEVELS)

@@ -8,6 +8,7 @@ real input matches, never synthetic centroids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,13 +306,13 @@ def write_track_rows(path, num_views: int,
         np.savetxt(f, np.concatenate(rows), fmt="%d\t%d\t%.6f\t%.6f")
 
 
-def read_track_rows(path, max_views: int | None = None
-                    ) -> tuple[int, dict[int, dict[int, tuple[float, float]]]]:
-    """Read a track TSV into (V, observations per token id).
+def read_track_rows(path, max_views: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Read a track TSV into (coords (T, V, 2), visibility (T, V)).
 
-    ``observations[tid]`` maps view ids to (x, y) in file order. A malformed
-    row, or a view id outside [0, V) (and outside [0, ``max_views``) when
-    given), raises ValueError naming ``path:line``.
+    Tokens go in ascending token id, invisible slots hold the -1 sentinel. V
+    comes from the header, capped at ``max_views`` when given. A malformed
+    row, a non-finite coordinate, a view id outside [0, V) or a second row
+    for the same token and view raises ValueError naming ``path:line``.
     """
     with open(path) as f:
         header = f.readline()
@@ -321,9 +322,11 @@ def read_track_rows(path, max_views: int | None = None
             num_views = int(header[2:].split()[0].split("=")[1])
         except ValueError:
             raise ValueError(f"{path}:1: malformed track-file header") from None
-        limit = num_views if max_views is None else min(num_views, max_views)
+        if max_views is not None:
+            num_views = min(num_views, max_views)
         f.readline()  # column names
-        rows: dict[int, dict[int, tuple[float, float]]] = {}
+        seen: set[tuple[int, int]] = set()
+        tids, views, xys = [], [], []
         for lineno, line in enumerate(f, start=3):
             if not line.strip():
                 continue
@@ -337,10 +340,26 @@ def read_track_rows(path, max_views: int | None = None
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed track row "
                                  f"{line.rstrip()!r}") from None
-            if not 0 <= view < limit:
-                raise ValueError(f"{path}:{lineno}: view {view} outside [0, {limit})")
-            rows.setdefault(tid, {})[view] = (x, y)
-    return num_views, rows
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}:{lineno}: non-finite coordinate in "
+                                 f"{line.rstrip()!r}")
+            if not 0 <= view < num_views:
+                raise ValueError(f"{path}:{lineno}: view {view} outside [0, {num_views})")
+            if (tid, view) in seen:
+                raise ValueError(f"{path}:{lineno}: token {tid} repeats view {view}")
+            seen.add((tid, view))
+            tids.append(tid)
+            views.append(view)
+            xys.append((x, y))
+    # token ids are any Python int; only their order matters
+    rank = {tid: t for t, tid in enumerate(sorted(set(tids)))}
+    token = np.array([rank[tid] for tid in tids], dtype=np.int64)
+    views = np.array(views, dtype=np.int64)
+    coords = np.full((len(rank), num_views, 2), MISSING)
+    visibility = np.zeros((len(rank), num_views), dtype=bool)
+    coords[token, views] = np.array(xys).reshape(-1, 2)
+    visibility[token, views] = True
+    return coords, visibility
 
 
 def write_tracks_tsv(path, tracks: Tracks) -> None:
@@ -352,14 +371,8 @@ def write_tracks_tsv(path, tracks: Tracks) -> None:
 def read_tracks_tsv(path) -> Tracks:
     """Read a track TSV; tokens go in ascending token id. An invalid token
     raises ValueError naming ``path``."""
-    num_views, rows = read_track_rows(path)
-    coords = np.full((len(rows), num_views, 2), MISSING)
-    vis = np.zeros((len(rows), num_views), dtype=bool)
-    for t, tid in enumerate(sorted(rows)):
-        for view, xy in rows[tid].items():
-            coords[t, view] = xy
-            vis[t, view] = True
+    coords, visibility = read_track_rows(path)
     try:
-        return Tracks(coords, vis)
+        return Tracks(coords, visibility)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

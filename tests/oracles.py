@@ -8,6 +8,8 @@ exchange attention replaced, so blocked outputs can be compared bit for bit.
 The ``loop_*`` track-building references share the library's ground-truth
 warps, k-means++ seeding and cluster allocation, which they do not test, and
 keep the per-sample and per-cluster loops that the array code replaced.
+``loop_triangulate`` keeps the one-SVD-per-track triangulation that the
+batched solve replaced.
 """
 
 import math
@@ -516,3 +518,45 @@ def loop_assemble_tracks(keypoints, selected_warps, keeps, tau):
             vis.append(v)
     return (np.array(coords).reshape(-1, nt + 1, 2),
             np.array(vis, dtype=bool).reshape(-1, nt + 1))
+
+
+# ---------------------------------------------------------------------------
+# triangulation and evaluation, one track at a time
+# ---------------------------------------------------------------------------
+
+def loop_triangulate(coords, visibility, cameras):
+    """``triangulate_observations`` with one (2k, 4) SVD per track: rows in
+    ascending view order, depth tested camera by camera."""
+    points, kept, skipped = [], [], 0
+    for i, (xy, vis) in enumerate(zip(coords, visibility)):
+        views = np.flatnonzero(vis)
+        if views.size < 2:
+            skipped += 1
+            continue
+        rows = []
+        for v in views:
+            cam = cameras[v]
+            p = cam.intrinsics @ np.concatenate([cam.rotation, cam.translation[:, None]], axis=1)
+            rows.append(xy[v, 0] * p[2] - p[0])
+            rows.append(xy[v, 1] * p[2] - p[1])
+        _, s, vt = np.linalg.svd(np.stack(rows), full_matrices=False)
+        x = vt[-1]
+        if s[-2] <= s[0] * 1e-8 or abs(x[3]) < 1e-12:
+            skipped += 1
+            continue
+        point = x[:3] / x[3]
+        if any((cameras[v].rotation @ point + cameras[v].translation)[2] <= 0 for v in views):
+            skipped += 1
+            continue
+        points.append(point)
+        kept.append(i)
+    return np.array(points).reshape(-1, 3), np.array(kept, dtype=np.int64), skipped
+
+
+def dense_nn_min_d2(query, reference):
+    """``geometry._nn_min_d2`` summing a (chunk, reference, 3) difference array."""
+    out = np.empty(query.shape[0])
+    for lo in range(0, query.shape[0], 64):
+        q = query[lo:lo + 64]
+        out[lo:lo + 64] = np.sum((q[:, None, :] - reference[None, :, :]) ** 2, axis=2).min(axis=1)
+    return out

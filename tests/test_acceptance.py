@@ -323,23 +323,18 @@ def test_criterion_6_geometry_round_trips():
 
         # noiseless multi-view triangulation residual < 1e-6 px
         scene = make_point_cloud_scene(5, (64, 64), seed=66, num_points=100)
-        observations = []
-        used_points = []
-        for p in scene.points[:40]:
-            obs = {}
-            for ci, cam in enumerate(scene.cameras):
-                uv, depth = cam.project(p[None])
-                if depth[0] > 0:
-                    obs[ci] = tuple(uv[0])
-            if len(obs) >= 2:
-                observations.append(obs)
-                used_points.append(p)
-        pts, kept, skipped = triangulate_observations(observations, scene.cameras)
+        projected = [cam.project(scene.points[:40]) for cam in scene.cameras]
+        coords = np.stack([uv for uv, _ in projected], axis=1)
+        vis = np.stack([depth > 0 for _, depth in projected], axis=1)
+        used = vis.sum(axis=1) >= 2
+        coords = np.where(vis[..., None], coords, -1.0)[used]
+        vis = vis[used]
+        pts, kept, skipped = triangulate_observations(coords, vis, scene.cameras)
         assert skipped == 0
-        for p, obs in zip(pts, observations):
-            for ci, uv in obs.items():
+        for p, xy, seen in zip(pts, coords, vis):
+            for ci in np.flatnonzero(seen):
                 proj, _ = scene.cameras[ci].project(p[None])
-                assert np.linalg.norm(proj[0] - np.array(uv)) < 1e-6
+                assert np.linalg.norm(proj[0] - xy[ci]) < 1e-6
 
 
 def test_criterion_7_end_to_end_noiseless_pipeline():

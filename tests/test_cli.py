@@ -339,12 +339,15 @@ class TestErrorContract:
                                    "tracks.tsv:4: expected 4 tab-separated fields, got 2")
 
     def run_triangulation_on_view(self, tmp_path, capsys, header_views, view):
+        self.run_triangulation_on_row(tmp_path, capsys, header_views, f"0\t{view}\t5.0\t6.0")
+
+    def run_triangulation_on_row(self, tmp_path, capsys, header_views, row):
         rc = main(["gen-scene", "--kind", "point-cloud", "--views", "3",
                    "--image-size", "32", "--points", "50", "--out", str(tmp_path)])
         assert rc == 0
         tracks = tmp_path / "tracks.tsv"
         tracks.write_text(f"# V={header_views}\tT=1\ntoken_id\tview_id\tx\ty\n"
-                          f"0\t0\t1.0\t2.0\n0\t1\t3.0\t4.0\n0\t{view}\t5.0\t6.0\n")
+                          f"0\t0\t1.0\t2.0\n0\t1\t3.0\t4.0\n{row}\n")
         capsys.readouterr()
         rc = main(["eval-triangulation", "--scene", str(tmp_path / "scene.json"),
                    "--tracks", str(tracks), "--out", str(tmp_path)])
@@ -361,6 +364,14 @@ class TestErrorContract:
         self.run_triangulation_on_view(tmp_path, capsys, 3, -1)
         self.assert_one_line_error(capsys, "eval-triangulation",
                                    "tracks.tsv:5: view -1 outside [0, 3)")
+
+    @pytest.mark.parametrize("row, fragment", [
+        ("0\t2\tnan\t6.0", "tracks.tsv:5: non-finite coordinate in"),
+        ("0\t1\t5.0\t6.0", "tracks.tsv:5: token 0 repeats view 1"),
+    ], ids=["non-finite", "repeated-view"])
+    def test_bad_track_row_for_triangulation(self, tmp_path, capsys, row, fragment):
+        self.run_triangulation_on_row(tmp_path, capsys, 3, row)
+        self.assert_one_line_error(capsys, "eval-triangulation", fragment)
 
     def test_file_that_is_not_mvwf(self, tmp_path, capsys):
         warps = tmp_path / "warps"

@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvmatch.geometry import (DegenerateConfigurationError, accuracy_completeness,
-                              apply_homography, corner_auc, corner_error,
-                              dlt_homography, ransac_homography,
-                              triangulate_observations,
-                              triangulate_tracks)
+from oracles import dense_nn_min_d2, loop_triangulate
+from mvmatch.geometry import (DegenerateConfigurationError, _nn_min_d2,
+                              accuracy_completeness, apply_homography, corner_auc,
+                              corner_error, dlt_homography, ransac_homography,
+                              triangulate_observations, triangulate_tracks)
 from mvmatch.oracle import PinholeCamera
 from mvmatch.tracks import Tracks
 
@@ -170,15 +170,24 @@ def camera_ring(n, radius=5.0, focal=100.0, size=64):
     return cams
 
 
+def random_ring_tracks(rng, cams, n, vis=None):
+    """Projections of n points near the ring's centre with 0.5 px noise, in
+    1 to len(cams) random views unless ``vis`` is given; -1 elsewhere."""
+    points = rng.uniform(-0.4, 0.4, size=(n, 3))
+    coords = np.stack([cam.project(points)[0] for cam in cams], axis=1)
+    coords += rng.normal(0.0, 0.5, size=coords.shape)
+    if vis is None:
+        counts = rng.integers(1, len(cams) + 1, size=n)
+        vis = np.argsort(rng.random((n, len(cams))), axis=1) < counts[:, None]
+    return np.where(vis[..., None], coords, -1.0), vis
+
+
 class TestTriangulation:
     def test_two_view_round_trip(self):
         cams = camera_ring(2)
         point = np.array([0.2, -0.1, 0.4])
-        obs = {}
-        for i, cam in enumerate(cams):
-            uv, _ = cam.project(point[None])
-            obs[i] = tuple(uv[0])
-        pts, kept, skipped = triangulate_observations([obs], cams)
+        coords = np.stack([cam.project(point[None])[0] for cam in cams], axis=1)
+        pts, kept, skipped = triangulate_observations(coords, np.ones((1, 2), bool), cams)
         assert skipped == 0
         np.testing.assert_allclose(pts[0], point, atol=1e-6)
 
@@ -186,32 +195,31 @@ class TestTriangulation:
         cams = camera_ring(1) * 2  # identical cameras
         point = np.array([0.1, 0.1, 0.5])
         uv, _ = cams[0].project(point[None])
-        obs = {0: tuple(uv[0]), 1: tuple(uv[0])}
-        pts, kept, skipped = triangulate_observations([obs], cams)
+        coords = np.stack([uv, uv], axis=1)
+        pts, kept, skipped = triangulate_observations(coords, np.ones((1, 2), bool), cams)
         assert skipped == 1 and pts.shape[0] == 0
 
     def test_five_view_residual(self):
         cams = camera_ring(5)
         rng = np.random.default_rng(8)
         points = rng.uniform(-0.4, 0.4, size=(20, 3))
-        observations = []
-        for p in points:
-            obs = {}
-            for i, cam in enumerate(cams):
-                uv, depth = cam.project(p[None])
-                assert depth[0] > 0
-                obs[i] = tuple(uv[0])
-            observations.append(obs)
-        pts, kept, skipped = triangulate_observations(observations, cams)
+        coords = np.empty((20, 5, 2))
+        for i, cam in enumerate(cams):
+            uv, depth = cam.project(points)
+            assert np.all(depth > 0)
+            coords[:, i] = uv
+        pts, kept, skipped = triangulate_observations(coords, np.ones((20, 5), bool), cams)
         assert skipped == 0
-        for p, obs in zip(pts, observations):
+        for p, obs in zip(pts, coords):
             for i, cam in enumerate(cams):
                 uv, _ = cam.project(p[None])
-                assert np.linalg.norm(uv[0] - np.array(obs[i])) < 1e-6
+                assert np.linalg.norm(uv[0] - obs[i]) < 1e-6
 
     def test_short_track_skipped(self):
         cams = camera_ring(2)
-        pts, kept, skipped = triangulate_observations([{0: (1.0, 1.0)}], cams)
+        coords = np.array([[[1.0, 1.0], [-1.0, -1.0]]])
+        pts, kept, skipped = triangulate_observations(coords, np.array([[True, False]]),
+                                                      cams)
         assert skipped == 1
 
     def test_track_tokens_with_view_map(self):
@@ -225,8 +233,77 @@ class TestTriangulation:
         pts, kept, skipped = triangulate_tracks(token, cams)
         np.testing.assert_allclose(pts[0], point, atol=1e-6)
 
+    def test_view_map_rows_follow_camera_index(self):
+        # slots (2, 0, 1) triangulate as the same tracks laid out by camera
+        cams = camera_ring(3)
+        rng = np.random.default_rng(3)
+        vis = rng.random((40, 3)) < 0.6
+        vis[:, 2] = True
+        vis[:, 0] |= ~vis[:, 1]
+        coords, vis = random_ring_tracks(rng, cams, 40, vis)
+        pts, kept, skipped = triangulate_tracks(Tracks(coords[:, [2, 0, 1]], vis[:, [2, 0, 1]]),
+                                                cams, views=(2, 0, 1))
+        want_pts, want_kept, want_skipped = loop_triangulate(coords, vis, cams)
+        assert np.array_equal(pts, want_pts) and np.array_equal(kept, want_kept)
+        assert skipped == want_skipped
+
+
+class TestBatchedTriangulationMatchesLoop:
+    """The batched solve equals the one-SVD-per-track loop bit for bit."""
+
+    def assert_matches_loop(self, coords, vis, cams):
+        got = triangulate_observations(coords, vis, cams)
+        want = loop_triangulate(coords, vis, cams)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
+        assert got[2] == want[2]
+        return got
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_tracks_of_two_to_six_views(self, seed):
+        cams = camera_ring(6)
+        coords, vis = random_ring_tracks(np.random.default_rng(seed), cams, 300)
+        assert set(vis.sum(axis=1)) == {1, 2, 3, 4, 5, 6}
+        self.assert_matches_loop(coords, vis, cams)
+
+    def test_every_skip_reason(self):
+        # cameras 0 and 3 are the same camera
+        ring = camera_ring(3)
+        cams = ring + [ring[0]]
+        rng = np.random.default_rng(21)
+        coords, vis = random_ring_tracks(rng, cams[:3], 40)
+        coords = np.concatenate([coords, np.full((40, 1, 2), -1.0)], axis=1)
+        vis = np.concatenate([vis, np.zeros((40, 1), bool)], axis=1)
+        uv, _ = cams[0].project(np.array([[0.1, 0.0, 0.3]]))
+        zero_baseline = np.array([[uv[0], [-1, -1], [-1, -1], uv[0]]])
+        # a point behind every camera still projects to finite pixels
+        behind = np.stack([cam.project(np.array([[0.0, 0.0, -9.0]]))[0][0]
+                           for cam in cams], axis=0)[None]
+        # rays of cameras 1 and 2 along one direction meet at infinity
+        d = np.array([0.05, 0.02, 1.0])
+        at_inf = np.full((1, 4, 2), -1.0)
+        for v in (1, 2):
+            h = cams[v].intrinsics @ cams[v].rotation @ d
+            at_inf[0, v] = h[:2] / h[2]
+        single = np.array([[[3.0, 4.0], [-1, -1], [-1, -1], [-1, -1]]])
+        special = np.concatenate([zero_baseline, behind, at_inf, single])
+        special_vis = special[..., 0] != -1
+        coords = np.concatenate([coords, special])
+        vis = np.concatenate([vis, special_vis])
+        _, kept, skipped = self.assert_matches_loop(coords, vis, cams)
+        assert not set(range(40, 44)) & set(kept.tolist())
+        assert skipped >= 4
+
 
 class TestAccuracyCompleteness:
+    @pytest.mark.parametrize("n, m", [(1, 5), (64, 64), (130, 700), (765, 4000)])
+    def test_nearest_distances_match_dense_oracle(self, n, m):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, 3))
+        b = rng.integers(-3, 4, size=(m, 3)).astype(float)  # ties on a lattice
+        assert np.array_equal(_nn_min_d2(a, b), dense_nn_min_d2(a, b))
+        assert np.array_equal(_nn_min_d2(b, a), dense_nn_min_d2(b, a))
+
     def test_identical_sets(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(50, 3))
@@ -244,8 +321,8 @@ class TestAccuracyCompleteness:
 
     def test_scratch_memory_stays_small(self):
         # 1200 points against 4000: the nearest-neighbour search runs in
-        # chunks of 64 queries, about 12 MB of temporaries; chunks of 2048
-        # queries peaked at 146 MB
+        # chunks of 64 queries, about 6 MB of temporaries; chunks of 2048
+        # queries of the (chunk, N, 3) difference form peaked at 146 MB
         rng = np.random.default_rng(12)
         pts, gt = rng.normal(size=(1200, 3)), rng.normal(size=(4000, 3))
         tracemalloc.start()

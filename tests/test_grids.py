@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_correlation
-from mvmatch.grids import (CorrelationVolume, DenseWarpField, FeatureGrid,
-                           bilinear_sample, identity_warp, invert_warp,
-                           local_correlation, read_warp_file, upsample_warp,
-                           warp_features, write_warp_file)
+from mvmatch.grids import (DenseWarpField, FeatureGrid, bilinear_sample,
+                           identity_warp, invert_warp, local_correlation,
+                           read_warp_file, upsample_warp, warp_features,
+                           write_warp_file)
 
 
 def ramp_grid(h, w, slope=1.0):
@@ -85,7 +85,7 @@ class TestLocalCorrelation:
         grid = FeatureGrid(rng.normal(size=(4, 4, 8)))
         corr = local_correlation(grid, grid, identity_warp(4, 4), 1)
         expected = np.sum(grid.data ** 2, axis=2) / np.sqrt(8)
-        np.testing.assert_allclose(corr.scores[:, :, 0, 0], expected)
+        np.testing.assert_allclose(corr[:, :, 0, 0], expected)
 
     def test_one_hot_features_against_brute_force(self):
         # 16 distinct one-hot features on a 4x4 grid
@@ -93,9 +93,9 @@ class TestLocalCorrelation:
         warp = identity_warp(4, 4)
         corr = local_correlation(grid, grid, warp, 3)
         oracle = brute_force_correlation(grid, grid, warp, 3)
-        np.testing.assert_allclose(corr.scores, oracle, atol=1e-12)
+        np.testing.assert_allclose(corr, oracle, atol=1e-12)
         # interior pixels: center 1/sqrt(D), off-center 0
-        inner = corr.scores[1:-1, 1:-1]
+        inner = corr[1:-1, 1:-1]
         np.testing.assert_allclose(inner[:, :, 1, 1], 0.25)
         off = inner.copy()
         off[:, :, 1, 1] = 0.0
@@ -106,7 +106,7 @@ class TestLocalCorrelation:
         src = FeatureGrid(rng.normal(size=(3, 3, 4)))
         tgt = FeatureGrid(np.zeros((3, 3, 4)))
         corr = local_correlation(src, tgt, identity_warp(3, 3), 3)
-        np.testing.assert_array_equal(corr.scores, 0.0)
+        np.testing.assert_array_equal(corr, 0.0)
 
     def test_random_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -116,7 +116,7 @@ class TestLocalCorrelation:
                               rng.uniform(0, 1, size=(5, 4)), 0, 1)
         corr = local_correlation(src, tgt, warp, 5)
         oracle = brute_force_correlation(src, tgt, warp, 5)
-        np.testing.assert_allclose(corr.scores, oracle, atol=1e-10)
+        np.testing.assert_allclose(corr, oracle, atol=1e-10)
 
     def test_swap_symmetry_under_integer_shift(self):
         # A -> B under the shift (dx, dy) and B -> A under its inverse pair up
@@ -131,8 +131,8 @@ class TestLocalCorrelation:
         base = identity_warp(h, w)
         fwd = DenseWarpField(base.targets + (dx, dy), base.confidence, 0, 1)
         bwd = DenseWarpField(base.targets - (dx, dy), base.confidence, 1, 0)
-        ab = local_correlation(a, b, fwd, window).scores
-        ba = local_correlation(b, a, bwd, window).scores
+        ab = local_correlation(a, b, fwd, window)
+        ba = local_correlation(b, a, bwd, window)
         got, want = [], []
         for y, x, j, i in np.ndindex(ab.shape):
             yb, xb = y + dy + j - r, x + dx + i - r
@@ -257,7 +257,3 @@ class TestValidation:
     def test_bad_stride_rejected(self):
         with pytest.raises(ValueError, match="stride"):
             FeatureGrid(np.zeros((2, 2, 1)), stride=3)
-
-    def test_correlation_volume_window_checked(self):
-        with pytest.raises(ValueError):
-            CorrelationVolume(np.zeros((2, 2, 3, 3)), window=5)

@@ -3,7 +3,7 @@ import pytest
 
 from mvmatch.grids import MISSING
 from mvmatch.tracks import (Tracks, VisibilityPartition, allocate_clusters,
-                            kmeans, partition_by_visibility, read_tracks_tsv,
+                            kmeans, partition_by_visibility, read_track_rows, read_tracks_tsv,
                             sample_tracks, write_tracks_tsv)
 
 from oracles import loop_kmeans, loop_partition_by_visibility, loop_sample_tracks
@@ -303,14 +303,37 @@ class TestTsv:
         assert lines[2] == "0\t0\t1.500000\t2.500000"
         assert len(lines) == 4  # invisible view contributes no row
 
+    def test_rows_read_as_arrays_in_token_order(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("# V=4\tT=2\ntoken_id\tview_id\tx\ty\n"
+                        "%d\t2\t5.5\t6.5\n3\t1\t1.0\t2.0\n%d\t0\t3.0\t4.0\n3\t0\t0.5\t0.25\n"
+                        % (2**70, 2**70))
+        coords, vis = read_track_rows(path)
+        np.testing.assert_array_equal(vis, [[True, True, False, False],
+                                            [True, False, True, False]])
+        np.testing.assert_array_equal(coords, [[[0.5, 0.25], [1.0, 2.0], [-1, -1], [-1, -1]],
+                                               [[3.0, 4.0], [-1, -1], [5.5, 6.5], [-1, -1]]])
+        # a consumer with three views gets three columns
+        coords, vis = read_track_rows(path, max_views=3)
+        assert coords.shape == (2, 3, 2) and vis.shape == (2, 3)
+
+    def test_header_only_file_reads_empty(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("# V=3\tT=0\ntoken_id\tview_id\tx\ty\n")
+        coords, vis = read_track_rows(path)
+        assert coords.shape == (0, 3, 2) and vis.shape == (0, 3)
+
     @pytest.mark.parametrize("row, message", [
         ("0\t1\t3.0", "t.tsv:4: expected 4 tab-separated fields, got 3"),
         ("0\tone\t3.0\t4.0", "t.tsv:4: malformed track row"),
         ("0\t3\t3.0\t4.0", "t.tsv:4: view 3 outside [0, 3)"),
         ("1\t0\t3.0\t4.0", "t.tsv: at least one target view must be visible"),
         ("1\t2\t3.0\t4.0", "t.tsv: source view must be visible"),
+        ("0\t1\tnan\t4.0", "t.tsv:4: non-finite coordinate in '0\\t1\\tnan\\t4.0'"),
+        ("0\t1\t3.0\t-inf", "t.tsv:4: non-finite coordinate in"),
+        ("0\t0\t3.0\t4.0", "t.tsv:4: token 0 repeats view 0"),
     ], ids=["short-row", "non-integer-view", "view-past-header", "no-target",
-            "no-source-row"])
+            "no-source-row", "nan-x", "infinite-y", "repeated-view"])
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "t.tsv"
         path.write_text(f"# V=3\tT=1\ntoken_id\tview_id\tx\ty\n0\t0\t1.0\t2.0\n{row}\n")
