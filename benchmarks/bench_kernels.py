@@ -1,4 +1,4 @@
-"""Time the gather/scatter/stencil and exchange kernels on production-sized inputs.
+"""Time the gather/scatter/stencil, exchange and global-match kernels on production-sized inputs.
 
 Run:  python benchmarks/bench_kernels.py [--repeats 5]
 
@@ -12,7 +12,10 @@ about 10% of the tracks invisible in the view, at the coarse grids of three
 benchmark workloads: the shipped 672 px (84^2 cells, 512 tracks), 168 px
 (21^2 cells, 128 tracks) and the 48 px scene (6^2 cells, 128 tracks). On
 the small grids a window is most of the grid, so there its bookkeeping
-shows. Track building is timed on the inputs of
+shows. The coarse global match is timed with unit-norm D = 32 features at
+the shipped temperature 0.002, at the shipped 84^2 coarse grid against 84^2
+anchors and at 21^2 against 21^2 anchors (441, not a multiple of 8, so
+its pad columns show). Track building is timed on the inputs of
 two benchmark workloads at seed 1: ``simulate_matcher`` with 2000 samples
 on a 672 px planar scene and 800 samples on a 48 px point-cloud scene, and
 ``kmeans`` on each one's largest visibility partition with the cluster count
@@ -39,6 +42,7 @@ from mvmatch.config import PipelineConfig  # noqa: E402
 from mvmatch.geometry import accuracy_completeness, triangulate_observations  # noqa: E402
 from mvmatch.grids import FeatureGrid  # noqa: E402
 from mvmatch.grouping import ImageGroup  # noqa: E402
+from mvmatch.matcher import AnchorGrid, global_match  # noqa: E402
 from mvmatch.oracle import (make_planar_scene, make_point_cloud_scene,  # noqa: E402
                             load_scene, simulate_matcher)
 from mvmatch.tracks import (allocate_clusters, kmeans,  # noqa: E402
@@ -125,6 +129,15 @@ def main():
              partial(attention.attentional_splatting, grid, track_feats, track_xy,
                      visible, params)),
         ]
+
+    for side in (84, 21):
+        src, tgt = rng.normal(size=(2, side, side, c))
+        src /= np.linalg.norm(src, axis=-1, keepdims=True)
+        tgt /= np.linalg.norm(tgt, axis=-1, keepdims=True)
+        cases.append((f"global_match ({side}^2 -> {side}^2, tau 0.002)",
+                      partial(global_match, FeatureGrid(src), FeatureGrid(tgt),
+                              AnchorGrid.uniform(side, side, (side, side)),
+                              PipelineConfig().global_temperature)))
 
     group = ImageGroup(0, (1, 2, 3, 4))
     for scene, samples, budget in ((make_planar_scene(5, (672, 672), 1), 2000, 512),

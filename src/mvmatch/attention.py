@@ -167,15 +167,10 @@ def _softmax_(logits: np.ndarray, flush: bool = False) -> np.ndarray:
 def _row_blocks(n: int, size: int):
     """Slices of ``size`` rows covering ``range(n)``; the last one absorbs a short tail.
 
-    A row-wise softmax treats every row alone, so blocking its rows changes
-    the arithmetic only inside BLAS. On OpenBLAS a block's products keep the
-    full matrix's bits when no block is short (a short tail can fall under
-    the small-matrix threshold and round differently) and the column count
-    is a multiple of 8, as at the shipped shapes. With a ragged column count
-    OpenBLAS tiles by row position, and a product can move in the last ulp
-    (the full product there changes with the BLAS thread count, too).
-    Smaller blocks break the bits more often; re-check any other block size
-    against the ``dense_*`` formulations in the tests.
+    A row-wise softmax treats every row alone, so blocking its rows bounds
+    the memory of its logits by the largest block. No block is short, so
+    none falls under BLAS's small-matrix threshold, where a product can
+    round differently from its neighbours.
     """
     lo = 0
     while True:

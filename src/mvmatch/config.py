@@ -9,6 +9,7 @@ multi-view fusion at levels {4, 1}.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import asdict, dataclass
 
@@ -96,14 +97,19 @@ def _check_value(path, key: str, kind, value) -> None:
         raise ValueError(f"{path}: {key} must be {kind.__name__}, got {value!r}")
 
 
-# Track-building values outside these ranges would run wrongly or fail deep
-# inside a command, so loading rejects them: key -> (check, requirement).
+# Track-building and matcher values outside these ranges would run wrongly
+# (a negative temperature picks the least similar anchor) or fail deep inside
+# a command without naming the key, so loading rejects them:
+# key -> (check, requirement).
 _RANGES = {
     "track_tokens": (lambda v: v >= 1, "must be >= 1"),
     "matcher_samples": (lambda v: v >= 1, "must be >= 1"),
     "matcher_noise_sigma": (lambda v: v >= 0, "must be >= 0"),
     "matcher_outlier_rate": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
     "targets_per_group": (lambda v: v >= 1, "must be >= 1"),
+    "sigma": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
+    "global_temperature": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
+    "softargmax_temperature": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
 }
 
 

@@ -35,9 +35,10 @@ from .tracks import Tracks
 
 DEFAULT_WINDOWS = {8: 9, 4: 9, 2: 7, 1: 5}
 ALIGNMENT_MODES = ("forward", "invert", "reverse")
-# Source rows per block of global_match logits; see attention._row_blocks on
-# keeping bits.
-_GLOBAL_BLOCK_ROWS = 512
+# Source rows per block of global_match logits: a (128, 7056) block is 7 MB,
+# small enough to stay in cache through the softmax passes (64 to 512 rows
+# timed within noise of each other on 2 CPUs; fewer rows hold less memory).
+_GLOBAL_BLOCK_ROWS = 128
 SUBPIXEL_LEVELS = (1,)    # levels with parabolic sub-cell fit
 CORR_GATE_MARGIN = 0.03   # cosine lead a move needs over staying put
 VERIFY_MARGIN = 0.01      # cosine improvement a move must verify to
@@ -196,32 +197,48 @@ def global_match(src_feat: FeatureGrid, tgt_feat: FeatureGrid, anchors: AnchorGr
 
     Each source token scores all anchors (scaled inner products, softmax); the
     coarse coordinate is the probability-weighted mean of anchor centers and
-    the confidence is the winning anchor's probability, read as 1 / row sum.
+    the confidence is the winning anchor's probability, read as 1 / row sum
+    (the max term is ``exp(0) = 1``).
 
-    Source rows are processed in blocks of ``_GLOBAL_BLOCK_ROWS`` that share
-    one logits buffer, so memory is bounded by the largest block, not the
-    full (HW, anchors) matrix; at the shipped shapes the output bits are
-    those of the full matrix.
+    The keys are scaled once, and source rows run in cache-sized blocks of
+    ``_GLOBAL_BLOCK_ROWS`` through one reused buffer: the logits product,
+    the row max, its subtraction, the ``exp``, the row sum and one
+    matrix-vector product per coordinate axis. Weights are never normalized;
+    the weighted sums are divided by the row sums once, after the loop, as in
+    FlashAttention. The anchors are padded with zero keys to a multiple of 8
+    columns, and the pad columns are set to -inf, so they take weight 0.
+    Outputs agree with the full-matrix softmax to about 1e-11 px, not bit for
+    bit. Their bits do not depend on the BLAS thread count: OpenBLAS rounds a
+    product with a ragged column count, or a (rows, N) @ (N, 2) product,
+    differently under another thread count, but not the padded product or a
+    matrix-vector product.
     """
     if src_feat.channels != tgt_feat.channels:
         raise ValueError("source/target channel mismatch")
     d = src_feat.channels
-    keys = kernels.bilinear_gather(tgt_feat.data, anchors.centers[:, 0],
-                                   anchors.centers[:, 1])
+    n = anchors.centers.shape[0]
+    cols = -(-n // 8) * 8
+    keys = np.zeros((cols, d))
+    keys[:n] = kernels.bilinear_gather(tgt_feat.data, anchors.centers[:, 0],
+                                       anchors.centers[:, 1])
+    keys /= np.sqrt(d) * temperature
+    cx, cy = np.zeros((2, cols))
+    cx[:n], cy[:n] = anchors.centers.T
     src = src_feat.data.reshape(-1, d)
-    scale = np.sqrt(d) * temperature
-    coords = np.empty((src.shape[0], 2))
-    conf = np.empty(src.shape[0])
+    x, y, sums = np.empty((3, src.shape[0]))
     blocks = list(_row_blocks(src.shape[0], _GLOBAL_BLOCK_ROWS))
-    logits = np.empty((max(b.stop - b.start for b in blocks), keys.shape[0]))
+    buf = np.empty((max(b.stop - b.start for b in blocks), cols))
     for rows in blocks:
-        probs = np.matmul(src[rows], keys.T, out=logits[:rows.stop - rows.start])
-        probs /= scale
-        sums = _softmax_(probs)
-        coords[rows] = probs @ anchors.centers
-        conf[rows] = 1.0 / sums[:, 0]
+        e = np.matmul(src[rows], keys.T, out=buf[:rows.stop - rows.start])
+        e[:, n:] = -np.inf
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        e.sum(axis=1, out=sums[rows])
+        np.dot(e, cx, out=x[rows])
+        np.dot(e, cy, out=y[rows])
     h, w = src_feat.height, src_feat.width
-    return DenseWarpField(coords.reshape(h, w, 2), conf.reshape(h, w),
+    coords = np.stack([x / sums, y / sums], axis=-1)
+    return DenseWarpField(coords.reshape(h, w, 2), (1.0 / sums).reshape(h, w),
                           source_view, target_view)
 
 

@@ -3,8 +3,9 @@
 Everything here recomputes results with plain Python loops and numpy scalars,
 no shared code paths with the library internals beyond parameter containers
 and the bilinear sampler. The ``dense_*`` functions are the exception: they
-keep the full-matrix formulations that the row-blocked global match and
-exchange attention replaced, so blocked outputs can be compared bit for bit.
+keep the full-matrix formulations that the row-blocked global match and the
+windowed exchange attention replaced, so the library's outputs can be
+checked against the full softmax, each to a named tolerance.
 The ``loop_*`` track-building references share the library's ground-truth
 warps, k-means++ seeding and cluster allocation, which they do not test, and
 keep the per-sample and per-cluster loops that the array code replaced.

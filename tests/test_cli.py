@@ -492,6 +492,25 @@ class TestErrorContract:
                                    f"config.json: {key} {requirement}")
         assert not (tmp_path / "run").exists()
 
+    # unchecked, a negative global temperature matches every pixel to its
+    # least similar anchor and exits 0, and a zero one fails deep in the
+    # matcher with an error that names neither the file nor the key
+    @pytest.mark.parametrize("key, value", [
+        ("global_temperature", -0.002), ("global_temperature", 0.0),
+        ("softargmax_temperature", 0.0), ("softargmax_temperature", -0.05),
+        ("sigma", -1.0), ("sigma", float("inf")),
+    ])
+    def test_config_with_matcher_value_out_of_range(self, tmp_path, capsys, planar_scene,
+                                                    key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        rc = main(["match", "--scene", str(planar_scene), "--config", str(config),
+                   "--out", str(tmp_path / "warps")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "match", f"config.json: {key} must be finite "
+                                                    f"and > 0, got {value!r}")
+        assert not (tmp_path / "warps").exists()
+
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("[]")

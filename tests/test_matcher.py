@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,10 @@ from mvmatch.oracle import SceneOracle, gt_warp, make_planar_scene, simulate_mat
 from mvmatch.tracks import sample_tracks
 
 from oracles import dense_global_match, oracle_mvfuse, random_fuse_params as fuse_params
+
+# Largest deviation of global_match from the full-matrix formulation, in pixels
+# for the coordinates and absolute for the confidence.
+GLOBAL_ATOL = 1e-10
 
 
 class TestGlobalMatch:
@@ -64,10 +72,15 @@ class TestGlobalMatch:
                          AnchorGrid.uniform(2, 2, (2, 2)), 0.002)
 
     # 84x84 is the coarse grid at the shipped 672 px; 37x53 source rows span
-    # several blocks with a ragged last one, against 40x40 anchors; 0.002 is
-    # the shipped temperature. The confidence is read as 1 / row sum.
+    # several blocks with a ragged last one, against 40x40 anchors, and 21x21
+    # and 6x6 anchors leave pad columns; 0.002 is the shipped temperature.
+    # The confidence is read as 1 / row sum. The test keeps its name (and case
+    # ids) from when the blocks gave the dense bits; since global_match
+    # normalizes after the coordinate products it checks GLOBAL_ATOL.
     @pytest.mark.parametrize("src_hw, tgt_hw", [((84, 84), (84, 84)),
-                                                ((37, 53), (40, 40))])
+                                                ((37, 53), (40, 40)),
+                                                ((37, 53), (21, 21)),
+                                                ((37, 53), (6, 6))])
     @pytest.mark.parametrize("tau", [0.01, 1.0, 0.002])
     def test_row_blocks_give_the_dense_bits(self, src_hw, tgt_hw, tau):
         rng = np.random.default_rng(7)
@@ -77,8 +90,9 @@ class TestGlobalMatch:
         assert src.height * src.width > 2 * matcher._GLOBAL_BLOCK_ROWS
         got = global_match(src, tgt, anchors, tau, 2, 5)
         want = dense_global_match(src, tgt, anchors, tau, 2, 5)
-        np.testing.assert_array_equal(got.targets, want.targets)
-        np.testing.assert_array_equal(got.confidence, want.confidence)
+        np.testing.assert_allclose(got.targets, want.targets, rtol=0, atol=GLOBAL_ATOL)
+        np.testing.assert_allclose(got.confidence, want.confidence, rtol=0,
+                                   atol=GLOBAL_ATOL)
         assert (got.source_view, got.target_view) == (2, 5)
 
     def test_anchor_grid_tiles_uniformly(self):
@@ -87,6 +101,41 @@ class TestGlobalMatch:
                                    [[0.5, 0.5], [2.5, 0.5], [0.5, 2.5], [2.5, 2.5]])
         b = AnchorGrid.uniform(3, 3, (3, 3))
         np.testing.assert_allclose(b.centers[:3], [[0, 0], [1, 0], [2, 0]])
+
+
+_GLOBAL_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from mvmatch.grids import FeatureGrid
+from mvmatch.matcher import AnchorGrid, global_match
+rng = np.random.default_rng(3)
+parts = []
+for src_hw, tgt_hw in [((84, 84), (84, 84)), ((21, 21), (21, 21)), ((42, 42), (42, 42)),
+                       ((6, 6), (6, 6)), ((37, 53), (40, 40))]:
+    src, tgt = (rng.normal(size=(*hw, 32)) for hw in (src_hw, tgt_hw))
+    src /= np.linalg.norm(src, axis=-1, keepdims=True)
+    tgt /= np.linalg.norm(tgt, axis=-1, keepdims=True)
+    warp = global_match(FeatureGrid(src), FeatureGrid(tgt),
+                        AnchorGrid.uniform(*tgt_hw, tgt_hw), 0.002)
+    parts += [warp.targets.tobytes(), warp.confidence.tobytes()]
+print(hashlib.sha256(b"".join(parts)).hexdigest())
+"""
+
+
+def global_match_digest(threads):
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=str(here.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", _GLOBAL_DIGEST_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def test_global_match_bits_do_not_depend_on_blas_threads():
+    # unit-norm D = 32 features at the shipped temperature: the shipped 84^2
+    # coarse grid, ragged anchor counts (21^2 = 441, 42^2 = 1764, 6^2 = 36)
+    # and 37x53 source rows against 40x40 anchors
+    assert global_match_digest(1) == global_match_digest(2)
 
 
 class TestReverseAlignmentMemory:
