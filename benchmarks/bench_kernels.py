@@ -6,7 +6,10 @@ Prints the best per-call latency of each kernel in ``mvmatch.kernels``; the
 local correlation is timed at the refiner's (size, window) pairs and at the
 48 px scene's finest level, each under a uniform-random warp and a smooth
 one (a slight rotation and zoom): its products are keyed by target block,
-so the two should cost the same. The
+so the two make the same products, but the random warp's scattered reads
+and writes cost more at 168^2. Its labels name ``kernels._CORR_BLOCK``,
+and one more case times it at the shipped finest level (672^2, window 5,
+smooth warp; 2 x 116 MB of features). The
 track-guided exchange's sampling and splatting are timed with D = 32 and
 about 10% of the tracks invisible in the view, at the coarse grids of three
 benchmark workloads: the shipped 672 px (84^2 cells, 512 tracks), 168 px
@@ -107,14 +110,19 @@ def main():
         ("zbuffer_min (200k pts)", lambda: kernels.zbuffer_min(px, py, depth, h, w)),
         ("fill_nearest (70% holes)", lambda: kernels.fill_nearest(coords, valid)),
     ]
+    block = kernels._CORR_BLOCK
     for size, window in ((168, 5), (84, 7), (42, 9), (48, 5)):
         src = np.ascontiguousarray(feat[:size, :size])
         dst = np.ascontiguousarray(tgt[:size, :size])
         warps = {"random": rng.uniform(0, size - 1, size=(size, size, 2)),
                  "smooth": smooth_warp(size)}
         for kind, warp in warps.items():
-            cases.append((f"local_corr ({size}^2, win {window}, {kind})",
+            cases.append((f"local_corr ({size}^2, win {window}, {kind}, block {block})",
                           partial(kernels.local_corr, src, dst, warp, window)))
+    # the shipped finest level: 672 px at stride 1
+    big_src, big_dst = rng.normal(size=(2, 672, 672, c))
+    cases.append((f"local_corr (672^2, win 5, smooth, block {block})",
+                  partial(kernels.local_corr, big_src, big_dst, smooth_warp(672), 5)))
 
     params = attention.init_attention_params(c, sigma=1.0, seed=0)
     for side, tracks in ((84, 512), (21, 128), (6, 128)):
@@ -166,9 +174,9 @@ def main():
     ]
 
     print(f"backend: {kernels.BACKEND}; repeats: {args.repeats} (best time shown)")
-    print(f"{'kernel':44s} {'numpy':>10s}")
+    print(f"{'kernel':52s} {'numpy':>10s}")
     for name, fn in cases:
-        print(f"{name:44s} {timeit(fn, args.repeats) * 1e3:9.2f}ms")
+        print(f"{name:52s} {timeit(fn, args.repeats) * 1e3:9.2f}ms")
     return 0
 
 

@@ -107,6 +107,11 @@ _RANGES = {
     "matcher_noise_sigma": (lambda v: v >= 0, "must be >= 0"),
     "matcher_outlier_rate": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
     "targets_per_group": (lambda v: v >= 1, "must be >= 1"),
+    "strides": (lambda v: len(v) > 0 and all(s >= 1 and s & (s - 1) == 0 for s in v)
+                and all(a > b for a, b in zip(v, v[1:])),
+                "must be a non-empty, strictly decreasing list of powers of two"),
+    "feature_dim": (lambda v: v >= 1, "must be >= 1"),
+    "hidden_dim": (lambda v: v >= 1, "must be >= 1"),
     "sigma": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
     "global_temperature": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
     "softargmax_temperature": (lambda v: 0 < v < math.inf, "must be finite and > 0"),

@@ -73,11 +73,11 @@ def bilinear_gather(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 
 # Side, in target cells, of the square blocks that key local_corr's products.
-_CORR_BLOCK = 16
-# Most source pixels in one product; a fuller block is split into near-equal
-# parts, which bounds the scratch memory when warps pile up at one target
-# cell (e.g. all targets off one corner of the image).
-_CORR_PRODUCT_ROWS = 2048
+_CORR_BLOCK = 8
+# Most source pixels in one product and in one blend band; a fuller block is
+# split into near-equal parts, which bounds the scratch memory when warps pile
+# up at one target cell (e.g. all targets off one corner of the image).
+_CORR_PRODUCT_ROWS = 1024
 
 
 def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: int) -> np.ndarray:
@@ -86,80 +86,125 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
     Entry [y, x, j, i] is ``src[y, x] . sample(tgt, targets[y, x] + (i - r,
     j - r)) / sqrt(C)`` with r = (window - 1) // 2, sampled border-clamped as
     in ``bilinear_gather``. A bilinear sample's dot product is the same blend
-    of the dot products taken at its four integer cells, so the kernel:
+    of the dot products taken at its two cells along each axis, so the
+    kernel:
 
-    * computes each offset's taps (x0, x1, fx), (y0, y1, fy) with the clip,
-      floor and clamp arithmetic of ``bilinear_gather``, so offsets that
-      clamp to the same taps give exactly equal scores and the readout's
-      first-index tie-break at the borders is kept;
-    * keys every source pixel by the ``_CORR_BLOCK`` x ``_CORR_BLOCK`` block
-      of target cells that holds its offset -r taps. All taps of the pixel
-      lie within span = window + 2 cells of those (span, not window + 1,
-      because near integer targets floor(t + dx) can step one cell past dx),
-      so they lie in the block's region: _CORR_BLOCK + span - 1 rows and as
-      many columns, plus the few more that make its cell count a multiple
-      of 8. Region cells past the last target row or column repeat it, as
-      the taps are clamped;
+    * gives each pixel one regular window per axis: origin v = clip(floor(t)
+      - r, -window, size - 1), and offset i blends cells v + i and v + i + 1
+      of a target whose cells past the grid repeat its border row or column;
+    * blends them with the fractions of ``bilinear_gather``'s taps, so that
+      offsets that clamp to the same taps give exactly equal scores and the
+      readout's first-index tie-break at the borders is kept. A low-clamped
+      offset has fraction 0 and a high-clamped one fraction 1, and both read
+      repeated border cells. Near integer targets, floor(t + dx) can step one
+      cell past floor(t) + dx; the fraction there is exactly 0, so the
+      offset takes fraction 1 on its regular cells, which reads the same dot;
+    * keys every pixel by the ``_CORR_BLOCK`` x ``_CORR_BLOCK`` block of
+      target cells that holds its origin. Its window lies in the block's
+      region, _CORR_BLOCK + window rows and as many columns, plus the few
+      more that make the cell count a multiple of 8; the region is gathered
+      with clipped indices, not from a padded copy of the target;
     * takes the dot products of the block's pixels with every region cell
-      in one BLAS product, ``S[pix] @ region.T``, and blends the four
-      corner dots of each offset with its fx, fy. A block of more than
-      ``_CORR_PRODUCT_ROWS`` pixels is split into near-equal products.
+      in one BLAS product, ``S[pix] @ region.T``, into a band buffer of whole
+      block parts (a block of more than ``_CORR_PRODUCT_ROWS`` pixels is
+      split into near-equal products);
+    * per band of at most ``_CORR_PRODUCT_ROWS`` pixels, reads every pixel's
+      (window + 1)^2 dots with one gather in (offset, pixel) layout, blends
+      x over the window + 1 rows, then y from rows j and j + 1, and writes
+      the scaled scores into the output.
 
     Blending after the channel sum instead of before it, and BLAS's order
     of the channel sum, move scores by a few ulps: they agree with the
     per-offset gather to ``CORR_ATOL`` = 1e-13 (``tests/test_kernels.py``).
-    The bits may change with ``_CORR_BLOCK``, not with the BLAS thread
-    count or the product split: with a column count that is a multiple of
-    8, OpenBLAS gives a product entry the same bits however it splits the
-    rows of a product of three or more rows (measured at 1 and 2 threads).
+    The bits may change with ``_CORR_BLOCK`` (going from 16 to 8 moved
+    scores by ulps only, and no output file of the benchmark workloads), not
+    with the BLAS thread count or the product split: with a column count
+    that is a multiple of 8, OpenBLAS gives a product entry the same bits
+    however it splits the rows of a product of three or more rows (measured
+    at 1 and 2 threads).
     """
     src, tgt, targets, window = _f64(src), _f64(tgt), _f64(targets), int(window)
     h, w, c = src.shape
     th, tw = tgt.shape[:2]
+    block, rows = _CORR_BLOCK, _CORR_PRODUCT_ROWS
     r = (window - 1) // 2
-    side = _CORR_BLOCK + window + 1
+    side = block + window
     width = side
     while side * width % 8:
         width += 1
-    offsets = np.arange(-r, r + 1, dtype=np.float64)
+    cells = side * width
+    offsets = np.arange(-r, r + 1, dtype=np.float64)[:, None]
+    regular = np.arange(window)[:, None] - window  # q + regular[i] = v + i
+    corner = np.arange(window + 1)
+    corner = (corner[:, None] * width + corner)[:, :, None]
     inv = 1.0 / np.sqrt(c)
     s = src.reshape(h * w, c)
     t = targets.reshape(h * w, 2)
-    out = np.empty((h * w, window, window), dtype=np.float64)
 
-    # block of each pixel's offset -r taps, pixels sorted by block
-    nbx = (tw - 1) // _CORR_BLOCK + 1
-    by = _axis_taps(t[:, 1] - r, th)[0] // _CORR_BLOCK
-    bx = _axis_taps(t[:, 0] - r, tw)[0] // _CORR_BLOCK
-    key = by * nbx + bx
+    # q = v + window >= 0 per axis, v each pixel's window origin; pixels
+    # sorted by the block of target cells that holds it
+    qx = _window_origin(t[:, 0], tw, r)
+    qy = _window_origin(t[:, 1], th, r)
+    nbx = (tw - 1 + window) // block + 1
+    key = qy // block * nbx + qx // block
     order = np.argsort(key, kind="stable")
     key = key[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     ends = np.r_[starts[1:], key.size]
-    cells_y, cells_x = np.arange(side)[:, None], np.arange(width)
+    by, bx = np.divmod(key[starts], nbx)
+    del key
+    qx = qx[order]
+    qy = qy[order]
 
-    for lo, hi in zip(starts, ends):
-        oy, ox = divmod(int(key[lo]), nbx)
-        oy *= _CORR_BLOCK
-        ox *= _CORR_BLOCK
-        region = tgt[np.minimum(oy + cells_y, th - 1),
-                     np.minimum(ox + cells_x, tw - 1)].reshape(-1, c)
-        for pix in np.array_split(order[lo:hi], -(-(hi - lo) // _CORR_PRODUCT_ROWS)):
-            dots = (s[pix] @ region.T).ravel()
-            x0, x1, fx = _axis_taps(t[pix, 0, None] + offsets, tw)
-            y0, y1, fy = _axis_taps(t[pix, 1, None] + offsets, th)
-            # flat index of each tap's cell in its pixel's row of dots
-            rows = np.arange(pix.size)[:, None] * (side * width) - oy * width - ox
-            y0 = (rows + y0 * width)[:, :, None]
-            y1 = (rows + y1 * width)[:, :, None]
-            x0 = x0[:, None, :]
-            x1 = x1[:, None, :]
-            gx = fx[:, None, :]
-            gy = fy[:, :, None]
-            top = dots[y0 + x0] * (1.0 - gx) + dots[y0 + x1] * gx
-            bot = dots[y1 + x0] * (1.0 - gx) + dots[y1 + x1] * gx
-            out[pix] = (top * (1.0 - gy) + bot * gy) * inv
+    # each block's region: its cells, clipped into the target grid
+    ry = np.clip(by[:, None] * block - window + np.arange(side), 0, th - 1) * tw
+    rx = np.clip(bx[:, None] * block - window + np.arange(width), 0, tw - 1)
+    tcells = tgt.reshape(th * tw, c)
+    dots = np.empty((min(rows, h * w), cells))
+    out = np.empty((h * w, window, window), dtype=np.float64)
+
+    def blend(lo, hi):
+        # dots[: hi - lo] holds the products of sorted pixels lo..hi
+        pix = order[lo:hi]
+        n = hi - lo
+        x0, _, fx = _axis_taps(t[pix, 0] + offsets, tw)
+        y0, _, fy = _axis_taps(t[pix, 1] + offsets, th)
+        # a tap one cell past its regular cell has fraction 0: read the same
+        # dot as fraction 1 on the regular cell
+        fx[x0 > qx[lo:hi] + regular] = 1.0
+        fy[y0 > qy[lo:hi] + regular] = 1.0
+        # each pixel's (window + 1)^2 dots, (row, column, pixel); blend x,
+        # then y, in the order of the per-offset blend
+        base = np.arange(n) * cells + qy[lo:hi] % block * width + qx[lo:hi] % block
+        win = np.take(dots, corner + base)
+        row = win[:, :-1] * (1.0 - fx)
+        win[:, 1:] *= fx
+        row += win[:, 1:]
+        vol = row[:-1] * (1.0 - fy[:, None])
+        row[1:] *= fy[:, None]
+        vol += row[1:]
+        vol *= inv
+        out[pix] = vol.transpose(2, 0, 1)
+
+    band = 0
+    for b, (lo, hi) in enumerate(zip(starts, ends)):
+        region = tcells[(ry[b, :, None] + rx[b]).ravel()]
+        parts = -(-(hi - lo) // rows)
+        size, extra = divmod(hi - lo, parts)
+        for p in range(parts):
+            p_lo = lo + p * size + min(p, extra)
+            p_hi = p_lo + size + (p < extra)
+            if p_hi - band > rows:
+                blend(band, p_lo)
+                band = p_lo
+            np.matmul(s[order[p_lo:p_hi]], region.T, out=dots[p_lo - band:p_hi - band])
+    blend(band, h * w)
     return out.reshape(h, w, window, window)
+
+
+def _window_origin(p: np.ndarray, size: int, r: int) -> np.ndarray:
+    """clip(floor(p) - r, -window, size - 1) + window, window = 2r + 1, per position."""
+    return np.floor(np.clip(p, -r - 1.0, size - 1.0 + r)).astype(np.int64) + (r + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from mvmatch.config import PipelineConfig, load_config, save_config
 from mvmatch.grids import read_warp_file
 from mvmatch.tracks import read_tracks_tsv
 
+STRIDES_RULE = "must be a non-empty, strictly decreasing list of powers of two"
+
 
 @pytest.fixture(scope="module")
 def fast_config(tmp_path_factory):
@@ -510,6 +512,35 @@ class TestErrorContract:
         self.assert_one_line_error(capsys, "match", f"config.json: {key} must be finite "
                                                     f"and > 0, got {value!r}")
         assert not (tmp_path / "warps").exists()
+
+    # unchecked, empty strides end in an IndexError traceback, increasing ones
+    # in a provider stride mismatch, and a zero feature_dim in an error that
+    # names neither the file nor the key
+    @pytest.mark.parametrize("key, value, requirement", [
+        ("strides", [], STRIDES_RULE),
+        ("strides", [1, 2], STRIDES_RULE),
+        ("strides", [8, 8, 4], STRIDES_RULE),
+        ("strides", [8, 3, 1], STRIDES_RULE),
+        ("strides", [2, 1, 0], STRIDES_RULE),
+        ("feature_dim", 0, "must be >= 1"),
+        ("hidden_dim", -4, "must be >= 1"),
+    ])
+    def test_config_with_bad_strides_or_dimension(self, tmp_path, capsys, planar_scene,
+                                                  key, value, requirement):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        rc = main(["match", "--scene", str(planar_scene), "--config", str(config),
+                   "--out", str(tmp_path / "warps")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "match",
+                                   f"config.json: {key} {requirement}, got {value!r}")
+        assert not (tmp_path / "warps").exists()
+
+    def test_config_with_one_stride_loads(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"strides": [8], "feature_dim": 1, "hidden_dim": 1}')
+        loaded = load_config(config)
+        assert (loaded.strides, loaded.feature_dim, loaded.hidden_dim) == ((8,), 1, 1)
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"

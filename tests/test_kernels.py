@@ -1,7 +1,11 @@
 """Kernel agreement: each numpy kernel must match an independent explicit-loop
 oracle from ``tests/oracles.py``."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -113,12 +117,13 @@ class TestAgreement:
 
     def test_local_corr_block_sizes(self, monkeypatch):
         # the target block that keys a product may change the order of the
-        # channel sums only; 40 puts the whole 29 x 34 target grid in one block
+        # channel sums only; 40 puts every window origin of the 29 x 34 target
+        # grid in one block
         src = rng.normal(size=(37, 11, 8))
         tgt = rng.normal(size=(29, 34, 8))
         targets = border_targets(rng, 37, 11, 29, 34)
         shipped = kernels.local_corr(src, tgt, targets, 5)
-        for block in (4, 8, 32, 40):
+        for block in (4, 16, 32, 40):
             monkeypatch.setattr(kernels, "_CORR_BLOCK", block)
             self.assert_local_corr(src, tgt, targets, 5, shipped)
 
@@ -135,6 +140,25 @@ class TestAgreement:
             monkeypatch.setattr(kernels, "_CORR_PRODUCT_ROWS", rows)
             got = self.assert_local_corr(src, tgt, targets, 3, whole)
             np.testing.assert_array_equal(got, whole)
+
+    def test_local_corr_far_outside_the_target(self):
+        # targets far enough out that whole windows clamp onto the border and
+        # the window origin itself is clipped, on square, 1-wide and 1-tall
+        # target grids
+        gen = np.random.default_rng(4)
+        src = gen.normal(size=(13, 11, 8))
+        for th, tw in ((17, 17), (17, 1), (1, 17)):
+            tgt = gen.normal(size=(th, tw, 8))
+            size = np.array([tw, th], dtype=np.float64)
+            for targets in (gen.uniform(-60.0, size + 60.0, size=(13, 11, 2)),
+                            gen.uniform(-1e6, 1e6, size=(13, 11, 2))):
+                for window in (1, 5, 9):
+                    got = kernels.local_corr(src, tgt, targets, window)
+                    np.testing.assert_allclose(
+                        got, per_offset_local_corr(src, tgt, targets, window),
+                        atol=CORR_ATOL, rtol=0)
+                    if window > 1:
+                        assert_clamped_ties_exact(got, targets, th, tw)
 
     def test_upsample_linear(self):
         # the kernel blends along y, then x; the oracle blends each cell's
@@ -204,6 +228,41 @@ class TestAgreement:
         np.testing.assert_allclose(kernels.depthwise_conv2d(inp, w, b),
                                    brute_force_depthwise_conv2d(inp, w, b),
                                    atol=1e-12)
+
+
+_CORR_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from test_kernels import border_targets
+from mvmatch.kernels import local_corr
+gen = np.random.default_rng(12)
+ys, xs = np.mgrid[0:168, 0:168] - 83.5
+a = np.deg2rad(3.0)
+smooth = 1.05 * np.stack([np.cos(a) * xs - np.sin(a) * ys,
+                          np.sin(a) * xs + np.cos(a) * ys], axis=-1) + 83.5
+parts = [local_corr(gen.normal(size=(168, 168, 32)), gen.normal(size=(168, 168, 32)),
+                    smooth, 5).tobytes()]
+for (h, w), (th, tw), window in (((37, 53), (40, 40), 7), ((21, 21), (21, 21), 9),
+                                 ((23, 19), (9, 14), 3)):
+    src, tgt = gen.normal(size=(h, w, 32)), gen.normal(size=(th, tw, 32))
+    parts.append(local_corr(src, tgt, border_targets(gen, h, w, th, tw), window).tobytes())
+print(hashlib.sha256(b"".join(parts)).hexdigest())
+"""
+
+
+def local_corr_digest(threads):
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    done = subprocess.run([sys.executable, "-c", _CORR_DIGEST_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def test_local_corr_bits_do_not_depend_on_blas_threads():
+    # a smooth warp at the 168 px workload's finest level, then ragged grids
+    # whose targets reach past the border
+    assert local_corr_digest(1) == local_corr_digest(2)
 
 
 class TestLocalCorrBorders:
