@@ -200,7 +200,7 @@ def _load_warp_bank(warps_dir: Path):
     for path in sorted(warps_dir.glob("warp_g*.mvwf")):
         warp = read_warp_file(path)
         candidates.setdefault((warp.source_view, warp.target_view), []).append(warp)
-    return candidates, groups, manifest
+    return candidates, groups
 
 
 def _select_and_filter(candidates: dict[tuple[int, int], list[DenseWarpField]],
@@ -227,7 +227,7 @@ def cmd_postprocess(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
     warps_dir = Path(args.warps)
-    candidates, groups, _ = _load_warp_bank(warps_dir)
+    candidates, groups = _load_warp_bank(warps_dir)
     selected, keeps, one_way = _select_and_filter(candidates, cfg.eps_p)
     if one_way:
         pairs = ", ".join(f"{a}->{b}" for a, b in sorted(one_way))
@@ -296,7 +296,7 @@ def cmd_eval_homography(args) -> int:
         raise ValueError("requires a planar scene")
     thresholds = _parse_thresholds(args.threshold) if args.threshold \
         else cfg.homography_thresholds
-    candidates, _, _ = _load_warp_bank(Path(args.warps))
+    candidates, _ = _load_warp_bank(Path(args.warps))
     selected, keeps, _ = _select_and_filter(candidates, cfg.eps_p)
     errors = {"dlt": [], "ransac": []}
     pairs_used = 0

@@ -13,6 +13,9 @@ import math
 import typing
 from dataclasses import asdict, dataclass
 
+# Multi-view refiner target alignments: sample at the warp, splat along its inverse.
+ALIGNMENT_MODES = ("forward", "invert")
+
 
 @dataclass
 class PipelineConfig:
@@ -98,8 +101,8 @@ def _check_value(path, key: str, kind, value) -> None:
 
 
 # Track-building and matcher values outside these ranges would run wrongly
-# (a negative temperature picks the least similar anchor) or fail deep inside
-# a command without naming the key, so loading rejects them:
+# (a negative temperature picks the least similar anchor), do nothing or fail
+# deep inside a command without naming the key, so loading rejects them:
 # key -> (check, requirement).
 _RANGES = {
     "track_tokens": (lambda v: v >= 1, "must be >= 1"),
@@ -110,11 +113,17 @@ _RANGES = {
     "strides": (lambda v: len(v) > 0 and all(s >= 1 and s & (s - 1) == 0 for s in v)
                 and all(a > b for a, b in zip(v, v[1:])),
                 "must be a non-empty, strictly decreasing list of powers of two"),
+    "mvfuse_levels": (lambda v: all(lv >= 1 for lv in v), "entries must be >= 1"),
+    "mvfuse_iters": (lambda v: v >= 1, "must be >= 1 (mvfuse_levels [] turns fusion off)"),
+    "mvfuse_alignment": (lambda v: v in ALIGNMENT_MODES,
+                         f"must be one of {', '.join(ALIGNMENT_MODES)}"),
     "feature_dim": (lambda v: v >= 1, "must be >= 1"),
     "hidden_dim": (lambda v: v >= 1, "must be >= 1"),
     "sigma": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
     "global_temperature": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
     "softargmax_temperature": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
+    "upsample_factor": (lambda v: v >= 1 and v & (v - 1) == 0,
+                        "must be a power of two >= 1"),
 }
 
 

@@ -84,7 +84,7 @@ class OracleFeatureProvider:
             ref = apply_homography(self.oracle.homographies[view], base.reshape(-1, 2))
             data = _evaluate_field(ref, freqs, phases).reshape(lh, lw, self.dim)
             return FeatureGrid(data, stride=stride)
-        _, ibuf, _, _ = _point_cloud_buffers(self.oracle, view, stride)
+        _, ibuf = _point_cloud_buffers(self.oracle, view, stride)
         data = np.zeros((lh, lw, self.dim))
         covered = ibuf >= 0
         if covered.any():

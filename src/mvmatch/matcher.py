@@ -12,21 +12,21 @@ correlation window, which does the actual refining, and a seeded
 convolutional head whose output gain (``residual_gain``) is zero-initialized
 (standard practice for residual refiners). The head reads a hidden state:
 the source features, the aligned target features and the correlation run
-through a small convolutional stack, fused across views (MVFuse) at the
-configured levels. That hidden path is built only when ``residual_gain`` is
-non-zero, since at zero gain it cannot reach the warp.
+through a small convolutional stack, fused across views (MVFuse) at levels
+with MVFuse weights. That hidden path is built only when ``residual_gain``
+is non-zero, since at zero gain it cannot reach the warp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .attention import (AttentionParams, _row_blocks, _softmax_,
                         exchange_features, init_attention_params)
-from .config import PipelineConfig
+from .config import ALIGNMENT_MODES, PipelineConfig
 from .features import FeatureProvider
 from .grids import (DenseWarpField, FeatureGrid, _splat_max_confidence,
                     invert_warp, local_correlation, upsample_warp, warp_features)
@@ -34,7 +34,6 @@ from .grouping import ImageGroup
 from .tracks import Tracks
 
 DEFAULT_WINDOWS = {8: 9, 4: 9, 2: 7, 1: 5}
-ALIGNMENT_MODES = ("forward", "invert", "reverse")
 # Source rows per block of global_match logits: a (128, 7056) block is 7 MB,
 # small enough to stay in cache through the softmax passes (64 to 512 rows
 # timed within noise of each other on 2 CPUs; fewer rows hold less memory).
@@ -103,17 +102,17 @@ class LevelParams:
 
 @dataclass(frozen=True)
 class MatcherParams:
-    feature_dim: int
-    hidden_dim: int
-    strides: tuple[int, ...]
+    """Matcher weights and settings. ``levels`` is the only record of the
+    pyramid: each level holds its stride, window and weights (whose shapes
+    give the dimensions), and MVFuse weights exactly when it fuses."""
+
     levels: dict[int, LevelParams]          # keyed by level index (1 = finest)
     encoder: AttentionParams
-    mvfuse_levels: tuple[int, ...]
     mvfuse_iters: int
     global_temperature: float               # cosine units for global matching
     softargmax_temperature: float           # cosine units for the confidence readout
     residual_gain: float                    # conv-head output scale (zero-initialized)
-    mvfuse_alignment: str                   # "forward" | "invert" | "reverse"
+    mvfuse_alignment: str                   # "forward" | "invert"
 
     def __post_init__(self):
         if self.mvfuse_alignment not in ALIGNMENT_MODES:
@@ -122,12 +121,10 @@ class MatcherParams:
 
     @property
     def num_levels(self) -> int:
-        return len(self.strides)
+        return len(self.levels)
 
     def level_stride(self, level: int) -> int:
-        if level > self.num_levels:
-            return self.strides[0]
-        return self.strides[self.num_levels - level]
+        return self.levels[min(level, self.num_levels)].stride
 
 
 def init_matcher_params(config: PipelineConfig | None = None, seed: int = 0) -> MatcherParams:
@@ -135,16 +132,13 @@ def init_matcher_params(config: PipelineConfig | None = None, seed: int = 0) -> 
     when None); conv stacks Gaussian, attention per the encoder."""
     cfg = PipelineConfig() if config is None else config
     rng = np.random.Generator(np.random.PCG64(seed))
-    strides = tuple(cfg.strides)
     levels: dict[int, LevelParams] = {}
-    num_levels = len(strides)
 
     def conv_init(k, cin, cout):
         std = 1.0 / np.sqrt(k * k * cin)
         return rng.normal(0.0, std, (k, k, cin, cout)), np.zeros(cout)
 
-    for level in range(num_levels, 0, -1):
-        stride = strides[num_levels - level]
+    for level, stride in zip(range(len(cfg.strides), 0, -1), cfg.strides):
         window = DEFAULT_WINDOWS.get(stride, 5)
         cin = 2 * cfg.feature_dim + window * window
         w1, b1 = conv_init(3, cin, cfg.hidden_dim)
@@ -165,9 +159,7 @@ def init_matcher_params(config: PipelineConfig | None = None, seed: int = 0) -> 
         levels[level] = LevelParams(stride, window, ConvStack(w1, b1, w2, b2),
                                     head_w, head_b, fuse)
     encoder = init_attention_params(cfg.feature_dim, sigma=cfg.sigma, seed=seed + 1)
-    return MatcherParams(feature_dim=cfg.feature_dim, hidden_dim=cfg.hidden_dim,
-                         strides=strides, levels=levels, encoder=encoder,
-                         mvfuse_levels=tuple(cfg.mvfuse_levels),
+    return MatcherParams(levels=levels, encoder=encoder,
                          mvfuse_iters=cfg.mvfuse_iters,
                          global_temperature=cfg.global_temperature,
                          softargmax_temperature=cfg.softargmax_temperature,
@@ -181,13 +173,10 @@ class RefinerState:
 
     ``level`` runs from num_levels + 1 (the raw coarse estimate) down to 1;
     level i holds warps at stride 2^(i-1) for the default pyramid.
-    ``hidden`` holds the per-target hidden states that fed the conv head; it
-    stays empty unless ``residual_gain`` is non-zero.
     """
 
     level: int
     warps: dict[int, DenseWarpField]
-    hidden: dict[int, FeatureGrid] = field(default_factory=dict)
 
 
 def global_match(src_feat: FeatureGrid, tgt_feat: FeatureGrid, anchors: AnchorGrid,
@@ -318,20 +307,12 @@ def _corr_readout(corr_scores: np.ndarray, channels: int, temperature: float,
 
 
 def _aligned_target_grid(phi_tgt: FeatureGrid, warp: DenseWarpField,
-                         params: MatcherParams, provider: FeatureProvider) -> FeatureGrid:
-    """Source-aligned target features per the configured alignment mode."""
-    mode = params.mvfuse_alignment
+                         mode: str) -> FeatureGrid:
+    """Source-aligned target features: ``forward`` samples them at the warp,
+    ``invert`` splats them along the inverted warp and fills the gaps."""
     if mode == "forward":
         return warp_features(phi_tgt, warp)
-    if mode == "invert":
-        back = invert_warp(warp, (phi_tgt.height, phi_tgt.width))
-    else:  # "reverse"
-        src_grid = provider.features(warp.source_view, phi_tgt.stride)
-        anchors = AnchorGrid.uniform(src_grid.height, src_grid.width,
-                                     (src_grid.height, src_grid.width))
-        back = global_match(phi_tgt, src_grid, anchors, params.global_temperature,
-                            warp.target_view, warp.source_view)
-    # scatter target features along the backward warp into the source grid
+    back = invert_warp(warp, (phi_tgt.height, phi_tgt.width))
     data, hit = _splat_max_confidence(back.targets, back.confidence,
                                       phi_tgt.data.reshape(-1, phi_tgt.channels),
                                       (warp.height, warp.width))
@@ -347,19 +328,18 @@ def _hidden_states(phi_src: FeatureGrid, ups: dict[int, DenseWarpField],
 
     Each target's input is the source features, the source-aligned target
     features and the flattened correlation window, run through the level's
-    conv stack.
+    conv stack. MVFuse levels align the target by ``mvfuse_alignment``.
     """
     lp = params.levels[out_level]
-    fuse_level = out_level in params.mvfuse_levels
+    mode = params.mvfuse_alignment if lp.mvfuse is not None else "forward"
     hiddens: dict[int, FeatureGrid] = {}
     for tgt, w_up in ups.items():
         phi_tgt = provider.features(tgt, lp.stride)
-        warped = _aligned_target_grid(phi_tgt, w_up, params, provider) if fuse_level \
-            else warp_features(phi_tgt, w_up)
+        warped = _aligned_target_grid(phi_tgt, w_up, mode)
         agg = np.concatenate([phi_src.data, warped.data,
                               corrs[tgt].reshape(w_up.height, w_up.width, -1)], axis=2)
         hiddens[tgt] = FeatureGrid(lp.hidden.apply(agg), stride=lp.stride)
-    if lp.mvfuse is not None and fuse_level:
+    if lp.mvfuse is not None:
         fused = mvfuse(list(hiddens.values()), lp.mvfuse, params.mvfuse_iters)
         hiddens = dict(zip(hiddens, fused))
     return hiddens
@@ -397,8 +377,7 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
         if (w_up.height, w_up.width) != (phi_src.height, phi_src.width):
             raise ValueError("provider stride does not match the level resolution")
         corr = local_correlation(phi_src, phi_tgt, w_up, lp.window)
-        delta, peak = _corr_readout(corr, params.feature_dim,
-                                    params.softargmax_temperature,
+        delta, peak = _corr_readout(corr, d, params.softargmax_temperature,
                                     subpixel=out_level in SUBPIXEL_LEVELS)
         # verify-then-apply: keep a move only if the correlation at the moved
         # position actually beats staying put, so updates never regress
@@ -413,7 +392,6 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
         if params.residual_gain != 0.0:  # only the hidden states read the volumes
             corrs[tgt] = corr
 
-    hiddens: dict[int, FeatureGrid] = {}
     if params.residual_gain != 0.0:
         hiddens = _hidden_states(phi_src, ups, corrs, provider, params, out_level)
         for tgt, (delta, d_conf) in updates.items():
@@ -425,7 +403,7 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
                                      np.clip(ups[tgt].confidence + d_conf, 0.0, 1.0),
                                      ups[tgt].source_view, ups[tgt].target_view)
                  for tgt, (delta, d_conf) in updates.items()}
-    return RefinerState(out_level, new_warps, hiddens)
+    return RefinerState(out_level, new_warps)
 
 
 def run_group(group: ImageGroup, provider: FeatureProvider,
@@ -438,7 +416,7 @@ def run_group(group: ImageGroup, provider: FeatureProvider,
     """
     if not group.targets:
         raise ValueError("group has no targets")
-    coarse = params.strides[0]
+    coarse = params.level_stride(params.num_levels)
     grids = [provider.features(v, coarse) for v in group.views]
     if len(tracks):
         grids = exchange_features(grids, tracks, params.encoder)

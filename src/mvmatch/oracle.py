@@ -105,8 +105,8 @@ def _level_size(oracle: SceneOracle, stride: int) -> tuple[int, int]:
 def _point_cloud_buffers(oracle: SceneOracle, view: int, stride: int):
     """Z-buffer the scene points into ``view`` at the given stride.
 
-    Returns (depth buffer, winning point index per pixel, per-point pixel
-    projections, per-point depths); points behind the camera never splat.
+    Returns (depth buffer, winning point index per pixel); points behind the
+    camera never splat.
     """
     lh, lw = _level_size(oracle, stride)
     cam = oracle.cameras[view]
@@ -122,7 +122,7 @@ def _point_cloud_buffers(oracle: SceneOracle, view: int, stride: int):
         hit = ib >= 0
         zbuf[hit] = zb[hit]
         ibuf[hit] = idx[ib[hit]]
-    return zbuf, ibuf, uv, depth
+    return zbuf, ibuf
 
 
 def gt_warp(oracle: SceneOracle, source: int, target: int, stride: int = 1) -> DenseWarpField:
@@ -154,8 +154,8 @@ def gt_warp(oracle: SceneOracle, source: int, target: int, stride: int = 1) -> D
         conf = inside.astype(np.float64).reshape(lh, lw)
         return DenseWarpField(targets, conf, source, target)
 
-    _, src_ibuf, _, _ = _point_cloud_buffers(oracle, source, stride)
-    tgt_zbuf, _, _, _ = _point_cloud_buffers(oracle, target, stride)
+    _, src_ibuf = _point_cloud_buffers(oracle, source, stride)
+    tgt_zbuf, _ = _point_cloud_buffers(oracle, target, stride)
     targets = np.full((lh, lw, 2), MISSING)
     conf = np.zeros((lh, lw))
     covered = src_ibuf >= 0

@@ -514,8 +514,10 @@ class TestErrorContract:
         assert not (tmp_path / "warps").exists()
 
     # unchecked, empty strides end in an IndexError traceback, increasing ones
-    # in a provider stride mismatch, and a zero feature_dim in an error that
-    # names neither the file nor the key
+    # in a provider stride mismatch, a zero feature_dim, an upsample factor of
+    # 3 or an unknown alignment in an error that names neither the file nor
+    # the key; an upsample factor below 1, no fusion iterations or a fusion
+    # level 0 run and silently do nothing
     @pytest.mark.parametrize("key, value, requirement", [
         ("strides", [], STRIDES_RULE),
         ("strides", [1, 2], STRIDES_RULE),
@@ -524,6 +526,15 @@ class TestErrorContract:
         ("strides", [2, 1, 0], STRIDES_RULE),
         ("feature_dim", 0, "must be >= 1"),
         ("hidden_dim", -4, "must be >= 1"),
+        ("upsample_factor", 0, "must be a power of two >= 1"),
+        ("upsample_factor", -2, "must be a power of two >= 1"),
+        ("upsample_factor", 3, "must be a power of two >= 1"),
+        ("mvfuse_iters", 0, "must be >= 1 (mvfuse_levels [] turns fusion off)"),
+        ("mvfuse_iters", -1, "must be >= 1 (mvfuse_levels [] turns fusion off)"),
+        ("mvfuse_levels", [0], "entries must be >= 1"),
+        ("mvfuse_levels", [4, -1], "entries must be >= 1"),
+        ("mvfuse_alignment", "bogus", "must be one of forward, invert"),
+        ("mvfuse_alignment", "reverse", "must be one of forward, invert"),
     ])
     def test_config_with_bad_strides_or_dimension(self, tmp_path, capsys, planar_scene,
                                                   key, value, requirement):
@@ -541,6 +552,12 @@ class TestErrorContract:
         config.write_text('{"strides": [8], "feature_dim": 1, "hidden_dim": 1}')
         loaded = load_config(config)
         assert (loaded.strides, loaded.feature_dim, loaded.hidden_dim) == ((8,), 1, 1)
+        # fusion levels past the pyramid are allowed: the coarse-only
+        # benchmark config keeps the default (4, 1) with one stride
+        config.write_text('{"strides": [8], "upsample_factor": 8}')
+        loaded = load_config(config)
+        assert (loaded.strides, loaded.upsample_factor, loaded.mvfuse_levels) \
+            == ((8,), 8, PipelineConfig().mvfuse_levels)
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -138,25 +138,6 @@ def test_global_match_bits_do_not_depend_on_blas_threads():
     assert global_match_digest(1) == global_match_digest(2)
 
 
-class TestReverseAlignmentMemory:
-    def test_stride_one_reverse_stays_bounded(self):
-        # the dense (HW, anchors) logits at 64x64 would be 4096^2 doubles, 134 MB
-        rng = np.random.default_rng(12)
-        h = w = 64
-        params = replace(init_matcher_params(seed=3), mvfuse_alignment="reverse")
-        provider = ArrayFeatureProvider({(0, 1): FeatureGrid(rng.normal(size=(h, w, 32)))})
-        phi_tgt = FeatureGrid(rng.normal(size=(h, w, 32)))
-        warp = identity_warp(h, w)
-        tracemalloc.start()
-        try:
-            aligned = matcher._aligned_target_grid(phi_tgt, warp, params, provider)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert aligned.data.shape == (h, w, 32)
-        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
-
-
 class TestMvFuse:
     def test_single_view_is_spatial_mixing_only(self):
         rng = np.random.default_rng(1)
@@ -238,12 +219,20 @@ class TestRefineLevel:
         with pytest.raises(ValueError):
             refine_level(state, provider, params)
 
-    def test_hidden_state_shapes(self, planar_setup):
+    def test_hidden_state_shapes(self, planar_setup, monkeypatch):
         scene, provider, params = planar_setup
+        apply = ConvStack.apply
+        shapes = []
+
+        def recording(self, x):
+            out = apply(self, x)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(ConvStack, "apply", recording)
         state = RefinerState(2, {1: gt_warp(scene, 0, 1, stride=2)})
-        out = refine_level(state, provider, replace(params, residual_gain=0.05))
-        hidden = out.hidden[1]
-        assert hidden.data.shape == (64, 64, params.hidden_dim)
+        refine_level(state, provider, replace(params, residual_gain=0.05))
+        assert shapes == [(64, 64, PipelineConfig().hidden_dim)]
 
     def test_zero_gain_builds_no_hidden_state(self, planar_setup, monkeypatch):
         scene, provider, params = planar_setup
@@ -255,9 +244,8 @@ class TestRefineLevel:
         monkeypatch.setattr(matcher, "mvfuse", unreachable)
         state = RefinerState(2, {1: gt_warp(scene, 0, 1, stride=2),
                                  2: gt_warp(scene, 0, 2, stride=2)})
-        assert 1 in params.mvfuse_levels
+        assert params.levels[1].mvfuse is not None
         out = refine_level(state, provider, params)
-        assert out.hidden == {}
         assert sorted(out.warps) == [1, 2]
 
     def test_zero_gain_keeps_no_correlation_volume_per_target(self):
@@ -297,12 +285,10 @@ class TestRefineLevel:
 class TestDefaults:
     def test_shipped_defaults(self):
         params = init_matcher_params()
-        assert params.strides == (8, 4, 2, 1)
-        assert params.mvfuse_levels == (4, 1)
+        assert [params.levels[lv].stride for lv in (4, 3, 2, 1)] == [8, 4, 2, 1]
+        assert [params.levels[lv].mvfuse is not None for lv in (4, 3, 2, 1)] \
+            == [True, False, False, True]
         assert params.mvfuse_iters == 2
-        assert params.levels[4].mvfuse is not None
-        assert params.levels[1].mvfuse is not None
-        assert params.levels[3].mvfuse is None
 
     def test_params_carry_every_config_value(self):
         shipped = PipelineConfig()
@@ -310,16 +296,17 @@ class TestDefaults:
                              mvfuse_levels=(2,), mvfuse_iters=3, global_temperature=0.004,
                              softargmax_temperature=0.07, residual_gain=0.05,
                              mvfuse_alignment="invert")
-        carried = ("feature_dim", "hidden_dim", "strides", "mvfuse_levels", "mvfuse_iters",
-                   "global_temperature", "softargmax_temperature", "residual_gain",
-                   "mvfuse_alignment")
-        for name in carried + ("sigma",):
+        carried = ("mvfuse_iters", "global_temperature", "softargmax_temperature",
+                   "residual_gain", "mvfuse_alignment")
+        in_levels = ("feature_dim", "hidden_dim", "strides", "mvfuse_levels", "sigma")
+        for name in carried + in_levels:
             assert getattr(cfg, name) != getattr(shipped, name), name
         params = init_matcher_params(cfg, seed=4)
         for name in carried:
             assert getattr(params, name) == getattr(cfg, name), name
         assert params.encoder.sigma == 2.5
         assert params.encoder.dim == 16
+        assert params.num_levels == 3
         assert [params.levels[lv].stride for lv in (3, 2, 1)] == [4, 2, 1]
         assert [params.levels[lv].mvfuse is not None for lv in (3, 2, 1)] == [False, True, False]
         assert params.levels[1].hidden.w1.shape == (3, 3, 2 * 16 + 5 * 5, 24)
@@ -328,16 +315,20 @@ class TestDefaults:
     def test_no_config_means_the_shipped_config(self):
         a = init_matcher_params(seed=2)
         b = init_matcher_params(PipelineConfig(), seed=2)
-        assert (a.strides, a.mvfuse_levels, a.global_temperature) \
-            == (b.strides, b.mvfuse_levels, b.global_temperature)
+        assert a.global_temperature == b.global_temperature
+        assert a.encoder.dim == b.encoder.dim
+        for lv in (4, 3, 2, 1):
+            assert a.levels[lv].stride == b.levels[lv].stride
+            assert (a.levels[lv].mvfuse is None) == (b.levels[lv].mvfuse is None)
         np.testing.assert_array_equal(a.levels[1].hidden.w1, b.levels[1].hidden.w1)
         np.testing.assert_array_equal(a.encoder.w1, b.encoder.w1)
 
     def test_unknown_alignment_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
             init_matcher_params(PipelineConfig(mvfuse_alignment="bogus"))
-        with pytest.raises(ValueError):
-            replace(init_matcher_params(), mvfuse_alignment="backward")
+        for mode in ("backward", "reverse"):
+            with pytest.raises(ValueError, match=mode):
+                replace(init_matcher_params(), mvfuse_alignment=mode)
 
     def test_config_defaults(self):
         cfg = PipelineConfig()
@@ -410,9 +401,8 @@ class TestRunGroup:
                                               zero["forward"][t].confidence)
                 assert np.all(np.isfinite(gained[mode][t].targets))
                 assert not np.array_equal(gained[mode][t].targets, zero[mode][t].targets)
-        for mode in ("invert", "reverse"):
-            assert not np.array_equal(gained[mode][1].targets,
-                                      gained["forward"][1].targets)
+        assert not np.array_equal(gained["invert"][1].targets,
+                                  gained["forward"][1].targets)
 
     def test_upsample_factor(self):
         scene = make_planar_scene(2, (32, 32), seed=44)
@@ -493,6 +483,8 @@ class TestMonotonicity:
         group = ImageGroup(0, (1, 2))
         on = init_matcher_params(PipelineConfig(residual_gain=0.05), seed=3)
         w_on = run_group(group, provider, [], on)
-        w_off = run_group(group, provider, [], replace(on, mvfuse_levels=()))
+        off = replace(on, levels={lv: replace(lp, mvfuse=None)
+                                  for lv, lp in on.levels.items()})
+        w_off = run_group(group, provider, [], off)
         for tgt in (1, 2):
             assert not np.array_equal(w_on[tgt].targets, w_off[tgt].targets)
