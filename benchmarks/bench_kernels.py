@@ -106,7 +106,7 @@ def main():
     cases = [
         ("bilinear_gather (28k pts, 32ch)", lambda: kernels.bilinear_gather(feat, xs, ys)),
         ("upsample_linear (x2)", lambda: kernels.upsample_linear(feat, 2)),
-        ("nms_greedy (168^2, r=2)", lambda: kernels.nms_greedy(scores, 2, -1)),
+        ("nms_greedy (168^2, r=2)", lambda: kernels.nms_greedy(scores, 2, 0)),
         ("zbuffer_min (200k pts)", lambda: kernels.zbuffer_min(px, py, depth, h, w)),
         ("fill_nearest (70% holes)", lambda: kernels.fill_nearest(coords, valid)),
     ]

@@ -90,8 +90,7 @@ def cmd_build_tracks(args) -> int:
     if cfg.track_tokens > len(coords):
         print(f"mvmatch build-tracks: warning: track budget {cfg.track_tokens} exceeds "
               f"{len(coords)} raw matches; capping", file=sys.stderr)
-    tracks = sample_tracks(coords, vis, cfg.track_tokens, seed=args.seed,
-                           normalize=cfg.normalize_track_coords)
+    tracks = sample_tracks(coords, vis, cfg.track_tokens, seed=args.seed)
     path = out / "tracks.tsv"
     write_tracks_tsv(path, tracks)
     print(f"wrote {path} ({len(tracks)} tracks from {len(coords)} matches)")
@@ -168,10 +167,8 @@ def cmd_match(args) -> int:
                                        seed=args.seed + gid)
         if cfg.track_tokens > len(coords):
             capped.append(f"{gid} ({len(coords)} matches)")
-        tracks = sample_tracks(coords, vis, cfg.track_tokens, seed=args.seed + gid,
-                               normalize=cfg.normalize_track_coords)
-        warps = run_group(group, provider, tracks, params,
-                          upsample_factor=cfg.upsample_factor)
+        tracks = sample_tracks(coords, vis, cfg.track_tokens, seed=args.seed + gid)
+        warps = run_group(group, provider, tracks, params)
         for tgt, warp in sorted(warps.items()):
             name = f"warp_g{gid:04d}_{group.source:03d}_{tgt:03d}.mvwf"
             write_warp_file(out / name, warp)
@@ -241,8 +238,7 @@ def cmd_postprocess(args) -> int:
         if not usable:
             continue
         tracks = postprocess_group(group.source, usable, selected, keeps,
-                                   cfg.tau, cfg.nms_radius,
-                                   cfg.max_keypoints or None)
+                                   cfg.tau, cfg.nms_radius, cfg.max_keypoints)
         track_sets.append((tracks, (group.source,) + tuple(usable)))
     path = out / "sfm_tracks.tsv"
     write_track_rows(path, num_views, track_sets)

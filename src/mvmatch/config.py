@@ -24,7 +24,6 @@ class PipelineConfig:
     matcher_samples: int = 2000
     matcher_noise_sigma: float = 0.5
     matcher_outlier_rate: float = 0.05
-    normalize_track_coords: bool = False
 
     # matcher
     base_resolution: int = 672
@@ -39,13 +38,14 @@ class PipelineConfig:
     global_temperature: float = 0.002
     softargmax_temperature: float = 0.05
     residual_gain: float = 0.0
-    upsample_factor: int = 1
+    upsample_factor: int = 1  # not read: run_group upsamples by strides[-1],
+                              # the only value load_config accepts
 
     # post-processing
     eps_p: float = 3.0
     tau: float = 0.3
     nms_radius: int = 2
-    max_keypoints: int = 0  # 0 = unlimited
+    max_keypoints: int = 0  # 0 = no cap
 
     # group sampling
     beta: float = 0.75
@@ -100,9 +100,10 @@ def _check_value(path, key: str, kind, value) -> None:
         raise ValueError(f"{path}: {key} must be {kind.__name__}, got {value!r}")
 
 
-# Track-building and matcher values outside these ranges would run wrongly
-# (a negative temperature picks the least similar anchor), do nothing or fail
-# deep inside a command without naming the key, so loading rejects them:
+# Track-building, matcher and post-processing values outside these ranges
+# would run wrongly (a negative temperature picks the least similar anchor,
+# tau >= 1 or a negative eps_p keeps no match), do nothing or fail deep inside
+# a command without naming the key, so loading rejects them:
 # key -> (check, requirement).
 _RANGES = {
     "track_tokens": (lambda v: v >= 1, "must be >= 1"),
@@ -122,8 +123,10 @@ _RANGES = {
     "sigma": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
     "global_temperature": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
     "softargmax_temperature": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
-    "upsample_factor": (lambda v: v >= 1 and v & (v - 1) == 0,
-                        "must be a power of two >= 1"),
+    "eps_p": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
+    "tau": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "nms_radius": (lambda v: v >= 1, "must be >= 1"),
+    "max_keypoints": (lambda v: v >= 0, "must be >= 0 (0 keeps every keypoint)"),
 }
 
 
@@ -146,4 +149,8 @@ def load_config(path) -> PipelineConfig:
             raise ValueError(f"{path}: {key} {_RANGES[key][1]}, got {value!r}")
         if isinstance(value, list):
             payload[key] = tuple(value)
-    return PipelineConfig(**payload)
+    cfg = PipelineConfig(**payload)
+    if "upsample_factor" in payload and cfg.upsample_factor != cfg.strides[-1]:
+        raise ValueError(f"{path}: upsample_factor must equal the last stride "
+                         f"{cfg.strides[-1]}, got {cfg.upsample_factor!r}")
+    return cfg

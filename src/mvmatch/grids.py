@@ -209,9 +209,7 @@ def invert_warp(warp: DenseWarpField, target_hw: tuple[int, int]) -> DenseWarpFi
                    axis=1).astype(np.float64)
     splat, hit = _splat_max_confidence(warp.targets, warp.confidence, own,
                                        target_hw, 0.0)
-    coords = splat[..., :2]
-    if hit.any() and not hit.all():
-        coords = kernels.fill_nearest(coords, hit)
+    coords = kernels.fill_nearest(splat[..., :2], hit)
     return DenseWarpField(coords, splat[..., 2], warp.target_view, warp.source_view)
 
 

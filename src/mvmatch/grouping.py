@@ -43,7 +43,6 @@ class ImageGroup:
 @dataclass(frozen=True)
 class OverlapMatrix:
     values: np.ndarray  # (M, M) in [0, 1]; diagonal ignored by consumers
-    mode: str           # "visibility" or "descriptor"
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -94,7 +93,7 @@ def overlap_from_matches(warps: dict, num_images: int, tau_conf: float) -> Overl
         if i == j:
             continue
         values[i, j] = float(np.mean(warp.confidence > tau_conf))
-    return OverlapMatrix(values, "visibility")
+    return OverlapMatrix(values)
 
 
 def overlap_from_descriptors(descriptors: np.ndarray) -> OverlapMatrix:
@@ -106,7 +105,7 @@ def overlap_from_descriptors(descriptors: np.ndarray) -> OverlapMatrix:
     unit = descriptors / norms[:, None]
     values = np.clip(unit @ unit.T, 0.0, 1.0)
     np.fill_diagonal(values, 1.0)
-    return OverlapMatrix(values, "descriptor")
+    return OverlapMatrix(values)
 
 
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
@@ -165,6 +164,28 @@ def _selection_scores(source: int, overlap: np.ndarray, current: list[int],
     return base / penalty
 
 
+def _extend_greedy(source: int, overlap: OverlapMatrix, usage: PairUsage,
+                   cfg: PipelineConfig, chosen: list[int], pool: np.ndarray) -> ImageGroup:
+    """Extend ``chosen`` from ``pool`` (image ids, ascending) up to
+    ``cfg.targets_per_group`` targets and record the usage of every target.
+
+    Each step takes the best selection score, the first (lowest id) on ties,
+    and the extension stops at a score that is not positive.
+    """
+    chosen = list(chosen)
+    while len(chosen) < cfg.targets_per_group and pool.size:
+        scores = _selection_scores(source, overlap.values, chosen, usage, cfg, pool)
+        best = int(np.argmax(scores))
+        if scores[best] <= 0.0:
+            break
+        chosen.append(int(pool[best]))
+        pool = np.delete(pool, best)
+    group = ImageGroup(source, tuple(chosen))
+    for t in group.targets:
+        usage.record(source, t)
+    return group
+
+
 def build_group(source: int, overlap: OverlapMatrix, usage: PairUsage,
                 cfg: PipelineConfig) -> ImageGroup:
     """Greedily attach up to ``cfg.targets_per_group`` targets to ``source``
@@ -173,23 +194,8 @@ def build_group(source: int, overlap: OverlapMatrix, usage: PairUsage,
     Stops early when no remaining candidate has a positive score; a group with
     no targets is returned when no candidate scores above zero.
     """
-    m = overlap.num_images
-    values = overlap.values
-    chosen: list[int] = []
-    while len(chosen) < cfg.targets_per_group:
-        cands = np.array([j for j in range(m) if j != source and j not in chosen],
-                         dtype=np.int64)
-        if cands.size == 0:
-            break
-        scores = _selection_scores(source, values, chosen, usage, cfg, cands)
-        best = int(np.argmax(scores))  # argmax takes the first max: lowest index wins ties
-        if scores[best] <= 0.0:
-            break
-        chosen.append(int(cands[best]))
-    group = ImageGroup(source, tuple(chosen))
-    for t in group.targets:
-        usage.record(source, t)
-    return group
+    pool = np.delete(np.arange(overlap.num_images, dtype=np.int64), source)
+    return _extend_greedy(source, overlap, usage, cfg, [], pool)
 
 
 def augment_reciprocity(groups: list[ImageGroup], overlap: OverlapMatrix,
@@ -211,28 +217,13 @@ def augment_reciprocity(groups: list[ImageGroup], overlap: OverlapMatrix,
             scores = _selection_scores(source, overlap.values, [], usage, cfg, cands)
             order = np.lexsort((cands, -scores))
             first = [int(cands[k]) for k in order[:cfg.targets_per_group]]
-            group = ImageGroup(source, tuple(first))
-            for t in group.targets:
-                usage.record(source, t)
             partners = [p for p in partners if p not in first]
-            if not partners and len(first) < cfg.targets_per_group:
-                # top up from already-connected images only
-                connected = np.nonzero((usage.counts[source] > 0) | (usage.counts[:, source] > 0))[0]
-                pool = np.array([j for j in connected if j != source and j not in first],
-                                dtype=np.int64)
-                extra_targets = list(first)
-                while len(extra_targets) < cfg.targets_per_group and pool.size:
-                    scores = _selection_scores(source, overlap.values, extra_targets,
-                                               usage, cfg, pool)
-                    best = int(np.argmax(scores))
-                    if scores[best] <= 0.0:
-                        break
-                    pick = int(pool[best])
-                    extra_targets.append(pick)
-                    usage.record(source, pick)
-                    pool = pool[pool != pick]
-                group = ImageGroup(source, tuple(extra_targets))
-            extra.append(group)
+            # free slots (left only once every partner is placed) are topped
+            # up from already-connected images only
+            connected = (usage.counts[source] > 0) | (usage.counts[:, source] > 0)
+            connected[[source] + first] = False
+            extra.append(_extend_greedy(source, overlap, usage, cfg, first,
+                                        np.flatnonzero(connected)))
     return extra
 
 

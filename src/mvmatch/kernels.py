@@ -235,11 +235,12 @@ def upsample_linear(field: np.ndarray, factor: int) -> np.ndarray:
 # greedy score-map NMS
 # ---------------------------------------------------------------------------
 
-def nms_greedy(scores: np.ndarray, radius: int, max_keypoints: int = -1) -> np.ndarray:
-    """Greedy NMS on a score map. Returns selected (y, x) pixels, score order."""
+def nms_greedy(scores: np.ndarray, radius: int, max_keypoints: int = 0) -> np.ndarray:
+    """Greedy NMS on a score map. Returns selected (y, x) pixels, score
+    order, at most ``max_keypoints`` of them (0 means no cap)."""
     scores = _f64(scores)
     radius = int(radius)
-    cap = max_keypoints if max_keypoints and max_keypoints > 0 else scores.size + 1
+    cap = max_keypoints if max_keypoints > 0 else scores.size + 1
     h, w = scores.shape
     flat = scores.ravel()
     order = np.argsort(-flat, kind="stable")

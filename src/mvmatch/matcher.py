@@ -306,6 +306,22 @@ def _corr_readout(corr_scores: np.ndarray, channels: int, temperature: float,
     return delta, 1.0 / sums.reshape(h, w)
 
 
+def _verified(delta: np.ndarray, warp: DenseWarpField, phi_src: FeatureGrid,
+              phi_tgt: FeatureGrid, corr: np.ndarray) -> np.ndarray:
+    """Verify-then-apply: ``delta`` with each move zeroed unless the
+    correlation at the moved position beats the window centre of ``corr`` by
+    ``VERIFY_MARGIN`` (cosine units), so updates never regress."""
+    d = phi_src.channels
+    r = (corr.shape[2] - 1) // 2
+    cand = warp.targets + delta
+    sampled = kernels.bilinear_gather(phi_tgt.data, cand[..., 0].ravel(),
+                                      cand[..., 1].ravel())
+    score = np.einsum("nc,nc->n", phi_src.data.reshape(-1, d),
+                      sampled).reshape(cand.shape[:2]) / np.sqrt(d)
+    improved = score > corr[:, :, r, r] + VERIFY_MARGIN / np.sqrt(d)
+    return np.where(improved[..., None], delta, 0.0)
+
+
 def _aligned_target_grid(phi_tgt: FeatureGrid, warp: DenseWarpField,
                          mode: str) -> FeatureGrid:
     """Source-aligned target features: ``forward`` samples them at the warp,
@@ -316,9 +332,7 @@ def _aligned_target_grid(phi_tgt: FeatureGrid, warp: DenseWarpField,
     data, hit = _splat_max_confidence(back.targets, back.confidence,
                                       phi_tgt.data.reshape(-1, phi_tgt.channels),
                                       (warp.height, warp.width))
-    if hit.any() and not hit.all():
-        data = kernels.fill_nearest(data, hit)
-    return FeatureGrid(data, stride=phi_tgt.stride)
+    return FeatureGrid(kernels.fill_nearest(data, hit), stride=phi_tgt.stride)
 
 
 def _hidden_states(phi_src: FeatureGrid, ups: dict[int, DenseWarpField],
@@ -351,11 +365,11 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
 
     Per target view the previous warp is upsampled to this level, a local
     correlation volume is built around it, and the soft-argmax readout of
-    that window proposes a move, which is kept only where it verifies
-    (verify-then-apply). Only when ``residual_gain`` is non-zero are the
-    hidden states built (conv stack, MVFuse at fusion levels) and the gained
-    conv-head output added to the warp and confidence updates. Confidence is
-    clamped to [0, 1] after the additive update.
+    that window proposes a move. At sub-cell levels a move is kept only
+    where it verifies (verify-then-apply). Only when ``residual_gain`` is
+    non-zero are the hidden states built (conv stack, MVFuse at fusion
+    levels) and the gained conv-head output added to the warp and confidence
+    updates. Confidence is clamped to [0, 1] after the additive update.
     """
     if state.level <= 1:
         raise ValueError("state is already at the finest level")
@@ -369,7 +383,7 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
     source_view = next(iter(ups.values())).source_view
     phi_src = provider.features(source_view, lp.stride)
     d = phi_src.channels
-    r = (lp.window - 1) // 2
+    subpixel = out_level in SUBPIXEL_LEVELS
     corrs: dict[int, np.ndarray] = {}
     updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for tgt, w_up in ups.items():
@@ -377,17 +391,13 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
         if (w_up.height, w_up.width) != (phi_src.height, phi_src.width):
             raise ValueError("provider stride does not match the level resolution")
         corr = local_correlation(phi_src, phi_tgt, w_up, lp.window)
-        delta, peak = _corr_readout(corr, d, params.softargmax_temperature,
-                                    subpixel=out_level in SUBPIXEL_LEVELS)
-        # verify-then-apply: keep a move only if the correlation at the moved
-        # position actually beats staying put, so updates never regress
-        cand = w_up.targets + delta
-        sampled = kernels.bilinear_gather(phi_tgt.data, cand[..., 0].ravel(),
-                                          cand[..., 1].ravel())
-        sc_new = np.einsum("nc,nc->n", phi_src.data.reshape(-1, d),
-                           sampled).reshape(cand.shape[:2]) / np.sqrt(d)
-        improved = sc_new > corr[:, :, r, r] + VERIFY_MARGIN / np.sqrt(d)
-        delta = np.where(improved[..., None], delta, 0.0)
+        delta, peak = _corr_readout(corr, d, params.softargmax_temperature, subpixel)
+        if subpixel:
+            # A whole-cell move needs no check: the gate kept it only with a
+            # lead of CORR_GATE_MARGIN over the centre, and the score at the
+            # moved cell is its window score to within 1e-13, so it always
+            # clears the smaller VERIFY_MARGIN.
+            delta = _verified(delta, w_up, phi_src, phi_tgt, corr)
         updates[tgt] = delta, CONF_BLEND * (peak - w_up.confidence)
         if params.residual_gain != 0.0:  # only the hidden states read the volumes
             corrs[tgt] = corr
@@ -407,19 +417,17 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
 
 
 def run_group(group: ImageGroup, provider: FeatureProvider,
-              tracks: Tracks, params: MatcherParams,
-              upsample_factor: int = 1) -> dict[int, DenseWarpField]:
+              tracks: Tracks, params: MatcherParams) -> dict[int, DenseWarpField]:
     """Full matcher over one image group: encoder exchange, global match, refine.
 
-    Returns base-resolution warps keyed by target view id (optionally
-    upsampled once more by ``upsample_factor``).
+    Returns base-resolution warps keyed by target view id: when the finest
+    level's stride is above 1, its warps are upsampled by that stride.
     """
     if not group.targets:
         raise ValueError("group has no targets")
     coarse = params.level_stride(params.num_levels)
-    grids = [provider.features(v, coarse) for v in group.views]
-    if len(tracks):
-        grids = exchange_features(grids, tracks, params.encoder)
+    grids = exchange_features([provider.features(v, coarse) for v in group.views],
+                              tracks, params.encoder)
     ha, wa = grids[0].height, grids[0].width
     warps: dict[int, DenseWarpField] = {}
     for slot, tgt in enumerate(group.targets, start=1):
@@ -429,7 +437,7 @@ def run_group(group: ImageGroup, provider: FeatureProvider,
     state = RefinerState(params.num_levels + 1, warps)
     while state.level > 1:
         state = refine_level(state, provider, params)
-    out = state.warps
-    if upsample_factor > 1:
-        out = {t: upsample_warp(w, upsample_factor) for t, w in out.items()}
-    return out
+    finest = params.level_stride(1)
+    if finest > 1:
+        return {t: upsample_warp(w, finest) for t, w in state.warps.items()}
+    return state.warps

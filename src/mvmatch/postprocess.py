@@ -45,8 +45,6 @@ def select_matches(candidates: list[DenseWarpField]) -> tuple[DenseWarpField, np
     if not candidates:
         raise ValueError("empty match bank")
     first = candidates[0]
-    if len(candidates) == 1:
-        return first, np.zeros((first.height, first.width), dtype=np.int64)
     confs = np.stack([c.confidence for c in candidates])
     chosen = np.argmax(confs, axis=0)  # first max wins ties
     targets = np.stack([c.targets for c in candidates])
@@ -92,17 +90,17 @@ def build_score_map(confidences: list[np.ndarray], keeps: list[np.ndarray],
     return ScoreMap(length, mean_conf)
 
 
-def nms_select(scores: np.ndarray, radius: int,
-               max_keypoints: int | None = None) -> np.ndarray:
+def nms_select(scores: np.ndarray, radius: int, max_keypoints: int = 0) -> np.ndarray:
     """Greedy-by-score NMS; returns selected (x, y) pixels.
 
     No two selected pixels are within Chebyshev distance radius of each
     other; ties go to raster order; only strictly positive scores qualify.
+    At most ``max_keypoints`` are picked; 0 means no cap.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
-    picked_yx = kernels.nms_greedy(scores, radius, max_keypoints or -1)
+    picked_yx = kernels.nms_greedy(scores, radius, max_keypoints)
     return picked_yx[:, ::-1].copy()  # (y, x) -> (x, y)
 
 
@@ -129,7 +127,7 @@ def postprocess_group(source: int, targets: list[int],
                       selected: dict[tuple[int, int], DenseWarpField],
                       keeps: dict[tuple[int, int], np.ndarray],
                       tau: float, nms_radius: int,
-                      max_keypoints: int | None = None) -> Tracks:
+                      max_keypoints: int = 0) -> Tracks:
     """Score-map keypoint sampling and track assembly for one group."""
     warps = [selected[(source, t)] for t in targets]
     keep_masks = [keeps[(source, t)] for t in targets]

@@ -241,8 +241,8 @@ def kmeans(points: np.ndarray, k: int, seed: int):
     return centers, labels
 
 
-def sample_tracks(coords: np.ndarray, visibility: np.ndarray, budget: int, seed: int,
-                  normalize: bool = False) -> Tracks:
+def sample_tracks(coords: np.ndarray, visibility: np.ndarray, budget: int,
+                  seed: int) -> Tracks:
     """Clustering-based selection of representative tracks.
 
     ``coords`` (n, V, 2) and ``visibility`` (n, V) are raw matches as
@@ -250,9 +250,7 @@ def sample_tracks(coords: np.ndarray, visibility: np.ndarray, budget: int, seed:
     on the coordinate vectors restricted to the visible entries (all members
     share the mask, so the dimensionality is uniform); each cluster
     contributes the member closest to its centroid, ties to the lowest raw
-    index. Output order is partition order then cluster index. ``normalize``
-    rescales coordinates to [0, 1] per axis before clustering (distance
-    shaping only; emitted coordinates are always the raw ones).
+    index. Output order is partition order then cluster index.
     """
     visibility = np.asarray(visibility, dtype=bool)
     if visibility.shape[0] == 0:
@@ -266,14 +264,8 @@ def sample_tracks(coords: np.ndarray, visibility: np.ndarray, budget: int, seed:
             continue
         mask = np.asarray(part.mask, dtype=bool)
         vectors = coords[part.members][:, mask].reshape(part.size, -1)
-        if normalize:
-            span = vectors.max(axis=0) - vectors.min(axis=0)
-            span[span == 0] = 1.0
-            feats = (vectors - vectors.min(axis=0)) / span
-        else:
-            feats = vectors
-        centers, labels = kmeans(feats, int(k), seed=seed + part_idx)
-        d = np.linalg.norm(feats - centers[labels], axis=1)
+        centers, labels = kmeans(vectors, int(k), seed=seed + part_idx)
+        d = np.linalg.norm(vectors - centers[labels], axis=1)
         # lexsort is stable, so the lowest index wins ties within a cluster
         order = np.lexsort((d, labels))
         firsts = np.flatnonzero(np.diff(labels[order], prepend=-1))

@@ -10,7 +10,8 @@ The ``loop_*`` track-building references share the library's ground-truth
 warps, k-means++ seeding and cluster allocation, which they do not test, and
 keep the per-sample and per-cluster loops that the array code replaced.
 ``loop_triangulate`` keeps the one-SVD-per-track triangulation that the
-batched solve replaced.
+batched solve replaced. ``verify_every_level_refine`` keeps the zero-gain
+refinement step that verified whole-cell moves too.
 """
 
 import math
@@ -19,8 +20,10 @@ import numpy as np
 
 from mvmatch import kernels
 from mvmatch.attention import MASK_LOGIT, coordinate_queries, grid_token_centers
-from mvmatch.grids import MISSING, DenseWarpField, FeatureGrid, bilinear_sample
-from mvmatch.matcher import MVFuseParams
+from mvmatch.grids import (MISSING, DenseWarpField, FeatureGrid, bilinear_sample,
+                           local_correlation, upsample_warp)
+from mvmatch.matcher import (CONF_BLEND, SUBPIXEL_LEVELS, VERIFY_MARGIN, MVFuseParams,
+                             _corr_readout)
 from mvmatch.oracle import gt_warp
 from mvmatch.tracks import (KMEANS_MAX_ITERS, KMEANS_TOL, VisibilityPartition,
                             _kmeans_pp_init, allocate_clusters)
@@ -319,7 +322,36 @@ def brute_force_correlation(src, tgt, warp, window):
     return out
 
 
-def brute_force_nms(scores, radius, max_keypoints=None):
+def verify_every_level_refine(state, provider, params):
+    """``refine_level`` at zero gain with the verify step at every level:
+    a move is kept only where the correlation at the moved position beats
+    the window centre by ``VERIFY_MARGIN``. Returns warps by target."""
+    out_level = state.level - 1
+    lp = params.levels[out_level]
+    factor = params.level_stride(state.level) // lp.stride
+    r = (lp.window - 1) // 2
+    out = {}
+    for tgt, warp in sorted(state.warps.items()):
+        up = upsample_warp(warp, factor) if factor > 1 else warp
+        src = provider.features(up.source_view, lp.stride)
+        phi_tgt = provider.features(tgt, lp.stride)
+        d = src.channels
+        corr = local_correlation(src, phi_tgt, up, lp.window)
+        delta, peak = _corr_readout(corr, d, params.softargmax_temperature,
+                                    out_level in SUBPIXEL_LEVELS)
+        cand = up.targets + delta
+        sampled = kernels.bilinear_gather(phi_tgt.data, cand[..., 0].ravel(),
+                                          cand[..., 1].ravel())
+        score = np.einsum("nc,nc->n", src.data.reshape(-1, d),
+                          sampled).reshape(cand.shape[:2]) / np.sqrt(d)
+        improved = score > corr[:, :, r, r] + VERIFY_MARGIN / np.sqrt(d)
+        delta = np.where(improved[..., None], delta, 0.0)
+        conf = np.clip(up.confidence + CONF_BLEND * (peak - up.confidence), 0.0, 1.0)
+        out[tgt] = DenseWarpField(up.targets + delta, conf, up.source_view, tgt)
+    return out
+
+
+def brute_force_nms(scores, radius, max_keypoints=0):
     h, w = scores.shape
     order = sorted(((-scores[y, x], y * w + x) for y in range(h) for x in range(w)))
     picked = []
@@ -472,7 +504,7 @@ def loop_kmeans(points, k, seed):
     return centers, labels
 
 
-def loop_sample_tracks(coords, visibility, budget, seed, normalize=False):
+def loop_sample_tracks(coords, visibility, budget, seed):
     """``sample_tracks`` as (T, 2V) coordinates and (T, V) visibility, picking
     each cluster's representative in its own loop iteration."""
     visibility = np.asarray(visibility, dtype=bool)
@@ -484,16 +516,10 @@ def loop_sample_tracks(coords, visibility, budget, seed, normalize=False):
             continue
         mask = np.asarray(part.mask, dtype=bool)
         vectors = np.stack([coords[i][mask].reshape(-1) for i in part.members])
-        if normalize:
-            span = vectors.max(axis=0) - vectors.min(axis=0)
-            span[span == 0] = 1.0
-            feats = (vectors - vectors.min(axis=0)) / span
-        else:
-            feats = vectors
-        centers, labels = loop_kmeans(feats, int(k), seed=seed + part_idx)
+        centers, labels = loop_kmeans(vectors, int(k), seed=seed + part_idx)
         for c in range(int(min(k, part.size))):
             members = np.nonzero(labels == c)[0]
-            d = np.linalg.norm(feats[members] - centers[c], axis=1)
+            d = np.linalg.norm(vectors[members] - centers[c], axis=1)
             rows.append(part.members[members[int(np.argmin(d))]])
     out = np.where(visibility[rows][..., None], coords[rows], MISSING)
     return out.reshape(len(rows), -1), visibility[rows]

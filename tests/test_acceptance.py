@@ -274,7 +274,7 @@ def test_criterion_5_group_sampler_contract():
             v = (v + v.T) / 2
             np.fill_diagonal(v, 1.0)
             from mvmatch.grouping import OverlapMatrix, source_quotas
-            overlap = OverlapMatrix(v, "descriptor")
+            overlap = OverlapMatrix(v)
             budget = default_budget(m)
             q = source_quotas(overlap, 0.3, 0.75, budget)
             assert q.sum() == budget and q.min() >= 1

@@ -144,6 +144,21 @@ class TestMatch:
         assert manifest["groups"][0]["targets"] == [1, 2, 3]
         assert manifest["strides"] == [8, 4, 2, 1]
 
+    def test_coarse_only_pyramid_writes_base_resolution_warps(self, tmp_path,
+                                                               planar_scene):
+        # the output resolution follows the pyramid: a config that stops at
+        # stride 8 and names no upsample factor still writes 48 x 48 warps
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"track_tokens": 32, "matcher_samples": 300,
+                                      "targets_per_group": 3, "strides": [8]}))
+        out = tmp_path / "warps"
+        rc = main(["match", "--scene", str(planar_scene), "--seed", "3",
+                   "--out", str(out), "--config", str(config)])
+        assert rc == 0
+        warps = [read_warp_file(p) for p in sorted(out.glob("*.mvwf"))]
+        assert len(warps) == 3
+        assert all(w.targets.shape == (48, 48, 2) for w in warps)
+
     def test_with_group_manifest(self, tmp_path, planar_scene, fast_config):
         gdir = tmp_path / "groups"
         gdir.mkdir()
@@ -514,10 +529,11 @@ class TestErrorContract:
         assert not (tmp_path / "warps").exists()
 
     # unchecked, empty strides end in an IndexError traceback, increasing ones
-    # in a provider stride mismatch, a zero feature_dim, an upsample factor of
-    # 3 or an unknown alignment in an error that names neither the file nor
-    # the key; an upsample factor below 1, no fusion iterations or a fusion
-    # level 0 run and silently do nothing
+    # in a provider stride mismatch, a zero feature_dim or an unknown
+    # alignment in an error that names neither the file nor the key; no
+    # fusion iterations or a fusion level 0 run and silently do nothing, and
+    # an upsample factor other than the last stride would contradict the
+    # output resolution that match takes from the pyramid
     @pytest.mark.parametrize("key, value, requirement", [
         ("strides", [], STRIDES_RULE),
         ("strides", [1, 2], STRIDES_RULE),
@@ -526,9 +542,9 @@ class TestErrorContract:
         ("strides", [2, 1, 0], STRIDES_RULE),
         ("feature_dim", 0, "must be >= 1"),
         ("hidden_dim", -4, "must be >= 1"),
-        ("upsample_factor", 0, "must be a power of two >= 1"),
-        ("upsample_factor", -2, "must be a power of two >= 1"),
-        ("upsample_factor", 3, "must be a power of two >= 1"),
+        ("upsample_factor", 0, "must equal the last stride 1"),
+        ("upsample_factor", -2, "must equal the last stride 1"),
+        ("upsample_factor", 3, "must equal the last stride 1"),
         ("mvfuse_iters", 0, "must be >= 1 (mvfuse_levels [] turns fusion off)"),
         ("mvfuse_iters", -1, "must be >= 1 (mvfuse_levels [] turns fusion off)"),
         ("mvfuse_levels", [0], "entries must be >= 1"),
@@ -558,6 +574,33 @@ class TestErrorContract:
         loaded = load_config(config)
         assert (loaded.strides, loaded.upsample_factor, loaded.mvfuse_levels) \
             == ((8,), 8, PipelineConfig().mvfuse_levels)
+        config.write_text('{"strides": [8], "upsample_factor": 1}')
+        with pytest.raises(ValueError, match="config.json: upsample_factor must equal "
+                                             "the last stride 8, got 1"):
+            load_config(config)
+
+    # unchecked, tau >= 1 or a negative eps_p keep no match and write 0
+    # tracks, a negative max_keypoints keeps every keypoint as 0 does, and a
+    # zero NMS radius fails with an error that names neither the file nor the key
+    @pytest.mark.parametrize("key, value, requirement", [
+        ("tau", 1.5, "must lie in [0, 1)"),
+        ("tau", 1.0, "must lie in [0, 1)"),
+        ("tau", -0.1, "must lie in [0, 1)"),
+        ("eps_p", -1, "must be finite and >= 0"),
+        ("eps_p", float("inf"), "must be finite and >= 0"),
+        ("max_keypoints", -3, "must be >= 0 (0 keeps every keypoint)"),
+        ("nms_radius", 0, "must be >= 1"),
+    ])
+    def test_config_with_postprocess_value_out_of_range(self, tmp_path, capsys, matched_dir,
+                                                        key, value, requirement):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        rc = main(["postprocess", "--warps", str(matched_dir), "--config", str(config),
+                   "--out", str(tmp_path / "post")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "postprocess",
+                                   f"config.json: {key} {requirement}, got {value!r}")
+        assert not (tmp_path / "post").exists()
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"

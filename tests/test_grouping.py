@@ -13,14 +13,14 @@ from mvmatch.oracle import SceneOracle, gt_warp
 
 
 def overlap(values):
-    return OverlapMatrix(np.asarray(values, dtype=float), "descriptor")
+    return OverlapMatrix(np.asarray(values, dtype=float))
 
 
 def random_overlap(rng, m):
     v = rng.uniform(0.05, 1.0, size=(m, m))
     v = (v + v.T) / 2
     np.fill_diagonal(v, 1.0)
-    return OverlapMatrix(v, "descriptor")
+    return OverlapMatrix(v)
 
 
 class TestOverlapFromMatches:
@@ -78,7 +78,7 @@ class TestSourceQuotas:
         big = np.zeros((4, 4))
         big[0, 1:] = 0.9   # N_0 = 3
         big[1, 0] = 0.9    # N_1 = 1
-        o = OverlapMatrix(big, "descriptor")
+        o = OverlapMatrix(big)
         quotas = source_quotas(o, tau=0.3, beta=0.75, budget=8)
         expected = quotas_from_neighbor_counts(np.array([3, 1, 0, 0]), 0.75, 8)
         np.testing.assert_array_equal(quotas, expected)

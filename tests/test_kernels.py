@@ -59,7 +59,7 @@ def test_backend_reports():
     assert kernels.BACKEND == "numpy"
 
 
-def nms_yx(scores, radius, max_keypoints=None):
+def nms_yx(scores, radius, max_keypoints=0):
     """brute_force_nms picks as (y, x) rows, the kernel's order."""
     return brute_force_nms(scores, radius, max_keypoints)[:, ::-1]
 
@@ -172,12 +172,12 @@ class TestAgreement:
 
     def test_nms_greedy(self):
         scores = rng.uniform(-0.5, 1.0, size=(20, 20))
-        np.testing.assert_array_equal(kernels.nms_greedy(scores, 2, -1), nms_yx(scores, 2))
+        np.testing.assert_array_equal(kernels.nms_greedy(scores, 2, 0), nms_yx(scores, 2))
 
     def test_nms_with_ties(self):
         scores = np.zeros((6, 6))
         scores[1, 1] = scores[1, 4] = scores[4, 1] = 0.5
-        got = kernels.nms_greedy(scores, 1, -1)
+        got = kernels.nms_greedy(scores, 1, 0)
         np.testing.assert_array_equal(got, nms_yx(scores, 1))
         np.testing.assert_array_equal(got, [[1, 1], [1, 4], [4, 1]])  # raster ties
 

@@ -11,7 +11,7 @@ import pytest
 from mvmatch import matcher
 from mvmatch.config import PipelineConfig
 from mvmatch.features import ArrayFeatureProvider, OracleFeatureProvider
-from mvmatch.grids import FeatureGrid, identity_warp
+from mvmatch.grids import DenseWarpField, FeatureGrid, identity_warp, upsample_warp
 from mvmatch.grouping import ImageGroup
 from mvmatch.matcher import (ALIGNMENT_MODES, AnchorGrid, ConvStack, RefinerState,
                              global_match, init_matcher_params, mvfuse,
@@ -19,7 +19,8 @@ from mvmatch.matcher import (ALIGNMENT_MODES, AnchorGrid, ConvStack, RefinerStat
 from mvmatch.oracle import SceneOracle, gt_warp, make_planar_scene, simulate_matcher
 from mvmatch.tracks import sample_tracks
 
-from oracles import dense_global_match, oracle_mvfuse, random_fuse_params as fuse_params
+from oracles import (dense_global_match, oracle_mvfuse, random_fuse_params as fuse_params,
+                     verify_every_level_refine)
 
 # Largest deviation of global_match from the full-matrix formulation, in pixels
 # for the coordinates and absolute for the confidence.
@@ -191,13 +192,49 @@ def planar_setup():
     return scene, provider, params
 
 
+def smooth_random_warp(scene, target, stride, rng):
+    """The ground-truth warp plus a smooth random field of a few cells, with
+    some targets exactly on the border and some past it."""
+    gt = gt_warp(scene, 0, target, stride=stride)
+    h, w = gt.height, gt.width
+    yy, xx = np.mgrid[0:h, 0:w] / max(h, w)
+    waves = [rng.uniform(-1, 1) * np.sin(2 * np.pi * (rng.uniform(0, 2) * xx
+                                                      + rng.uniform(0, 2) * yy)
+                                         + rng.uniform(0, 2 * np.pi))
+             for _ in range(6)]
+    targets = gt.targets + np.stack([sum(waves[:3]), sum(waves[3:])], axis=-1)
+    targets[0, :, 0] = 0.0
+    targets[-1, :, 1] = h - 1.0
+    targets[:3, :3] -= 3.0
+    targets[-3:, -3:] += 3.0
+    return DenseWarpField(targets, rng.uniform(0, 1, (h, w)), 0, target)
+
+
 class TestRefineLevel:
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_verify_at_sub_cell_levels_only_keeps_the_bits(self, planar_setup, level):
+        # the gate keeps a whole-cell move only with a lead of
+        # CORR_GATE_MARGIN, more than VERIFY_MARGIN, so verifying it as
+        # well (level 2) never rejects it
+        scene, provider, params = planar_setup
+        rng = np.random.default_rng(level)
+        stride = params.level_stride(level + 1)
+        state = RefinerState(level + 1, {t: smooth_random_warp(scene, t, stride, rng)
+                                         for t in (1, 2)})
+        got = refine_level(state, provider, params).warps
+        want = verify_every_level_refine(state, provider, params)
+        assert sorted(got) == sorted(want) == [1, 2]
+        for t in (1, 2):
+            np.testing.assert_array_equal(got[t].targets, want[t].targets)
+            np.testing.assert_array_equal(got[t].confidence, want[t].confidence)
+            up = upsample_warp(state.warps[t], 2)
+            assert np.any(got[t].targets != up.targets)  # some moves were made
+
     def test_gt_initialized_residual_is_small(self, planar_setup):
         scene, provider, params = planar_setup
         gt = gt_warp(scene, 0, 1, stride=2)
         state = RefinerState(2, {1: gt})
         out = refine_level(state, provider, params)
-        from mvmatch.grids import upsample_warp
         up = upsample_warp(gt, 2)
         mask = gt_warp(scene, 0, 1, stride=1).confidence > 0
         delta = np.linalg.norm(out.warps[1].targets - up.targets, axis=-1)
@@ -405,12 +442,13 @@ class TestRunGroup:
                                   gained["forward"][1].targets)
 
     def test_upsample_factor(self):
+        # a pyramid that stops at stride 8 still returns base-resolution warps
         scene = make_planar_scene(2, (32, 32), seed=44)
         provider = OracleFeatureProvider(scene, dim=32, seed=8)
-        params = init_matcher_params(seed=5)
-        warps = run_group(ImageGroup(0, (1,)), provider, [], params,
-                          upsample_factor=2)
-        assert warps[1].targets.shape == (64, 64, 2)
+        params = init_matcher_params(PipelineConfig(strides=(8,)), seed=5)
+        warps = run_group(ImageGroup(0, (1,)), provider, [], params)
+        assert warps[1].targets.shape == (32, 32, 2)
+        assert warps[1].confidence.shape == (32, 32)
 
     def test_empty_group_rejected(self):
         scene = make_planar_scene(2, (32, 32), seed=45)

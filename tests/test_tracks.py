@@ -223,11 +223,6 @@ class TestSampleTracks:
                 wins += 1
         assert wins >= 16  # >= 80% of trials
 
-    def test_normalize_flag_runs(self):
-        coords, vis = random_samples(50, 3, seed=8)
-        tracks = sample_tracks(coords, vis, 10, seed=1, normalize=True)
-        assert len(tracks) == 10
-
 
 def three_tracks():
     """Three valid (3, 3, 2) tracks: every target pattern of three views."""
@@ -400,12 +395,11 @@ class TestMatchesLoopOracle:
         labels = assert_kmeans_matches_loop(points, 5, seed=1)
         assert len(np.unique(labels)) == 5
 
-    @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("budget", [7, 40, 500])
-    def test_sample_tracks(self, normalize, budget):
+    def test_sample_tracks(self, budget):
         coords, vis = random_samples(400, 5, seed=budget, size=672.0)
-        tracks = sample_tracks(coords, vis, budget, seed=3, normalize=normalize)
-        want_coords, want_vis = loop_sample_tracks(coords, vis, budget, 3, normalize)
+        tracks = sample_tracks(coords, vis, budget, seed=3)
+        want_coords, want_vis = loop_sample_tracks(coords, vis, budget, 3)
         assert np.array_equal(tracks.coords.reshape(len(tracks), -1), want_coords)
         assert np.array_equal(tracks.visibility, want_vis)
 
