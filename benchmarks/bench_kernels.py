@@ -99,16 +99,12 @@ def main():
     px = rng.integers(0, w, n_pts)
     py = rng.integers(0, h, n_pts)
     depth = rng.uniform(1, 10, n_pts)
-    coords = rng.uniform(0, w - 1, size=(h, w, 2))
-    valid = rng.random((h, w)) < 0.3
-    valid[0, 0] = True
 
     cases = [
         ("bilinear_gather (28k pts, 32ch)", lambda: kernels.bilinear_gather(feat, xs, ys)),
         ("upsample_linear (x2)", lambda: kernels.upsample_linear(feat, 2)),
         ("nms_greedy (168^2, r=2)", lambda: kernels.nms_greedy(scores, 2, 0)),
         ("zbuffer_min (200k pts)", lambda: kernels.zbuffer_min(px, py, depth, h, w)),
-        ("fill_nearest (70% holes)", lambda: kernels.fill_nearest(coords, valid)),
     ]
     block = kernels._CORR_BLOCK
     for size, window in ((168, 5), (84, 7), (42, 9), (48, 5)):

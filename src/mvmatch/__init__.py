@@ -10,7 +10,7 @@ covisibility-driven group sampling, and a desk-scale evaluation harness
 
 from .kernels import BACKEND
 from .grids import (DenseWarpField, FeatureGrid, bilinear_sample,
-                    identity_warp, invert_warp, local_correlation,
+                    identity_warp, local_correlation,
                     read_warp_file, upsample_warp, warp_features,
                     write_warp_file)
 from .oracle import (PinholeCamera, SceneOracle, gt_track_error,

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig, load_config, read_json, save_config
+from .config import (PipelineConfig, load_config, positive_finite_list, read_json,
+                     save_config)
 from .geometry import (ErrorCurve, corner_error, dlt_homography,
                        ransac_homography, accuracy_completeness,
                        triangulate_observations)
@@ -34,7 +35,14 @@ from .tracks import (read_track_rows, sample_tracks, write_track_rows,
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip())
+    try:
+        values = tuple(float(t) for t in text.split(",") if t.strip())
+    except ValueError:  # not a number: rejected below with the flag's name
+        values = ()
+    if not positive_finite_list(values):
+        raise ValueError(f"--threshold must be a non-empty, comma-separated list "
+                         f"of finite values > 0, got {text!r}")
+    return values
 
 
 def _load_cfg(args) -> PipelineConfig:
@@ -63,7 +71,10 @@ def _fmt(x: float) -> str:
 
 def cmd_gen_scene(args) -> int:
     cfg = _load_cfg(args)
-    size = args.image_size or cfg.base_resolution
+    for flag, value in (("--image-size", args.image_size), ("--points", args.points)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+    size = cfg.base_resolution if args.image_size is None else args.image_size
     if size % cfg.strides[0]:
         raise ValueError(f"image size {size} is not divisible by the coarsest "
                          f"stride {cfg.strides[0]}")
@@ -286,12 +297,12 @@ def _stratified_matches(warp: DenseWarpField, keep: np.ndarray, tau: float,
 
 def cmd_eval_homography(args) -> int:
     cfg = _load_cfg(args)
+    thresholds = _parse_thresholds(args.threshold) if args.threshold \
+        else cfg.homography_thresholds
     out = _out_dir(args)
     scene = load_scene(args.scene)
     if scene.kind != "planar":
         raise ValueError("requires a planar scene")
-    thresholds = _parse_thresholds(args.threshold) if args.threshold \
-        else cfg.homography_thresholds
     candidates, _ = _load_warp_bank(Path(args.warps))
     selected, keeps, _ = _select_and_filter(candidates, cfg.eps_p)
     errors = {"dlt": [], "ransac": []}
@@ -328,12 +339,12 @@ def cmd_eval_homography(args) -> int:
 
 def cmd_eval_triangulation(args) -> int:
     cfg = _load_cfg(args)
+    thresholds = _parse_thresholds(args.threshold) if args.threshold \
+        else cfg.triangulation_thresholds
     out = _out_dir(args)
     scene = load_scene(args.scene)
     if scene.kind != "point_cloud":
         raise ValueError("requires a point-cloud scene")
-    thresholds = _parse_thresholds(args.threshold) if args.threshold \
-        else cfg.triangulation_thresholds
     # a view id the scene has no camera for is rejected with the row's line
     coords, visibility = read_track_rows(args.tracks, max_views=len(scene.cameras))
     points, _, skipped = triangulate_observations(coords, visibility, scene.cameras)

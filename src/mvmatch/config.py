@@ -13,9 +13,6 @@ import math
 import typing
 from dataclasses import asdict, dataclass
 
-# Multi-view refiner target alignments: sample at the warp, splat along its inverse.
-ALIGNMENT_MODES = ("forward", "invert")
-
 
 @dataclass
 class PipelineConfig:
@@ -31,7 +28,6 @@ class PipelineConfig:
     strides: tuple[int, ...] = (8, 4, 2, 1)
     mvfuse_levels: tuple[int, ...] = (4, 1)
     mvfuse_iters: int = 2
-    mvfuse_alignment: str = "forward"
     feature_dim: int = 32
     hidden_dim: int = 48
     sigma: float = 1.0
@@ -39,7 +35,7 @@ class PipelineConfig:
     softargmax_temperature: float = 0.05
     residual_gain: float = 0.0
     upsample_factor: int = 1  # not read: run_group upsamples by strides[-1],
-                              # the only value load_config accepts
+                              # the only value load_config accepts; not saved
 
     # post-processing
     eps_p: float = 3.0
@@ -64,6 +60,7 @@ class PipelineConfig:
 
     def to_json(self) -> str:
         payload = asdict(self)
+        del payload["upsample_factor"]
         for key, value in payload.items():
             if isinstance(value, tuple):
                 payload[key] = list(value)
@@ -100,24 +97,28 @@ def _check_value(path, key: str, kind, value) -> None:
         raise ValueError(f"{path}: {key} must be {kind.__name__}, got {value!r}")
 
 
-# Track-building, matcher and post-processing values outside these ranges
-# would run wrongly (a negative temperature picks the least similar anchor,
-# tau >= 1 or a negative eps_p keeps no match), do nothing or fail deep inside
-# a command without naming the key, so loading rejects them:
+def positive_finite_list(values) -> bool:
+    """Whether ``values`` is a non-empty list of finite numbers > 0."""
+    return len(values) > 0 and all(0 < v < math.inf for v in values)
+
+
+# Track-building, matcher, post-processing and evaluation values outside these
+# ranges would run wrongly (a negative temperature picks the least similar
+# anchor, tau >= 1 or a negative eps_p keeps no match), do nothing or fail deep
+# inside a command without naming the key, so loading rejects them:
 # key -> (check, requirement).
 _RANGES = {
     "track_tokens": (lambda v: v >= 1, "must be >= 1"),
     "matcher_samples": (lambda v: v >= 1, "must be >= 1"),
     "matcher_noise_sigma": (lambda v: v >= 0, "must be >= 0"),
     "matcher_outlier_rate": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "base_resolution": (lambda v: v >= 1, "must be >= 1"),
     "targets_per_group": (lambda v: v >= 1, "must be >= 1"),
     "strides": (lambda v: len(v) > 0 and all(s >= 1 and s & (s - 1) == 0 for s in v)
                 and all(a > b for a, b in zip(v, v[1:])),
                 "must be a non-empty, strictly decreasing list of powers of two"),
     "mvfuse_levels": (lambda v: all(lv >= 1 for lv in v), "entries must be >= 1"),
     "mvfuse_iters": (lambda v: v >= 1, "must be >= 1 (mvfuse_levels [] turns fusion off)"),
-    "mvfuse_alignment": (lambda v: v in ALIGNMENT_MODES,
-                         f"must be one of {', '.join(ALIGNMENT_MODES)}"),
     "feature_dim": (lambda v: v >= 1, "must be >= 1"),
     "hidden_dim": (lambda v: v >= 1, "must be >= 1"),
     "sigma": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
@@ -127,6 +128,10 @@ _RANGES = {
     "tau": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
     "nms_radius": (lambda v: v >= 1, "must be >= 1"),
     "max_keypoints": (lambda v: v >= 0, "must be >= 0 (0 keeps every keypoint)"),
+    "homography_thresholds": (positive_finite_list,
+                              "must be a non-empty list of finite values > 0"),
+    "triangulation_thresholds": (positive_finite_list,
+                                 "must be a non-empty list of finite values > 0"),
 }
 
 

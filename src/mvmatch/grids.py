@@ -170,49 +170,6 @@ def upsample_warp(warp: DenseWarpField, factor: int) -> DenseWarpField:
     return DenseWarpField(targets, conf, warp.source_view, warp.target_view)
 
 
-def _splat_max_confidence(targets: np.ndarray, confidence: np.ndarray, values: np.ndarray,
-                          hw: tuple[int, int], min_confidence: float = -np.inf):
-    """Scatter per-source ``values`` (N, ...) to the nearest target cells.
-
-    Each of the N source points with confidence above ``min_confidence``
-    lands in the integer cell its (x, y) target rounds to; when several land
-    in one cell the highest-confidence one wins, ties to the lowest index.
-    Returns the (h, w, ...) scattered values, zero where nothing landed, and
-    the (h, w) hit mask.
-    """
-    h, w = hw
-    px = np.round(targets[..., 0].ravel()).astype(np.int64)
-    py = np.round(targets[..., 1].ravel()).astype(np.int64)
-    conf = confidence.ravel()
-    ok = (px >= 0) & (px < w) & (py >= 0) & (py < h) & (conf > min_confidence)
-    idx = np.nonzero(ok)[0]
-    out = np.zeros((h, w) + values.shape[1:], dtype=np.float64)
-    hit = np.zeros((h, w), dtype=bool)
-    if idx.size:
-        # the z-buffer kernel with depth = -confidence, so max confidence wins
-        _, ibuf = kernels.zbuffer_min(px[idx], py[idx], -conf[idx], h, w)
-        hit = ibuf >= 0
-        out[hit] = values[idx[ibuf[hit]]]
-    return out, hit
-
-
-def invert_warp(warp: DenseWarpField, target_hw: tuple[int, int]) -> DenseWarpField:
-    """Numerically invert a warp by scatter-then-fill.
-
-    Every source pixel with positive confidence splats its own
-    coordinate into the target cell it maps to (nearest integer cell; when
-    several land in one cell the highest-confidence one wins, ties to raster
-    order). Unhit target cells are filled from their nearest valid neighbour.
-    """
-    n = np.arange(warp.height * warp.width)
-    own = np.stack([n % warp.width, n // warp.width, warp.confidence.ravel()],
-                   axis=1).astype(np.float64)
-    splat, hit = _splat_max_confidence(warp.targets, warp.confidence, own,
-                                       target_hw, 0.0)
-    coords = kernels.fill_nearest(splat[..., :2], hit)
-    return DenseWarpField(coords, splat[..., 2], warp.target_view, warp.source_view)
-
-
 # ---------------------------------------------------------------------------
 # MVWF binary warp-field files
 # ---------------------------------------------------------------------------

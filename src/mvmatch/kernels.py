@@ -1,6 +1,6 @@
 """Hot inner loops, in numpy.
 
-The gather, local correlation, upsampling, NMS, z-buffer, hole-filling and
+The gather, local correlation, upsampling, NMS, z-buffer and
 small-convolution kernels each exist once, as a vectorised numpy function;
 the tests check each against an explicit-loop oracle. ``BACKEND`` names the
 implementation and is recorded with every benchmark run.
@@ -279,42 +279,6 @@ def zbuffer_min(px: np.ndarray, py: np.ndarray, depth: np.ndarray, h: int, w: in
     zbuf[py[sel], px[sel]] = depth[sel]
     ibuf[py[sel], px[sel]] = sel
     return zbuf, ibuf
-
-
-# ---------------------------------------------------------------------------
-# nearest-valid hole filling (iterated 4-neighbour dilation, fixed priority)
-# ---------------------------------------------------------------------------
-
-# (destination, source) cells of each neighbour, in priority order: the
-# neighbour above, below, to the left and to the right
-_NEIGHBOURS = (((slice(1, None), slice(None)), (slice(None, -1), slice(None))),
-               ((slice(None, -1), slice(None)), (slice(1, None), slice(None))),
-               ((slice(None), slice(1, None)), (slice(None), slice(None, -1))),
-               ((slice(None), slice(None, -1)), (slice(None), slice(1, None))))
-
-
-def fill_nearest(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Fill the cells of ``values`` (H, W, ...) where ``valid`` is False.
-
-    Each round of 4-neighbour dilation copies into every unfilled cell from
-    a neighbour filled before the round, preferring the one above, then
-    below, left and right, as whole-array shifts. A round writes only
-    unfilled cells and reads only filled ones, so it needs no copy of the
-    grid. Cells no round reaches keep their values.
-    """
-    out = _f64(values).copy()
-    filled = np.array(valid, dtype=np.bool_)
-    while not filled.all():
-        todo = ~filled
-        grew = np.zeros_like(filled)
-        for dst, src in _NEIGHBOURS:
-            take = todo[dst] & filled[src] & ~grew[dst]
-            out[dst][take] = out[src][take]
-            grew[dst] |= take
-        if not grew.any():
-            break
-        filled |= grew
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ The residual head has two parts: a non-parametric soft-argmax readout of the
 correlation window, which does the actual refining, and a seeded
 convolutional head whose output gain (``residual_gain``) is zero-initialized
 (standard practice for residual refiners). The head reads a hidden state:
-the source features, the aligned target features and the correlation run
-through a small convolutional stack, fused across views (MVFuse) at levels
-with MVFuse weights. That hidden path is built only when ``residual_gain``
-is non-zero, since at zero gain it cannot reach the warp.
+the source features, the target features sampled at the warp and the
+correlation run through a small convolutional stack, fused across views
+(MVFuse) at levels with MVFuse weights. That hidden path is built only when
+``residual_gain`` is non-zero, since at zero gain it cannot reach the warp.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ import numpy as np
 from . import kernels
 from .attention import (AttentionParams, _row_blocks, _softmax_,
                         exchange_features, init_attention_params)
-from .config import ALIGNMENT_MODES, PipelineConfig
+from .config import PipelineConfig
 from .features import FeatureProvider
-from .grids import (DenseWarpField, FeatureGrid, _splat_max_confidence,
-                    invert_warp, local_correlation, upsample_warp, warp_features)
+from .grids import (DenseWarpField, FeatureGrid, local_correlation, upsample_warp,
+                    warp_features)
 from .grouping import ImageGroup
 from .tracks import Tracks
 
@@ -112,12 +112,6 @@ class MatcherParams:
     global_temperature: float               # cosine units for global matching
     softargmax_temperature: float           # cosine units for the confidence readout
     residual_gain: float                    # conv-head output scale (zero-initialized)
-    mvfuse_alignment: str                   # "forward" | "invert"
-
-    def __post_init__(self):
-        if self.mvfuse_alignment not in ALIGNMENT_MODES:
-            raise ValueError(f"unknown mvfuse alignment {self.mvfuse_alignment!r}; "
-                             f"expected one of {', '.join(ALIGNMENT_MODES)}")
 
     @property
     def num_levels(self) -> int:
@@ -163,8 +157,7 @@ def init_matcher_params(config: PipelineConfig | None = None, seed: int = 0) -> 
                          mvfuse_iters=cfg.mvfuse_iters,
                          global_temperature=cfg.global_temperature,
                          softargmax_temperature=cfg.softargmax_temperature,
-                         residual_gain=cfg.residual_gain,
-                         mvfuse_alignment=cfg.mvfuse_alignment)
+                         residual_gain=cfg.residual_gain)
 
 
 @dataclass
@@ -322,34 +315,19 @@ def _verified(delta: np.ndarray, warp: DenseWarpField, phi_src: FeatureGrid,
     return np.where(improved[..., None], delta, 0.0)
 
 
-def _aligned_target_grid(phi_tgt: FeatureGrid, warp: DenseWarpField,
-                         mode: str) -> FeatureGrid:
-    """Source-aligned target features: ``forward`` samples them at the warp,
-    ``invert`` splats them along the inverted warp and fills the gaps."""
-    if mode == "forward":
-        return warp_features(phi_tgt, warp)
-    back = invert_warp(warp, (phi_tgt.height, phi_tgt.width))
-    data, hit = _splat_max_confidence(back.targets, back.confidence,
-                                      phi_tgt.data.reshape(-1, phi_tgt.channels),
-                                      (warp.height, warp.width))
-    return FeatureGrid(kernels.fill_nearest(data, hit), stride=phi_tgt.stride)
-
-
 def _hidden_states(phi_src: FeatureGrid, ups: dict[int, DenseWarpField],
                    corrs: dict[int, np.ndarray], provider: FeatureProvider,
                    params: MatcherParams, out_level: int) -> dict[int, FeatureGrid]:
     """Per-target hidden states at ``out_level``, fused across views at MVFuse levels.
 
-    Each target's input is the source features, the source-aligned target
-    features and the flattened correlation window, run through the level's
-    conv stack. MVFuse levels align the target by ``mvfuse_alignment``.
+    Each target's input is the source features, the target features sampled
+    at the warp and the flattened correlation window, run through the level's
+    conv stack.
     """
     lp = params.levels[out_level]
-    mode = params.mvfuse_alignment if lp.mvfuse is not None else "forward"
     hiddens: dict[int, FeatureGrid] = {}
     for tgt, w_up in ups.items():
-        phi_tgt = provider.features(tgt, lp.stride)
-        warped = _aligned_target_grid(phi_tgt, w_up, mode)
+        warped = warp_features(provider.features(tgt, lp.stride), w_up)
         agg = np.concatenate([phi_src.data, warped.data,
                               corrs[tgt].reshape(w_up.height, w_up.width, -1)], axis=2)
         hiddens[tgt] = FeatureGrid(lp.hidden.apply(agg), stride=lp.stride)

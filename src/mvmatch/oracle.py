@@ -71,6 +71,8 @@ class SceneOracle:
     def __post_init__(self):
         object.__setattr__(self, "image_size",
                            (int(self.image_size[0]), int(self.image_size[1])))
+        if min(self.image_size) < 1:
+            raise ValueError(f"image size must be >= 1, got {self.image_size}")
         if self.kind == "planar":
             if self.homographies is None or len(self.homographies) < 2:
                 raise ValueError("planar scene needs >= 2 homographies")

@@ -256,42 +256,6 @@ def brute_force_zbuffer(px, py, depth, h, w):
     return zbuf, ibuf
 
 
-def brute_force_fill_nearest(values, valid):
-    """Fill invalid cells of ``values`` (H, W, C) by rounds of 4-neighbour
-    dilation: each round copies from the cells valid before it, preferring
-    the neighbour above, then below, left, right."""
-    h, w, c = values.shape
-    out = values.copy()
-    filled = valid.copy()
-    done = False
-    while not done:
-        prev_vals = out.copy()
-        prev_fill = filled.copy()
-        progressed = False
-        remaining = False
-        for y in range(h):
-            for x in range(w):
-                if prev_fill[y, x]:
-                    continue
-                if y > 0 and prev_fill[y - 1, x]:
-                    sy, sx = y - 1, x
-                elif y < h - 1 and prev_fill[y + 1, x]:
-                    sy, sx = y + 1, x
-                elif x > 0 and prev_fill[y, x - 1]:
-                    sy, sx = y, x - 1
-                elif x < w - 1 and prev_fill[y, x + 1]:
-                    sy, sx = y, x + 1
-                else:
-                    remaining = True
-                    continue
-                for k in range(c):
-                    out[y, x, k] = prev_vals[sy, sx, k]
-                filled[y, x] = True
-                progressed = True
-        done = (not remaining) or (not progressed)
-    return out
-
-
 def per_offset_local_corr(src, tgt, targets, window):
     """Local correlation one window offset at a time: a full bilinear gather of
     the target per offset with ``brute_force_gather``, blended per channel,

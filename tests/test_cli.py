@@ -9,6 +9,9 @@ from mvmatch.grids import read_warp_file
 from mvmatch.tracks import read_tracks_tsv
 
 STRIDES_RULE = "must be a non-empty, strictly decreasing list of powers of two"
+THRESHOLDS_RULE = "must be a non-empty list of finite values > 0"
+FLAG_THRESHOLDS_RULE = ("--threshold must be a non-empty, comma-separated list of finite "
+                        "values > 0, got")
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +345,44 @@ class TestErrorContract:
         self.assert_one_line_error(capsys, "gen-scene", "not divisible by the coarsest stride 8")
         assert not (tmp_path / "run").exists()
 
+    # unchecked, a size below 1 wrote a scene that match rejected later with
+    # an error naming neither a file nor a key (--image-size 0 silently meant
+    # the config's size), an empty, negative or non-finite threshold list
+    # wrote a CSV with no rows or meaningless ones, all with exit 0, and a
+    # threshold that is not a number failed without naming the flag
+    @pytest.mark.parametrize("command, args, fragment", [
+        ("gen-scene", ["--image-size", "-8"], "--image-size must be >= 1, got -8"),
+        ("gen-scene", ["--image-size", "0"], "--image-size must be >= 1, got 0"),
+        ("gen-scene", ["--kind", "point-cloud", "--points", "-5"],
+         "--points must be >= 1, got -5"),
+        ("build-tracks", ["--scene", "{zero_scene}"],
+         "scene.json: image size must be >= 1, got (0, 0)"),
+        ("eval-homography", ["--scene", "{scene}", "--warps", "{warps}", "--threshold", ","],
+         f"{FLAG_THRESHOLDS_RULE} ','"),
+        ("eval-homography", ["--scene", "{scene}", "--warps", "{warps}", "--threshold", "-1"],
+         f"{FLAG_THRESHOLDS_RULE} '-1'"),
+        ("eval-homography", ["--scene", "{scene}", "--warps", "{warps}", "--threshold", "nan"],
+         f"{FLAG_THRESHOLDS_RULE} 'nan'"),
+        ("eval-triangulation", ["--scene", "{scene}", "--tracks", "{warps}",
+                                "--threshold", "0.01,inf"], f"{FLAG_THRESHOLDS_RULE} '0.01,inf'"),
+        ("eval-triangulation", ["--scene", "{scene}", "--tracks", "{warps}",
+                                "--threshold", "0.01,abc"], f"{FLAG_THRESHOLDS_RULE} '0.01,abc'"),
+    ], ids=["negative-size", "zero-size", "negative-points", "zero-size-scene-file",
+            "empty-threshold", "negative-threshold", "nan-threshold", "inf-threshold",
+            "non-number-threshold"])
+    def test_bad_size_or_threshold_flag(self, tmp_path, capsys, planar_scene, matched_dir,
+                                        command, args, fragment):
+        eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        zero_scene = tmp_path / "scene.json"
+        zero_scene.write_text(json.dumps({"kind": "planar", "image_size": [0, 0],
+                                          "noise_seed": 0, "homographies": [eye, eye]}))
+        paths = {"scene": planar_scene, "warps": matched_dir, "zero_scene": zero_scene}
+        rc = main([command, *(a.format(**paths) for a in args),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, command, fragment)
+        assert not any((tmp_path / "run").glob("*"))
+
     def test_malformed_track_row(self, tmp_path, capsys):
         rc = main(["gen-scene", "--kind", "point-cloud", "--views", "2",
                    "--image-size", "32", "--points", "50", "--out", str(tmp_path)])
@@ -529,11 +570,13 @@ class TestErrorContract:
         assert not (tmp_path / "warps").exists()
 
     # unchecked, empty strides end in an IndexError traceback, increasing ones
-    # in a provider stride mismatch, a zero feature_dim or an unknown
-    # alignment in an error that names neither the file nor the key; no
-    # fusion iterations or a fusion level 0 run and silently do nothing, and
-    # an upsample factor other than the last stride would contradict the
-    # output resolution that match takes from the pyramid
+    # in a provider stride mismatch, a zero feature_dim in an error that
+    # names neither the file nor the key; no fusion iterations or a fusion
+    # level 0 run and silently do nothing, an upsample factor other than the
+    # last stride would contradict the output resolution that match takes
+    # from the pyramid, and a zero base resolution writes a 0 x 0 scene that
+    # match rejects without naming the file or the key. The target
+    # alignment is no longer a setting, so naming it is an unknown key.
     @pytest.mark.parametrize("key, value, requirement", [
         ("strides", [], STRIDES_RULE),
         ("strides", [1, 2], STRIDES_RULE),
@@ -549,8 +592,9 @@ class TestErrorContract:
         ("mvfuse_iters", -1, "must be >= 1 (mvfuse_levels [] turns fusion off)"),
         ("mvfuse_levels", [0], "entries must be >= 1"),
         ("mvfuse_levels", [4, -1], "entries must be >= 1"),
-        ("mvfuse_alignment", "bogus", "must be one of forward, invert"),
-        ("mvfuse_alignment", "reverse", "must be one of forward, invert"),
+        ("mvfuse_alignment", "bogus", "unknown config keys: ['mvfuse_alignment']"),
+        ("mvfuse_alignment", "reverse", "unknown config keys: ['mvfuse_alignment']"),
+        ("base_resolution", 0, "must be >= 1"),
     ])
     def test_config_with_bad_strides_or_dimension(self, tmp_path, capsys, planar_scene,
                                                   key, value, requirement):
@@ -559,8 +603,9 @@ class TestErrorContract:
         rc = main(["match", "--scene", str(planar_scene), "--config", str(config),
                    "--out", str(tmp_path / "warps")])
         assert rc == 2
-        self.assert_one_line_error(capsys, "match",
-                                   f"config.json: {key} {requirement}, got {value!r}")
+        message = requirement if requirement.startswith("unknown") \
+            else f"{key} {requirement}, got {value!r}"
+        self.assert_one_line_error(capsys, "match", f"config.json: {message}")
         assert not (tmp_path / "warps").exists()
 
     def test_config_with_one_stride_loads(self, tmp_path):
@@ -580,8 +625,10 @@ class TestErrorContract:
             load_config(config)
 
     # unchecked, tau >= 1 or a negative eps_p keep no match and write 0
-    # tracks, a negative max_keypoints keeps every keypoint as 0 does, and a
-    # zero NMS radius fails with an error that names neither the file nor the key
+    # tracks, a negative max_keypoints keeps every keypoint as 0 does, a
+    # zero NMS radius fails with an error that names neither the file nor
+    # the key, and an empty, negative or non-finite evaluation threshold
+    # list writes a CSV with no rows or meaningless ones
     @pytest.mark.parametrize("key, value, requirement", [
         ("tau", 1.5, "must lie in [0, 1)"),
         ("tau", 1.0, "must lie in [0, 1)"),
@@ -590,6 +637,10 @@ class TestErrorContract:
         ("eps_p", float("inf"), "must be finite and >= 0"),
         ("max_keypoints", -3, "must be >= 0 (0 keeps every keypoint)"),
         ("nms_radius", 0, "must be >= 1"),
+        ("homography_thresholds", [], THRESHOLDS_RULE),
+        ("homography_thresholds", [1.0, -1.0], THRESHOLDS_RULE),
+        ("triangulation_thresholds", [float("nan")], THRESHOLDS_RULE),
+        ("triangulation_thresholds", [0.01, float("inf")], THRESHOLDS_RULE),
     ])
     def test_config_with_postprocess_value_out_of_range(self, tmp_path, capsys, matched_dir,
                                                         key, value, requirement):
@@ -667,9 +718,14 @@ class TestConfigFile:
     def test_init_config_round_trip(self, tmp_path):
         rc = main(["init-config", "--out", str(tmp_path), "--seed", "0"])
         assert rc == 0
-        from mvmatch.config import load_config
         cfg = load_config(tmp_path / "config.json")
         assert cfg == PipelineConfig()
+        # a saved config leaves out upsample_factor, which load_config checks
+        # against the last stride when a file gives it
+        for written in (PipelineConfig(), PipelineConfig(strides=(8, 4)),
+                        PipelineConfig(strides=(16, 8))):
+            save_config(tmp_path / "config.json", written)
+            assert load_config(tmp_path / "config.json") == written
 
     def test_sample_groups_reads_targets_per_group(self, tmp_path, planar_scene,
                                                    fast_config):

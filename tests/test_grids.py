@@ -3,7 +3,7 @@ import pytest
 
 from oracles import brute_force_correlation
 from mvmatch.grids import (DenseWarpField, FeatureGrid, bilinear_sample,
-                           identity_warp, invert_warp, local_correlation,
+                           identity_warp, local_correlation,
                            read_warp_file, upsample_warp, warp_features,
                            write_warp_file)
 
@@ -192,22 +192,6 @@ class TestUpsampleWarp:
     def test_bad_factor_raises(self):
         with pytest.raises(ValueError):
             upsample_warp(identity_warp(2, 2), 3)
-
-
-class TestInvertWarp:
-    def test_identity_inverts_to_identity(self):
-        inv = invert_warp(identity_warp(4, 4), (4, 4))
-        np.testing.assert_allclose(inv.targets, identity_warp(4, 4).targets)
-
-    def test_shift_inverts_to_negative_shift(self):
-        base = identity_warp(6, 6)
-        warp = DenseWarpField(base.targets + np.array([2.0, 0.0]),
-                              base.confidence, 0, 1)
-        inv = invert_warp(warp, (6, 6))
-        # interior cells covered by the scatter must map back exactly
-        expected = np.tile(np.arange(6, dtype=float)[2:] - 2.0, (6, 1))
-        np.testing.assert_allclose(inv.targets[:, 2:, 0], expected)
-        assert inv.source_view == 1 and inv.target_view == 0
 
 
 class TestWarpFile:

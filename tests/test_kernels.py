@@ -14,7 +14,7 @@ from mvmatch import kernels
 from mvmatch.grids import DenseWarpField, FeatureGrid
 
 from oracles import (brute_force_conv2d, brute_force_correlation,
-                     brute_force_depthwise_conv2d, brute_force_fill_nearest,
+                     brute_force_depthwise_conv2d,
                      brute_force_gather, brute_force_nms, brute_force_upsample,
                      brute_force_zbuffer, per_offset_local_corr)
 
@@ -193,24 +193,6 @@ class TestAgreement:
             want_z, want_i = brute_force_zbuffer(px, py, d, 8, 8)
             np.testing.assert_array_equal(got_i, want_i)
             np.testing.assert_array_equal(got_z, want_z)
-
-    def test_fill_nearest(self):
-        values = rng.normal(size=(10, 10, 2))
-        sparse = rng.random((10, 10)) < 0.4
-        sparse[0, 0] = True
-        single = np.zeros((10, 10), dtype=bool)
-        single[6, 3] = True
-        for valid in (sparse, single, np.zeros((10, 10), dtype=bool)):
-            got = kernels.fill_nearest(values, valid)
-            np.testing.assert_array_equal(got, brute_force_fill_nearest(values, valid))
-        assert np.all(np.isfinite(kernels.fill_nearest(values, sparse)))
-        # non-square grids and a single row, where the shifts meet the borders
-        for h, w in ((7, 13), (13, 7), (1, 9)):
-            values = rng.normal(size=(h, w, 3))
-            valid = rng.random((h, w)) < 0.3
-            valid[0, -1] = True
-            np.testing.assert_array_equal(kernels.fill_nearest(values, valid),
-                                          brute_force_fill_nearest(values, valid))
 
     def test_conv2d(self):
         # every output pixel is compared, the zero-padded border included

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +13,9 @@ from mvmatch.config import PipelineConfig
 from mvmatch.features import ArrayFeatureProvider, OracleFeatureProvider
 from mvmatch.grids import DenseWarpField, FeatureGrid, identity_warp, upsample_warp
 from mvmatch.grouping import ImageGroup
-from mvmatch.matcher import (ALIGNMENT_MODES, AnchorGrid, ConvStack, RefinerState,
-                             global_match, init_matcher_params, mvfuse,
-                             refine_level, run_group)
+from mvmatch.matcher import (AnchorGrid, ConvStack, MatcherParams, RefinerState,
+                             global_match, init_matcher_params, mvfuse, refine_level,
+                             run_group)
 from mvmatch.oracle import SceneOracle, gt_warp, make_planar_scene, simulate_matcher
 from mvmatch.tracks import sample_tracks
 
@@ -331,10 +331,9 @@ class TestDefaults:
         shipped = PipelineConfig()
         cfg = PipelineConfig(feature_dim=16, hidden_dim=24, strides=(4, 2, 1), sigma=2.5,
                              mvfuse_levels=(2,), mvfuse_iters=3, global_temperature=0.004,
-                             softargmax_temperature=0.07, residual_gain=0.05,
-                             mvfuse_alignment="invert")
+                             softargmax_temperature=0.07, residual_gain=0.05)
         carried = ("mvfuse_iters", "global_temperature", "softargmax_temperature",
-                   "residual_gain", "mvfuse_alignment")
+                   "residual_gain")
         in_levels = ("feature_dim", "hidden_dim", "strides", "mvfuse_levels", "sigma")
         for name in carried + in_levels:
             assert getattr(cfg, name) != getattr(shipped, name), name
@@ -361,11 +360,10 @@ class TestDefaults:
         np.testing.assert_array_equal(a.encoder.w1, b.encoder.w1)
 
     def test_unknown_alignment_rejected(self):
-        with pytest.raises(ValueError, match="bogus"):
-            init_matcher_params(PipelineConfig(mvfuse_alignment="bogus"))
-        for mode in ("backward", "reverse"):
-            with pytest.raises(ValueError, match=mode):
-                replace(init_matcher_params(), mvfuse_alignment=mode)
+        # target features are always sampled at the warp, so neither the
+        # config nor the matcher has an alignment setting to get wrong
+        for settings in (PipelineConfig, MatcherParams):
+            assert not [f.name for f in fields(settings) if "alignment" in f.name]
 
     def test_config_defaults(self):
         cfg = PipelineConfig()
@@ -419,27 +417,17 @@ class TestRunGroup:
             np.testing.assert_array_equal(a[t].confidence, b[t].confidence)
 
     def test_alignment_modes_run(self):
-        # the alignment feeds only the hidden path, so a mode changes the warp
-        # through a non-zero conv-head gain and not at all at zero gain
+        # the aligned target features feed only the hidden path, so they
+        # change the warp through a non-zero conv-head gain
         scene = make_planar_scene(3, (64, 64), seed=43)
         provider = OracleFeatureProvider(scene, dim=32, seed=8)
         group = ImageGroup(0, (1, 2))
-        zero, gained = {}, {}
-        for mode in ALIGNMENT_MODES:
-            params = init_matcher_params(PipelineConfig(mvfuse_alignment=mode), seed=5)
-            zero[mode] = run_group(group, provider, [], params)
-            gained[mode] = run_group(group, provider, [],
-                                     replace(params, residual_gain=0.05))
-        for mode in ALIGNMENT_MODES:
-            for t in group.targets:
-                np.testing.assert_array_equal(zero[mode][t].targets,
-                                              zero["forward"][t].targets)
-                np.testing.assert_array_equal(zero[mode][t].confidence,
-                                              zero["forward"][t].confidence)
-                assert np.all(np.isfinite(gained[mode][t].targets))
-                assert not np.array_equal(gained[mode][t].targets, zero[mode][t].targets)
-        assert not np.array_equal(gained["invert"][1].targets,
-                                  gained["forward"][1].targets)
+        params = init_matcher_params(seed=5)
+        zero = run_group(group, provider, [], params)
+        gained = run_group(group, provider, [], replace(params, residual_gain=0.05))
+        for t in group.targets:
+            assert np.all(np.isfinite(gained[t].targets))
+            assert not np.array_equal(gained[t].targets, zero[t].targets)
 
     def test_upsample_factor(self):
         # a pyramid that stops at stride 8 still returns base-resolution warps
