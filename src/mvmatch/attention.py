@@ -388,10 +388,11 @@ def track_transformer(feats: TrackFeatures, params: AttentionParams) -> TrackFea
         raise ValueError("every track must be visible in at least one view")
     z = np.where(vis_tv.T[:, :, None], feats.values, 0.0)  # scrub invisible slots
     zt = z.transpose(1, 0, 2)                  # (T, V, D)
-    q = zt @ params.wk
-    k = zt @ params.wk
+    k = zt @ params.wk                         # the queries use the key projection
     val = zt @ params.wv
-    logits = q @ k.transpose(0, 2, 1) / np.sqrt(d)          # (T, V, V)
+    # a copy, not k itself: matmul routes k @ k.T to BLAS syrk, which rounds
+    # differently from the general product
+    logits = k @ k.copy().transpose(0, 2, 1) / np.sqrt(d)   # (T, V, V)
     mask = np.broadcast_to(vis_tv[:, None, :], logits.shape)
     attn = masked_softmax(logits, mask)
     out = zt + (attn @ val) @ params.wout

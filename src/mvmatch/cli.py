@@ -92,7 +92,6 @@ def cmd_gen_scene(args) -> int:
 
 def cmd_build_tracks(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args)
     scene = load_scene(args.scene)
     group = _default_group(scene.num_views, cfg.targets_per_group)
     coords, vis = simulate_matcher(scene, group, cfg.matcher_samples,
@@ -102,7 +101,7 @@ def cmd_build_tracks(args) -> int:
         print(f"mvmatch build-tracks: warning: track budget {cfg.track_tokens} exceeds "
               f"{len(coords)} raw matches; capping", file=sys.stderr)
     tracks = sample_tracks(coords, vis, cfg.track_tokens, seed=args.seed)
-    path = out / "tracks.tsv"
+    path = _out_dir(args) / "tracks.tsv"
     write_tracks_tsv(path, tracks)
     print(f"wrote {path} ({len(tracks)} tracks from {len(coords)} matches)")
     return 0
@@ -110,7 +109,6 @@ def cmd_build_tracks(args) -> int:
 
 def cmd_sample_groups(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args)
     if args.warps:
         warps = {}
         m = 0
@@ -145,7 +143,7 @@ def cmd_sample_groups(args) -> int:
         sources = ", ".join(str(s) for s in sorted({s for _, s in empty}))
         print(f"mvmatch sample-groups: warning: group(s) {ids} (source(s) {sources}) "
               "have no targets", file=sys.stderr)
-    path = out / "groups.json"
+    path = _out_dir(args) / "groups.json"
     write_group_manifest(path, stage1, stage2)
     print(f"wrote {path} ({len(stage1)} stage-1 + {len(stage2)} stage-2 groups, "
           f"budget {budget})")
@@ -154,10 +152,17 @@ def cmd_sample_groups(args) -> int:
 
 def cmd_match(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args)
     scene = load_scene(args.scene)
+    if any(n % cfg.strides[0] for n in scene.image_size):
+        raise ValueError(f"{args.scene}: image size {scene.image_size} is not divisible "
+                         f"by the coarsest stride {cfg.strides[0]}")
     if args.groups:
         groups = [g for g, _ in read_group_manifest(args.groups)]
+        outside = [str(gid) for gid, g in enumerate(groups)
+                   if not all(0 <= v < scene.num_views for v in g.views)]
+        if outside:
+            raise ValueError(f"{args.groups}: group(s) {', '.join(outside)} name a view "
+                             f"outside [0, {scene.num_views})")
     else:
         groups = [_default_group(scene.num_views, cfg.targets_per_group)]
     provider = OracleFeatureProvider(scene, dim=cfg.feature_dim, seed=args.seed)
@@ -169,6 +174,7 @@ def cmd_match(args) -> int:
     if empty:
         print(f"mvmatch match: warning: skipped group(s) {', '.join(map(str, empty))} "
               "with no targets", file=sys.stderr)
+    out = _out_dir(args)
     capped = []
     for gid, group in enumerate(groups):
         if not group.targets:
@@ -233,7 +239,6 @@ def _select_and_filter(candidates: dict[tuple[int, int], list[DenseWarpField]],
 
 def cmd_postprocess(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args)
     warps_dir = Path(args.warps)
     candidates, groups = _load_warp_bank(warps_dir)
     selected, keeps, one_way = _select_and_filter(candidates, cfg.eps_p)
@@ -251,6 +256,7 @@ def cmd_postprocess(args) -> int:
         tracks = postprocess_group(group.source, usable, selected, keeps,
                                    cfg.tau, cfg.nms_radius, cfg.max_keypoints)
         track_sets.append((tracks, (group.source,) + tuple(usable)))
+    out = _out_dir(args)
     path = out / "sfm_tracks.tsv"
     write_track_rows(path, num_views, track_sets)
     stats = match_statistics(keeps, [tracks for tracks, _ in track_sets])
@@ -299,7 +305,6 @@ def cmd_eval_homography(args) -> int:
     cfg = _load_cfg(args)
     thresholds = _parse_thresholds(args.threshold) if args.threshold \
         else cfg.homography_thresholds
-    out = _out_dir(args)
     scene = load_scene(args.scene)
     if scene.kind != "planar":
         raise ValueError("requires a planar scene")
@@ -322,7 +327,7 @@ def cmd_eval_homography(args) -> int:
         h_ransac, _ = ransac_homography(src, dst, cfg.ransac_threshold,
                                         cfg.ransac_iters, seed=args.seed)
         errors["ransac"].append(corner_error(h_ransac, gt, scene.image_size))
-    path = out / "homography_auc.csv"
+    path = _out_dir(args) / "homography_auc.csv"
     with open(path, "w") as f:
         f.write("solver,threshold_px,auc,pairs\n")
         for solver in ("dlt", "ransac"):
@@ -341,7 +346,6 @@ def cmd_eval_triangulation(args) -> int:
     cfg = _load_cfg(args)
     thresholds = _parse_thresholds(args.threshold) if args.threshold \
         else cfg.triangulation_thresholds
-    out = _out_dir(args)
     scene = load_scene(args.scene)
     if scene.kind != "point_cloud":
         raise ValueError("requires a point-cloud scene")
@@ -349,7 +353,7 @@ def cmd_eval_triangulation(args) -> int:
     coords, visibility = read_track_rows(args.tracks, max_views=len(scene.cameras))
     points, _, skipped = triangulate_observations(coords, visibility, scene.cameras)
     table = accuracy_completeness(points, scene.points, thresholds)
-    path = out / "triangulation.csv"
+    path = _out_dir(args) / "triangulation.csv"
     with open(path, "w") as f:
         f.write("threshold,accuracy,completeness,triangulated,skipped\n")
         for t in thresholds:

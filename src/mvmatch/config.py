@@ -102,10 +102,11 @@ def positive_finite_list(values) -> bool:
     return len(values) > 0 and all(0 < v < math.inf for v in values)
 
 
-# Track-building, matcher, post-processing and evaluation values outside these
-# ranges would run wrongly (a negative temperature picks the least similar
-# anchor, tau >= 1 or a negative eps_p keeps no match), do nothing or fail deep
-# inside a command without naming the key, so loading rejects them:
+# Track-building, matcher, post-processing, group-sampling and evaluation
+# values outside these ranges would run wrongly (a negative temperature picks
+# the least similar anchor, tau >= 1 or a negative eps_p keeps no match, fewer
+# than 4 evaluation matches fit no homography), do nothing or fail deep inside
+# a command without naming the key, so loading rejects them:
 # key -> (check, requirement).
 _RANGES = {
     "track_tokens": (lambda v: v >= 1, "must be >= 1"),
@@ -132,6 +133,11 @@ _RANGES = {
                               "must be a non-empty list of finite values > 0"),
     "triangulation_thresholds": (positive_finite_list,
                                  "must be a non-empty list of finite values > 0"),
+    "beta": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "lam": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
+    "eval_max_matches": (lambda v: v >= 4, "must be >= 4"),
+    "ransac_threshold": (lambda v: 0 < v < math.inf, "must be finite and > 0"),
+    "ransac_iters": (lambda v: v >= 1, "must be >= 1"),
 }
 
 

@@ -255,64 +255,55 @@ def mvfuse(hidden: list[FeatureGrid], params: MVFuseParams, iterations: int) -> 
     return [FeatureGrid(stack[i], stride=hidden[i].stride) for i in range(len(hidden))]
 
 
-def _corr_readout(corr_scores: np.ndarray, channels: int, temperature: float,
+def _corr_readout(scores: np.ndarray, window: int, channels: int, temperature: float,
                   subpixel: bool):
-    """Residual warp update read off the correlation window.
+    """Residual warp update read off each pixel's flat (window * window) score row.
 
-    The integer part moves to the window argmax only when it beats the center
+    The integer part moves to the row argmax only when it beats the centre
     cell by ``CORR_GATE_MARGIN`` (cosine units); ties and small leads keep the
     current estimate, so a correct warp is a fixed point and, with similarity
     decreasing in distance, the update never moves away from the truth. When
-    ``subpixel`` is set, a parabolic fit through the argmax and its axis
-    neighbours adds a sub-cell correction. The confidence proxy is the
-    softmax peak over the window (sharpness).
+    ``subpixel`` is set, a parabolic fit through the chosen cell and its
+    clamped axis neighbours adds a sub-cell correction. Returns the (n, 2)
+    moves, the softmax peaks (sharpness) and the centre scores.
     """
-    h, w, window, _ = corr_scores.shape
     r = (window - 1) // 2
-    flat = corr_scores.reshape(h, w, -1)
-    center = window * r + r
-    amax = flat.argmax(axis=-1)
-    margin = CORR_GATE_MARGIN / np.sqrt(channels)
-    keep = flat[..., center] >= np.take_along_axis(flat, amax[..., None], -1)[..., 0] - margin
-    amax = np.where(keep, center, amax)
+    mid = window * r + r
+    centre = np.take(scores, mid, axis=1)
+    amax = scores.argmax(axis=1)
+    best = np.take_along_axis(scores, amax[:, None], 1)[:, 0]
+    keep = centre >= best - CORR_GATE_MARGIN / np.sqrt(channels)
+    amax = np.where(keep, mid, amax)
     jj, ii = np.divmod(amax, window)
     delta = np.stack([ii - r, jj - r], axis=-1).astype(np.float64)
     if subpixel:
-        yy, xx = np.mgrid[0:h, 0:w]
-
-        def axis_fit(idx_lo, idx_hi, interior):
-            lo = corr_scores[yy, xx, idx_lo[0], idx_lo[1]]
-            hi = corr_scores[yy, xx, idx_hi[0], idx_hi[1]]
-            c = corr_scores[yy, xx, jj, ii]
-            denom = lo - 2.0 * c + hi
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = np.where(np.abs(denom) > 1e-12, 0.5 * (lo - hi) / denom, 0.0)
-            return np.where(interior, np.clip(d, -0.5, 0.5), 0.0)
-
-        dx = axis_fit((jj, np.maximum(ii - 1, 0)), (jj, np.minimum(ii + 1, window - 1)),
-                      (ii > 0) & (ii < window - 1))
-        dy = axis_fit((np.maximum(jj - 1, 0), ii), (np.minimum(jj + 1, window - 1), ii),
-                      (jj > 0) & (jj < window - 1))
-        delta[..., 0] += dx
-        delta[..., 1] += dy
-    sums = _softmax_(flat * (np.sqrt(channels) / temperature))
-    return delta, 1.0 / sums.reshape(h, w)
+        # clamped neighbour columns along x, then y; one equal to the cell marks an edge
+        lo = np.stack([amax - (ii > 0), amax - window * (jj > 0)], axis=1)
+        hi = np.stack([amax + (ii < window - 1), amax + window * (jj < window - 1)], axis=1)
+        interior = (lo != amax[:, None]) & (hi != amax[:, None])
+        lo_s = np.take_along_axis(scores, lo, 1)
+        hi_s = np.take_along_axis(scores, hi, 1)
+        denom = lo_s - 2.0 * np.where(keep, centre, best)[:, None] + hi_s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(np.abs(denom) > 1e-12, 0.5 * (lo_s - hi_s) / denom, 0.0)
+        delta += np.where(interior, np.clip(d, -0.5, 0.5), 0.0)
+    e = scores * (np.sqrt(channels) / temperature)
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    return delta, 1.0 / e.sum(axis=1), centre
 
 
-def _verified(delta: np.ndarray, warp: DenseWarpField, phi_src: FeatureGrid,
-              phi_tgt: FeatureGrid, corr: np.ndarray) -> np.ndarray:
-    """Verify-then-apply: ``delta`` with each move zeroed unless the
-    correlation at the moved position beats the window centre of ``corr`` by
-    ``VERIFY_MARGIN`` (cosine units), so updates never regress."""
+def _verified(delta: np.ndarray, targets: np.ndarray, centre: np.ndarray,
+              phi_src: FeatureGrid, phi_tgt: FeatureGrid) -> np.ndarray:
+    """Verify-then-apply on (n, 2) rows: ``delta`` with each move zeroed
+    unless the correlation at ``targets + delta`` beats the window ``centre``
+    score by ``VERIFY_MARGIN`` (cosine units), so updates never regress."""
     d = phi_src.channels
-    r = (corr.shape[2] - 1) // 2
-    cand = warp.targets + delta
-    sampled = kernels.bilinear_gather(phi_tgt.data, cand[..., 0].ravel(),
-                                      cand[..., 1].ravel())
-    score = np.einsum("nc,nc->n", phi_src.data.reshape(-1, d),
-                      sampled).reshape(cand.shape[:2]) / np.sqrt(d)
-    improved = score > corr[:, :, r, r] + VERIFY_MARGIN / np.sqrt(d)
-    return np.where(improved[..., None], delta, 0.0)
+    cand = targets + delta
+    sampled = kernels.bilinear_gather(phi_tgt.data, cand[:, 0], cand[:, 1])
+    score = np.einsum("nc,nc->n", phi_src.data.reshape(-1, d), sampled) / np.sqrt(d)
+    improved = score > centre + VERIFY_MARGIN / np.sqrt(d)
+    return np.where(improved[:, None], delta, 0.0)
 
 
 def _hidden_states(phi_src: FeatureGrid, ups: dict[int, DenseWarpField],
@@ -362,23 +353,27 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
     phi_src = provider.features(source_view, lp.stride)
     d = phi_src.channels
     subpixel = out_level in SUBPIXEL_LEVELS
+    h, w = phi_src.height, phi_src.width
     corrs: dict[int, np.ndarray] = {}
     updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for tgt, w_up in ups.items():
         phi_tgt = provider.features(tgt, lp.stride)
-        if (w_up.height, w_up.width) != (phi_src.height, phi_src.width):
+        if (w_up.height, w_up.width) != (h, w):
             raise ValueError("provider stride does not match the level resolution")
         corr = local_correlation(phi_src, phi_tgt, w_up, lp.window)
-        delta, peak = _corr_readout(corr, d, params.softargmax_temperature, subpixel)
+        delta, peak, centre = _corr_readout(corr.reshape(h * w, -1), lp.window, d,
+                                            params.softargmax_temperature, subpixel)
+        if params.residual_gain != 0.0:  # only the hidden states read the volumes
+            corrs[tgt] = corr
+        del corr  # at gain 0 no volume stays live into the verify gather or the next one
         if subpixel:
             # A whole-cell move needs no check: the gate kept it only with a
             # lead of CORR_GATE_MARGIN over the centre, and the score at the
             # moved cell is its window score to within 1e-13, so it always
             # clears the smaller VERIFY_MARGIN.
-            delta = _verified(delta, w_up, phi_src, phi_tgt, corr)
-        updates[tgt] = delta, CONF_BLEND * (peak - w_up.confidence)
-        if params.residual_gain != 0.0:  # only the hidden states read the volumes
-            corrs[tgt] = corr
+            delta = _verified(delta, w_up.targets.reshape(-1, 2), centre, phi_src, phi_tgt)
+        updates[tgt] = (delta.reshape(h, w, 2),
+                        CONF_BLEND * (peak.reshape(h, w) - w_up.confidence))
 
     if params.residual_gain != 0.0:
         hiddens = _hidden_states(phi_src, ups, corrs, provider, params, out_level)

@@ -117,13 +117,9 @@ def _point_cloud_buffers(oracle: SceneOracle, view: int, stride: int):
     py = np.round(uv[:, 1] / stride).astype(np.int64)
     ok = (depth > 0) & (px >= 0) & (px < lw) & (py >= 0) & (py < lh)
     idx = np.nonzero(ok)[0]
-    zbuf = np.full((lh, lw), np.inf)
-    ibuf = np.full((lh, lw), -1, dtype=np.int64)
-    if idx.size:
-        zb, ib = kernels.zbuffer_min(px[idx], py[idx], depth[idx], lh, lw)
-        hit = ib >= 0
-        zbuf[hit] = zb[hit]
-        ibuf[hit] = idx[ib[hit]]
+    zbuf, ibuf = kernels.zbuffer_min(px[idx], py[idx], depth[idx], lh, lw)
+    hit = ibuf >= 0
+    ibuf[hit] = idx[ibuf[hit]]
     return zbuf, ibuf
 
 

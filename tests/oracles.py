@@ -11,7 +11,9 @@ warps, k-means++ seeding and cluster allocation, which they do not test, and
 keep the per-sample and per-cluster loops that the array code replaced.
 ``loop_triangulate`` keeps the one-SVD-per-track triangulation that the
 batched solve replaced. ``verify_every_level_refine`` keeps the zero-gain
-refinement step that verified whole-cell moves too.
+refinement step that verified whole-cell moves too, and ``grid_corr_readout``
+the readout it runs, which indexes the (H, W, window, window) volume through
+full index grids.
 """
 
 import math
@@ -19,11 +21,11 @@ import math
 import numpy as np
 
 from mvmatch import kernels
-from mvmatch.attention import MASK_LOGIT, coordinate_queries, grid_token_centers
+from mvmatch.attention import MASK_LOGIT, _softmax_, coordinate_queries, grid_token_centers
 from mvmatch.grids import (MISSING, DenseWarpField, FeatureGrid, bilinear_sample,
                            local_correlation, upsample_warp)
-from mvmatch.matcher import (CONF_BLEND, SUBPIXEL_LEVELS, VERIFY_MARGIN, MVFuseParams,
-                             _corr_readout)
+from mvmatch.matcher import (CONF_BLEND, CORR_GATE_MARGIN, SUBPIXEL_LEVELS, VERIFY_MARGIN,
+                             MVFuseParams)
 from mvmatch.oracle import gt_warp
 from mvmatch.tracks import (KMEANS_MAX_ITERS, KMEANS_TOL, VisibilityPartition,
                             _kmeans_pp_init, allocate_clusters)
@@ -286,6 +288,50 @@ def brute_force_correlation(src, tgt, warp, window):
     return out
 
 
+def grid_corr_readout(corr_scores: np.ndarray, channels: int, temperature: float,
+                      subpixel: bool):
+    """Residual warp update read off the correlation window.
+
+    The integer part moves to the window argmax only when it beats the center
+    cell by ``CORR_GATE_MARGIN`` (cosine units); ties and small leads keep the
+    current estimate, so a correct warp is a fixed point and, with similarity
+    decreasing in distance, the update never moves away from the truth. When
+    ``subpixel`` is set, a parabolic fit through the argmax and its axis
+    neighbours adds a sub-cell correction. The confidence proxy is the
+    softmax peak over the window (sharpness).
+    """
+    h, w, window, _ = corr_scores.shape
+    r = (window - 1) // 2
+    flat = corr_scores.reshape(h, w, -1)
+    center = window * r + r
+    amax = flat.argmax(axis=-1)
+    margin = CORR_GATE_MARGIN / np.sqrt(channels)
+    keep = flat[..., center] >= np.take_along_axis(flat, amax[..., None], -1)[..., 0] - margin
+    amax = np.where(keep, center, amax)
+    jj, ii = np.divmod(amax, window)
+    delta = np.stack([ii - r, jj - r], axis=-1).astype(np.float64)
+    if subpixel:
+        yy, xx = np.mgrid[0:h, 0:w]
+
+        def axis_fit(idx_lo, idx_hi, interior):
+            lo = corr_scores[yy, xx, idx_lo[0], idx_lo[1]]
+            hi = corr_scores[yy, xx, idx_hi[0], idx_hi[1]]
+            c = corr_scores[yy, xx, jj, ii]
+            denom = lo - 2.0 * c + hi
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.where(np.abs(denom) > 1e-12, 0.5 * (lo - hi) / denom, 0.0)
+            return np.where(interior, np.clip(d, -0.5, 0.5), 0.0)
+
+        dx = axis_fit((jj, np.maximum(ii - 1, 0)), (jj, np.minimum(ii + 1, window - 1)),
+                      (ii > 0) & (ii < window - 1))
+        dy = axis_fit((np.maximum(jj - 1, 0), ii), (np.minimum(jj + 1, window - 1), ii),
+                      (jj > 0) & (jj < window - 1))
+        delta[..., 0] += dx
+        delta[..., 1] += dy
+    sums = _softmax_(flat * (np.sqrt(channels) / temperature))
+    return delta, 1.0 / sums.reshape(h, w)
+
+
 def verify_every_level_refine(state, provider, params):
     """``refine_level`` at zero gain with the verify step at every level:
     a move is kept only where the correlation at the moved position beats
@@ -301,8 +347,8 @@ def verify_every_level_refine(state, provider, params):
         phi_tgt = provider.features(tgt, lp.stride)
         d = src.channels
         corr = local_correlation(src, phi_tgt, up, lp.window)
-        delta, peak = _corr_readout(corr, d, params.softargmax_temperature,
-                                    out_level in SUBPIXEL_LEVELS)
+        delta, peak = grid_corr_readout(corr, d, params.softargmax_temperature,
+                                        out_level in SUBPIXEL_LEVELS)
         cand = up.targets + delta
         sampled = kernels.bilinear_gather(phi_tgt.data, cand[..., 0].ravel(),
                                           cand[..., 1].ravel())

@@ -331,25 +331,29 @@ class TestEvalTriangulation:
 
 
 class TestErrorContract:
-    """A bad input ends a subcommand with one stderr line and exit code 2."""
+    """A bad input ends a subcommand with one stderr line and exit code 2,
+    before the command makes its ``--out`` directory."""
 
-    def assert_one_line_error(self, capsys, command, fragment):
+    def assert_one_line_error(self, capsys, command, fragment, out):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err, err
         assert err.startswith(f"mvmatch {command}: error: "), err
         assert fragment in err, err
+        assert not out.exists(), f"{command} left {out} behind"
 
     def test_gen_scene_rejects_size_off_the_coarsest_stride(self, tmp_path, capsys):
         rc = main(["gen-scene", "--image-size", "20", "--out", str(tmp_path / "run")])
         assert rc == 2
-        self.assert_one_line_error(capsys, "gen-scene", "not divisible by the coarsest stride 8")
-        assert not (tmp_path / "run").exists()
+        self.assert_one_line_error(capsys, "gen-scene", "not divisible by the coarsest stride 8",
+                                   tmp_path / "run")
 
     # unchecked, a size below 1 wrote a scene that match rejected later with
     # an error naming neither a file nor a key (--image-size 0 silently meant
     # the config's size), an empty, negative or non-finite threshold list
-    # wrote a CSV with no rows or meaningless ones, all with exit 0, and a
-    # threshold that is not a number failed without naming the flag
+    # wrote a CSV with no rows or meaningless ones, all with exit 0, a
+    # threshold that is not a number failed without naming the flag, and
+    # match failed on a scene file that the coarsest stride does not divide
+    # only inside the matcher, without naming the file
     @pytest.mark.parametrize("command, args, fragment", [
         ("gen-scene", ["--image-size", "-8"], "--image-size must be >= 1, got -8"),
         ("gen-scene", ["--image-size", "0"], "--image-size must be >= 1, got 0"),
@@ -357,6 +361,8 @@ class TestErrorContract:
          "--points must be >= 1, got -5"),
         ("build-tracks", ["--scene", "{zero_scene}"],
          "scene.json: image size must be >= 1, got (0, 0)"),
+        ("match", ["--scene", "{odd_scene}"],
+         "odd.json: image size (36, 36) is not divisible by the coarsest stride 8"),
         ("eval-homography", ["--scene", "{scene}", "--warps", "{warps}", "--threshold", ","],
          f"{FLAG_THRESHOLDS_RULE} ','"),
         ("eval-homography", ["--scene", "{scene}", "--warps", "{warps}", "--threshold", "-1"],
@@ -368,20 +374,20 @@ class TestErrorContract:
         ("eval-triangulation", ["--scene", "{scene}", "--tracks", "{warps}",
                                 "--threshold", "0.01,abc"], f"{FLAG_THRESHOLDS_RULE} '0.01,abc'"),
     ], ids=["negative-size", "zero-size", "negative-points", "zero-size-scene-file",
-            "empty-threshold", "negative-threshold", "nan-threshold", "inf-threshold",
-            "non-number-threshold"])
+            "scene-file-off-the-coarsest-stride", "empty-threshold", "negative-threshold",
+            "nan-threshold", "inf-threshold", "non-number-threshold"])
     def test_bad_size_or_threshold_flag(self, tmp_path, capsys, planar_scene, matched_dir,
                                         command, args, fragment):
         eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        zero_scene = tmp_path / "scene.json"
-        zero_scene.write_text(json.dumps({"kind": "planar", "image_size": [0, 0],
-                                          "noise_seed": 0, "homographies": [eye, eye]}))
-        paths = {"scene": planar_scene, "warps": matched_dir, "zero_scene": zero_scene}
+        paths = {"scene": planar_scene, "warps": matched_dir,
+                 "zero_scene": tmp_path / "scene.json", "odd_scene": tmp_path / "odd.json"}
+        for key, size in (("zero_scene", 0), ("odd_scene", 36)):
+            paths[key].write_text(json.dumps({"kind": "planar", "image_size": [size, size],
+                                              "noise_seed": 0, "homographies": [eye, eye]}))
         rc = main([command, *(a.format(**paths) for a in args),
                    "--out", str(tmp_path / "run")])
         assert rc == 2
-        self.assert_one_line_error(capsys, command, fragment)
-        assert not any((tmp_path / "run").glob("*"))
+        self.assert_one_line_error(capsys, command, fragment, tmp_path / "run")
 
     def test_malformed_track_row(self, tmp_path, capsys):
         rc = main(["gen-scene", "--kind", "point-cloud", "--views", "2",
@@ -391,10 +397,11 @@ class TestErrorContract:
         tracks.write_text("# V=2\tT=1\ntoken_id\tview_id\tx\ty\n0\t0\t1.0\t2.0\n0\t1\n")
         capsys.readouterr()
         rc = main(["eval-triangulation", "--scene", str(tmp_path / "scene.json"),
-                   "--tracks", str(tracks), "--out", str(tmp_path)])
+                   "--tracks", str(tracks), "--out", str(tmp_path / "out")])
         assert rc == 2
         self.assert_one_line_error(capsys, "eval-triangulation",
-                                   "tracks.tsv:4: expected 4 tab-separated fields, got 2")
+                                   "tracks.tsv:4: expected 4 tab-separated fields, got 2",
+                                   tmp_path / "out")
 
     def run_triangulation_on_view(self, tmp_path, capsys, header_views, view):
         self.run_triangulation_on_row(tmp_path, capsys, header_views, f"0\t{view}\t5.0\t6.0")
@@ -408,20 +415,19 @@ class TestErrorContract:
                           f"0\t0\t1.0\t2.0\n0\t1\t3.0\t4.0\n{row}\n")
         capsys.readouterr()
         rc = main(["eval-triangulation", "--scene", str(tmp_path / "scene.json"),
-                   "--tracks", str(tracks), "--out", str(tmp_path)])
+                   "--tracks", str(tracks), "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert not (tmp_path / "triangulation.csv").exists()
 
     def test_track_view_without_a_camera(self, tmp_path, capsys):
         # the header admits 8 views, the scene has 3 cameras
         self.run_triangulation_on_view(tmp_path, capsys, 8, 7)
         self.assert_one_line_error(capsys, "eval-triangulation",
-                                   "tracks.tsv:5: view 7 outside [0, 3)")
+                                   "tracks.tsv:5: view 7 outside [0, 3)", tmp_path / "out")
 
     def test_negative_track_view(self, tmp_path, capsys):
         self.run_triangulation_on_view(tmp_path, capsys, 3, -1)
         self.assert_one_line_error(capsys, "eval-triangulation",
-                                   "tracks.tsv:5: view -1 outside [0, 3)")
+                                   "tracks.tsv:5: view -1 outside [0, 3)", tmp_path / "out")
 
     @pytest.mark.parametrize("row, fragment", [
         ("0\t2\tnan\t6.0", "tracks.tsv:5: non-finite coordinate in"),
@@ -429,20 +435,20 @@ class TestErrorContract:
     ], ids=["non-finite", "repeated-view"])
     def test_bad_track_row_for_triangulation(self, tmp_path, capsys, row, fragment):
         self.run_triangulation_on_row(tmp_path, capsys, 3, row)
-        self.assert_one_line_error(capsys, "eval-triangulation", fragment)
+        self.assert_one_line_error(capsys, "eval-triangulation", fragment, tmp_path / "out")
 
     def test_file_that_is_not_mvwf(self, tmp_path, capsys):
         warps = tmp_path / "warps"
         warps.mkdir()
         (warps / "warp.mvwf").write_bytes(b"not a warp field")
-        rc = main(["sample-groups", "--warps", str(warps), "--out", str(tmp_path)])
+        rc = main(["sample-groups", "--warps", str(warps), "--out", str(tmp_path / "out")])
         assert rc == 2
-        self.assert_one_line_error(capsys, "sample-groups", "not an MVWF file")
+        self.assert_one_line_error(capsys, "sample-groups", "not an MVWF file", tmp_path / "out")
 
     def run_on_scene(self, tmp_path, payload):
         scene = tmp_path / "scene.json"
         scene.write_text(json.dumps(payload))
-        rc = main(["build-tracks", "--scene", str(scene), "--out", str(tmp_path)])
+        rc = main(["build-tracks", "--scene", str(scene), "--out", str(tmp_path / "out")])
         assert rc == 2
 
     def test_scene_without_noise_seed(self, tmp_path, capsys):
@@ -450,13 +456,13 @@ class TestErrorContract:
         self.run_on_scene(tmp_path, {"kind": "planar", "image_size": [16, 16],
                                      "homographies": [eye, eye]})
         self.assert_one_line_error(capsys, "build-tracks",
-                                   "scene.json: missing key 'noise_seed'")
+                                   "scene.json: missing key 'noise_seed'", tmp_path / "out")
 
     def test_scene_of_unknown_kind(self, tmp_path, capsys):
         self.run_on_scene(tmp_path, {"kind": "cube", "image_size": [16, 16],
                                      "noise_seed": 0})
         self.assert_one_line_error(capsys, "build-tracks",
-                                   "scene.json: unknown scene kind 'cube'")
+                                   "scene.json: unknown scene kind 'cube'", tmp_path / "out")
 
     def test_group_without_targets_key(self, tmp_path, capsys, planar_scene):
         groups = tmp_path / "groups.json"
@@ -464,12 +470,14 @@ class TestErrorContract:
         rc = main(["match", "--scene", str(planar_scene), "--groups", str(groups),
                    "--out", str(tmp_path / "warps")])
         assert rc == 2
-        self.assert_one_line_error(capsys, "match", "groups.json: missing key 'targets'")
+        self.assert_one_line_error(capsys, "match", "groups.json: missing key 'targets'",
+                                   tmp_path / "warps")
 
     def test_scene_that_is_not_an_object(self, tmp_path, capsys):
         self.run_on_scene(tmp_path, [])
         self.assert_one_line_error(capsys, "build-tracks",
-                                   "scene.json: a scene must be a JSON object")
+                                   "scene.json: a scene must be a JSON object",
+                                   tmp_path / "out")
 
     def test_group_manifest_with_groups_not_a_list(self, tmp_path, capsys, planar_scene):
         groups = tmp_path / "groups.json"
@@ -478,7 +486,8 @@ class TestErrorContract:
                    "--out", str(tmp_path / "warps")])
         assert rc == 2
         self.assert_one_line_error(capsys, "match", "groups.json: a group manifest must "
-                                   'be a JSON object whose "groups" is a list of objects')
+                                   'be a JSON object whose "groups" is a list of objects',
+                                   tmp_path / "warps")
 
     def test_group_with_a_string_source(self, tmp_path, capsys, planar_scene):
         groups = tmp_path / "groups.json"
@@ -488,48 +497,62 @@ class TestErrorContract:
                    "--out", str(tmp_path / "warps")])
         assert rc == 2
         self.assert_one_line_error(capsys, "match", "groups.json: a group needs an int "
-                                   "source and stage and a list of int targets")
+                                   "source and stage and a list of int targets",
+                                   tmp_path / "warps")
+
+    def test_group_with_a_view_the_scene_lacks(self, tmp_path, capsys, planar_scene):
+        # checked only when the group was matched, after --out was made
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"groups": [{"source": 0, "targets": [1], "stage": 1},
+                                                 {"source": 0, "targets": [9], "stage": 1}]}))
+        rc = main(["match", "--scene", str(planar_scene), "--groups", str(groups),
+                   "--out", str(tmp_path / "warps")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "match", "groups.json: group(s) 1 name a view "
+                                   "outside [0, 4)", tmp_path / "warps")
 
     def test_warp_manifest_without_groups(self, tmp_path, capsys):
         warps = tmp_path / "warps"
         warps.mkdir()
         (warps / "manifest.json").write_text("{}")
-        rc = main(["postprocess", "--warps", str(warps), "--out", str(tmp_path)])
+        rc = main(["postprocess", "--warps", str(warps), "--out", str(tmp_path / "out")])
         assert rc == 2
         self.assert_one_line_error(capsys, "postprocess",
-                                   "manifest.json: missing key 'groups'")
+                                   "manifest.json: missing key 'groups'", tmp_path / "out")
 
     def test_config_with_scalar_strides(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"strides": 8}')
-        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path)])
+        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc == 2
         self.assert_one_line_error(capsys, "gen-scene",
-                                   "config.json: strides must be a list, got 8")
+                                   "config.json: strides must be a list, got 8", tmp_path / "out")
 
     def test_config_with_string_track_tokens(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"track_tokens": "32"}')
-        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path)])
+        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc == 2
         self.assert_one_line_error(capsys, "gen-scene",
-                                   "config.json: track_tokens must be int, got '32'")
+                                   "config.json: track_tokens must be int, got '32'",
+                                   tmp_path / "out")
 
     def test_config_with_a_string_stride(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"strides": [8, "4"]}')
-        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path)])
+        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc == 2
         self.assert_one_line_error(capsys, "gen-scene",
-                                   "config.json: strides must be a list of int, got [8, '4']")
+                                   "config.json: strides must be a list of int, got [8, '4']",
+                                   tmp_path / "out")
 
     def test_config_with_boolean_for_a_number(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"sigma": true}')
-        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path)])
+        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc == 2
         self.assert_one_line_error(capsys, "gen-scene",
-                                   "config.json: sigma must be float, got True")
+                                   "config.json: sigma must be float, got True", tmp_path / "out")
 
     @pytest.mark.parametrize("key, value, requirement", [
         ("matcher_noise_sigma", -0.5, "must be >= 0, got -0.5"),
@@ -547,8 +570,7 @@ class TestErrorContract:
                    "--out", str(tmp_path / "run")])
         assert rc == 2
         self.assert_one_line_error(capsys, "build-tracks",
-                                   f"config.json: {key} {requirement}")
-        assert not (tmp_path / "run").exists()
+                                   f"config.json: {key} {requirement}", tmp_path / "run")
 
     # unchecked, a negative global temperature matches every pixel to its
     # least similar anchor and exits 0, and a zero one fails deep in the
@@ -566,8 +588,7 @@ class TestErrorContract:
                    "--out", str(tmp_path / "warps")])
         assert rc == 2
         self.assert_one_line_error(capsys, "match", f"config.json: {key} must be finite "
-                                                    f"and > 0, got {value!r}")
-        assert not (tmp_path / "warps").exists()
+                                                    f"and > 0, got {value!r}", tmp_path / "warps")
 
     # unchecked, empty strides end in an IndexError traceback, increasing ones
     # in a provider stride mismatch, a zero feature_dim in an error that
@@ -605,8 +626,8 @@ class TestErrorContract:
         assert rc == 2
         message = requirement if requirement.startswith("unknown") \
             else f"{key} {requirement}, got {value!r}"
-        self.assert_one_line_error(capsys, "match", f"config.json: {message}")
-        assert not (tmp_path / "warps").exists()
+        self.assert_one_line_error(capsys, "match", f"config.json: {message}",
+                                   tmp_path / "warps")
 
     def test_config_with_one_stride_loads(self, tmp_path):
         config = tmp_path / "config.json"
@@ -628,7 +649,12 @@ class TestErrorContract:
     # tracks, a negative max_keypoints keeps every keypoint as 0 does, a
     # zero NMS radius fails with an error that names neither the file nor
     # the key, and an empty, negative or non-finite evaluation threshold
-    # list writes a CSV with no rows or meaningless ones
+    # list writes a CSV with no rows or meaningless ones. Fewer than 4
+    # evaluation matches write "0 pairs" and AUC 0 with exit 0, no RANSAC
+    # iterations or a non-positive RANSAC threshold fail with a misleading
+    # "no model reached 4 inliers", a beta outside (0, 1) fails without
+    # naming the file or the key, and a negative lam divides by zero in
+    # group sampling and exits 0
     @pytest.mark.parametrize("key, value, requirement", [
         ("tau", 1.5, "must lie in [0, 1)"),
         ("tau", 1.0, "must lie in [0, 1)"),
@@ -641,6 +667,16 @@ class TestErrorContract:
         ("homography_thresholds", [1.0, -1.0], THRESHOLDS_RULE),
         ("triangulation_thresholds", [float("nan")], THRESHOLDS_RULE),
         ("triangulation_thresholds", [0.01, float("inf")], THRESHOLDS_RULE),
+        ("eval_max_matches", 3, "must be >= 4"),
+        ("eval_max_matches", 0, "must be >= 4"),
+        ("ransac_iters", 0, "must be >= 1"),
+        ("ransac_threshold", 0.0, "must be finite and > 0"),
+        ("ransac_threshold", -1.0, "must be finite and > 0"),
+        ("ransac_threshold", float("inf"), "must be finite and > 0"),
+        ("beta", 1.5, "must lie in (0, 1)"),
+        ("beta", 0.0, "must lie in (0, 1)"),
+        ("lam", -1, "must be finite and >= 0"),
+        ("lam", float("nan"), "must be finite and >= 0"),
     ])
     def test_config_with_postprocess_value_out_of_range(self, tmp_path, capsys, matched_dir,
                                                         key, value, requirement):
@@ -650,33 +686,33 @@ class TestErrorContract:
                    "--out", str(tmp_path / "post")])
         assert rc == 2
         self.assert_one_line_error(capsys, "postprocess",
-                                   f"config.json: {key} {requirement}, got {value!r}")
-        assert not (tmp_path / "post").exists()
+                                   f"config.json: {key} {requirement}, got {value!r}",
+                                   tmp_path / "post")
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("[]")
-        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path)])
+        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc == 2
         self.assert_one_line_error(capsys, "gen-scene",
-                                   "config.json: a config must be a JSON object")
+                                   "config.json: a config must be a JSON object", tmp_path / "out")
 
-    def assert_names_unparsed_file(self, capsys, command, path):
-        self.assert_one_line_error(capsys, command, f"error: {path}: not valid JSON: ")
+    def assert_names_unparsed_file(self, capsys, command, path, out):
+        self.assert_one_line_error(capsys, command, f"error: {path}: not valid JSON: ", out)
 
     def test_scene_that_is_not_json(self, tmp_path, capsys):
         scene = tmp_path / "scene.json"
         scene.write_text("not json")
-        rc = main(["build-tracks", "--scene", str(scene), "--out", str(tmp_path)])
+        rc = main(["build-tracks", "--scene", str(scene), "--out", str(tmp_path / "out")])
         assert rc == 2
-        self.assert_names_unparsed_file(capsys, "build-tracks", scene)
+        self.assert_names_unparsed_file(capsys, "build-tracks", scene, tmp_path / "out")
 
     def test_config_that_is_not_json(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"sigma": 1.0,}')
-        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path)])
+        rc = main(["gen-scene", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc == 2
-        self.assert_names_unparsed_file(capsys, "gen-scene", config)
+        self.assert_names_unparsed_file(capsys, "gen-scene", config, tmp_path / "out")
 
     def test_group_manifest_that_is_not_json(self, tmp_path, capsys, planar_scene):
         groups = tmp_path / "groups.json"
@@ -684,15 +720,16 @@ class TestErrorContract:
         rc = main(["match", "--scene", str(planar_scene), "--groups", str(groups),
                    "--out", str(tmp_path / "warps")])
         assert rc == 2
-        self.assert_names_unparsed_file(capsys, "match", groups)
+        self.assert_names_unparsed_file(capsys, "match", groups, tmp_path / "warps")
 
     def test_warp_manifest_that_is_not_json(self, tmp_path, capsys):
         warps = tmp_path / "warps"
         warps.mkdir()
         (warps / "manifest.json").write_text("{groups: []}")
-        rc = main(["postprocess", "--warps", str(warps), "--out", str(tmp_path)])
+        rc = main(["postprocess", "--warps", str(warps), "--out", str(tmp_path / "out")])
         assert rc == 2
-        self.assert_names_unparsed_file(capsys, "postprocess", warps / "manifest.json")
+        self.assert_names_unparsed_file(capsys, "postprocess", warps / "manifest.json",
+                                        tmp_path / "out")
 
 
 class TestDeterminism:

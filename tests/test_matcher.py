@@ -19,8 +19,8 @@ from mvmatch.matcher import (AnchorGrid, ConvStack, MatcherParams, RefinerState,
 from mvmatch.oracle import SceneOracle, gt_warp, make_planar_scene, simulate_matcher
 from mvmatch.tracks import sample_tracks
 
-from oracles import (dense_global_match, oracle_mvfuse, random_fuse_params as fuse_params,
-                     verify_every_level_refine)
+from oracles import (dense_global_match, grid_corr_readout, oracle_mvfuse,
+                     random_fuse_params as fuse_params, verify_every_level_refine)
 
 # Largest deviation of global_match from the full-matrix formulation, in pixels
 # for the coordinates and absolute for the confidence.
@@ -317,6 +317,43 @@ class TestRefineLevel:
         state = RefinerState(2, {1: gt_warp(scene, 0, 1, stride=2)})
         with pytest.raises(ValueError):
             refine_level(state, bad, params)
+
+
+class TestCorrReadout:
+    @staticmethod
+    def score_rows(window, channels, rng):
+        """Rows that reach every branch of the readout: rounded random scores
+        (ties are common), constant rows (every parabola denominator is 0),
+        each cell as a clear argmax over rounded noise (so every window edge
+        is hit), and each cell leading the centre by exactly the gate margin
+        and by one ulp more."""
+        k = window * window
+        margin = matcher.CORR_GATE_MARGIN / np.sqrt(channels)
+        peaked = np.round(rng.uniform(-0.1, 0.1, (k, k)), 2) + 0.5 * np.eye(k)
+        at_margin = margin * np.eye(k)
+        past_margin = np.nextafter(margin, 1.0) * np.eye(k)
+        return np.concatenate([np.round(rng.uniform(-1, 1, (400, k)), 1),
+                               np.full((3, k), 0.25), np.zeros((1, k)),
+                               peaked, at_margin, past_margin])
+
+    @pytest.mark.parametrize("subpixel", [False, True])
+    @pytest.mark.parametrize("window", [1, 3, 5, 7, 9])
+    def test_row_readout_keeps_the_grid_readout_bits(self, window, subpixel):
+        channels, temperature = 32, 0.05
+        rows = self.score_rows(window, channels, np.random.default_rng(window))
+        n, r = rows.shape[0], (window - 1) // 2
+        delta, peak, centre = matcher._corr_readout(rows, window, channels,
+                                                    temperature, subpixel)
+        want_delta, want_peak = grid_corr_readout(rows.reshape(n, 1, window, window),
+                                                  channels, temperature, subpixel)
+        for got, want in ((delta, want_delta.reshape(n, 2)), (peak, want_peak.reshape(n)),
+                          (centre, rows[:, window * r + r])):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        # a lead of exactly the gate margin keeps put, one ulp more moves a cell
+        k = window * window
+        moved = np.abs(delta[-2 * k:]).max(axis=1) >= 1.0
+        assert not moved[:k].any() and moved[k:].sum() == k - 1
 
 
 class TestDefaults:
