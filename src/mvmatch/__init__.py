@@ -9,16 +9,14 @@ covisibility-driven group sampling, and a desk-scale evaluation harness
 """
 
 from .kernels import BACKEND
-from .grids import (DenseWarpField, FeatureGrid, bilinear_sample,
-                    identity_warp, local_correlation,
-                    read_warp_file, upsample_warp, warp_features,
-                    write_warp_file)
+from .grids import (DenseWarpField, FeatureGrid, local_correlation, read_warp_file,
+                    upsample_warp, warp_features, write_warp_file)
 from .oracle import (PinholeCamera, SceneOracle, gt_track_error,
                      gt_warp, load_scene, make_planar_scene,
                      make_point_cloud_scene, save_scene, simulate_matcher)
 from .tracks import (Tracks, VisibilityPartition, allocate_clusters,
-                     kmeans, partition_by_visibility, read_tracks_tsv,
-                     sample_tracks, write_tracks_tsv)
+                     kmeans, partition_by_visibility, sample_tracks,
+                     write_tracks_tsv)
 from .attention import (AttentionParams, TrackFeatures, attentional_sampling,
                         attentional_splatting, exchange_features,
                         init_attention_params, masked_softmax,
@@ -32,11 +30,9 @@ from .grouping import (ImageGroup, OverlapMatrix,
                        PairUsage, augment_reciprocity, build_group,
                        default_budget, overlap_from_descriptors,
                        overlap_from_matches, sample_groups, source_quotas)
-from .geometry import (DegenerateConfigurationError, ErrorCurve,
-                       accuracy_completeness,
+from .geometry import (DegenerateConfigurationError, accuracy_completeness,
                        corner_auc, corner_error, dlt_homography,
-                       ransac_homography, triangulate_observations,
-                       triangulate_tracks)
+                       ransac_homography, triangulate_observations)
 from .config import PipelineConfig, load_config, save_config
 
 __version__ = "0.1.0"

@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .config import (PipelineConfig, load_config, positive_finite_list, read_json,
                      save_config)
-from .geometry import (ErrorCurve, corner_error, dlt_homography,
+from .geometry import (corner_auc, corner_error, dlt_homography,
                        ransac_homography, accuracy_completeness,
                        triangulate_observations)
 from .grids import DenseWarpField, read_warp_file, write_warp_file
@@ -26,8 +27,8 @@ from .grouping import (ImageGroup, default_budget,
                        read_group_manifest, sample_groups, write_group_manifest)
 from .matcher import init_matcher_params, run_group
 from .features import OracleFeatureProvider
-from .oracle import (gt_warp, load_scene, make_planar_scene,
-                     make_point_cloud_scene, save_scene, simulate_matcher)
+from .oracle import (gt_warp, load_scene, make_planar_scene, make_point_cloud_scene,
+                     planar_transfer, save_scene, simulate_matcher)
 from .postprocess import (match_statistics, postprocess_group,
                           reciprocity_filter, select_matches, write_statistics)
 from .tracks import (read_track_rows, sample_tracks, write_track_rows,
@@ -65,6 +66,13 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _group_tracks(scene, group: ImageGroup, cfg: PipelineConfig, seed: int):
+    """Track tokens sampled from ``group``'s simulated matches, and the match count."""
+    coords, vis = simulate_matcher(scene, group, cfg.matcher_samples, cfg.matcher_noise_sigma,
+                                   cfg.matcher_outlier_rate, seed=seed)
+    return sample_tracks(coords, vis, cfg.track_tokens, seed=seed), len(coords)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -94,16 +102,13 @@ def cmd_build_tracks(args) -> int:
     cfg = _load_cfg(args)
     scene = load_scene(args.scene)
     group = _default_group(scene.num_views, cfg.targets_per_group)
-    coords, vis = simulate_matcher(scene, group, cfg.matcher_samples,
-                                   cfg.matcher_noise_sigma, cfg.matcher_outlier_rate,
-                                   seed=args.seed)
-    if cfg.track_tokens > len(coords):
+    tracks, matches = _group_tracks(scene, group, cfg, args.seed)
+    if cfg.track_tokens > matches:
         print(f"mvmatch build-tracks: warning: track budget {cfg.track_tokens} exceeds "
-              f"{len(coords)} raw matches; capping", file=sys.stderr)
-    tracks = sample_tracks(coords, vis, cfg.track_tokens, seed=args.seed)
+              f"{matches} raw matches; capping", file=sys.stderr)
     path = _out_dir(args) / "tracks.tsv"
     write_tracks_tsv(path, tracks)
-    print(f"wrote {path} ({len(tracks)} tracks from {len(coords)} matches)")
+    print(f"wrote {path} ({len(tracks)} tracks from {matches} matches)")
     return 0
 
 
@@ -120,8 +125,12 @@ def cmd_sample_groups(args) -> int:
             raise ValueError(f"no MVWF files under {args.warps}")
         overlap = overlap_from_matches(warps, m, cfg.group_tau_conf)
     elif args.descriptors:
-        table = np.loadtxt(args.descriptors, delimiter="\t", ndmin=2)
-        overlap = overlap_from_descriptors(table)
+        try:
+            with warnings.catch_warnings(action="ignore"):  # an empty table is rejected below
+                overlap = overlap_from_descriptors(
+                    np.loadtxt(args.descriptors, delimiter="\t", ndmin=2))
+        except ValueError as exc:
+            raise ValueError(f"{args.descriptors}: {exc}") from None
         m = overlap.num_images
     elif args.scene:
         scene = load_scene(args.scene)
@@ -179,12 +188,9 @@ def cmd_match(args) -> int:
     for gid, group in enumerate(groups):
         if not group.targets:
             continue
-        coords, vis = simulate_matcher(scene, group, cfg.matcher_samples,
-                                       cfg.matcher_noise_sigma, cfg.matcher_outlier_rate,
-                                       seed=args.seed + gid)
-        if cfg.track_tokens > len(coords):
-            capped.append(f"{gid} ({len(coords)} matches)")
-        tracks = sample_tracks(coords, vis, cfg.track_tokens, seed=args.seed + gid)
+        tracks, matches = _group_tracks(scene, group, cfg, args.seed + gid)
+        if cfg.track_tokens > matches:
+            capped.append(f"{gid} ({matches} matches)")
         warps = run_group(group, provider, tracks, params)
         for tgt, warp in sorted(warps.items()):
             name = f"warp_g{gid:04d}_{group.source:03d}_{tgt:03d}.mvwf"
@@ -309,18 +315,23 @@ def cmd_eval_homography(args) -> int:
     if scene.kind != "planar":
         raise ValueError("requires a planar scene")
     candidates, _ = _load_warp_bank(Path(args.warps))
+    try:  # every pair must name two views of the scene, at its size
+        transfers = {pair: planar_transfer(scene, *pair) for pair in candidates}
+    except ValueError as exc:
+        raise ValueError(f"{args.warps}: {exc}") from None
+    sizes = {(w.height, w.width) for ws in candidates.values() for w in ws} - {scene.image_size}
+    if sizes:
+        raise ValueError(f"{args.warps}: warps are {min(sizes)}, the scene is {scene.image_size}")
     selected, keeps, _ = _select_and_filter(candidates, cfg.eps_p)
     errors = {"dlt": [], "ransac": []}
     pairs_used = 0
     for (a, b), warp in sorted(selected.items()):
-        if (b, a) not in selected:
-            continue
+        # a pair without a reverse warp keeps no match, so it is skipped below
         src, dst = _stratified_matches(warp, keeps[(a, b)], cfg.tau,
                                        cfg.eval_max_matches, seed=args.seed)
         if src.shape[0] < 4:
             continue
-        gt = np.linalg.inv(scene.homographies[b]) @ scene.homographies[a]
-        gt = gt / gt[2, 2]
+        gt = transfers[(a, b)] / transfers[(a, b)][2, 2]
         pairs_used += 1
         h_dlt = dlt_homography(src, dst)
         errors["dlt"].append(corner_error(h_dlt, gt, scene.image_size))
@@ -332,8 +343,7 @@ def cmd_eval_homography(args) -> int:
         f.write("solver,threshold_px,auc,pairs\n")
         for solver in ("dlt", "ransac"):
             if errors[solver]:
-                curve = ErrorCurve.from_errors(errors[solver], thresholds)
-                aucs = curve.auc
+                aucs = corner_auc(np.sort(errors[solver]), thresholds)  # summed in ascending order
             else:
                 aucs = {float(t): 0.0 for t in thresholds}
             for t in thresholds:

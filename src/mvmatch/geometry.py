@@ -13,11 +13,7 @@ nearest-neighbour search runs over chunks of query points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .tracks import Tracks
 
 # Probability that RANSAC has drawn an all-inlier sample when it stops early.
 RANSAC_CONFIDENCE = 0.99
@@ -25,33 +21,6 @@ RANSAC_CONFIDENCE = 0.99
 
 class DegenerateConfigurationError(ValueError):
     """Raised when a solver's input admits no unique solution."""
-
-
-@dataclass(frozen=True)
-class ErrorCurve:
-    """Sorted per-pair errors plus AUC of the cumulative curve per threshold.
-
-    Errors may be pixels (corner error) or degrees (pose error); the AUC at
-    threshold t is the mean over pairs of clamped (1 - err / t), which lies
-    in [0, 1] and is monotone non-decreasing in t.
-    """
-
-    errors: np.ndarray
-    auc: dict
-
-    @classmethod
-    def from_errors(cls, errors, thresholds) -> "ErrorCurve":
-        errors = np.sort(np.atleast_1d(np.asarray(errors, dtype=np.float64)))
-        return cls(errors, corner_auc(errors, thresholds))
-
-    def __post_init__(self):
-        if np.any(np.diff(self.errors) < 0):
-            raise ValueError("errors must be sorted ascending")
-        values = [self.auc[k] for k in sorted(self.auc)]
-        if any(not 0.0 <= v <= 1.0 for v in values):
-            raise ValueError("AUC values must lie in [0, 1]")
-        if any(values[i] > values[i + 1] + 1e-12 for i in range(len(values) - 1)):
-            raise ValueError("AUC must be monotone in the threshold")
 
 
 def _to_h(points: np.ndarray) -> np.ndarray:
@@ -229,19 +198,6 @@ def triangulate_observations(coords: np.ndarray, visibility: np.ndarray, cameras
         kept[rows[front]] = True
     idx = np.flatnonzero(kept)
     return points[idx], idx, counts.shape[0] - idx.shape[0]
-
-
-def triangulate_tracks(tracks: Tracks, cameras, views=None):
-    """Triangulate the tracks visible in >= 2 views.
-
-    ``views`` maps track slots to camera indices (identity by default); each
-    system's rows go in ascending camera index. Returns (points (K, 3),
-    track indices (K,), skipped count).
-    """
-    views = np.arange(tracks.visibility.shape[1]) if views is None else np.asarray(views)
-    order = np.argsort(views, kind="stable")
-    return triangulate_observations(tracks.coords[:, order], tracks.visibility[:, order],
-                                    [cameras[v] for v in views[order]])
 
 
 def _nn_min_d2(query: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ function, so values can be shared read-only across parallel workers.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,33 +91,6 @@ class DenseWarpField:
     @property
     def width(self) -> int:
         return self.targets.shape[1]
-
-
-def identity_warp(height: int, width: int, source_view: int = 0, target_view: int = 1,
-                  confidence: float = 1.0) -> DenseWarpField:
-    """Warp mapping every pixel to itself."""
-    xs, ys = np.meshgrid(np.arange(width, dtype=np.float64),
-                         np.arange(height, dtype=np.float64))
-    targets = np.stack([xs, ys], axis=-1)
-    conf = np.full((height, width), float(confidence))
-    return DenseWarpField(targets, conf, source_view, target_view)
-
-
-def bilinear_sample(grid: FeatureGrid, at) -> np.ndarray:
-    """Bilinear interpolation of the four surrounding texels.
-
-    Coordinates outside [0, W-1] x [0, H-1] are clamped to the border before
-    interpolating, so the operation is total. ``at`` is one (x, y) pair or an
-    array of them; the output has one channel vector per input coordinate.
-    """
-    at = np.asarray(at, dtype=np.float64)
-    single = at.ndim == 1
-    pts = np.atleast_2d(at)
-    lead = pts.shape[:-1]
-    flat = pts.reshape(-1, 2)
-    out = kernels.bilinear_gather(grid.data, flat[:, 0], flat[:, 1])
-    out = out.reshape(*lead, grid.channels)
-    return out[0] if single else out
 
 
 def warp_features(target: FeatureGrid, warp: DenseWarpField) -> FeatureGrid:

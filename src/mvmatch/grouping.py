@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig, read_json
-from .grids import DenseWarpField
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,8 @@ def overlap_from_matches(warps: dict, num_images: int, tau_conf: float) -> Overl
 def overlap_from_descriptors(descriptors: np.ndarray) -> OverlapMatrix:
     """Descriptor overlap: pairwise cosine similarity, clamped to [0, 1]."""
     descriptors = np.asarray(descriptors, dtype=np.float64)
+    if descriptors.size == 0 or not np.all(np.isfinite(descriptors)):
+        raise ValueError("descriptor table must be non-empty and finite")
     norms = np.linalg.norm(descriptors, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("zero-norm descriptor")

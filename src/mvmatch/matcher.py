@@ -48,7 +48,6 @@ CONF_BLEND = 0.5          # pull of confidence toward corr sharpness
 class AnchorGrid:
     """Anchor centers tiling the target image uniformly, in target pixel units."""
 
-    resolution: tuple[int, int]   # (Ha, Wa)
     centers: np.ndarray           # (Ha * Wa, 2), raster order
 
     @classmethod
@@ -57,7 +56,7 @@ class AnchorGrid:
         xs = (np.arange(wa) + 0.5) * (w / wa) - 0.5
         ys = (np.arange(ha) + 0.5) * (h / ha) - 0.5
         gy, gx = np.meshgrid(ys, xs, indexing="ij")
-        return cls((ha, wa), np.stack([gx.ravel(), gy.ravel()], axis=1))
+        return cls(np.stack([gx.ravel(), gy.ravel()], axis=1))
 
 
 @dataclass(frozen=True)

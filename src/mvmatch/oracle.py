@@ -123,6 +123,28 @@ def _point_cloud_buffers(oracle: SceneOracle, view: int, stride: int):
     return zbuf, ibuf
 
 
+def _check_view_pair(oracle: SceneOracle, source: int, target: int) -> None:
+    v = oracle.num_views
+    if source == target or not (0 <= source < v) or not (0 <= target < v):
+        raise ValueError(f"invalid view pair ({source}, {target}) for {v} views")
+
+
+def _in_image(xy: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:
+    """(N,) mask of the (N, 2) points inside [0, W - 1] x [0, H - 1]."""
+    h, w = image_size
+    return (xy[:, 0] >= 0) & (xy[:, 0] <= w - 1) & (xy[:, 1] >= 0) & (xy[:, 1] <= h - 1)
+
+
+def planar_transfer(oracle: SceneOracle, source: int, target: int) -> np.ndarray:
+    """3x3 homography from ``source`` to ``target`` pixels through the reference
+    plane; an invalid view pair or an ill-conditioned transfer raises ValueError."""
+    _check_view_pair(oracle, source, target)
+    transfer = np.linalg.inv(oracle.homographies[target]) @ oracle.homographies[source]
+    if np.linalg.cond(transfer) >= MAX_CONDITION:
+        raise ValueError("degenerate homography transfer")
+    return transfer
+
+
 def gt_warp(oracle: SceneOracle, source: int, target: int, stride: int = 1) -> DenseWarpField:
     """Exact per-pixel correspondence field from ``source`` to ``target``.
 
@@ -133,23 +155,15 @@ def gt_warp(oracle: SceneOracle, source: int, target: int, stride: int = 1) -> D
     out-of-frame and surface-free pixels get confidence 0, and pixels with no
     geometric answer at all carry the -1 sentinel.
     """
-    v = oracle.num_views
-    if source == target or not (0 <= source < v) or not (0 <= target < v):
-        raise ValueError(f"invalid view pair ({source}, {target}) for {v} views")
-    h, w = oracle.image_size
+    _check_view_pair(oracle, source, target)
     lh, lw = _level_size(oracle, stride)
     ys, xs = np.mgrid[0:lh, 0:lw]
     base = np.stack([xs.ravel() * stride, ys.ravel() * stride], axis=1).astype(np.float64)
 
     if oracle.kind == "planar":
-        transfer = np.linalg.inv(oracle.homographies[target]) @ oracle.homographies[source]
-        if np.linalg.cond(transfer) >= MAX_CONDITION:
-            raise ValueError("degenerate homography transfer")
-        mapped = apply_homography(transfer, base)
-        inside = ((mapped[:, 0] >= 0) & (mapped[:, 0] <= w - 1)
-                  & (mapped[:, 1] >= 0) & (mapped[:, 1] <= h - 1))
+        mapped = apply_homography(planar_transfer(oracle, source, target), base)
         targets = (mapped / stride).reshape(lh, lw, 2)
-        conf = inside.astype(np.float64).reshape(lh, lw)
+        conf = _in_image(mapped, oracle.image_size).astype(np.float64).reshape(lh, lw)
         return DenseWarpField(targets, conf, source, target)
 
     _, src_ibuf = _point_cloud_buffers(oracle, source, stride)
@@ -163,8 +177,7 @@ def gt_warp(oracle: SceneOracle, source: int, target: int, stride: int = 1) -> D
         front = depth > 0
         coords = np.full((uv.shape[0], 2), MISSING)
         coords[front] = uv[front] / stride
-        inside = front & (uv[:, 0] >= 0) & (uv[:, 0] <= w - 1) \
-            & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1)
+        inside = front & _in_image(uv, oracle.image_size)
         visible = np.zeros(uv.shape[0], dtype=bool)
         if inside.any():
             qx = np.round(uv[inside, 0] / stride).astype(np.int64).clip(0, lw - 1)
@@ -185,13 +198,10 @@ def gt_transfer_points(oracle: SceneOracle, source: int, target: int,
     z-buffered surface point.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    h, w = oracle.image_size
     if oracle.kind == "planar":
-        transfer = np.linalg.inv(oracle.homographies[target]) @ oracle.homographies[source]
-        mapped = apply_homography(transfer, pts)
-        valid = ((mapped[:, 0] >= 0) & (mapped[:, 0] <= w - 1)
-                 & (mapped[:, 1] >= 0) & (mapped[:, 1] <= h - 1))
-        return mapped, valid
+        mapped = apply_homography(planar_transfer(oracle, source, target), pts)
+        return mapped, _in_image(mapped, oracle.image_size)
+    h, w = oracle.image_size
     warp = gt_warp(oracle, source, target, stride=1)
     px = np.round(pts[:, 0]).astype(np.int64).clip(0, w - 1)
     py = np.round(pts[:, 1]).astype(np.int64).clip(0, h - 1)

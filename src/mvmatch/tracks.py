@@ -359,12 +359,3 @@ def write_tracks_tsv(path, tracks: Tracks) -> None:
     num_views = tracks.visibility.shape[1]
     write_track_rows(path, num_views, [(tracks, tuple(range(num_views)))])
 
-
-def read_tracks_tsv(path) -> Tracks:
-    """Read a track TSV; tokens go in ascending token id. An invalid token
-    raises ValueError naming ``path``."""
-    coords, visibility = read_track_rows(path)
-    try:
-        return Tracks(coords, visibility)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

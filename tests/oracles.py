@@ -1,11 +1,12 @@
 """Explicit-loop reference implementations used as independent test oracles.
 
 Everything here recomputes results with plain Python loops and numpy scalars,
-no shared code paths with the library internals beyond parameter containers
-and the bilinear sampler. The ``dense_*`` functions are the exception: they
-keep the full-matrix formulations that the row-blocked global match and the
-windowed exchange attention replaced, so the library's outputs can be
-checked against the full softmax, each to a named tolerance.
+no shared code paths with the library internals beyond parameter containers;
+``identity_warp`` and ``global_view_columns`` only build test inputs. The
+``dense_*`` functions are the exception: they keep the full-matrix
+formulations that the row-blocked global match and the windowed exchange
+attention replaced, so the library's outputs can be checked against the full
+softmax, each to a named tolerance.
 The ``loop_*`` track-building references share the library's ground-truth
 warps, k-means++ seeding and cluster allocation, which they do not test, and
 keep the per-sample and per-cluster loops that the array code replaced.
@@ -22,13 +23,20 @@ import numpy as np
 
 from mvmatch import kernels
 from mvmatch.attention import MASK_LOGIT, _softmax_, coordinate_queries, grid_token_centers
-from mvmatch.grids import (MISSING, DenseWarpField, FeatureGrid, bilinear_sample,
-                           local_correlation, upsample_warp)
+from mvmatch.grids import MISSING, DenseWarpField, FeatureGrid, local_correlation, upsample_warp
 from mvmatch.matcher import (CONF_BLEND, CORR_GATE_MARGIN, SUBPIXEL_LEVELS, VERIFY_MARGIN,
                              MVFuseParams)
 from mvmatch.oracle import gt_warp
 from mvmatch.tracks import (KMEANS_MAX_ITERS, KMEANS_TOL, VisibilityPartition,
                             _kmeans_pp_init, allocate_clusters)
+
+
+def identity_warp(height, width, source_view=0, target_view=1, confidence=1.0):
+    """Warp mapping every pixel to itself."""
+    xs, ys = np.meshgrid(np.arange(width, dtype=np.float64),
+                         np.arange(height, dtype=np.float64))
+    return DenseWarpField(np.stack([xs, ys], axis=-1), np.full((height, width), float(confidence)),
+                          source_view, target_view)
 
 
 def oracle_softmax(logits):
@@ -282,8 +290,8 @@ def brute_force_correlation(src, tgt, warp, window):
         for x in range(w):
             for j, dy in enumerate(range(-r, r + 1)):
                 for i, dx in enumerate(range(-r, r + 1)):
-                    pos = warp.targets[y, x] + (dx, dy)
-                    sample = bilinear_sample(tgt, pos)
+                    px, py = warp.targets[y, x] + (dx, dy)
+                    sample = brute_force_gather(tgt.data, [px], [py])[0]
                     out[y, x, j, i] = float(src.data[y, x] @ sample) / np.sqrt(c)
     return out
 
@@ -560,6 +568,17 @@ def loop_assemble_tracks(keypoints, selected_warps, keeps, tau):
 # ---------------------------------------------------------------------------
 # triangulation and evaluation, one track at a time
 # ---------------------------------------------------------------------------
+
+def global_view_columns(tracks, views, num_views):
+    """A group's tracks with slot s moved to camera column ``views[s]`` of
+    ``num_views``, the layout the CLI's track files give; other columns are
+    invisible and hold the -1 sentinel."""
+    coords = np.full((len(tracks), num_views, 2), MISSING)
+    visibility = np.zeros((len(tracks), num_views), dtype=bool)
+    coords[:, list(views)] = tracks.coords
+    visibility[:, list(views)] = tracks.visibility
+    return coords, visibility
+
 
 def loop_triangulate(coords, visibility, cameras):
     """``triangulate_observations`` with one (2k, 4) SVD per track: rows in

@@ -22,9 +22,8 @@ from mvmatch.config import PipelineConfig
 from mvmatch.features import OracleFeatureProvider
 from mvmatch.geometry import (accuracy_completeness, apply_homography,
                               corner_auc, corner_error, dlt_homography,
-                              ransac_homography, triangulate_observations,
-                              triangulate_tracks)
-from mvmatch.grids import DenseWarpField, FeatureGrid, identity_warp
+                              ransac_homography, triangulate_observations)
+from mvmatch.grids import DenseWarpField, FeatureGrid
 from mvmatch.grouping import (ImageGroup, default_budget,
                               overlap_from_matches, pair_adjacency,
                               quotas_from_neighbor_counts, sample_groups)
@@ -38,8 +37,9 @@ from mvmatch.postprocess import (nms_select, postprocess_group,
 from mvmatch.tracks import (Tracks, allocate_clusters, kmeans,
                             partition_by_visibility, sample_tracks)
 
-from oracles import (brute_force_nms, oracle_mvfuse, oracle_sampling,
-                     oracle_splatting, oracle_transformer, random_fuse_params)
+from oracles import (brute_force_nms, global_view_columns, identity_warp, oracle_mvfuse,
+                     oracle_sampling, oracle_splatting, oracle_transformer,
+                     random_fuse_params)
 
 
 @contextmanager
@@ -233,13 +233,11 @@ def test_criterion_4_postprocess_exactness():
         bwd = DenseWarpField(rng.uniform(0, 15, (16, 16, 2)),
                              rng.uniform(0, 1, (16, 16)), 1, 0)
         keep = reciprocity_filter(fwd, bwd, 2.0)
-        from mvmatch.grids import bilinear_sample
-        coord_grid = FeatureGrid(bwd.targets)
         for y in range(16):
             for x in range(16):
                 tx, ty = fwd.targets[y, x]
                 inside = 0 <= tx <= 15 and 0 <= ty <= 15
-                back = bilinear_sample(coord_grid, (tx, ty))
+                back = kernels.bilinear_gather(bwd.targets, np.array([tx]), np.array([ty]))[0]
                 expected = inside and np.hypot(back[0] - x, back[1] - y) <= 2.0
                 assert keep[y, x] == expected
 
@@ -454,8 +452,8 @@ def test_criterion_9_budget_trade_off():
                 for g in groups:
                     tracks = postprocess_group(g.source, list(g.targets),
                                                selected, keeps, 0.3, 2)
-                    pts, _, _ = triangulate_tracks(tracks, scene.cameras,
-                                                   views=g.views)
+                    pts, _, _ = triangulate_observations(
+                        *global_view_columns(tracks, g.views, m), scene.cameras)
                     if len(pts):
                         pts_all.append(pts)
                 pts = np.concatenate(pts_all)

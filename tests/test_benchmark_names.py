@@ -1,9 +1,11 @@
 """The benchmark's tracer wraps mvmatch functions by name (``perfbench/tracing.py``).
 
 A renamed or removed traced name fails here with AttributeError, not first in
-a ``--trace 1`` benchmark run. One traced ``run_group`` also checks what the
-refine-level wrapper reads (the state's level, the level weights' stride, the
-result's warps and the provider's oracle). The workloads' configs, written by
+a ``--trace 1`` benchmark run; a removed name that
+``benchmarks/bench_kernels.py`` imports fails here with ImportError. One
+traced ``run_group`` also checks what the refine-level wrapper reads (the
+state's level, the level weights' stride, the result's warps and the
+provider's oracle). The workloads' configs, written by
 ``perfbench/workloads.py``, must load with ``load_config``.
 """
 
@@ -67,3 +69,12 @@ def test_every_workload_config_loads():
     assert done.returncode == 0, done.stderr
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert done.stdout.split() == [w["name"] for w in declared]
+
+
+def test_kernel_benchmark_imports():
+    # run_name "bench" runs the script's imports and definitions, not main
+    script = ROOT / "benchmarks" / "bench_kernels.py"
+    done = subprocess.run(
+        [sys.executable, "-c", f"import runpy; runpy.run_path({str(script)!r}, run_name='bench')"],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from mvmatch.cli import main
 from mvmatch.config import PipelineConfig, load_config, save_config
 from mvmatch.grids import read_warp_file
-from mvmatch.tracks import read_tracks_tsv
+from mvmatch.tracks import Tracks, read_track_rows
 
 STRIDES_RULE = "must be a non-empty, strictly decreasing list of powers of two"
 THRESHOLDS_RULE = "must be a non-empty list of finite values > 0"
@@ -64,7 +65,7 @@ class TestBuildTracks:
         rc = main(["build-tracks", "--scene", str(planar_scene), "--seed", "1",
                    "--out", str(tmp_path), "--config", fast_config])
         assert rc == 0
-        tracks = read_tracks_tsv(tmp_path / "tracks.tsv")
+        tracks = Tracks(*read_track_rows(tmp_path / "tracks.tsv"))
         assert tracks.visibility.shape[1] == 4
         assert len(tracks) == 32
 
@@ -76,7 +77,7 @@ class TestBuildTracks:
         assert rc == 0
         assert capsys.readouterr().err == ("mvmatch build-tracks: warning: track budget 32 "
                                            "exceeds 20 raw matches; capping\n")
-        assert len(read_tracks_tsv(tmp_path / "tracks.tsv")) == 20
+        assert len(Tracks(*read_track_rows(tmp_path / "tracks.tsv"))) == 20
 
 
 class TestSampleGroups:
@@ -444,6 +445,39 @@ class TestErrorContract:
         rc = main(["sample-groups", "--warps", str(warps), "--out", str(tmp_path / "out")])
         assert rc == 2
         self.assert_one_line_error(capsys, "sample-groups", "not an MVWF file", tmp_path / "out")
+
+    # unchecked, warps evaluated against a scene with fewer views ended in an
+    # IndexError traceback, and warps of another size gave an AUC with exit 0
+    @pytest.mark.parametrize("views, size, fragment", [
+        (2, 48, "invalid view pair (0, 2) for 2 views"),
+        (4, 96, "warps are (48, 48), the scene is (96, 96)"),
+    ], ids=["view-outside-the-scene", "size-mismatch"])
+    def test_warps_that_do_not_fit_the_scene(self, tmp_path, capsys, both_dirs,
+                                             views, size, fragment):
+        eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({"kind": "planar", "image_size": [size, size],
+                                     "noise_seed": 0, "homographies": [eye] * views}))
+        rc = main(["eval-homography", "--scene", str(scene), "--warps", str(both_dirs),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "eval-homography", f"{both_dirs}: {fragment}",
+                                   tmp_path / "run")
+
+    # unchecked, a NaN descriptor wrote groups with exit 0, and an empty table
+    # printed numpy's warning, then an error that named no file
+    @pytest.mark.parametrize("text", ["1\t0.5\nnan\t1\n1\t1\n", ""],
+                             ids=["non-finite", "empty"])
+    def test_bad_descriptor_table(self, tmp_path, capsys, text):
+        table = tmp_path / "desc.tsv"
+        table.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["sample-groups", "--descriptors", str(table),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2 and not caught, [str(w.message) for w in caught]
+        self.assert_one_line_error(capsys, "sample-groups", f"{table}: descriptor table must "
+                                   "be non-empty and finite", tmp_path / "out")
 
     def run_on_scene(self, tmp_path, payload):
         scene = tmp_path / "scene.json"

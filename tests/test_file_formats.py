@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from mvmatch.grids import MISSING, DenseWarpField, read_warp_file, write_warp_file
 from mvmatch.oracle import PinholeCamera, SceneOracle, load_scene, save_scene
-from mvmatch.tracks import Tracks, read_tracks_tsv, write_tracks_tsv
+from mvmatch.tracks import Tracks, read_track_rows, write_tracks_tsv
 
 ROUND_TRIP = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -75,7 +75,8 @@ def track_sets(draw):
 @ROUND_TRIP
 @given(track_sets())
 def test_track_tsv_round_trip(tracks):
-    back = round_trip(write_tracks_tsv, read_tracks_tsv, tracks, "tracks.tsv")
+    back = round_trip(write_tracks_tsv, lambda path: Tracks(*read_track_rows(path)), tracks,
+                      "tracks.tsv")
     assert back.visibility.shape == tracks.visibility.shape
     np.testing.assert_array_equal(back.visibility, tracks.visibility)
     np.testing.assert_array_equal(back.coords, tracks.coords)

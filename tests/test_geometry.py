@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import dense_nn_min_d2, loop_triangulate
+from oracles import dense_nn_min_d2, global_view_columns, loop_triangulate
 from mvmatch.geometry import (DegenerateConfigurationError, _nn_min_d2,
                               accuracy_completeness, apply_homography, corner_auc,
                               corner_error, dlt_homography, ransac_homography,
-                              triangulate_observations, triangulate_tracks)
+                              triangulate_observations)
 from mvmatch.oracle import PinholeCamera
 from mvmatch.tracks import Tracks
 
@@ -144,15 +145,14 @@ class TestCornerAuc:
         b = corner_auc(errs[::-1], [3.0])
         assert a == b
 
-    def test_error_curve_type(self):
-        from mvmatch.geometry import ErrorCurve
-        curve = ErrorCurve.from_errors([4.0, 0.5, 2.0], [1.0, 3.0, 5.0])
-        np.testing.assert_array_equal(curve.errors, [0.5, 2.0, 4.0])
-        assert curve.auc[1.0] <= curve.auc[3.0] <= curve.auc[5.0]
-        with pytest.raises(ValueError, match="sorted"):
-            ErrorCurve(np.array([2.0, 1.0]), {1.0: 0.5})
-        with pytest.raises(ValueError, match="monotone"):
-            ErrorCurve(np.array([1.0, 2.0]), {1.0: 0.9, 3.0: 0.2})
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=30),
+           st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8, unique=True))
+    def test_bounded_and_monotone_in_threshold(self, errors, thresholds):
+        auc = corner_auc(errors, thresholds)
+        values = [auc[t] for t in sorted(auc)]
+        assert all(0.0 <= v <= 1.0 for v in values), values
+        assert all(a <= b for a, b in zip(values, values[1:])), values
 
 
 def camera_ring(n, radius=5.0, focal=100.0, size=64):
@@ -223,14 +223,13 @@ class TestTriangulation:
         assert skipped == 1
 
     def test_track_tokens_with_view_map(self):
+        # a group's slots (2, 0, 1) go to the camera columns they name
         cams = camera_ring(3)
         point = np.array([0.0, 0.05, 0.3])
-        coords = []
-        for cam in cams:
-            uv, _ = cam.project(point[None])
-            coords.extend(uv[0])
-        token = Tracks(np.array(coords).reshape(1, 3, 2), np.ones((1, 3), dtype=bool))
-        pts, kept, skipped = triangulate_tracks(token, cams)
+        coords = np.stack([cams[v].project(point[None])[0][0] for v in (2, 0, 1)])
+        token = Tracks(coords[None], np.ones((1, 3), dtype=bool))
+        pts, kept, skipped = triangulate_observations(
+            *global_view_columns(token, (2, 0, 1), 3), cams)
         np.testing.assert_allclose(pts[0], point, atol=1e-6)
 
     def test_view_map_rows_follow_camera_index(self):
@@ -241,8 +240,9 @@ class TestTriangulation:
         vis[:, 2] = True
         vis[:, 0] |= ~vis[:, 1]
         coords, vis = random_ring_tracks(rng, cams, 40, vis)
-        pts, kept, skipped = triangulate_tracks(Tracks(coords[:, [2, 0, 1]], vis[:, [2, 0, 1]]),
-                                                cams, views=(2, 0, 1))
+        slots = Tracks(coords[:, [2, 0, 1]], vis[:, [2, 0, 1]])
+        pts, kept, skipped = triangulate_observations(
+            *global_view_columns(slots, (2, 0, 1), 3), cams)
         want_pts, want_kept, want_skipped = loop_triangulate(coords, vis, cams)
         assert np.array_equal(pts, want_pts) and np.array_equal(kept, want_kept)
         assert skipped == want_skipped

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_correlation
-from mvmatch.grids import (DenseWarpField, FeatureGrid, bilinear_sample,
-                           identity_warp, local_correlation,
+from oracles import brute_force_correlation, identity_warp
+from mvmatch.grids import (DenseWarpField, FeatureGrid, local_correlation,
                            read_warp_file, upsample_warp, warp_features,
                            write_warp_file)
+from mvmatch.kernels import bilinear_gather
 
 
 def ramp_grid(h, w, slope=1.0):
@@ -14,40 +14,36 @@ def ramp_grid(h, w, slope=1.0):
     return FeatureGrid(data)
 
 
+def sample_at(data, x, y):
+    """``bilinear_gather`` at one (x, y) point, as a channel vector."""
+    return bilinear_gather(data, np.array([float(x)]), np.array([float(y)]))[0]
+
+
 class TestBilinearSample:
     def test_linear_midpoint(self):
         data = np.array([[[0.0], [1.0]], [[0.0], [1.0]]])
-        grid = FeatureGrid(data)
-        assert bilinear_sample(grid, (0.5, 0.5))[0] == pytest.approx(0.5)
+        assert sample_at(data, 0.5, 0.5)[0] == pytest.approx(0.5)
 
     def test_exact_at_texel_centers(self):
         rng = np.random.default_rng(0)
-        grid = FeatureGrid(rng.normal(size=(4, 5, 3)))
+        data = rng.normal(size=(4, 5, 3))
         for y in range(4):
             for x in range(5):
-                np.testing.assert_array_equal(bilinear_sample(grid, (x, y)),
-                                              grid.data[y, x])
+                np.testing.assert_array_equal(sample_at(data, x, y), data[y, x])
 
     def test_clamps_to_border(self):
         rng = np.random.default_rng(1)
-        grid = FeatureGrid(rng.normal(size=(3, 3, 2)))
-        np.testing.assert_allclose(bilinear_sample(grid, (-5.0, -5.0)),
-                                   grid.data[0, 0])
-        np.testing.assert_allclose(bilinear_sample(grid, (99.0, 99.0)),
-                                   grid.data[2, 2])
+        data = rng.normal(size=(3, 3, 2))
+        np.testing.assert_allclose(sample_at(data, -5.0, -5.0), data[0, 0])
+        np.testing.assert_allclose(sample_at(data, 99.0, 99.0), data[2, 2])
 
     def test_convexity(self):
         rng = np.random.default_rng(2)
-        grid = FeatureGrid(rng.normal(size=(6, 6, 4)))
+        data = rng.normal(size=(6, 6, 4))
         pts = rng.uniform(-1, 6, size=(200, 2))
-        vals = bilinear_sample(grid, pts)
-        assert vals.min() >= grid.data.min() - 1e-12
-        assert vals.max() <= grid.data.max() + 1e-12
-
-    def test_batch_shape(self):
-        grid = FeatureGrid(np.zeros((3, 3, 2)))
-        out = bilinear_sample(grid, np.zeros((5, 7, 2)))
-        assert out.shape == (5, 7, 2)
+        vals = bilinear_gather(data, pts[:, 0], pts[:, 1])
+        assert vals.min() >= data.min() - 1e-12
+        assert vals.max() <= data.max() + 1e-12
 
 
 class TestWarpFeatures:

@@ -11,7 +11,7 @@ import pytest
 from mvmatch import matcher
 from mvmatch.config import PipelineConfig
 from mvmatch.features import ArrayFeatureProvider, OracleFeatureProvider
-from mvmatch.grids import DenseWarpField, FeatureGrid, identity_warp, upsample_warp
+from mvmatch.grids import DenseWarpField, FeatureGrid, upsample_warp
 from mvmatch.grouping import ImageGroup
 from mvmatch.matcher import (AnchorGrid, ConvStack, MatcherParams, RefinerState,
                              global_match, init_matcher_params, mvfuse, refine_level,
@@ -19,7 +19,7 @@ from mvmatch.matcher import (AnchorGrid, ConvStack, MatcherParams, RefinerState,
 from mvmatch.oracle import SceneOracle, gt_warp, make_planar_scene, simulate_matcher
 from mvmatch.tracks import sample_tracks
 
-from oracles import (dense_global_match, grid_corr_readout, oracle_mvfuse,
+from oracles import (dense_global_match, grid_corr_readout, identity_warp, oracle_mvfuse,
                      random_fuse_params as fuse_params, verify_every_level_refine)
 
 # Largest deviation of global_match from the full-matrix formulation, in pixels

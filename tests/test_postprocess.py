@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvmatch.grids import DenseWarpField, identity_warp
+from mvmatch.grids import DenseWarpField
+from mvmatch.kernels import bilinear_gather
 from mvmatch.oracle import gt_track_error, make_planar_scene, gt_warp
-from oracles import brute_force_nms, loop_assemble_tracks
+from oracles import brute_force_nms, identity_warp, loop_assemble_tracks
 from mvmatch.postprocess import (ScoreMap, assemble_tracks, build_score_map,
                                  match_statistics, nms_select, postprocess_group,
                                  reciprocity_filter, select_matches)
@@ -103,13 +104,11 @@ class TestReciprocity:
         bwd = random_warp(rng, 10, 10, 1, 0)
         eps = 2.5
         keep = reciprocity_filter(fwd, bwd, eps)
-        from mvmatch.grids import FeatureGrid, bilinear_sample
-        coord_grid = FeatureGrid(bwd.targets)
         for y in range(10):
             for x in range(10):
                 tx, ty = fwd.targets[y, x]
                 inside = 0 <= tx <= 9 and 0 <= ty <= 9
-                back = bilinear_sample(coord_grid, (tx, ty))
+                back = bilinear_gather(bwd.targets, np.array([tx]), np.array([ty]))[0]
                 err = np.hypot(back[0] - x, back[1] - y)
                 assert keep[y, x] == (inside and err <= eps)
 

@@ -3,7 +3,7 @@ import pytest
 
 from mvmatch.grids import MISSING
 from mvmatch.tracks import (Tracks, VisibilityPartition, allocate_clusters,
-                            kmeans, partition_by_visibility, read_track_rows, read_tracks_tsv,
+                            kmeans, partition_by_visibility, read_track_rows,
                             sample_tracks, write_tracks_tsv)
 
 from oracles import loop_kmeans, loop_partition_by_visibility, loop_sample_tracks
@@ -281,7 +281,7 @@ class TestTsv:
         tracks = sample_tracks(coords, vis, 10, seed=3)
         path = tmp_path / "tracks.tsv"
         write_tracks_tsv(path, tracks)
-        back = read_tracks_tsv(path)
+        back = Tracks(*read_track_rows(path))
         v = back.visibility.shape[1]
         assert v == 4 and len(back) == 10
         np.testing.assert_array_equal(tracks.visibility, back.visibility)
@@ -318,23 +318,25 @@ class TestTsv:
         coords, vis = read_track_rows(path)
         assert coords.shape == (0, 3, 2) and vis.shape == (0, 3)
 
+    # a row that breaks the file names the file and line; rows that are each
+    # well-formed but leave a token invalid are rejected by ``Tracks``
     @pytest.mark.parametrize("row, message", [
-        ("0\t1\t3.0", "t.tsv:4: expected 4 tab-separated fields, got 3"),
-        ("0\tone\t3.0\t4.0", "t.tsv:4: malformed track row"),
-        ("0\t3\t3.0\t4.0", "t.tsv:4: view 3 outside [0, 3)"),
-        ("1\t0\t3.0\t4.0", "t.tsv: at least one target view must be visible"),
-        ("1\t2\t3.0\t4.0", "t.tsv: source view must be visible"),
-        ("0\t1\tnan\t4.0", "t.tsv:4: non-finite coordinate in '0\\t1\\tnan\\t4.0'"),
-        ("0\t1\t3.0\t-inf", "t.tsv:4: non-finite coordinate in"),
-        ("0\t0\t3.0\t4.0", "t.tsv:4: token 0 repeats view 0"),
+        ("0\t1\t3.0", "{dir}/t.tsv:4: expected 4 tab-separated fields, got 3"),
+        ("0\tone\t3.0\t4.0", "{dir}/t.tsv:4: malformed track row"),
+        ("0\t3\t3.0\t4.0", "{dir}/t.tsv:4: view 3 outside [0, 3)"),
+        ("1\t0\t3.0\t4.0", "at least one target view must be visible"),
+        ("1\t2\t3.0\t4.0", "source view must be visible"),
+        ("0\t1\tnan\t4.0", "{dir}/t.tsv:4: non-finite coordinate in '0\\t1\\tnan\\t4.0'"),
+        ("0\t1\t3.0\t-inf", "{dir}/t.tsv:4: non-finite coordinate in"),
+        ("0\t0\t3.0\t4.0", "{dir}/t.tsv:4: token 0 repeats view 0"),
     ], ids=["short-row", "non-integer-view", "view-past-header", "no-target",
             "no-source-row", "nan-x", "infinite-y", "repeated-view"])
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "t.tsv"
         path.write_text(f"# V=3\tT=1\ntoken_id\tview_id\tx\ty\n0\t0\t1.0\t2.0\n{row}\n")
         with pytest.raises(ValueError) as info:
-            read_tracks_tsv(path)
-        assert str(info.value).startswith(f"{path.parent}/{message}"), info.value
+            Tracks(*read_track_rows(path))
+        assert str(info.value).startswith(message.format(dir=path.parent)), info.value
 
 
 def assert_kmeans_matches_loop(points, k, seed):
