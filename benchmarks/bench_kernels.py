@@ -9,7 +9,12 @@ one (a slight rotation and zoom): its products are keyed by target block,
 so the two make the same products, but the random warp's scattered reads
 and writes cost more at 168^2. Its labels name ``kernels._CORR_BLOCK``,
 and one more case times it at the shipped finest level (672^2, window 5,
-smooth warp; 2 x 116 MB of features). The
+smooth warp; 2 x 116 MB of features). A one-cell window, the sub-cell
+verify step's score of each candidate, is timed at 168^2 and 672^2 under
+the smooth warp. The convolutions are timed at the non-zero-gain refiner's
+finest 168 px level: the conv stack's 3 x 3 convolutions (89 -> 48 and
+48 -> 48 channels), the 3 x 3 head (48 -> 3) and MVFuse's depthwise 7 x 7
+over 48 channels. The
 track-guided exchange's sampling and splatting are timed with D = 32 and
 about 10% of the tracks invisible in the view, at the coarse grids of three
 benchmark workloads: the shipped 672 px (84^2 cells, 512 tracks), 168 px
@@ -119,6 +124,19 @@ def main():
     big_src, big_dst = rng.normal(size=(2, 672, 672, c))
     cases.append((f"local_corr (672^2, win 5, smooth, block {block})",
                   partial(kernels.local_corr, big_src, big_dst, smooth_warp(672), 5)))
+    for src, dst in ((feat, tgt), (big_src, big_dst)):
+        size = src.shape[0]
+        cases.append((f"local_corr ({size}^2, win 1, smooth, block {block})",
+                      partial(kernels.local_corr, src, dst, smooth_warp(size), 1)))
+
+    hidden = PipelineConfig().hidden_dim
+    for cin, cout in ((2 * c + 25, hidden), (hidden, hidden), (hidden, 3)):
+        cases.append((f"conv2d (168^2, 3x3, {cin} -> {cout})",
+                      partial(kernels.conv2d, rng.normal(size=(h, w, cin)),
+                              rng.normal(size=(3, 3, cin, cout)), np.zeros(cout))))
+    cases.append((f"depthwise_conv2d (168^2, 7x7, {hidden})",
+                  partial(kernels.depthwise_conv2d, rng.normal(size=(h, w, hidden)),
+                          rng.normal(size=(7, 7, hidden)), np.zeros(hidden))))
 
     params = attention.init_attention_params(c, sigma=1.0, seed=0)
     for side, tracks in ((84, 512), (21, 128), (6, 128)):

@@ -36,9 +36,12 @@ def _smooth_field_params(dim: int, seed: int, min_wavelength: float,
 
 def _evaluate_field(coords: np.ndarray, freqs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """cos(k_c . q + phi_c) per channel, unit-normalized per position."""
-    feats = np.cos(coords @ freqs.T + phases)
+    feats = coords @ freqs.T
+    feats += phases
+    np.cos(feats, out=feats)
     norms = np.linalg.norm(feats, axis=-1, keepdims=True)
-    return feats / np.maximum(norms, 1e-12)
+    feats /= np.maximum(norms, 1e-12, out=norms)
+    return feats
 
 
 class OracleFeatureProvider:

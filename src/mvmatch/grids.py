@@ -79,7 +79,7 @@ class DenseWarpField:
             raise ValueError("confidence shape must match the warp grid")
         if not np.all(np.isfinite(targets)):
             raise ValueError("warp targets contain non-finite values")
-        if confidence.min() < 0.0 or confidence.max() > 1.0:
+        if not (confidence.min() >= 0.0 and confidence.max() <= 1.0):  # NaN fails too
             raise ValueError("confidence must lie in [0, 1]")
         if self.source_view == self.target_view:
             raise ValueError("source_view and target_view must differ")
@@ -171,9 +171,13 @@ def read_warp_file(path) -> DenseWarpField:
         blob = f.read()
     if blob[:4] != WARP_MAGIC:
         raise ValueError(f"{path}: not an MVWF file")
+    if len(blob) < 24:
+        raise ValueError(f"{path}: truncated MVWF header ({len(blob)} < 24 bytes)")
     version, h, w, src, tgt = struct.unpack_from("<5I", blob, 4)
     if version != WARP_VERSION:
         raise ValueError(f"{path}: unsupported MVWF version {version}")
+    if h == 0 or w == 0:
+        raise ValueError(f"{path}: MVWF grid must be at least 1 x 1, got {h} x {w}")
     expected = 24 + h * w * 12
     if len(blob) != expected:
         raise ValueError(f"{path}: truncated MVWF file ({len(blob)} != {expected} bytes)")
@@ -182,4 +186,7 @@ def read_warp_file(path) -> DenseWarpField:
     targets[..., 0] = records[:, 0].reshape(h, w)
     targets[..., 1] = records[:, 1].reshape(h, w)
     conf = np.clip(records[:, 2].reshape(h, w).astype(np.float64), 0.0, 1.0)
-    return DenseWarpField(targets, conf, int(src), int(tgt))
+    try:
+        return DenseWarpField(targets, conf, int(src), int(tgt))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

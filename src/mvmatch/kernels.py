@@ -285,25 +285,34 @@ def zbuffer_min(px: np.ndarray, py: np.ndarray, depth: np.ndarray, h: int, w: in
 # small same-size convolutions (zero padding)
 # ---------------------------------------------------------------------------
 
-def conv2d(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-size k x k convolution, zero padding. weights: (k, k, Cin, Cout)."""
-    inp, weights, bias = _f64(inp), _f64(weights), _f64(bias)
-    k = weights.shape[0]
-    r = (k - 1) // 2
-    h, w, cin = inp.shape
-    padded = np.zeros((h + 2 * r, w + 2 * r, cin), dtype=np.float64)
-    padded[r:r + h, r:r + w] = inp
-    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
-    return np.einsum("yxcij,ijco->yxo", win, weights, optimize=True) + bias
+def _shift_add(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray, tap) -> np.ndarray:
+    """Same-size k x k convolution, zero padding, as a sum over the taps.
 
-
-def depthwise_conv2d(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-size depthwise k x k convolution, zero padding. weights: (k, k, C)."""
+    The output starts at ``bias``; tap (i, j) adds ``tap(padded[i:i + h, j:j
+    + w], weights[i, j])``, with ``padded`` the input zero-padded by (k - 1)
+    // 2 cells on each side. Scratch is the padded input and one output-sized
+    term, never a k^2-expanded copy of the input.
+    """
     inp, weights, bias = _f64(inp), _f64(weights), _f64(bias)
     k = weights.shape[0]
     r = (k - 1) // 2
     h, w, c = inp.shape
     padded = np.zeros((h + 2 * r, w + 2 * r, c), dtype=np.float64)
     padded[r:r + h, r:r + w] = inp
-    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
-    return np.einsum("yxcij,ijc->yxc", win, weights, optimize=True) + bias
+    out = np.full((h, w, bias.shape[0]), bias)
+    term = np.empty_like(out)
+    for i in range(k):
+        for j in range(k):
+            tap(padded[i:i + h, j:j + w], weights[i, j], out=term)
+            out += term
+    return out
+
+
+def conv2d(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Same-size k x k convolution, zero padding. weights: (k, k, Cin, Cout)."""
+    return _shift_add(inp, weights, bias, np.matmul)
+
+
+def depthwise_conv2d(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Same-size depthwise k x k convolution, zero padding. weights: (k, k, C)."""
+    return _shift_add(inp, weights, bias, np.multiply)

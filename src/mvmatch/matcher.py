@@ -296,11 +296,15 @@ def _verified(delta: np.ndarray, targets: np.ndarray, centre: np.ndarray,
               phi_src: FeatureGrid, phi_tgt: FeatureGrid) -> np.ndarray:
     """Verify-then-apply on (n, 2) rows: ``delta`` with each move zeroed
     unless the correlation at ``targets + delta`` beats the window ``centre``
-    score by ``VERIFY_MARGIN`` (cosine units), so updates never regress."""
+    score by ``VERIFY_MARGIN`` (cosine units), so updates never regress.
+
+    The correlation at a candidate is a one-cell ``local_corr`` window around
+    it: the source pixel's score against the bilinear target sample there,
+    from the kernel that scores the window.
+    """
     d = phi_src.channels
-    cand = targets + delta
-    sampled = kernels.bilinear_gather(phi_tgt.data, cand[:, 0], cand[:, 1])
-    score = np.einsum("nc,nc->n", phi_src.data.reshape(-1, d), sampled) / np.sqrt(d)
+    cand = (targets + delta).reshape(phi_src.height, phi_src.width, 2)
+    score = kernels.local_corr(phi_src.data, phi_tgt.data, cand, 1).reshape(-1)
     improved = score > centre + VERIFY_MARGIN / np.sqrt(d)
     return np.where(improved[:, None], delta, 0.0)
 
@@ -364,7 +368,7 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
                                             params.softargmax_temperature, subpixel)
         if params.residual_gain != 0.0:  # only the hidden states read the volumes
             corrs[tgt] = corr
-        del corr  # at gain 0 no volume stays live into the verify gather or the next one
+        del corr  # at gain 0 no volume stays live into the verify step or the next target
         if subpixel:
             # A whole-cell move needs no check: the gate kept it only with a
             # lead of CORR_GATE_MARGIN over the centre, and the score at the

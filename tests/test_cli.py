@@ -1,7 +1,9 @@
 import json
+import struct
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mvmatch.cli import main
@@ -445,6 +447,30 @@ class TestErrorContract:
         rc = main(["sample-groups", "--warps", str(warps), "--out", str(tmp_path / "out")])
         assert rc == 2
         self.assert_one_line_error(capsys, "sample-groups", "not an MVWF file", tmp_path / "out")
+
+    # unchecked, these printed DenseWarpField's message without the path, a
+    # 0 x 0 header numpy's "zero-size array to reduction operation minimum",
+    # a NaN confidence passed the [0, 1] check, and a header cut short ended
+    # in a struct.error traceback
+    @pytest.mark.parametrize("command", ["sample-groups", "postprocess"])
+    @pytest.mark.parametrize("header, records, fragment", [
+        ((1, 2, 2, 0, 0), [[1.0, 1.0, 0.5]] * 4, "source_view and target_view must differ"),
+        ((1, 2, 2, 0, 1), [[np.nan, 1.0, 0.5]] * 4, "warp targets contain non-finite values"),
+        ((1, 2, 2, 0, 1), [[1.0, 1.0, np.nan]] * 4, "confidence must lie in [0, 1]"),
+        ((1, 0, 0, 0, 1), [], "MVWF grid must be at least 1 x 1, got 0 x 0"),
+        ((1,), [], "truncated MVWF header (8 < 24 bytes)"),
+    ], ids=["same-views", "non-finite-targets", "non-finite-confidence", "empty-grid",
+            "short-header"])
+    def test_bad_warp_file(self, tmp_path, capsys, command, header, records, fragment):
+        warps = tmp_path / "warps"
+        warps.mkdir()
+        (warps / "manifest.json").write_text(json.dumps({"groups": []}))
+        path = warps / "warp_g0000_000_001.mvwf"
+        path.write_bytes(b"MVWF" + struct.pack(f"<{len(header)}I", *header)
+                         + np.asarray(records, dtype="<f4").tobytes())
+        rc = main([command, "--warps", str(warps), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, command, f"{path}: {fragment}", tmp_path / "out")
 
     # unchecked, warps evaluated against a scene with fewer views ended in an
     # IndexError traceback, and warps of another size gave an AUC with exit 0

@@ -8,6 +8,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mvmatch import kernels
@@ -195,21 +196,45 @@ class TestAgreement:
             np.testing.assert_array_equal(got_z, want_z)
 
     def test_conv2d(self):
-        # every output pixel is compared, the zero-padded border included
-        inp = rng.normal(size=(6, 7, 3))
-        w = rng.normal(size=(3, 3, 3, 5))
-        b = rng.normal(size=5)
-        np.testing.assert_allclose(kernels.conv2d(inp, w, b),
-                                   brute_force_conv2d(inp, w, b), atol=1e-12)
+        # every output pixel is compared, the zero-padded border included: a
+        # grid inside the padded border, one smaller than the kernel, a 1 x 1
+        # kernel, non-square grids and Cin != Cout
+        for h, w, k, cin, cout in ((6, 7, 3, 3, 5), (2, 3, 7, 4, 2), (5, 4, 1, 3, 6),
+                                   (3, 11, 3, 6, 1), (9, 5, 5, 2, 7)):
+            inp = rng.normal(size=(h, w, cin))
+            wts = rng.normal(size=(k, k, cin, cout))
+            b = rng.normal(size=cout)
+            np.testing.assert_allclose(kernels.conv2d(inp, wts, b),
+                                       brute_force_conv2d(inp, wts, b), atol=1e-12)
 
     def test_depthwise_conv2d(self):
-        # a 7x7 kernel on 5x8: every row is within the padded border
-        inp = rng.normal(size=(5, 8, 4))
-        w = rng.normal(size=(7, 7, 4))
-        b = rng.normal(size=4)
-        np.testing.assert_allclose(kernels.depthwise_conv2d(inp, w, b),
-                                   brute_force_depthwise_conv2d(inp, w, b),
-                                   atol=1e-12)
+        # a 7x7 kernel on 5x8 (every row is within the padded border) and on
+        # 2x3, a 1 x 1 kernel, and a grid taller than wide
+        for h, w, k, c in ((5, 8, 7, 4), (2, 3, 7, 3), (4, 6, 1, 5), (11, 3, 3, 2)):
+            inp = rng.normal(size=(h, w, c))
+            wts = rng.normal(size=(k, k, c))
+            b = rng.normal(size=c)
+            np.testing.assert_allclose(kernels.depthwise_conv2d(inp, wts, b),
+                                       brute_force_depthwise_conv2d(inp, wts, b),
+                                       atol=1e-12)
+
+    # the MVFuse depthwise 7 x 7 and the conv stack's first 3 x 3 (89 -> 48
+    # channels at window 5) on a small grid; a k^2-expanded window tensor
+    # peaked at 25 and 6.9 times the input and output bytes
+    @pytest.mark.parametrize("conv, wshape", [
+        (kernels.depthwise_conv2d, (7, 7, 48)), (kernels.conv2d, (3, 3, 89, 48))])
+    def test_convolution_scratch_is_bounded(self, conv, wshape):
+        gen = np.random.default_rng(3)
+        inp = gen.normal(size=(48, 40, wshape[2]))
+        wts = gen.normal(size=wshape)
+        b = gen.normal(size=wshape[-1])
+        tracemalloc.start()
+        try:
+            out = conv(inp, wts, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (inp.nbytes + out.nbytes), peak / (inp.nbytes + out.nbytes)
 
 
 _CORR_DIGEST_SCRIPT = """

@@ -309,6 +309,25 @@ class TestRefineLevel:
         growth = (peak((1, 2, 3, 4)) - peak((1,))) / volume
         assert growth < 3.0, f"three more targets added {growth:.2f} volumes"
 
+    def test_sub_cell_verify_keeps_no_feature_rows(self):
+        # the verify step at level 1 scores each candidate with a one-cell
+        # local_corr window; gathering (H * W, C) target rows for it as well
+        # peaked at 4.6 volumes here
+        size = 96
+        scene = make_planar_scene(5, (size, size), seed=31)
+        provider = OracleFeatureProvider(scene, dim=32, seed=6)
+        params = init_matcher_params(seed=11)
+        state = RefinerState(2, {1: gt_warp(scene, 0, 1, stride=2)})
+        refine_level(state, provider, params)  # renders and caches the features
+        tracemalloc.start()
+        try:
+            refine_level(state, provider, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        volume = size * size * params.levels[1].window ** 2 * 8
+        assert peak / volume < 3.5, f"level 1 peaked at {peak / volume:.2f} volumes"
+
     def test_provider_stride_mismatch_raises(self, planar_setup):
         scene, _, params = planar_setup
         bad = ArrayFeatureProvider({
