@@ -9,9 +9,12 @@ one (a slight rotation and zoom): its products are keyed by target block,
 so the two make the same products, but the random warp's scattered reads
 and writes cost more at 168^2. Its labels name ``kernels._CORR_BLOCK``,
 and one more case times it at the shipped finest level (672^2, window 5,
-smooth warp; 2 x 116 MB of features). A one-cell window, the sub-cell
-verify step's score of each candidate, is timed at 168^2 and 672^2 under
-the smooth warp. The convolutions are timed at the non-zero-gain refiner's
+smooth warp; 2 x 116 MB of features). The refiner's level-1 band pass,
+``matcher._read_moves`` (that window-5 correlation with each band's
+readout and sub-cell verify, at gain 0, so no volume), is timed at 168^2
+and 672^2 under the smooth warp; set against the plain ``local_corr``
+cases of the same size, it shows what the readout and verify add. The
+convolutions are timed at the non-zero-gain refiner's
 finest 168 px level: the conv stack's 3 x 3 convolutions (89 -> 48 and
 48 -> 48 channels), the 3 x 3 head (48 -> 3) and MVFuse's depthwise 7 x 7
 over 48 channels. The
@@ -48,9 +51,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from mvmatch import attention, kernels  # noqa: E402
 from mvmatch.config import PipelineConfig  # noqa: E402
 from mvmatch.geometry import accuracy_completeness, triangulate_observations  # noqa: E402
-from mvmatch.grids import FeatureGrid  # noqa: E402
+from mvmatch.grids import DenseWarpField, FeatureGrid  # noqa: E402
 from mvmatch.grouping import ImageGroup  # noqa: E402
-from mvmatch.matcher import AnchorGrid, global_match  # noqa: E402
+from mvmatch.matcher import AnchorGrid, _read_moves, global_match  # noqa: E402
 from mvmatch.oracle import (make_planar_scene, make_point_cloud_scene,  # noqa: E402
                             load_scene, simulate_matcher)
 from mvmatch.tracks import (allocate_clusters, kmeans,  # noqa: E402
@@ -124,10 +127,13 @@ def main():
     big_src, big_dst = rng.normal(size=(2, 672, 672, c))
     cases.append((f"local_corr (672^2, win 5, smooth, block {block})",
                   partial(kernels.local_corr, big_src, big_dst, smooth_warp(672), 5)))
+    temperature = PipelineConfig().softargmax_temperature
     for src, dst in ((feat, tgt), (big_src, big_dst)):
         size = src.shape[0]
-        cases.append((f"local_corr ({size}^2, win 1, smooth, block {block})",
-                      partial(kernels.local_corr, src, dst, smooth_warp(size), 1)))
+        warp = DenseWarpField(smooth_warp(size), np.ones((size, size)), 0, 1)
+        cases.append((f"level-1 band pass + verify ({size}^2, win 5, smooth)",
+                      partial(_read_moves, FeatureGrid(src), FeatureGrid(dst), warp, 5,
+                              temperature, True, False)))
 
     hidden = PipelineConfig().hidden_dim
     for cin, cout in ((2 * c + 25, hidden), (hidden, hidden), (hidden, 3)):

@@ -106,13 +106,14 @@ def warp_features(target: FeatureGrid, warp: DenseWarpField) -> FeatureGrid:
 
 
 def local_correlation(source: FeatureGrid, target: FeatureGrid, warp: DenseWarpField,
-                      window: int) -> np.ndarray:
+                      window: int, band=None) -> np.ndarray | None:
     """Inner products of each source feature against a window of warped target samples.
 
     Returns the (H, W, window, window) scores, normalized by sqrt(channels),
     mirroring attention scaling. Entry [y, x, j, i] correlates source pixel
     (x, y) with the target sampled at ``warp.targets[y, x] + (i - r, j - r)``
-    where r = (window - 1) / 2.
+    where r = (window - 1) / 2. With ``band``, the scores go to it band by
+    band instead and None is returned (``kernels.local_corr``).
     """
     if source.channels != target.channels:
         raise ValueError(
@@ -121,7 +122,7 @@ def local_correlation(source: FeatureGrid, target: FeatureGrid, warp: DenseWarpF
         raise ValueError("window must be odd and >= 1")
     if (warp.height, warp.width) != (source.height, source.width):
         raise ValueError("warp grid size must match the source grid")
-    return kernels.local_corr(source.data, target.data, warp.targets, int(window))
+    return kernels.local_corr(source.data, target.data, warp.targets, int(window), band)
 
 
 def upsample_warp(warp: DenseWarpField, factor: int) -> DenseWarpField:

@@ -80,7 +80,8 @@ _CORR_BLOCK = 8
 _CORR_PRODUCT_ROWS = 1024
 
 
-def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: int) -> np.ndarray:
+def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: int,
+               band=None) -> np.ndarray | None:
     """Correlate each source feature with a window of bilinear target samples.
 
     Entry [y, x, j, i] is ``src[y, x] . sample(tgt, targets[y, x] + (i - r,
@@ -110,8 +111,16 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
       split into near-equal products);
     * per band of at most ``_CORR_PRODUCT_ROWS`` pixels, reads every pixel's
       (window + 1)^2 dots with one gather in (offset, pixel) layout, blends
-      x over the window + 1 rows, then y from rows j and j + 1, and writes
-      the scaled scores into the output.
+      x over the window + 1 rows, then y from rows j and j + 1, scales the
+      scores and calls ``band(pix, scores, score_at)`` while the band's dots
+      are live. ``pix`` holds the band's raster pixel indices and ``scores``
+      their contiguous (n, window^2) rows; ``score_at(cand)`` scores each
+      pixel against the sample at its (n, 2) position ``cand`` from four of
+      the same dots, for positions whose taps lie in the pixel's window
+      cells v .. v + window on each axis (``_window_cell``).
+
+    Without ``band``, the bands fill and return the (H, W, window, window)
+    volume; with it, no volume is built and None is returned.
 
     Blending after the channel sum instead of before it, and BLAS's order
     of the channel sum, move scores by a few ulps: they agree with the
@@ -161,7 +170,12 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
     rx = np.clip(bx[:, None] * block - window + np.arange(width), 0, tw - 1)
     tcells = tgt.reshape(th * tw, c)
     dots = np.empty((min(rows, h * w), cells))
-    out = np.empty((h * w, window, window), dtype=np.float64)
+    out = None
+    if band is None:
+        out = np.empty((h * w, window * window))
+
+        def band(pix, scores, score_at):
+            out[pix] = scores
 
     def blend(lo, hi):
         # dots[: hi - lo] holds the products of sorted pixels lo..hi
@@ -184,9 +198,25 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
         row[1:] *= fy[:, None]
         vol += row[1:]
         vol *= inv
-        out[pix] = vol.transpose(2, 0, 1)
 
-    band = 0
+        def score_at(cand):
+            # the same blend of one sample's four dots
+            kx, fx = _window_cell(cand[:, 0], tw, qx[lo:hi] - window, window)
+            ky, fy = _window_cell(cand[:, 1], th, qy[lo:hi] - window, window)
+            at = base + ky * width + kx
+            top = np.take(dots, at) * (1.0 - fx)
+            top += np.take(dots, at + 1) * fx
+            bot = np.take(dots, at + width) * (1.0 - fx)
+            bot += np.take(dots, at + width + 1) * fx
+            top *= 1.0 - fy
+            bot *= fy
+            top += bot
+            top *= inv
+            return top
+
+        band(pix, np.ascontiguousarray(vol.transpose(2, 0, 1)).reshape(n, -1), score_at)
+
+    band_lo = 0
     for b, (lo, hi) in enumerate(zip(starts, ends)):
         region = tcells[(ry[b, :, None] + rx[b]).ravel()]
         parts = -(-(hi - lo) // rows)
@@ -194,12 +224,31 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
         for p in range(parts):
             p_lo = lo + p * size + min(p, extra)
             p_hi = p_lo + size + (p < extra)
-            if p_hi - band > rows:
-                blend(band, p_lo)
-                band = p_lo
-            np.matmul(s[order[p_lo:p_hi]], region.T, out=dots[p_lo - band:p_hi - band])
-    blend(band, h * w)
-    return out.reshape(h, w, window, window)
+            if p_hi - band_lo > rows:
+                blend(band_lo, p_lo)
+                band_lo = p_lo
+            np.matmul(s[order[p_lo:p_hi]], region.T, out=dots[p_lo - band_lo:p_hi - band_lo])
+    blend(band_lo, h * w)
+    return None if out is None else out.reshape(h, w, window, window)
+
+
+def _window_cell(p: np.ndarray, size: int, v: np.ndarray, window: int):
+    """Where ``_axis_taps``' blend of positions p reads a window of cells v ..
+    v + window: (k, frac) such that cells v + k and v + k + 1, clipped into
+    the grid, blended with frac give the clamped sample.
+
+    k is the lower tap's place in the window. A tap one cell past the last
+    regular cell, k = window, only comes with fraction 0 (an integer
+    position stepped past by rounding, or a position clamped to cell 0 of a
+    window clipped to origin -window), so it reads as fraction 1 on cell
+    window - 1; a tap below the window, k < 0, only comes with fraction 1
+    (a position clamped to the last cell of a window clipped to origin
+    size - 1), whose cells all repeat the last one.
+    """
+    i0, _, frac = _axis_taps(p, size)
+    k = i0 - v
+    frac[k >= window] = 1.0
+    return np.clip(k, 0, window - 1), frac
 
 
 def _window_origin(p: np.ndarray, size: int, r: int) -> np.ndarray:

@@ -292,21 +292,46 @@ def _corr_readout(scores: np.ndarray, window: int, channels: int, temperature: f
     return delta, 1.0 / e.sum(axis=1), centre
 
 
-def _verified(delta: np.ndarray, targets: np.ndarray, centre: np.ndarray,
-              phi_src: FeatureGrid, phi_tgt: FeatureGrid) -> np.ndarray:
+def _verified(delta: np.ndarray, score: np.ndarray, centre: np.ndarray,
+              channels: int) -> np.ndarray:
     """Verify-then-apply on (n, 2) rows: ``delta`` with each move zeroed
-    unless the correlation at ``targets + delta`` beats the window ``centre``
-    score by ``VERIFY_MARGIN`` (cosine units), so updates never regress.
-
-    The correlation at a candidate is a one-cell ``local_corr`` window around
-    it: the source pixel's score against the bilinear target sample there,
-    from the kernel that scores the window.
-    """
-    d = phi_src.channels
-    cand = (targets + delta).reshape(phi_src.height, phi_src.width, 2)
-    score = kernels.local_corr(phi_src.data, phi_tgt.data, cand, 1).reshape(-1)
-    improved = score > centre + VERIFY_MARGIN / np.sqrt(d)
+    unless ``score``, the correlation at ``targets + delta``, beats the
+    window ``centre`` score by ``VERIFY_MARGIN`` (cosine units), so updates
+    never regress."""
+    improved = score > centre + VERIFY_MARGIN / np.sqrt(channels)
     return np.where(improved[:, None], delta, 0.0)
+
+
+def _read_moves(phi_src: FeatureGrid, phi_tgt: FeatureGrid, warp: DenseWarpField,
+                window: int, temperature: float, subpixel: bool, keep_volume: bool):
+    """One target's (n, 2) moves and (n,) softmax peaks from one correlation pass.
+
+    ``local_correlation`` hands over the scores band by band. Each band's
+    rows go through the readout; when ``subpixel`` is set, each move is
+    verified against the score at ``targets + delta``, blended from the
+    band's own dot products (``score_at``). A whole-cell move needs no
+    check: the gate kept it only with a lead of CORR_GATE_MARGIN over the
+    centre, and the score at the moved cell is its window score to within
+    1e-13, so it always clears the smaller VERIFY_MARGIN. The third result
+    is the (n, window^2) volume when ``keep_volume`` is set, else None.
+    """
+    n = warp.height * warp.width
+    d = phi_src.channels
+    targets = warp.targets.reshape(n, 2)
+    delta = np.empty((n, 2))
+    peak = np.empty(n)
+    volume = np.empty((n, window * window)) if keep_volume else None
+
+    def read(pix, scores, score_at):
+        move, peak[pix], centre = _corr_readout(scores, window, d, temperature, subpixel)
+        if subpixel:
+            move = _verified(move, score_at(targets[pix] + move), centre, d)
+        delta[pix] = move
+        if volume is not None:
+            volume[pix] = scores
+
+    local_correlation(phi_src, phi_tgt, warp, window, read)
+    return delta, peak, volume
 
 
 def _hidden_states(phi_src: FeatureGrid, ups: dict[int, DenseWarpField],
@@ -335,11 +360,13 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
                  params: MatcherParams) -> RefinerState:
     """One refinement step: state at level i+1 in, state at level i out.
 
-    Per target view the previous warp is upsampled to this level, a local
-    correlation volume is built around it, and the soft-argmax readout of
-    that window proposes a move. At sub-cell levels a move is kept only
-    where it verifies (verify-then-apply). Only when ``residual_gain`` is
-    non-zero are the hidden states built (conv stack, MVFuse at fusion
+    Per target view the previous warp is upsampled to this level and one
+    local correlation pass runs around it (``_read_moves``): for each band
+    of pixels, the soft-argmax readout of the window proposes a move and, at
+    sub-cell levels, the move is kept only where it verifies
+    (verify-then-apply), scored from the band's own dot products. Only when
+    ``residual_gain`` is non-zero are the bands' scores assembled into a
+    volume, the hidden states built from it (conv stack, MVFuse at fusion
     levels) and the gained conv-head output added to the warp and confidence
     updates. Confidence is clamped to [0, 1] after the additive update.
     """
@@ -354,7 +381,6 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
            for tgt in sorted(state.warps)}
     source_view = next(iter(ups.values())).source_view
     phi_src = provider.features(source_view, lp.stride)
-    d = phi_src.channels
     subpixel = out_level in SUBPIXEL_LEVELS
     h, w = phi_src.height, phi_src.width
     corrs: dict[int, np.ndarray] = {}
@@ -363,18 +389,11 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
         phi_tgt = provider.features(tgt, lp.stride)
         if (w_up.height, w_up.width) != (h, w):
             raise ValueError("provider stride does not match the level resolution")
-        corr = local_correlation(phi_src, phi_tgt, w_up, lp.window)
-        delta, peak, centre = _corr_readout(corr.reshape(h * w, -1), lp.window, d,
-                                            params.softargmax_temperature, subpixel)
-        if params.residual_gain != 0.0:  # only the hidden states read the volumes
+        delta, peak, corr = _read_moves(phi_src, phi_tgt, w_up, lp.window,
+                                        params.softargmax_temperature, subpixel,
+                                        params.residual_gain != 0.0)
+        if corr is not None:  # only the hidden states read the volumes
             corrs[tgt] = corr
-        del corr  # at gain 0 no volume stays live into the verify step or the next target
-        if subpixel:
-            # A whole-cell move needs no check: the gate kept it only with a
-            # lead of CORR_GATE_MARGIN over the centre, and the score at the
-            # moved cell is its window score to within 1e-13, so it always
-            # clears the smaller VERIFY_MARGIN.
-            delta = _verified(delta, w_up.targets.reshape(-1, 2), centre, phi_src, phi_tgt)
         updates[tgt] = (delta.reshape(h, w, 2),
                         CONF_BLEND * (peak.reshape(h, w) - w_up.confidence))
 

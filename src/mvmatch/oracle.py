@@ -13,7 +13,7 @@ across platforms for a fixed seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +67,8 @@ class SceneOracle:
     homographies: tuple | None = None   # planar: per-view 3x3, view pixel -> reference
     cameras: tuple | None = None        # point_cloud: PinholeCamera per view
     points: np.ndarray | None = None    # point_cloud: (N, 3)
+    # point_cloud: read-only z-buffers by (view, stride), see _point_cloud_buffers
+    _zbuffers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "image_size",
@@ -107,20 +109,28 @@ def _level_size(oracle: SceneOracle, stride: int) -> tuple[int, int]:
 def _point_cloud_buffers(oracle: SceneOracle, view: int, stride: int):
     """Z-buffer the scene points into ``view`` at the given stride.
 
-    Returns (depth buffer, winning point index per pixel); points behind the
-    camera never splat.
+    Returns read-only (depth buffer, winning point index per pixel); points
+    behind the camera or on its principal plane never splat. Each (view,
+    stride) is z-buffered once per scene object: the buffers are kept on it
+    and live as long as it does.
     """
-    lh, lw = _level_size(oracle, stride)
-    cam = oracle.cameras[view]
-    uv, depth = cam.project(oracle.points)
-    px = np.round(uv[:, 0] / stride).astype(np.int64)
-    py = np.round(uv[:, 1] / stride).astype(np.int64)
-    ok = (depth > 0) & (px >= 0) & (px < lw) & (py >= 0) & (py < lh)
-    idx = np.nonzero(ok)[0]
-    zbuf, ibuf = kernels.zbuffer_min(px[idx], py[idx], depth[idx], lh, lw)
-    hit = ibuf >= 0
-    ibuf[hit] = idx[ibuf[hit]]
-    return zbuf, ibuf
+    key = (view, stride)
+    if key not in oracle._zbuffers:
+        lh, lw = _level_size(oracle, stride)
+        uv, depth = oracle.cameras[view].project(oracle.points)
+        front = np.nonzero(depth > 0)[0]
+        px = np.round(uv[front, 0] / stride)
+        py = np.round(uv[front, 1] / stride)
+        ok = (px >= 0) & (px < lw) & (py >= 0) & (py < lh)
+        idx = front[ok]
+        zbuf, ibuf = kernels.zbuffer_min(px[ok].astype(np.int64), py[ok].astype(np.int64),
+                                         depth[idx], lh, lw)
+        hit = ibuf >= 0
+        ibuf[hit] = idx[ibuf[hit]]
+        zbuf.flags.writeable = False
+        ibuf.flags.writeable = False
+        oracle._zbuffers[key] = (zbuf, ibuf)
+    return oracle._zbuffers[key]
 
 
 def _check_view_pair(oracle: SceneOracle, source: int, target: int) -> None:

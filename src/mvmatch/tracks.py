@@ -113,6 +113,13 @@ def allocate_clusters(partitions: list[VisibilityPartition], budget: int) -> tup
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: each further centre is drawn with probability
+    proportional to its squared distance from the centres so far.
+
+    The draw is ``Generator.choice(n, p=d2 / total)``'s own inverse-CDF
+    search over one ``rng.random()``, without its per-call checks of ``p``,
+    so the picks and the generator's state are the same.
+    """
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     first = int(rng.integers(n))
@@ -123,7 +130,9 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         if total <= 0:
             pick = int(rng.integers(n))
         else:
-            pick = int(rng.choice(n, p=d2 / total))
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            pick = int(cdf.searchsorted(rng.random(), side="right"))
         centers[c] = points[pick]
         d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
     return centers

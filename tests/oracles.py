@@ -10,8 +10,9 @@ softmax, each to a named tolerance.
 The ``loop_*`` track-building references share the library's ground-truth
 warps, k-means++ seeding and cluster allocation, which they do not test, and
 keep the per-sample and per-cluster loops that the array code replaced.
-``loop_triangulate`` keeps the one-SVD-per-track triangulation that the
-batched solve replaced. ``verify_every_level_refine`` keeps the zero-gain
+``choice_kmeans_pp_init`` keeps the k-means++ seeding that drew each centre
+with ``Generator.choice``. ``loop_triangulate`` keeps the
+one-SVD-per-track triangulation that the batched solve replaced. ``verify_every_level_refine`` keeps the zero-gain
 refinement step that verified whole-cell moves too, and ``grid_corr_readout``
 the readout it runs, which indexes the (H, W, window, window) volume through
 full index grids.
@@ -282,6 +283,18 @@ def per_offset_local_corr(src, tgt, targets, window):
     return out
 
 
+def brute_force_candidate_scores(src, tgt, cand):
+    """(n,) score of each source pixel of ``src`` (H, W, C) against the
+    ``brute_force_gather`` sample of ``tgt`` at its (n, 2) position ``cand``,
+    one pixel at a time."""
+    h, w, c = src.shape
+    flat = src.reshape(h * w, c)
+    out = np.empty(h * w)
+    for i, (x, y) in enumerate(np.asarray(cand).tolist()):
+        out[i] = float(flat[i] @ brute_force_gather(tgt, [x], [y])[0]) / math.sqrt(c)
+    return out
+
+
 def brute_force_correlation(src, tgt, warp, window):
     h, w, c = src.data.shape
     r = (window - 1) // 2
@@ -490,6 +503,24 @@ def loop_partition_by_visibility(visibility):
         buckets.setdefault(tuple(int(v) for v in row), []).append(i)
     return [VisibilityPartition(mask, np.array(buckets[mask], dtype=np.int64))
             for mask in sorted(buckets)]
+
+
+def choice_kmeans_pp_init(points, k, rng):
+    """k-means++ seeding that draws each further centre with ``Generator.choice``."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            pick = int(rng.integers(n))
+        else:
+            pick = int(rng.choice(n, p=d2 / total))
+        centers[c] = points[pick]
+        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+    return centers
 
 
 def loop_kmeans(points, k, seed):

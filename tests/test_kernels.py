@@ -13,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from mvmatch import kernels
 from mvmatch.grids import DenseWarpField, FeatureGrid
+from mvmatch.matcher import VERIFY_MARGIN, _verified
 
-from oracles import (brute_force_conv2d, brute_force_correlation,
-                     brute_force_depthwise_conv2d,
+from oracles import (brute_force_candidate_scores, brute_force_conv2d,
+                     brute_force_correlation, brute_force_depthwise_conv2d,
                      brute_force_gather, brute_force_nms, brute_force_upsample,
                      brute_force_zbuffer, per_offset_local_corr)
 
@@ -289,3 +290,84 @@ class TestLocalCorrBorders:
         got = kernels.local_corr(src.data, tgt.data, targets, window)
         np.testing.assert_allclose(got, brute_force_correlation(src, tgt, warp, window),
                                    atol=1e-12, rtol=0)
+
+
+def readout_moves(gen, n, window):
+    """(n, 2) moves shaped like the readout's: per axis a whole cell anywhere
+    in the window plus, off the window's edge cells, a fraction in [-0.5,
+    0.5] (a third of them exactly -0.5, 0 or 0.5)."""
+    r = (window - 1) // 2
+    cell = gen.integers(0, window, size=(n, 2))
+    frac = gen.uniform(-0.5, 0.5, size=(n, 2))
+    frac = np.where(gen.random((n, 2)) < 0.3, gen.choice([-0.5, 0.0, 0.5], size=(n, 2)), frac)
+    interior = (cell > 0) & (cell < window - 1)
+    return (cell - r).astype(np.float64) + np.where(interior, frac, 0.0)
+
+
+class TestBandVerify:
+    """``local_corr``'s ``score_at``, the sub-cell verify step's score of a
+    candidate from the band's own dot products, against a one-pixel-at-a-time
+    sample, and the keep/zero decisions taken on it."""
+
+    @pytest.mark.parametrize("window", [3, 5, 7, 9])
+    def test_band_scores_match_brute_force(self, window):
+        gen = np.random.default_rng(window)
+        sh, sw, c = 23, 19, 8
+        n = sh * sw
+        r = (window - 1) // 2
+        src = gen.normal(size=(sh, sw, c))
+        for th, tw in ((17, 21), (17, 1), (1, 17)):
+            tgt = gen.normal(size=(th, tw, c))
+            size = np.array([tw, th], dtype=np.float64)
+            targets = border_targets(gen, sh, sw, th, tw).reshape(n, 2)
+            # whole windows past the border on each side, window origin clipped
+            targets[::5] = gen.uniform(-60.0, size + 60.0, size=targets[::5].shape)
+            delta = readout_moves(gen, n, window)
+            # one ulp below 4 or 8 plus a whole move rounds up onto the next
+            # integer: the lower tap steps one cell past the regular cell
+            targets[2::6] = np.nextafter(gen.choice([4.0, 8.0], size=targets[2::6].shape),
+                                         -np.inf)
+            delta[2::6] = r
+            cand = targets + delta
+            past = np.floor(cand) > np.floor(targets) + np.floor(delta)
+            assert past[2::6].all()
+
+            got, centre, kept = np.empty(n), np.empty(n), np.empty((n, 2))
+            seen = np.zeros(n, dtype=np.int64)
+
+            def band(pix, scores, score_at):
+                got[pix] = score_at(cand[pix])
+                centre[pix] = scores[:, window * r + r]
+                kept[pix] = _verified(delta[pix], got[pix], centre[pix], c)
+                seen[pix] += 1
+
+            assert kernels.local_corr(src, tgt, targets.reshape(sh, sw, 2), window, band) is None
+            assert (seen == 1).all()
+            want = brute_force_candidate_scores(src, tgt, cand)
+            np.testing.assert_allclose(got, want, atol=CORR_ATOL, rtol=0)
+            threshold = centre + VERIFY_MARGIN / np.sqrt(c)
+            improved = want > threshold
+            assert improved.any() and not improved.all()
+            assert np.abs(want - threshold).min() > 1e-12  # no decision within the tolerance
+            np.testing.assert_array_equal(kept, np.where(improved[:, None], delta, 0.0))
+
+    def test_bands_hand_over_the_volume_rows(self, monkeypatch):
+        # with bands of at most 40 pixels, the rows handed over are the
+        # volume's rows bit for bit, each pixel once
+        gen = np.random.default_rng(7)
+        src, tgt = gen.normal(size=(2, 29, 31, 8))
+        targets = border_targets(gen, 29, 31, 29, 31)
+        whole = kernels.local_corr(src, tgt, targets, 5).reshape(29 * 31, 25)
+        monkeypatch.setattr(kernels, "_CORR_PRODUCT_ROWS", 40)
+        rows = np.full_like(whole, np.nan)
+        sizes = []
+
+        def band(pix, scores, score_at):
+            assert scores.flags.c_contiguous and scores.shape == (pix.size, 25)
+            assert np.isnan(rows[pix]).all()
+            rows[pix] = scores
+            sizes.append(pix.size)
+
+        kernels.local_corr(src, tgt, targets, 5, band)
+        assert max(sizes) <= 40 and len(sizes) > 20
+        assert rows.tobytes() == whole.tobytes()

@@ -310,8 +310,8 @@ class TestRefineLevel:
         assert growth < 3.0, f"three more targets added {growth:.2f} volumes"
 
     def test_sub_cell_verify_keeps_no_feature_rows(self):
-        # the verify step at level 1 scores each candidate with a one-cell
-        # local_corr window; gathering (H * W, C) target rows for it as well
+        # the verify step at level 1 scores each candidate from the band's
+        # own dot products; gathering (H * W, C) target rows for it as well
         # peaked at 4.6 volumes here
         size = 96
         scene = make_planar_scene(5, (size, size), seed=31)

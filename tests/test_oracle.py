@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from mvmatch.features import OracleFeatureProvider
 from mvmatch.grids import MISSING
 from mvmatch.grouping import ImageGroup
-from mvmatch.oracle import (PinholeCamera, SceneOracle, gt_track_error, gt_warp,
-                            gt_transfer_points, load_scene, make_planar_scene,
-                            make_point_cloud_scene, save_scene, simulate_matcher)
+from mvmatch.oracle import (PinholeCamera, SceneOracle, _point_cloud_buffers,
+                            gt_track_error, gt_warp, gt_transfer_points, load_scene,
+                            make_planar_scene, make_point_cloud_scene, save_scene,
+                            simulate_matcher)
 from mvmatch.tracks import Tracks
 import mvmatch.kernels as kernels
 
@@ -117,6 +121,67 @@ class TestGtWarpPointCloud:
         assert (warp.confidence > 0).sum() == 1
         uncovered = warp.confidence == 0
         assert np.all(warp.targets[uncovered] == MISSING)
+
+
+class TestZBuffers:
+    def test_one_zbuffer_per_view_and_stride(self, monkeypatch):
+        scene = make_point_cloud_scene(3, (16, 16), seed=3, num_points=500)
+        zbuffer_min = kernels.zbuffer_min
+        sizes = []
+
+        def counting(px, py, depth, h, w):
+            sizes.append((h, w))
+            return zbuffer_min(px, py, depth, h, w)
+
+        monkeypatch.setattr(kernels, "zbuffer_min", counting)
+        for _ in range(2):
+            provider = OracleFeatureProvider(scene, dim=8)  # a fresh grid cache
+            for stride in (1, 2):
+                for source, target in ((0, 1), (1, 0), (2, 1), (0, 2)):
+                    gt_warp(scene, source, target, stride)
+                for view in range(3):
+                    provider.features(view, stride)
+        assert sorted(sizes) == [(8, 8)] * 3 + [(16, 16)] * 3
+
+    def test_buffers_are_read_only(self):
+        scene = make_point_cloud_scene(2, (16, 16), seed=3, num_points=100)
+        zbuf, ibuf = _point_cloud_buffers(scene, 0, 1)
+        with pytest.raises(ValueError):
+            zbuf[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            ibuf[0, 0] = 0
+
+    def test_loaded_scenes_share_nothing_and_save_the_same_bytes(self, tmp_path):
+        path, again = tmp_path / "scene.json", tmp_path / "again.json"
+        save_scene(path, make_point_cloud_scene(2, (16, 16), seed=5, num_points=100))
+        a, b = load_scene(path), load_scene(path)
+        zbuf, ibuf = _point_cloud_buffers(a, 1, 2)
+        assert not b._zbuffers
+        for got, want in zip(_point_cloud_buffers(b, 1, 2), (zbuf, ibuf)):
+            assert not np.shares_memory(got, want)
+            np.testing.assert_array_equal(got, want)
+        save_scene(again, a)
+        assert again.read_bytes() == path.read_bytes()
+        assert "_zbuffers" not in repr(a)
+
+    def test_point_on_principal_plane_splats_nowhere(self):
+        # a point at depth 0 projects to inf and NaN pixels; it must not be
+        # cast to pixel indices (numpy warns on that cast), and the buffers
+        # equal those of the scene without it
+        k = np.array([[20.0, 0, 7.5], [0, 20.0, 7.5], [0, 0, 1]])
+        cams = (PinholeCamera(k, np.eye(3), np.array([0.0, 0.0, 4.0])),
+                PinholeCamera(k, np.eye(3), np.array([0.3, 0.0, 4.0])))
+        gen = np.random.default_rng(2)
+        pts = gen.uniform([-1.0, -1.0, -0.5], [1.0, 1.0, 0.5], size=(200, 3))
+        on_plane = np.vstack([pts, [[0.0, 0.5, -4.0]]])
+        without = SceneOracle("point_cloud", (16, 16), 0, cameras=cams, points=pts)
+        scene = SceneOracle("point_cloud", (16, 16), 0, cameras=cams, points=on_plane)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for view in (0, 1):
+                for got, want in zip(_point_cloud_buffers(scene, view, 1),
+                                     _point_cloud_buffers(without, view, 1)):
+                    np.testing.assert_array_equal(got, want)
 
 
 class TestSimulateMatcher:

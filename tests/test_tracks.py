@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from mvmatch.grids import MISSING
-from mvmatch.tracks import (Tracks, VisibilityPartition, allocate_clusters,
+from mvmatch.tracks import (Tracks, VisibilityPartition, _kmeans_pp_init, allocate_clusters,
                             kmeans, partition_by_visibility, read_track_rows,
                             sample_tracks, write_tracks_tsv)
 
-from oracles import loop_kmeans, loop_partition_by_visibility, loop_sample_tracks
+from oracles import (choice_kmeans_pp_init, loop_kmeans, loop_partition_by_visibility,
+                     loop_sample_tracks)
 
 
 def sample(src, targets, vis):
@@ -396,6 +397,23 @@ class TestMatchesLoopOracle:
         points = np.repeat(np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]), [8, 6, 4], axis=0)
         labels = assert_kmeans_matches_loop(points, 5, seed=1)
         assert len(np.unique(labels)) == 5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeding_draws_as_generator_choice(self, seed):
+        # the same centre bits and the same next generator draw; duplicates
+        # give zero-weight points, and all-equal points the total <= 0 branch
+        gen = np.random.default_rng(seed)
+        for _ in range(6):
+            n = int(gen.integers(2, 300))
+            points = np.round(gen.normal(size=(n, int(gen.integers(1, 6)))), 1)
+            points = points[gen.integers(0, n, size=n)]
+            for pts in (points, np.full((n, 3), 2.5)):
+                k = int(gen.integers(1, n + 1))
+                a = np.random.Generator(np.random.PCG64(seed + k))
+                b = np.random.Generator(np.random.PCG64(seed + k))
+                got, want = _kmeans_pp_init(pts, k, a), choice_kmeans_pp_init(pts, k, b)
+                assert got.tobytes() == want.tobytes()
+                assert a.random() == b.random()
 
     @pytest.mark.parametrize("budget", [7, 40, 500])
     def test_sample_tracks(self, budget):
