@@ -19,9 +19,11 @@ finest 168 px level: the conv stack's 3 x 3 convolutions (89 -> 48 and
 48 -> 48 channels), the 3 x 3 head (48 -> 3) and MVFuse's depthwise 7 x 7
 over 48 channels. The
 track-guided exchange's sampling and splatting are timed with D = 32 and
-about 10% of the tracks invisible in the view, at the coarse grids of three
-benchmark workloads: the shipped 672 px (84^2 cells, 512 tracks), 168 px
-(21^2 cells, 128 tracks) and the 48 px scene (6^2 cells, 128 tracks). On
+about 10% of the tracks invisible in the view; as in the pipeline, sampling
+gets only the visible tracks and splatting gets all of them with their
+visibility. Both run at the coarse grids of three benchmark workloads: the
+shipped 672 px (84^2 cells, 512 tracks), 168 px (21^2 cells, 128 tracks)
+and the 48 px scene (6^2 cells, 128 tracks). On
 the small grids a window is most of the grid, so there its bookkeeping
 shows. The coarse global match is timed with unit-norm D = 32 features at
 the shipped temperature 0.002, at the shipped 84^2 coarse grid against 84^2
@@ -152,7 +154,7 @@ def main():
         visible = rng.random(tracks) >= 0.1
         cases += [
             (f"attentional_sampling ({side}^2, {tracks} tr)",
-             partial(attention.attentional_sampling, grid, track_xy, params)),
+             partial(attention.attentional_sampling, grid, track_xy[visible], params)),
             (f"attentional_splatting ({side}^2, {tracks} tr)",
              partial(attention.attentional_splatting, grid, track_feats, track_xy,
                      visible, params)),

@@ -18,13 +18,15 @@ bounds the distance to the query's nearest column. The windows keep every
 column that could score above ln(``WINDOW_TAIL`` / n) for a row of n
 columns, so the columns left out weigh at most ``WINDOW_TAIL`` = 1e-17 of
 the row's largest weight all together, and the outputs agree with the
-dense formulation to a few ulps. Each window's column count is a multiple
-of 8, which keeps the products' bits independent of BLAS's thread count.
+dense formulation to a few ulps. ``_attend`` pads each window with zero
+keys of weight 0 to a multiple of 8 columns, which keeps the products' bits
+independent of BLAS's thread count.
 
 Masking follows a fixed recipe: a -1e9 additive constant on masked logits,
 then a post-softmax re-zero of the masked columns (and renormalization) so
-masked entries contribute exactly zero weight. Splatting leaves invisible
-tracks out of its windows, which gives them the same exact zero weight.
+masked entries contribute exactly zero weight. The exchange samples each
+view at its visible tracks only, and splatting leaves invisible tracks out
+of its windows, which gives them the same exact zero weight.
 """
 
 from __future__ import annotations
@@ -237,24 +239,6 @@ def _margin2(spread, columns: int, sigma: float):
     return 2.0 * sigma * sigma * (spread + np.log(columns) - np.log(WINDOW_TAIL))
 
 
-def _widened(lo: np.ndarray, hi: np.ndarray, size) -> tuple[np.ndarray, np.ndarray]:
-    """Grow the boxes [lo, hi) of (x, y) cells within [0, size) to cell counts
-    that are multiples of 8, by the fewest cells; a box that cannot grow so
-    is kept."""
-    extent = hi - lo
-    grow = np.arange(8)
-    wide = extent[:, 0, None, None] + grow          # (n, 1, 8) columns
-    tall = extent[:, 1, None, None] + grow[:, None]  # (n, 8, 1) rows
-    cells = wide * tall
-    fits = (cells % 8 == 0) & (wide <= size[0]) & (tall <= size[1])
-    cells = np.where(fits, cells, np.iinfo(np.int64).max).reshape(len(lo), 64)
-    best = cells.argmin(axis=1)
-    step = np.stack([best % 8, best // 8], axis=1)
-    step[~fits.reshape(len(lo), 64).any(axis=1)] = 0
-    hi = np.minimum(hi + step, size)
-    return hi - extent - step, hi
-
-
 def _sampling_windows(coords: np.ndarray, grid_size: tuple[int, int],
                       sigma: float, spread: np.ndarray):
     """Bin the tracks by tile and give each bin its window of cells.
@@ -263,8 +247,7 @@ def _sampling_windows(coords: np.ndarray, grid_size: tuple[int, int],
     column slices of the cells they are scored against. A track is binned by
     its nearest cell, at d_near from it, and needs every cell within R of
     it, R^2 = d_near^2 + ``_margin2`` over all h w cells; the window is the
-    bin's extent grown by its largest R and then, within the grid, to a
-    multiple of 8 cells.
+    bin's extent grown by its largest R, within the grid.
     """
     h, w = grid_size
     if not len(coords):
@@ -281,7 +264,6 @@ def _sampling_windows(coords: np.ndarray, grid_size: tuple[int, int],
     hi = np.maximum.reduceat(coords[order] + reach[order], starts)
     lo = np.maximum(np.ceil(lo), 0).astype(np.int64)
     hi = np.minimum(np.floor(hi) + 1, [w, h]).astype(np.int64)
-    lo, hi = _widened(lo, hi, (w, h))
     for tracks, (x0, y0), (x1, y1) in zip(np.split(order, starts[1:]), lo, hi):
         yield tracks, slice(y0, y1), slice(x0, x1)
 
@@ -295,10 +277,9 @@ def _splatting_windows(coords: np.ndarray, grid_size: tuple[int, int],
     tile's farthest cell, bounds every cell's distance to its nearest track;
     a track at distance D from the tile is kept when
     D^2 <= dn^2 + ``_margin2`` over all T tracks, with the tile's largest
-    cell spread, and the nearest others are added up to a multiple of 8.
+    cell spread.
     """
     h, w = grid_size
-    t = coords.shape[0]
     y0 = np.arange(0, h, _TILE)
     x0 = np.arange(0, w, _TILE)
 
@@ -314,12 +295,10 @@ def _splatting_windows(coords: np.ndarray, grid_size: tuple[int, int],
     d2 = near_y[:, None] + near_x[None]             # (tiles down, across, T)
     dn2 = (far_y[:, None] + far_x[None]).min(axis=-1)
     tile_spread = np.maximum.reduceat(np.maximum.reduceat(spread, y0, axis=0), x0, axis=1)
-    kept = np.count_nonzero(d2 <= (dn2 + _margin2(tile_spread, t, sigma))[..., None], axis=-1)
-    kept = np.minimum(-(-kept // 8) * 8, t)
-    order = np.argsort(d2, axis=-1, kind="stable")
-    for i, j in np.ndindex(kept.shape):
+    kept = d2 <= (dn2 + _margin2(tile_spread, coords.shape[0], sigma))[..., None]
+    for i, j in np.ndindex(kept.shape[:2]):
         yield (slice(y0[i], y0[i] + _TILE), slice(x0[j], x0[j] + _TILE),
-               np.sort(order[i, j, :kept[i, j]]))
+               np.flatnonzero(kept[i, j]))
 
 
 def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
@@ -443,26 +422,21 @@ def exchange_features(grids: list[FeatureGrid], tracks: Tracks,
 
     ``grids[v]`` is view v's feature map (group view order: source first) and
     track coordinates are interpreted in base-image pixels, scaled here by
-    each grid's stride. Views where a track is invisible contribute zeros to
-    the propagation and receive no splat from it.
+    each grid's stride. Each view samples only the tracks it sees; views
+    where a track is invisible contribute zeros to the propagation and
+    receive no splat from it.
     """
     if not len(tracks):
         return list(grids)
-    v = len(grids)
-    t = len(tracks)
-    d = params.dim
-    vis, coords = tracks.visibility, tracks.coords  # (T, V), (T, V, 2)
-    sampled = np.zeros((v, t, d))
-    per_view_coords = []
+    vis = tracks.visibility  # (T, V)
+    sampled = np.zeros((len(grids), len(tracks), params.dim))
+    view_coords = []
     for view, grid in enumerate(grids):
-        cv = coords[:, view, :] / grid.stride
-        cv = np.where(vis[:, view][:, None], cv, 0.0)  # sentinel never reaches sampling
-        per_view_coords.append(cv)
-        zs = attentional_sampling(grid, cv, params)
-        sampled[view] = np.where(vis[:, view][:, None], zs, 0.0)
+        cv = tracks.coords[:, view, :] / grid.stride
+        seen = vis[:, view]
+        sampled[view, seen] = attentional_sampling(grid, cv[seen], params)
+        view_coords.append(cv)
     propagated = track_transformer(TrackFeatures(sampled, vis), params)
-    out = []
-    for view, grid in enumerate(grids):
-        out.append(attentional_splatting(grid, propagated.values[view],
-                                         per_view_coords[view], vis[:, view], params))
-    return out
+    return [attentional_splatting(grid, propagated.values[view], view_coords[view],
+                                  vis[:, view], params)
+            for view, grid in enumerate(grids)]

@@ -43,6 +43,8 @@ class PinholeCamera:
         object.__setattr__(self, "translation", t)
         if k.shape != (3, 3) or r.shape != (3, 3):
             raise ValueError("intrinsics and rotation must be 3x3")
+        if not (np.isfinite(k).all() and np.isfinite(r).all() and np.isfinite(t).all()):
+            raise ValueError("camera intrinsics, rotation and translation must be finite")
         if np.abs(r @ r.T - np.eye(3)).max() > 1e-9:
             raise ValueError("rotation must be orthonormal within 1e-9")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
@@ -80,17 +82,20 @@ class SceneOracle:
                 raise ValueError("planar scene needs >= 2 homographies")
             hs = tuple(np.ascontiguousarray(h, dtype=np.float64) for h in self.homographies)
             for h in hs:
-                if h.shape != (3, 3) or np.linalg.cond(h) >= MAX_CONDITION:
-                    raise ValueError("homographies must be well-conditioned 3x3")
+                if (h.shape != (3, 3) or not np.isfinite(h).all()
+                        or np.linalg.cond(h) >= MAX_CONDITION):
+                    raise ValueError("homographies must be finite, well-conditioned 3x3")
             object.__setattr__(self, "homographies", hs)
         elif self.kind == "point_cloud":
             if self.cameras is None or len(self.cameras) < 2:
                 raise ValueError("point-cloud scene needs >= 2 cameras")
             if self.points is None or len(self.points) == 0:
                 raise ValueError("point-cloud scene needs points")
+            points = np.ascontiguousarray(self.points, dtype=np.float64)
+            if points.ndim != 2 or points.shape[1] != 3 or not np.isfinite(points).all():
+                raise ValueError("points must be a finite (N, 3) array")
             object.__setattr__(self, "cameras", tuple(self.cameras))
-            object.__setattr__(self, "points",
-                               np.ascontiguousarray(self.points, dtype=np.float64))
+            object.__setattr__(self, "points", points)
         else:
             raise ValueError(f"unknown scene kind {self.kind!r}")
 

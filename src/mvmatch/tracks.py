@@ -82,34 +82,24 @@ def allocate_clusters(partitions: list[VisibilityPartition], budget: int) -> tup
     """Proportional cluster counts per partition, summing to min(budget, total).
 
     Largest-remainder rounding, ties broken by larger partition first and then
-    lexicographic mask; counts exceeding a partition's size are capped and the
-    surplus is redistributed. Returns (counts, capped) where ``capped`` flags a
-    budget larger than the raw match count.
+    lexicographic mask. No count exceeds its partition's size: a share is
+    size * target / total with target <= total, and a +1 goes only to a share
+    with a non-zero remainder, which lies below its size. Returns (counts,
+    capped) where ``capped`` flags a budget larger than the raw match count.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     sizes = np.array([p.size for p in partitions], dtype=np.int64)
     total = int(sizes.sum())
-    capped = budget > total
-    remaining = min(budget, total)
-    counts = np.zeros(len(partitions), dtype=np.int64)
-    active = sizes.copy()
-    while remaining > 0:
-        open_idx = np.nonzero(active > 0)[0]
-        share = active[open_idx] * (remaining / active[open_idx].sum())
-        alloc = np.floor(share).astype(np.int64)
-        rem = share - alloc
-        short = remaining - int(alloc.sum())
-        if short > 0:
-            masks = [partitions[i].mask for i in open_idx]
-            order = sorted(range(len(open_idx)),
-                           key=lambda k: (-rem[k], -active[open_idx[k]], masks[k]))
-            for k in order[:short]:
-                alloc[k] += 1
-        counts[open_idx] += np.minimum(alloc, active[open_idx])
-        active[open_idx] -= np.minimum(alloc, active[open_idx])
-        remaining = min(budget, total) - int(counts.sum())
-    return counts, capped
+    target = min(budget, total)
+    share = sizes * (target / max(total, 1))
+    counts = np.floor(share).astype(np.int64)
+    rem = share - counts
+    order = sorted(range(len(partitions)),
+                   key=lambda k: (-rem[k], -sizes[k], partitions[k].mask))
+    for k in order[:target - int(counts.sum())]:
+        counts[k] += 1
+    return counts, budget > total
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -505,6 +505,35 @@ def loop_partition_by_visibility(visibility):
             for mask in sorted(buckets)]
 
 
+def loop_allocate_clusters(partitions, budget):
+    """``tracks.allocate_clusters`` as a loop that caps each count at its
+    partition's size and hands the surplus to the others until none is left."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    sizes = np.array([p.size for p in partitions], dtype=np.int64)
+    total = int(sizes.sum())
+    capped = budget > total
+    remaining = min(budget, total)
+    counts = np.zeros(len(partitions), dtype=np.int64)
+    active = sizes.copy()
+    while remaining > 0:
+        open_idx = np.nonzero(active > 0)[0]
+        share = active[open_idx] * (remaining / active[open_idx].sum())
+        alloc = np.floor(share).astype(np.int64)
+        rem = share - alloc
+        short = remaining - int(alloc.sum())
+        if short > 0:
+            masks = [partitions[i].mask for i in open_idx]
+            order = sorted(range(len(open_idx)),
+                           key=lambda k: (-rem[k], -active[open_idx[k]], masks[k]))
+            for k in order[:short]:
+                alloc[k] += 1
+        counts[open_idx] += np.minimum(alloc, active[open_idx])
+        active[open_idx] -= np.minimum(alloc, active[open_idx])
+        remaining = min(budget, total) - int(counts.sum())
+    return counts, capped
+
+
 def choice_kmeans_pp_init(points, k, rng):
     """k-means++ seeding that draws each further centre with ``Generator.choice``."""
     n = points.shape[0]

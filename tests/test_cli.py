@@ -13,6 +13,7 @@ from mvmatch.tracks import Tracks, read_track_rows
 
 STRIDES_RULE = "must be a non-empty, strictly decreasing list of powers of two"
 THRESHOLDS_RULE = "must be a non-empty list of finite values > 0"
+CAMERA_RULE = "camera intrinsics, rotation and translation must be finite"
 FLAG_THRESHOLDS_RULE = ("--threshold must be a non-empty, comma-separated list of finite "
                         "values > 0, got")
 
@@ -33,6 +34,15 @@ def planar_scene(tmp_path_factory, fast_config):
     rc = main(["gen-scene", "--kind", "planar", "--views", "4",
                "--image-size", "48", "--seed", "5", "--out", str(out),
                "--config", fast_config])
+    assert rc == 0
+    return out / "scene.json"
+
+
+@pytest.fixture(scope="module")
+def cloud_scene(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cloud")
+    rc = main(["gen-scene", "--kind", "point-cloud", "--views", "3", "--image-size", "48",
+               "--points", "200", "--seed", "5", "--out", str(out)])
     assert rc == 0
     return out / "scene.json"
 
@@ -391,6 +401,36 @@ class TestErrorContract:
                    "--out", str(tmp_path / "run")])
         assert rc == 2
         self.assert_one_line_error(capsys, command, fragment, tmp_path / "run")
+
+    # unchecked, a NaN point ran the scene chain to exit 0 with triangulation
+    # accuracy 0 at every threshold; a NaN rotation entry or an inf
+    # translation failed late, naming no file; points with two columns failed
+    # inside a numpy product; a NaN homography entry failed in an SVD
+    @pytest.mark.parametrize("scene, path, value, fragment", [
+        ("cloud", ["points", 3, 1], float("nan"), "points must be a finite (N, 3) array"),
+        ("cloud", ["points"], lambda pts: [p[:2] for p in pts],
+         "points must be a finite (N, 3) array"),
+        ("cloud", ["cameras", 1, "rotation", 0, 2], float("nan"), CAMERA_RULE),
+        ("cloud", ["cameras", 1, "translation", 2], float("inf"), CAMERA_RULE),
+        ("cloud", ["cameras", 0, "intrinsics", 0, 2], float("nan"), CAMERA_RULE),
+        ("planar", ["homographies", 1, 0, 1], float("nan"),
+         "homographies must be finite, well-conditioned 3x3"),
+    ], ids=["nan-point", "two-column-points", "nan-rotation", "inf-translation",
+            "nan-intrinsics", "nan-homography"])
+    def test_scene_file_with_non_finite_or_misshaped_values(
+            self, tmp_path, capsys, planar_scene, cloud_scene, scene, path, value, fragment):
+        payload = json.loads((cloud_scene if scene == "cloud" else planar_scene).read_text())
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+        edited = tmp_path / "scene.json"
+        edited.write_text(json.dumps(payload))
+        rc = main(["sample-groups", "--scene", str(edited), "--budget", "full",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "sample-groups", f"{edited}: {fragment}",
+                                   tmp_path / "run")
 
     def test_malformed_track_row(self, tmp_path, capsys):
         rc = main(["gen-scene", "--kind", "point-cloud", "--views", "2",

@@ -6,8 +6,8 @@ from mvmatch.tracks import (Tracks, VisibilityPartition, _kmeans_pp_init, alloca
                             kmeans, partition_by_visibility, read_track_rows,
                             sample_tracks, write_tracks_tsv)
 
-from oracles import (choice_kmeans_pp_init, loop_kmeans, loop_partition_by_visibility,
-                     loop_sample_tracks)
+from oracles import (choice_kmeans_pp_init, loop_allocate_clusters, loop_kmeans,
+                     loop_partition_by_visibility, loop_sample_tracks)
 
 
 def sample(src, targets, vis):
@@ -110,6 +110,19 @@ class TestAllocate:
         counts, _ = allocate_clusters(make_partitions([2, 100]), 60)
         assert counts.sum() == 60
         assert counts[0] <= 2
+
+    def test_one_pass_matches_the_capping_loop(self):
+        rng = np.random.default_rng(11)
+        cases = [([], 5), ([2, 2, 2], 4), ([1] * 7, 3), ([5, 5, 1, 1], 9)]
+        for _ in range(2000):
+            sizes = rng.integers(1, int(rng.choice([4, 40, 400])),
+                                 size=rng.integers(1, 8)).tolist()
+            cases.append((sizes, int(rng.integers(1, 2 * sum(sizes) + 2))))
+        for sizes, budget in cases:
+            parts = make_partitions(sizes)
+            counts, capped = allocate_clusters(parts, budget)
+            want, want_capped = loop_allocate_clusters(parts, budget)
+            assert counts.tolist() == want.tolist() and capped == want_capped
 
     def test_sum_equals_min_budget_total(self):
         rng = np.random.default_rng(7)
@@ -414,6 +427,21 @@ class TestMatchesLoopOracle:
                 got, want = _kmeans_pp_init(pts, k, a), choice_kmeans_pp_init(pts, k, b)
                 assert got.tobytes() == want.tobytes()
                 assert a.random() == b.random()
+
+    def test_seeding_draw_on_a_cdf_step_takes_the_next_point(self):
+        # d2 = [0, 1, 1] gives the cdf [0, 0.5, 1]; a draw of exactly 0.5
+        # picks point 2, as Generator.choice's searchsorted(side="right")
+        # does, where side="left" would pick point 1
+        class Draws:
+            def integers(self, n):
+                return 0
+
+            def random(self):
+                return 0.5
+
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        centers = _kmeans_pp_init(points, 2, Draws())
+        assert centers.tolist() == [[0.0, 0.0], [-1.0, 0.0]]
 
     @pytest.mark.parametrize("budget", [7, 40, 500])
     def test_sample_tracks(self, budget):
