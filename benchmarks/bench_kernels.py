@@ -13,7 +13,11 @@ smooth warp; 2 x 116 MB of features). The refiner's level-1 band pass,
 ``matcher._read_moves`` (that window-5 correlation with each band's
 readout and sub-cell verify, at gain 0, so no volume), is timed at 168^2
 and 672^2 under the smooth warp; set against the plain ``local_corr``
-cases of the same size, it shows what the readout and verify add. The
+cases of the same size, it shows what the readout and verify add. It is
+also timed, under the smooth warp, on the features of the 48 px point-cloud
+scene (views 0 and 1 of the ``scene-pc-48`` workload at seed 1, stride 1),
+where the source pixels that see no surface have zero features and are
+left out of the correlation. The
 convolutions are timed at the non-zero-gain refiner's
 finest 168 px level: the conv stack's 3 x 3 convolutions (89 -> 48 and
 48 -> 48 channels), the 3 x 3 head (48 -> 3) and MVFuse's depthwise 7 x 7
@@ -52,6 +56,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 from mvmatch import attention, kernels  # noqa: E402
 from mvmatch.config import PipelineConfig  # noqa: E402
+from mvmatch.features import OracleFeatureProvider  # noqa: E402
 from mvmatch.geometry import accuracy_completeness, triangulate_observations  # noqa: E402
 from mvmatch.grids import DenseWarpField, FeatureGrid  # noqa: E402
 from mvmatch.grouping import ImageGroup  # noqa: E402
@@ -136,6 +141,14 @@ def main():
         cases.append((f"level-1 band pass + verify ({size}^2, win 5, smooth)",
                       partial(_read_moves, FeatureGrid(src), FeatureGrid(dst), warp, 5,
                               temperature, True, False)))
+    cloud = make_point_cloud_scene(5, (48, 48), 1)
+    provider = OracleFeatureProvider(cloud, dim=PipelineConfig().feature_dim, seed=1)
+    src, dst = provider.features(0, 1), provider.features(1, 1)
+    zero = 1.0 - src.data.any(axis=-1).mean()
+    cases.append((f"level-1 pass + verify (48^2 scene, win 5, {zero:.0%} zero)",
+                  partial(_read_moves, src, dst,
+                          DenseWarpField(smooth_warp(48), np.ones((48, 48)), 0, 1), 5,
+                          temperature, True, False)))
 
     hidden = PipelineConfig().hidden_dim
     for cin, cout in ((2 * c + 25, hidden), (hidden, hidden), (hidden, 3)):
@@ -171,7 +184,7 @@ def main():
 
     group = ImageGroup(0, (1, 2, 3, 4))
     for scene, samples, budget in ((make_planar_scene(5, (672, 672), 1), 2000, 512),
-                                   (make_point_cloud_scene(5, (48, 48), 1), 800, 128)):
+                                   (cloud, 800, 128)):
         size = scene.image_size[0]
         cases.append((f"simulate_matcher ({size} px {scene.kind}, {samples})",
                       partial(simulate_matcher, scene, group, samples, 0.5, 0.05, 1)))

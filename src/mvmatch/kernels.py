@@ -78,6 +78,10 @@ _CORR_BLOCK = 8
 # split into near-equal parts, which bounds the scratch memory when warps pile
 # up at one target cell (e.g. all targets off one corner of the image).
 _CORR_PRODUCT_ROWS = 1024
+# Fewest rows in a product, when its block has that many pixels: OpenBLAS
+# 0.3.31 rounds a product of up to about 1200 entries (rows x region cells,
+# at 32 or more channels) its own way, and a region has at least 144 cells.
+_CORR_MIN_ROWS = 16
 
 
 def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: int,
@@ -100,15 +104,19 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
       repeated border cells. Near integer targets, floor(t + dx) can step one
       cell past floor(t) + dx; the fraction there is exactly 0, so the
       offset takes fraction 1 on its regular cells, which reads the same dot;
-    * keys every pixel by the ``_CORR_BLOCK`` x ``_CORR_BLOCK`` block of
-      target cells that holds its origin. Its window lies in the block's
-      region, _CORR_BLOCK + window rows and as many columns, plus the few
-      more that make the cell count a multiple of 8; the region is gathered
-      with clipped indices, not from a padded copy of the target;
-    * takes the dot products of the block's pixels with every region cell
-      in one BLAS product, ``S[pix] @ region.T``, into a band buffer of whole
-      block parts (a block of more than ``_CORR_PRODUCT_ROWS`` pixels is
-      split into near-equal products);
+    * keys every live pixel, one whose source row is not all zero, by the
+      ``_CORR_BLOCK`` x ``_CORR_BLOCK`` block of target cells that holds its
+      origin. A zero row (``-0.0`` counts as zero) scores +0.0 at every
+      offset, so such a pixel joins no product and no band. A live pixel's
+      window lies in the block's region, _CORR_BLOCK + window rows and as
+      many columns, plus the few more that make the cell count a multiple
+      of 8; the region is gathered with clipped indices, not from a padded
+      copy of the target;
+    * takes the dot products of the block's live pixels with every region
+      cell in one BLAS product, ``S[pix] @ region.T``, into a band buffer of
+      whole block parts (more than ``_CORR_PRODUCT_ROWS`` live pixels are
+      split into near-equal products). Fewer live rows than min(the block's
+      pixel count, ``_CORR_MIN_ROWS``) are padded with zero rows up to it;
     * per band of at most ``_CORR_PRODUCT_ROWS`` pixels, reads every pixel's
       (window + 1)^2 dots with one gather in (offset, pixel) layout, blends
       x over the window + 1 rows, then y from rows j and j + 1, scales the
@@ -120,17 +128,23 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
       cells v .. v + window on each axis (``_window_cell``).
 
     Without ``band``, the bands fill and return the (H, W, window, window)
-    volume; with it, no volume is built and None is returned.
+    volume, whose rows of zero-row pixels are +0.0; with it, no volume is
+    built and None is returned.
 
     Blending after the channel sum instead of before it, and BLAS's order
     of the channel sum, move scores by a few ulps: they agree with the
     per-offset gather to ``CORR_ATOL`` = 1e-13 (``tests/test_kernels.py``).
     The bits may change with ``_CORR_BLOCK`` (going from 16 to 8 moved
     scores by ulps only, and no output file of the benchmark workloads), not
-    with the BLAS thread count or the product split: with a column count
-    that is a multiple of 8, OpenBLAS gives a product entry the same bits
-    however it splits the rows of a product of three or more rows (measured
-    at 1 and 2 threads).
+    with the BLAS thread count, the product split or which other pixels are
+    live. With a column count that is a multiple of 8, OpenBLAS 0.3.31 gives
+    a product entry the same bits however it splits the rows, as long as
+    each product has more than about 1200 entries (rows x columns). At 32 or
+    more channels a smaller product rounds its own way (at 8 to 24 channels
+    only a one-row product does), so without the padding a pixel's last bit
+    would depend on how many live pixels share its block; with it, each
+    product has the rows of the all-pixel product or at least 16 x 144
+    entries (measured at 1 and 2 threads).
     """
     src, tgt, targets, window = _f64(src), _f64(tgt), _f64(targets), int(window)
     h, w, c = src.shape
@@ -149,17 +163,29 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
     inv = 1.0 / np.sqrt(c)
     s = src.reshape(h * w, c)
     t = targets.reshape(h * w, 2)
+    out = None
+    if band is None:
+        out = np.zeros((h * w, window * window))
 
-    # q = v + window >= 0 per axis, v each pixel's window origin; pixels
-    # sorted by the block of target cells that holds it
+        def band(pix, scores, score_at):
+            out[pix] = scores
+
+    # q = v + window >= 0 per axis, v each pixel's window origin; the live
+    # pixels (a non-zero source row) sorted by the block of target cells
+    # that holds it
     qx = _window_origin(t[:, 0], tw, r)
     qy = _window_origin(t[:, 1], th, r)
     nbx = (tw - 1 + window) // block + 1
     key = qy // block * nbx + qx // block
-    order = np.argsort(key, kind="stable")
+    pixels = np.bincount(key)  # per block, live or not
+    live = np.flatnonzero(s.any(axis=1))
+    order = live[np.argsort(key[live], kind="stable")]
+    if not order.size:
+        return None if out is None else out.reshape(h, w, window, window)
     key = key[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     ends = np.r_[starts[1:], key.size]
+    pad = np.minimum(pixels[key[starts]], _CORR_MIN_ROWS).tolist()
     by, bx = np.divmod(key[starts], nbx)
     del key
     qx = qx[order]
@@ -169,13 +195,8 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
     ry = np.clip(by[:, None] * block - window + np.arange(side), 0, th - 1) * tw
     rx = np.clip(bx[:, None] * block - window + np.arange(width), 0, tw - 1)
     tcells = tgt.reshape(th * tw, c)
-    dots = np.empty((min(rows, h * w), cells))
-    out = None
-    if band is None:
-        out = np.empty((h * w, window * window))
-
-        def band(pix, scores, score_at):
-            out[pix] = scores
+    # spare rows take the zero rows that pad a block's product
+    dots = np.empty((min(rows, order.size) + _CORR_MIN_ROWS - 1, cells))
 
     def blend(lo, hi):
         # dots[: hi - lo] holds the products of sorted pixels lo..hi
@@ -227,8 +248,11 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
             if p_hi - band_lo > rows:
                 blend(band_lo, p_lo)
                 band_lo = p_lo
-            np.matmul(s[order[p_lo:p_hi]], region.T, out=dots[p_lo - band_lo:p_hi - band_lo])
-    blend(band_lo, h * w)
+            a = s[order[p_lo:p_hi]]
+            if len(a) < pad[b]:
+                a = np.concatenate([a, np.zeros((pad[b] - len(a), c))])
+            np.matmul(a, region.T, out=dots[p_lo - band_lo:p_lo - band_lo + len(a)])
+    blend(band_lo, order.size)
     return None if out is None else out.reshape(h, w, window, window)
 
 

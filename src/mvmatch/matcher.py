@@ -19,6 +19,7 @@ correlation run through a small convolutional stack, fused across views
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,6 +303,19 @@ def _verified(delta: np.ndarray, score: np.ndarray, centre: np.ndarray,
     return np.where(improved[:, None], delta, 0.0)
 
 
+@functools.lru_cache(maxsize=16)
+def _zero_row_readout(window: int, channels: int, temperature: float, subpixel: bool):
+    """(move, peak) of a pixel whose scores are all 0, at every offset and
+    candidate: ``_corr_readout`` of a zero row, verified against a score of
+    0 when ``subpixel`` is set; as (dx, dy) and a float, so the cache hands
+    out nothing mutable."""
+    zero = np.zeros((1, window * window))
+    move, peak, centre = _corr_readout(zero, window, channels, temperature, subpixel)
+    if subpixel:
+        move = _verified(move, zero[:, 0], centre, channels)
+    return tuple(move[0].tolist()), float(peak[0])
+
+
 def _read_moves(phi_src: FeatureGrid, phi_tgt: FeatureGrid, warp: DenseWarpField,
                 window: int, temperature: float, subpixel: bool, keep_volume: bool):
     """One target's (n, 2) moves and (n,) softmax peaks from one correlation pass.
@@ -314,13 +328,18 @@ def _read_moves(phi_src: FeatureGrid, phi_tgt: FeatureGrid, warp: DenseWarpField
     centre, and the score at the moved cell is its window score to within
     1e-13, so it always clears the smaller VERIFY_MARGIN. The third result
     is the (n, window^2) volume when ``keep_volume`` is set, else None.
+
+    The bands hold only the pixels whose source feature is non-zero, so
+    every pixel starts from the readout of a zero row and the bands
+    overwrite the rest.
     """
     n = warp.height * warp.width
     d = phi_src.channels
     targets = warp.targets.reshape(n, 2)
-    delta = np.empty((n, 2))
-    peak = np.empty(n)
-    volume = np.empty((n, window * window)) if keep_volume else None
+    zero_move, zero_peak = _zero_row_readout(window, d, temperature, subpixel)
+    delta = np.full((n, 2), zero_move)
+    peak = np.full(n, zero_peak)
+    volume = np.zeros((n, window * window)) if keep_volume else None
 
     def read(pix, scores, score_at):
         move, peak[pix], centre = _corr_readout(scores, window, d, temperature, subpixel)

@@ -184,23 +184,15 @@ def _nearest_centers(points: np.ndarray, sq_norms: np.ndarray,
 def _cluster_means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-cluster mean of the points, every cluster non-empty.
 
-    Equal bit for bit to ``points[labels == c].mean(axis=0)`` for two or more
-    columns, where numpy adds a cluster's rows in index order: the members
-    are sorted stably by label, and rank j of every cluster that has one is
-    added in one vectorised step. Clusters go largest first, so the clusters
-    still adding at rank j are a prefix.
+    Equal to ``points[labels == c].mean(axis=0)`` for two or more columns,
+    where numpy adds a cluster's rows in index order: ``np.bincount`` with
+    weights adds each column's members in index order too (from +0.0, so a
+    column whose members are all -0.0 gives +0.0, an equal value).
     """
-    ranked = points[np.argsort(labels, kind="stable")]
-    desc = np.argsort(-counts, kind="stable")
-    sizes = counts[desc]
-    first = (np.cumsum(counts) - counts)[desc]
-    sums = ranked[first]
-    live = np.searchsorted(-sizes, -np.arange(1, sizes[0]))  # clusters larger than j
-    for j, nl in enumerate(live, start=1):
-        sums[:nl] += ranked[first[:nl] + j]
-    means = np.empty_like(sums)
-    means[desc] = sums / sizes[:, None]
-    return means
+    k = counts.size
+    sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in points.T],
+                    axis=1)
+    return sums / counts[:, None]
 
 
 def kmeans(points: np.ndarray, k: int, seed: int):

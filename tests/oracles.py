@@ -13,8 +13,9 @@ keep the per-sample and per-cluster loops that the array code replaced.
 ``choice_kmeans_pp_init`` keeps the k-means++ seeding that drew each centre
 with ``Generator.choice``. ``loop_triangulate`` keeps the
 one-SVD-per-track triangulation that the batched solve replaced. ``verify_every_level_refine`` keeps the zero-gain
-refinement step that verified whole-cell moves too, and ``grid_corr_readout``
-the readout it runs, which indexes the (H, W, window, window) volume through
+refinement step that verified whole-cell moves too and read every pixel,
+zero feature or not, off the whole volume, and ``grid_corr_readout`` the
+readout it runs, which indexes the (H, W, window, window) volume through
 full index grids.
 """
 
@@ -356,7 +357,8 @@ def grid_corr_readout(corr_scores: np.ndarray, channels: int, temperature: float
 def verify_every_level_refine(state, provider, params):
     """``refine_level`` at zero gain with the verify step at every level:
     a move is kept only where the correlation at the moved position beats
-    the window centre by ``VERIFY_MARGIN``. Returns warps by target."""
+    the window centre by ``VERIFY_MARGIN``. Every pixel, zero feature or
+    not, goes through the readout and the verify. Returns warps by target."""
     out_level = state.level - 1
     lp = params.levels[out_level]
     factor = params.level_stride(state.level) // lp.stride

@@ -132,7 +132,9 @@ class TestAgreement:
     def test_local_corr_all_pixels_in_one_cell(self, monkeypatch):
         # every offset -r tap lands in target cell (0, 0), so one block holds
         # every pixel; splitting its product into parts of 3 to 5 rows keeps
-        # the bits, since the product's column count is a multiple of 8
+        # the bits at 8 channels, where OpenBLAS rounds only a one-row product
+        # its own way (at 32 channels, a product of up to about 1200 entries
+        # does: TestZeroRows)
         src = rng.normal(size=(23, 19, 8))
         tgt = rng.normal(size=(9, 14, 8))
         targets = rng.uniform(-2.0, 0.999, size=(23, 19, 2))
@@ -371,3 +373,92 @@ class TestBandVerify:
         kernels.local_corr(src, tgt, targets, 5, band)
         assert max(sizes) <= 40 and len(sizes) > 20
         assert rows.tobytes() == whole.tobytes()
+
+
+# (pixels, live pixels) per target block: blocks of at most 5 pixels, blocks
+# of at least 8 pixels with 1 to 7 live, blocks past _CORR_MIN_ROWS with
+# fewer live rows than that, full and empty blocks
+ZERO_ROW_BLOCKS = [(1, 1), (2, 1), (3, 2), (4, 4), (5, 1), (5, 3), (2, 0),
+                   (8, 1), (8, 7), (9, 3), (12, 5), (16, 2), (17, 16), (20, 7),
+                   (30, 15), (40, 0), (64, 33), (24, 24)]
+
+
+def zero_row_case(gen, window, th=33, tw=35, c=32):
+    """C = 32 source rows with zero rows mixed in, and warp targets that put
+    ``ZERO_ROW_BLOCKS[b]`` pixels (and live pixels) into target block b of
+    ``local_corr``, in random raster order. A third of the zero rows are
+    ``-0.0``, and some mix ``-0.0`` and ``+0.0`` channels."""
+    block = kernels._CORR_BLOCK
+    r = (window - 1) // 2
+    nbx = (tw - 1 + window) // block + 1
+    nby = (th - 1 + window) // block + 1
+    blocks = gen.permutation(nbx * nby)[:len(ZERO_ROW_BLOCKS)]
+    q, live = [], []
+    for b, (pixels, alive) in zip(blocks, ZERO_ROW_BLOCKS):
+        by, bx = divmod(int(b), nbx)
+        # window origins q = v + window inside the block and the target grid
+        qy = gen.integers(by * block, min(by * block + block, th + window), pixels)
+        qx = gen.integers(bx * block, min(bx * block + block, tw + window), pixels)
+        q.append(np.stack([qx, qy], axis=1))
+        live.append(gen.permutation(pixels) < alive)
+    perm = gen.permutation(sum(p for p, _ in ZERO_ROW_BLOCKS))
+    q, live = np.concatenate(q)[perm], np.concatenate(live)[perm]
+    # floor(t) - r = q - window, so t = q - r - 1 + a fraction
+    targets = q - r - 1 + gen.uniform(0.0, 1.0, q.shape)
+    src = gen.normal(size=(live.size, c))
+    dead = np.flatnonzero(~live)
+    src[dead] = 0.0
+    src[dead[::3]] = -0.0
+    src[dead[1::6], ::2] = -0.0
+    shape = (2, live.size // 2)
+    return (src.reshape(*shape, c), gen.normal(size=(th, tw, c)),
+            targets.reshape(*shape, 2), live.reshape(shape))
+
+
+class TestZeroRows:
+    """Zero source rows are left out of ``local_corr``'s products and bands;
+    at 32 channels every live score keeps the bits of the pass that
+    correlates every pixel, and every zero row's volume row is +0.0."""
+
+    @pytest.mark.parametrize("window", [1, 5, 7, 9])
+    def test_live_scores_keep_the_all_pixel_bits(self, window):
+        gen = np.random.default_rng(window)
+        src, tgt, targets, live = zero_row_case(gen, window)
+        assert (~live).any() and np.signbit(src[~live]).any()
+        got = kernels.local_corr(src, tgt, targets, window)
+        # the same blocks with every pixel live: each product has every row
+        every = src.copy()
+        every[~live] = gen.normal(size=every[~live].shape)
+        want = kernels.local_corr(every, tgt, targets, window)
+        assert got[live].tobytes() == want[live].tobytes()
+        assert got[~live].tobytes() == np.zeros_like(got[~live]).tobytes()
+
+    @pytest.mark.parametrize("window", [1, 5, 7, 9])
+    def test_zero_rows_reach_no_band(self, window):
+        gen = np.random.default_rng(10 + window)
+        src, tgt, targets, live = zero_row_case(gen, window)
+        whole = kernels.local_corr(src, tgt, targets, window).reshape(live.size, -1)
+        seen = np.zeros(live.size, dtype=np.int64)
+        rows = np.zeros_like(whole)
+
+        def band(pix, scores, score_at):
+            seen[pix] += 1
+            rows[pix] = scores
+
+        assert kernels.local_corr(src, tgt, targets, window, band) is None
+        np.testing.assert_array_equal(seen, live.ravel())
+        assert rows.tobytes() == whole.tobytes()
+
+    def test_all_zero_grid_calls_no_band(self):
+        src = np.zeros((6, 7, 32))
+        src[::2] = -0.0
+        tgt = rng.normal(size=(5, 9, 32))
+        targets = border_targets(rng, 6, 7, 5, 9)
+
+        def band(pix, scores, score_at):
+            raise AssertionError("a band of zero rows")
+
+        assert kernels.local_corr(src, tgt, targets, 5, band) is None
+        got = kernels.local_corr(src, tgt, targets, 5)
+        assert got.shape == (6, 7, 5, 5)
+        assert got.tobytes() == np.zeros_like(got).tobytes()

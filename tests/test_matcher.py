@@ -16,7 +16,8 @@ from mvmatch.grouping import ImageGroup
 from mvmatch.matcher import (AnchorGrid, ConvStack, MatcherParams, RefinerState,
                              global_match, init_matcher_params, mvfuse, refine_level,
                              run_group)
-from mvmatch.oracle import SceneOracle, gt_warp, make_planar_scene, simulate_matcher
+from mvmatch.oracle import (SceneOracle, gt_warp, make_planar_scene, make_point_cloud_scene,
+                            simulate_matcher)
 from mvmatch.tracks import sample_tracks
 
 from oracles import (dense_global_match, grid_corr_readout, identity_warp, oracle_mvfuse,
@@ -229,6 +230,35 @@ class TestRefineLevel:
             np.testing.assert_array_equal(got[t].confidence, want[t].confidence)
             up = upsample_warp(state.warps[t], 2)
             assert np.any(got[t].targets != up.targets)  # some moves were made
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_surface_free_pixels_get_the_zero_row_readout(self, level):
+        # on a point-cloud scene the source pixels that see no surface have
+        # zero features; local_corr leaves them out, so they take the
+        # readout of a zero row: no move and a peak of 1 / window^2. The
+        # warps keep the bits of the refinement that reads every pixel
+        scene = make_point_cloud_scene(3, (48, 48), seed=1)
+        provider = OracleFeatureProvider(scene, dim=32, seed=6)
+        params = init_matcher_params(seed=11)
+        rng = np.random.default_rng(level)
+        state = RefinerState(level + 1, {
+            t: smooth_random_warp(scene, t, params.level_stride(level + 1), rng)
+            for t in (1, 2)})
+        lp = params.levels[level]
+        dead = ~provider.features(0, lp.stride).data.any(axis=-1)
+        assert 0.2 < dead.mean() < 0.9
+        got = refine_level(state, provider, params).warps
+        want = verify_every_level_refine(state, provider, params)
+        for t in (1, 2):
+            up = upsample_warp(state.warps[t], 2)
+            assert got[t].targets.tobytes() == want[t].targets.tobytes()
+            assert got[t].confidence.tobytes() == want[t].confidence.tobytes()
+            np.testing.assert_array_equal(got[t].targets[dead], up.targets[dead])
+            conf = up.confidence[dead]
+            np.testing.assert_array_equal(
+                got[t].confidence[dead],
+                np.clip(conf + matcher.CONF_BLEND * (1.0 / lp.window ** 2 - conf), 0.0, 1.0))
+            assert np.any(got[t].targets[~dead] != up.targets[~dead])
 
     def test_gt_initialized_residual_is_small(self, planar_setup):
         scene, provider, params = planar_setup
