@@ -9,11 +9,13 @@ one (a slight rotation and zoom): its products are keyed by target block,
 so the two make the same products, but the random warp's scattered reads
 and writes cost more at 168^2. Its labels name ``kernels._CORR_BLOCK``,
 and one more case times it at the shipped finest level (672^2, window 5,
-smooth warp; 2 x 116 MB of features). The refiner's level-1 band pass,
-``matcher._read_moves`` (that window-5 correlation with each band's
-readout and sub-cell verify, at gain 0, so no volume), is timed at 168^2
-and 672^2 under the smooth warp; set against the plain ``local_corr``
-cases of the same size, it shows what the readout and verify add. It is
+smooth warp; 2 x 116 MB of features). The plain ``local_corr`` cases
+pass a band callback that keeps nothing, so they time the products and
+blends alone. The refiner's level-1 band pass, ``matcher._read_moves``
+(that window-5 correlation with each band's readout and sub-cell verify,
+at gain 0, so no volume), is timed at 168^2 and 672^2 under the smooth
+warp; set against the plain ``local_corr`` cases of the same size, it
+shows what the readout and verify add. It is
 also timed, under the smooth warp, on the features of the 48 px point-cloud
 scene (views 0 and 1 of the ``scene-pc-48`` workload at seed 1, stride 1),
 where the source pixels that see no surface have zero features and are
@@ -122,6 +124,10 @@ def main():
         ("zbuffer_min (200k pts)", lambda: kernels.zbuffer_min(px, py, depth, h, w)),
     ]
     block = kernels._CORR_BLOCK
+
+    def keep_nothing(pix, scores, score_at):
+        pass
+
     for size, window in ((168, 5), (84, 7), (42, 9), (48, 5)):
         src = np.ascontiguousarray(feat[:size, :size])
         dst = np.ascontiguousarray(tgt[:size, :size])
@@ -129,11 +135,12 @@ def main():
                  "smooth": smooth_warp(size)}
         for kind, warp in warps.items():
             cases.append((f"local_corr ({size}^2, win {window}, {kind}, block {block})",
-                          partial(kernels.local_corr, src, dst, warp, window)))
+                          partial(kernels.local_corr, src, dst, warp, window, keep_nothing)))
     # the shipped finest level: 672 px at stride 1
     big_src, big_dst = rng.normal(size=(2, 672, 672, c))
     cases.append((f"local_corr (672^2, win 5, smooth, block {block})",
-                  partial(kernels.local_corr, big_src, big_dst, smooth_warp(672), 5)))
+                  partial(kernels.local_corr, big_src, big_dst, smooth_warp(672), 5,
+                          keep_nothing)))
     temperature = PipelineConfig().softargmax_temperature
     for src, dst in ((feat, tgt), (big_src, big_dst)):
         size = src.shape[0]

@@ -142,7 +142,7 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_(logits: np.ndarray, flush: bool = False) -> np.ndarray:
+def _softmax_(logits: np.ndarray) -> np.ndarray:
     """Unmasked softmax over the last axis, in place; returns the row sums.
 
     Subtracts each row's max, exponentiates and divides by the row sum, which
@@ -150,16 +150,15 @@ def _softmax_(logits: np.ndarray, flush: bool = False) -> np.ndarray:
     ``1 / sum`` exactly, since the max term is ``exp(0) = 1``. Entries of
     -inf get weight 0.
 
-    With ``flush``, shifted logits below ``EXP_FLOOR`` become -inf before the
-    ``exp``, so their weights are exact zeros rather than subnormals, which
-    run far slower through ``exp``, the sum and a later matrix product. The
-    bits stay the same: the row sum is at least 1, so a term below
+    Shifted logits below ``EXP_FLOOR`` become -inf before the ``exp``, so
+    their weights are exact zeros rather than subnormals, which run far
+    slower through ``exp``, the sum and a later matrix product. The bits
+    stay the same: the row sum is at least 1, so a term below
     ``finfo.tiny`` is under half an ulp of it and of the weighted sums it
     enters, short of a rounding tie broken below 2**-1022.
     """
     logits -= logits.max(axis=-1, keepdims=True)
-    if flush:
-        np.copyto(logits, -np.inf, where=logits < EXP_FLOOR)
+    np.copyto(logits, -np.inf, where=logits < EXP_FLOOR)
     np.exp(logits, out=logits)
     sums = logits.sum(axis=-1, keepdims=True)
     logits /= sums
@@ -316,7 +315,7 @@ def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
     logits /= np.sqrt(d)
     logits[:, :n] += bias
     logits[:, n:] = -np.inf
-    _softmax_(logits, flush=True)
+    _softmax_(logits)
     return logits @ values
 
 

@@ -16,15 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (PipelineConfig, load_config, positive_finite_list, read_json,
-                     save_config)
+from .config import PipelineConfig, load_config, positive_finite_list, save_config
 from .geometry import (corner_auc, corner_error, dlt_homography,
                        ransac_homography, accuracy_completeness,
                        triangulate_observations)
 from .grids import DenseWarpField, read_warp_file, write_warp_file
 from .grouping import (ImageGroup, default_budget,
                        overlap_from_descriptors, overlap_from_matches,
-                       read_group_manifest, sample_groups, write_group_manifest)
+                       read_group_manifest, read_manifest_groups, sample_groups,
+                       write_group_manifest)
 from .matcher import init_matcher_params, run_group
 from .features import OracleFeatureProvider
 from .oracle import (gt_warp, load_scene, make_planar_scene, make_point_cloud_scene,
@@ -209,13 +209,7 @@ def cmd_match(args) -> int:
 
 def _load_warp_bank(warps_dir: Path):
     """Read every MVWF file; returns candidates per ordered pair plus groups."""
-    manifest_path = warps_dir / "manifest.json"
-    manifest = read_json(manifest_path)
-    try:
-        groups = [(g["id"], ImageGroup(g["source"], tuple(g["targets"])))
-                  for g in manifest["groups"]]
-    except KeyError as exc:
-        raise ValueError(f"{manifest_path}: missing key {exc}") from None
+    groups = [group for group, in read_manifest_groups(warps_dir / "manifest.json")]
     candidates: dict[tuple[int, int], list[DenseWarpField]] = {}
     for path in sorted(warps_dir.glob("warp_g*.mvwf")):
         warp = read_warp_file(path)
@@ -255,7 +249,7 @@ def cmd_postprocess(args) -> int:
     track_sets = []
     num_views = 1 + max(max((a for a, _ in selected), default=0),
                         max((b for _, b in selected), default=0))
-    for gid, group in groups:
+    for group in groups:
         usable = [t for t in group.targets if (group.source, t) in selected]
         if not usable:
             continue

@@ -60,7 +60,6 @@ class OracleFeatureProvider:
         self.oracle = oracle
         self.dim = dim
         self.seed = seed
-        self._fields: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._cache: dict[tuple[int, int], FeatureGrid] = {}
 
     def features(self, view: int, stride: int) -> FeatureGrid:
@@ -70,20 +69,17 @@ class OracleFeatureProvider:
         return self._cache[key]
 
     def _field(self, stride: int):
-        if stride not in self._fields:
-            extent = float(max(self.oracle.image_size))
-            lo = 4.0 * stride
-            hi = max(2.0 * extent, lo * 2.0)
-            self._fields[stride] = _smooth_field_params(self.dim, self.seed + stride,
-                                                        lo, hi)
-        return self._fields[stride]
+        extent = float(max(self.oracle.image_size))
+        lo = 4.0 * stride
+        hi = max(2.0 * extent, lo * 2.0)
+        return _smooth_field_params(self.dim, self.seed + stride, lo, hi)
 
     def _render(self, view: int, stride: int) -> FeatureGrid:
         lh, lw = _level_size(self.oracle, stride)
         freqs, phases = self._field(stride)
-        ys, xs = np.mgrid[0:lh, 0:lw]
-        base = np.stack([xs * stride, ys * stride], axis=-1).astype(np.float64)
         if self.oracle.kind == "planar":
+            ys, xs = np.mgrid[0:lh, 0:lw]
+            base = np.stack([xs * stride, ys * stride], axis=-1).astype(np.float64)
             ref = apply_homography(self.oracle.homographies[view], base.reshape(-1, 2))
             data = _evaluate_field(ref, freqs, phases).reshape(lh, lw, self.dim)
             return FeatureGrid(data, stride=stride)

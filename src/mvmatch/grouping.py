@@ -199,8 +199,8 @@ def build_group(source: int, overlap: OverlapMatrix, usage: PairUsage,
     return _extend_greedy(source, overlap, usage, cfg, [], pool)
 
 
-def augment_reciprocity(groups: list[ImageGroup], overlap: OverlapMatrix,
-                        usage: PairUsage, cfg: PipelineConfig) -> list[ImageGroup]:
+def augment_reciprocity(overlap: OverlapMatrix, usage: PairUsage,
+                        cfg: PipelineConfig) -> list[ImageGroup]:
     """Stage 2: extra groups so every directed pair exists in both directions.
 
     For each image with pending reciprocal needs a new group is created with
@@ -246,7 +246,7 @@ def sample_groups(overlap: OverlapMatrix, cfg: PipelineConfig,
                 order.append(i)
                 remaining[i] -= 1
     stage1 = [build_group(src, overlap, usage, cfg) for src in order]
-    stage2 = augment_reciprocity(stage1, overlap, usage, cfg)
+    stage2 = augment_reciprocity(overlap, usage, cfg)
     return stage1, stage2
 
 
@@ -274,26 +274,33 @@ def write_group_manifest(path, stage1: list[ImageGroup], stage2: list[ImageGroup
 
 def read_group_manifest(path) -> list[tuple[ImageGroup, int]]:
     """Read a manifest written by ``write_group_manifest`` as (group, stage)
-    pairs. A file that is not a JSON object holding a list of group objects,
-    or a group with a missing key or bad value, raises a ValueError that
-    starts with the path."""
+    pairs (``read_manifest_groups``)."""
+    return read_manifest_groups(path, "stage")
+
+
+def read_manifest_groups(path, *keys: str) -> list[tuple]:
+    """Read the groups of a JSON manifest, a group manifest or the one
+    ``match`` writes next to its warps, as one tuple per group: its
+    ImageGroup, then the int value of each of ``keys``. A file that is not a
+    JSON object holding a list of group objects, or a group with a missing
+    key or bad value, raises a ValueError that starts with the path."""
     payload = read_json(path)
     try:
         groups = payload["groups"] if isinstance(payload, dict) else None
         if not isinstance(groups, list) or not all(isinstance(g, dict) for g in groups):
             raise ValueError("a group manifest must be a JSON object whose "
                              "\"groups\" is a list of objects")
-        return [_manifest_group(g) for g in groups]
+        return [_manifest_group(g, keys) for g in groups]
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _manifest_group(g: dict) -> tuple[ImageGroup, int]:
-    source, targets, stage = g["source"], g["targets"], g["stage"]
-    if not (isinstance(source, int) and isinstance(stage, int)
+def _manifest_group(g: dict, keys: tuple[str, ...]) -> tuple:
+    source, targets, values = g["source"], g["targets"], [g[k] for k in keys]
+    if not (all(isinstance(v, int) for v in [source, *values])
             and isinstance(targets, list) and all(isinstance(t, int) for t in targets)):
-        raise ValueError(f"a group needs an int source and stage and a list of "
-                         f"int targets, got {g}")
-    return ImageGroup(source, tuple(targets)), stage
+        raise ValueError(f"a group needs an int {' and '.join(('source',) + keys)} and a "
+                         f"list of int targets, got {g}")
+    return (ImageGroup(source, tuple(targets)), *values)

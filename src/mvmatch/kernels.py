@@ -85,14 +85,15 @@ _CORR_MIN_ROWS = 16
 
 
 def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: int,
-               band=None) -> np.ndarray | None:
-    """Correlate each source feature with a window of bilinear target samples.
+               band) -> None:
+    """Correlate each source feature with a window of bilinear target samples
+    and hand the scores to ``band`` band by band; returns None.
 
-    Entry [y, x, j, i] is ``src[y, x] . sample(tgt, targets[y, x] + (i - r,
-    j - r)) / sqrt(C)`` with r = (window - 1) // 2, sampled border-clamped as
-    in ``bilinear_gather``. A bilinear sample's dot product is the same blend
-    of the dot products taken at its two cells along each axis, so the
-    kernel:
+    Score j * window + i of pixel (x, y) is ``src[y, x] . sample(tgt,
+    targets[y, x] + (i - r, j - r)) / sqrt(C)`` with r = (window - 1) // 2,
+    sampled border-clamped as in ``bilinear_gather``. A bilinear sample's
+    dot product is the same blend of the dot products taken at its two
+    cells along each axis, so the kernel:
 
     * gives each pixel one regular window per axis: origin v = clip(floor(t)
       - r, -window, size - 1), and offset i blends cells v + i and v + i + 1
@@ -127,9 +128,9 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
       the same dots, for positions whose taps lie in the pixel's window
       cells v .. v + window on each axis (``_window_cell``).
 
-    Without ``band``, the bands fill and return the (H, W, window, window)
-    volume, whose rows of zero-row pixels are +0.0; with it, no volume is
-    built and None is returned.
+    No volume is built here: a caller that needs the (H * W, window^2)
+    scores writes them from its bands into rows that start at +0.0, the
+    scores of a zero row.
 
     Blending after the channel sum instead of before it, and BLAS's order
     of the channel sum, move scores by a few ulps: they agree with the
@@ -163,13 +164,6 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
     inv = 1.0 / np.sqrt(c)
     s = src.reshape(h * w, c)
     t = targets.reshape(h * w, 2)
-    out = None
-    if band is None:
-        out = np.zeros((h * w, window * window))
-
-        def band(pix, scores, score_at):
-            out[pix] = scores
-
     # q = v + window >= 0 per axis, v each pixel's window origin; the live
     # pixels (a non-zero source row) sorted by the block of target cells
     # that holds it
@@ -181,7 +175,7 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
     live = np.flatnonzero(s.any(axis=1))
     order = live[np.argsort(key[live], kind="stable")]
     if not order.size:
-        return None if out is None else out.reshape(h, w, window, window)
+        return
     key = key[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     ends = np.r_[starts[1:], key.size]
@@ -253,7 +247,6 @@ def local_corr(src: np.ndarray, tgt: np.ndarray, targets: np.ndarray, window: in
                 a = np.concatenate([a, np.zeros((pad[b] - len(a), c))])
             np.matmul(a, region.T, out=dots[p_lo - band_lo:p_lo - band_lo + len(a)])
     blend(band_lo, order.size)
-    return None if out is None else out.reshape(h, w, window, window)
 
 
 def _window_cell(p: np.ndarray, size: int, v: np.ndarray, window: int):

@@ -19,7 +19,6 @@ correlation run through a small convolutional stack, fused across views
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,19 +302,6 @@ def _verified(delta: np.ndarray, score: np.ndarray, centre: np.ndarray,
     return np.where(improved[:, None], delta, 0.0)
 
 
-@functools.lru_cache(maxsize=16)
-def _zero_row_readout(window: int, channels: int, temperature: float, subpixel: bool):
-    """(move, peak) of a pixel whose scores are all 0, at every offset and
-    candidate: ``_corr_readout`` of a zero row, verified against a score of
-    0 when ``subpixel`` is set; as (dx, dy) and a float, so the cache hands
-    out nothing mutable."""
-    zero = np.zeros((1, window * window))
-    move, peak, centre = _corr_readout(zero, window, channels, temperature, subpixel)
-    if subpixel:
-        move = _verified(move, zero[:, 0], centre, channels)
-    return tuple(move[0].tolist()), float(peak[0])
-
-
 def _read_moves(phi_src: FeatureGrid, phi_tgt: FeatureGrid, warp: DenseWarpField,
                 window: int, temperature: float, subpixel: bool, keep_volume: bool):
     """One target's (n, 2) moves and (n,) softmax peaks from one correlation pass.
@@ -327,7 +313,8 @@ def _read_moves(phi_src: FeatureGrid, phi_tgt: FeatureGrid, warp: DenseWarpField
     check: the gate kept it only with a lead of CORR_GATE_MARGIN over the
     centre, and the score at the moved cell is its window score to within
     1e-13, so it always clears the smaller VERIFY_MARGIN. The third result
-    is the (n, window^2) volume when ``keep_volume`` is set, else None.
+    is the (n, window^2) volume when ``keep_volume`` is set, else None; it
+    is the only correlation volume the library builds.
 
     The bands hold only the pixels whose source feature is non-zero, so
     every pixel starts from the readout of a zero row and the bands
@@ -336,9 +323,10 @@ def _read_moves(phi_src: FeatureGrid, phi_tgt: FeatureGrid, warp: DenseWarpField
     n = warp.height * warp.width
     d = phi_src.channels
     targets = warp.targets.reshape(n, 2)
-    zero_move, zero_peak = _zero_row_readout(window, d, temperature, subpixel)
-    delta = np.full((n, 2), zero_move)
-    peak = np.full(n, zero_peak)
+    # a zero row ties every offset, so the gate keeps the centre, no sub-cell
+    # move verifies and the softmax is uniform
+    delta = np.zeros((n, 2))
+    peak = np.full(n, 1.0 / (window * window))
     volume = np.zeros((n, window * window)) if keep_volume else None
 
     def read(pix, scores, score_at):
@@ -406,8 +394,6 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
     updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for tgt, w_up in ups.items():
         phi_tgt = provider.features(tgt, lp.stride)
-        if (w_up.height, w_up.width) != (h, w):
-            raise ValueError("provider stride does not match the level resolution")
         delta, peak, corr = _read_moves(phi_src, phi_tgt, w_up, lp.window,
                                         params.softargmax_temperature, subpixel,
                                         params.residual_gain != 0.0)

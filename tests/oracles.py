@@ -2,7 +2,8 @@
 
 Everything here recomputes results with plain Python loops and numpy scalars,
 no shared code paths with the library internals beyond parameter containers;
-``identity_warp`` and ``global_view_columns`` only build test inputs. The
+``identity_warp`` and ``global_view_columns`` only build test inputs, and
+``band_volume`` only collects the library's correlation bands. The
 ``dense_*`` functions are the exception: they keep the full-matrix
 formulations that the row-blocked global match and the windowed exchange
 attention replaced, so the library's outputs can be checked against the full
@@ -12,11 +13,12 @@ warps, k-means++ seeding and cluster allocation, which they do not test, and
 keep the per-sample and per-cluster loops that the array code replaced.
 ``choice_kmeans_pp_init`` keeps the k-means++ seeding that drew each centre
 with ``Generator.choice``. ``loop_triangulate`` keeps the
-one-SVD-per-track triangulation that the batched solve replaced. ``verify_every_level_refine`` keeps the zero-gain
-refinement step that verified whole-cell moves too and read every pixel,
-zero feature or not, off the whole volume, and ``grid_corr_readout`` the
-readout it runs, which indexes the (H, W, window, window) volume through
-full index grids.
+one-SVD-per-track triangulation that the batched solve replaced.
+``verify_every_level_refine`` keeps the zero-gain refinement step that
+verified whole-cell moves too and read every pixel, zero feature or not,
+off the whole volume (built by ``band_volume``), and ``grid_corr_readout``
+the readout it runs, which indexes the (H, W, window, window) volume
+through full index grids.
 """
 
 import math
@@ -39,6 +41,27 @@ def identity_warp(height, width, source_view=0, target_view=1, confidence=1.0):
                          np.arange(height, dtype=np.float64))
     return DenseWarpField(np.stack([xs, ys], axis=-1), np.full((height, width), float(confidence)),
                           source_view, target_view)
+
+
+def band_volume(correlate, src, tgt, targets, window):
+    """The (H, W, window, window) scores that ``correlate``, ``kernels.local_corr``
+    or ``grids.local_correlation`` (whose ``targets`` is a DenseWarpField),
+    hands to its band callback. Each band must hold contiguous (n, window^2)
+    rows of pixels handed over for the first time, and the call must return
+    None. Pixels that reach no band read +0.0, the scores of a zero row."""
+    shape = np.shape(getattr(targets, "targets", targets))[:2]
+    cells = window * window
+    out = np.zeros((shape[0] * shape[1], cells))
+    seen = np.zeros(len(out), dtype=bool)
+
+    def band(pix, scores, score_at):
+        assert scores.flags.c_contiguous and scores.shape == (pix.size, cells)
+        assert not seen[pix].any()
+        seen[pix] = True
+        out[pix] = scores
+
+    assert correlate(src, tgt, targets, window, band) is None
+    return out.reshape(*shape, window, window)
 
 
 def oracle_softmax(logits):
@@ -369,7 +392,7 @@ def verify_every_level_refine(state, provider, params):
         src = provider.features(up.source_view, lp.stride)
         phi_tgt = provider.features(tgt, lp.stride)
         d = src.channels
-        corr = local_correlation(src, phi_tgt, up, lp.window)
+        corr = band_volume(local_correlation, src, phi_tgt, up, lp.window)
         delta, peak = grid_corr_readout(corr, d, params.softargmax_temperature,
                                         out_level in SUBPIXEL_LEVELS)
         cand = up.targets + delta

@@ -243,16 +243,10 @@ class TestSubnormalFlush:
         assert np.exp(above) >= TINY
         assert 0.0 < np.exp(below) < TINY
         row = np.array([[0.0, above, below]])
-        sums = attention._softmax_(row, flush=True)
+        sums = attention._softmax_(row)
         assert sums[0, 0] == 1.0
         assert row[0, 1] == np.exp(above)
         assert row[0, 2] == 0.0
-
-    def test_unflushed_softmax_keeps_the_subnormal(self):
-        below = np.nextafter(EXP_FLOOR, -np.inf)
-        row = np.array([[0.0, below]])
-        attention._softmax_(row)
-        assert 0.0 < row[0, 1] < TINY
 
     # the cases TestBlocksMatchDenseFormulation compares with the dense outputs:
     # sampling at seed 5, splatting at seed 6

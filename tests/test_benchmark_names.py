@@ -2,7 +2,8 @@
 
 A renamed or removed traced name fails here with AttributeError, not first in
 a ``--trace 1`` benchmark run; a removed name that
-``benchmarks/bench_kernels.py`` imports fails here with ImportError. One
+``benchmarks/bench_kernels.py`` or ``benchmarks/workload_digests.py``
+imports fails here with ImportError. One
 traced ``run_group`` also checks what the refine-level wrapper reads (the
 state's level, the level weights' stride, the result's warps and the
 provider's oracle). The workloads' configs, written by
@@ -72,9 +73,11 @@ def test_every_workload_config_loads():
 
 
 def test_kernel_benchmark_imports():
-    # run_name "bench" runs the script's imports and definitions, not main
-    script = ROOT / "benchmarks" / "bench_kernels.py"
-    done = subprocess.run(
-        [sys.executable, "-c", f"import runpy; runpy.run_path({str(script)!r}, run_name='bench')"],
-        capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    # run_name "bench" runs each script's imports and definitions, not main
+    for name in ("bench_kernels.py", "workload_digests.py"):
+        script = ROOT / "benchmarks" / name
+        done = subprocess.run(
+            [sys.executable, "-c",
+             f"import runpy; runpy.run_path({str(script)!r}, run_name='bench')"],
+            capture_output=True, text=True)
+        assert done.returncode == 0, f"{name}: {done.stderr}"

