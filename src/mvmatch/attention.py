@@ -22,11 +22,10 @@ dense formulation to a few ulps. ``_attend`` pads each window with zero
 keys of weight 0 to a multiple of 8 columns, which keeps the products' bits
 independent of BLAS's thread count.
 
-Masking follows a fixed recipe: a -1e9 additive constant on masked logits,
-then a post-softmax re-zero of the masked columns (and renormalization) so
-masked entries contribute exactly zero weight. The exchange samples each
-view at its visible tracks only, and splatting leaves invisible tracks out
-of its windows, which gives them the same exact zero weight.
+Masked logits become -inf before the softmax, so masked entries weigh
+exactly zero. The exchange samples each view at its visible tracks only,
+and splatting leaves invisible tracks out of its windows, which gives them
+the same exact zero weight.
 """
 
 from __future__ import annotations
@@ -35,10 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import FeatureGrid
+from .grids import FeatureGrid, pixel_centers
 from .tracks import Tracks
 
-MASK_LOGIT = -1e9
 # A max-shifted logit below this has a subnormal (or zero) exp; see _softmax_.
 EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 # Most total weight, relative to a row's largest, that a window leaves out.
@@ -127,18 +125,15 @@ class TrackFeatures:
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row softmax with exact-zero weights on masked columns.
 
-    ``mask`` is True where an entry participates. Masked logits get -1e9
-    added, and after the softmax the masked entries are re-zeroed and each
-    row renormalized, so rows sum to 1 over the unmasked entries exactly.
-    Fully-masked rows come back as all zeros.
+    ``mask`` is True where an entry participates. Masked logits become -inf
+    and the rows go through ``_softmax_``, so each row sums to 1 over its
+    unmasked entries. Fully-masked rows come back as all zeros.
     """
-    shifted = np.where(mask, logits, logits + MASK_LOGIT)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    expd = np.where(mask, expd, 0.0)
-    denom = expd.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(denom > 0, expd / np.where(denom > 0, denom, 1.0), 0.0)
+    out = np.where(mask, logits, -np.inf)
+    dead = ~np.any(mask, axis=-1)
+    out[dead] = 0.0  # a finite row for _softmax_, zeroed again below
+    _softmax_(out)
+    out[dead] = 0.0
     return out
 
 
@@ -193,12 +188,6 @@ def coordinate_queries(params: AttentionParams, coords: np.ndarray,
     x = _normalized(np.asarray(coords, dtype=np.float64), grid_hw)
     hidden = np.maximum(x @ params.w1 + params.b1, 0.0)
     return hidden @ params.w2 + params.b2
-
-
-def grid_token_centers(height: int, width: int) -> np.ndarray:
-    """(HW, 2) centers of the grid tokens in pixel units, raster order."""
-    ys, xs = np.mgrid[0:height, 0:width]
-    return np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
 
 
 def spatial_bias(track_coords: np.ndarray, grid_size: tuple[int, int],
@@ -386,9 +375,9 @@ def attentional_splatting(grid: FeatureGrid, track_feats: np.ndarray,
     Grid-token centers drive the queries through the same coordinate MLP,
     keys/values come from the track features, and the spatial bias enters
     transposed relative to sampling. Invisible tracks take no part, which
-    gives them weight 0 as the post-softmax re-zero of ``masked_softmax``
-    does. With no visible track the grid is returned unchanged. Each tile of
-    cells is scored against its visible tracks (``_splatting_windows``).
+    gives them weight 0 as the -inf logits of ``masked_softmax`` do. With no
+    visible track the grid is returned unchanged. Each tile of cells is
+    scored against its visible tracks (``_splatting_windows``).
     """
     if grid.channels != params.dim:
         raise ValueError(f"grid has {grid.channels} channels, params expect {params.dim}")
@@ -399,7 +388,7 @@ def attentional_splatting(grid: FeatureGrid, track_feats: np.ndarray,
     d = params.dim
     coords = np.asarray(track_coords, dtype=np.float64)[visibility]
     feats = np.asarray(track_feats, dtype=np.float64)[visibility]
-    queries = coordinate_queries(params, grid_token_centers(*hw), hw)
+    queries = coordinate_queries(params, pixel_centers(*hw), hw)
     keys = feats @ params.wk
     values = feats @ params.wv
     spread = _row_spread(queries, keys).reshape(hw)

@@ -115,14 +115,8 @@ def cmd_build_tracks(args) -> int:
 def cmd_sample_groups(args) -> int:
     cfg = _load_cfg(args)
     if args.warps:
-        warps = {}
-        m = 0
-        for path in sorted(Path(args.warps).glob("*.mvwf")):
-            warp = read_warp_file(path)
-            warps[(warp.source_view, warp.target_view)] = warp
-            m = max(m, warp.source_view + 1, warp.target_view + 1)
-        if not warps:
-            raise ValueError(f"no MVWF files under {args.warps}")
+        warps = _load_warp_bank(Path(args.warps))
+        m = 1 + max(max(pair) for pair in warps)
         overlap = overlap_from_matches(warps, m, cfg.group_tau_conf)
     elif args.descriptors:
         try:
@@ -207,24 +201,29 @@ def cmd_match(args) -> int:
     return 0
 
 
-def _load_warp_bank(warps_dir: Path):
-    """Read every MVWF file; returns candidates per ordered pair plus groups."""
-    groups = [group for group, in read_manifest_groups(warps_dir / "manifest.json")]
+def _load_warp_bank(warps_dir: Path) -> dict[tuple[int, int], DenseWarpField]:
+    """The warps of every MVWF file in ``warps_dir``, pooled per ordered pair
+    (named by each file's header) by ``select_matches``. A directory with no
+    MVWF file, or with warps of two grid sizes, raises a ValueError naming it."""
     candidates: dict[tuple[int, int], list[DenseWarpField]] = {}
-    for path in sorted(warps_dir.glob("warp_g*.mvwf")):
+    for path in sorted(warps_dir.glob("*.mvwf")):
         warp = read_warp_file(path)
         candidates.setdefault((warp.source_view, warp.target_view), []).append(warp)
-    return candidates, groups
+    if not candidates:
+        raise ValueError(f"no MVWF files under {warps_dir}")
+    sizes = sorted({(w.height, w.width) for ws in candidates.values() for w in ws})
+    if len(sizes) > 1:
+        raise ValueError(f"{warps_dir}: warps are {sizes[0]} and {sizes[-1]}; "
+                         "a warp bank holds one grid size")
+    return {pair: select_matches(ws)[0] for pair, ws in candidates.items()}
 
 
-def _select_and_filter(candidates: dict[tuple[int, int], list[DenseWarpField]],
-                       eps_p: float):
-    """Best warp per ordered pair and its reciprocity keep-mask.
+def _reciprocal_keeps(selected: dict[tuple[int, int], DenseWarpField], eps_p: float):
+    """Each pair's reciprocity keep-mask, and the pairs without a reverse warp.
 
-    Returns (selected, keeps, one_way): a pair without a reverse warp keeps
-    nothing and is listed in ``one_way``.
+    Returns (keeps, one_way): a pair without a reverse warp keeps nothing
+    and is listed in ``one_way``.
     """
-    selected = {pair: select_matches(cands)[0] for pair, cands in candidates.items()}
     keeps = {}
     one_way = []
     for (a, b), warp in selected.items():
@@ -234,25 +233,28 @@ def _select_and_filter(candidates: dict[tuple[int, int], list[DenseWarpField]],
             keeps[(a, b)] = np.zeros((warp.height, warp.width), dtype=bool)
         else:
             keeps[(a, b)] = reciprocity_filter(warp, back, eps_p)
-    return selected, keeps, one_way
+    return keeps, one_way
 
 
 def cmd_postprocess(args) -> int:
     cfg = _load_cfg(args)
     warps_dir = Path(args.warps)
-    candidates, groups = _load_warp_bank(warps_dir)
-    selected, keeps, one_way = _select_and_filter(candidates, cfg.eps_p)
+    groups = [group for group, in read_manifest_groups(warps_dir / "manifest.json")]
+    selected = _load_warp_bank(warps_dir)
+    keeps, one_way = _reciprocal_keeps(selected, cfg.eps_p)
     if one_way:
         pairs = ", ".join(f"{a}->{b}" for a, b in sorted(one_way))
         print(f"mvmatch postprocess: warning: no reverse warp for pairs {pairs}; "
               "none of their matches can pass the reciprocity check", file=sys.stderr)
     track_sets = []
-    num_views = 1 + max(max((a for a, _ in selected), default=0),
-                        max((b for _, b in selected), default=0))
+    num_views = 1 + max(max(pair) for pair in selected)
+    emitted = set()  # a repeated group reads the same warps, so it gives the same tracks
     for group in groups:
         usable = [t for t in group.targets if (group.source, t) in selected]
-        if not usable:
+        key = (group.source, tuple(sorted(usable)))
+        if not usable or key in emitted:
             continue
+        emitted.add(key)
         tracks = postprocess_group(group.source, usable, selected, keeps,
                                    cfg.tau, cfg.nms_radius, cfg.max_keypoints)
         track_sets.append((tracks, (group.source,) + tuple(usable)))
@@ -308,15 +310,15 @@ def cmd_eval_homography(args) -> int:
     scene = load_scene(args.scene)
     if scene.kind != "planar":
         raise ValueError("requires a planar scene")
-    candidates, _ = _load_warp_bank(Path(args.warps))
+    selected = _load_warp_bank(Path(args.warps))
     try:  # every pair must name two views of the scene, at its size
-        transfers = {pair: planar_transfer(scene, *pair) for pair in candidates}
+        transfers = {pair: planar_transfer(scene, *pair) for pair in selected}
     except ValueError as exc:
         raise ValueError(f"{args.warps}: {exc}") from None
-    sizes = {(w.height, w.width) for ws in candidates.values() for w in ws} - {scene.image_size}
-    if sizes:
-        raise ValueError(f"{args.warps}: warps are {min(sizes)}, the scene is {scene.image_size}")
-    selected, keeps, _ = _select_and_filter(candidates, cfg.eps_p)
+    size = next(iter(selected.values())).targets.shape[:2]
+    if size != scene.image_size:
+        raise ValueError(f"{args.warps}: warps are {size}, the scene is {scene.image_size}")
+    keeps, _ = _reciprocal_keeps(selected, cfg.eps_p)
     errors = {"dlt": [], "ransac": []}
     pairs_used = 0
     for (a, b), warp in sorted(selected.items()):

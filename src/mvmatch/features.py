@@ -15,7 +15,7 @@ from typing import Protocol
 import numpy as np
 
 from .geometry import apply_homography
-from .grids import FeatureGrid
+from .grids import FeatureGrid, pixel_centers
 from .oracle import SceneOracle, _level_size, _point_cloud_buffers
 
 
@@ -78,9 +78,8 @@ class OracleFeatureProvider:
         lh, lw = _level_size(self.oracle, stride)
         freqs, phases = self._field(stride)
         if self.oracle.kind == "planar":
-            ys, xs = np.mgrid[0:lh, 0:lw]
-            base = np.stack([xs * stride, ys * stride], axis=-1).astype(np.float64)
-            ref = apply_homography(self.oracle.homographies[view], base.reshape(-1, 2))
+            base = pixel_centers(lh, lw) * stride
+            ref = apply_homography(self.oracle.homographies[view], base)
             data = _evaluate_field(ref, freqs, phases).reshape(lh, lw, self.dim)
             return FeatureGrid(data, stride=stride)
         _, ibuf = _point_cloud_buffers(self.oracle, view, stride)

@@ -27,6 +27,18 @@ WARP_MAGIC = b"MVWF"
 WARP_VERSION = 1
 
 
+def pixel_centers(height: int, width: int) -> np.ndarray:
+    """(H W, 2) float (x, y) centers of an H x W pixel grid, raster order."""
+    ys, xs = np.mgrid[0:height, 0:width]
+    return np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+
+
+def in_image(xy: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:
+    """(N,) mask of the (N, 2) points inside [0, W - 1] x [0, H - 1]."""
+    h, w = image_size
+    return (xy[:, 0] >= 0) & (xy[:, 0] <= w - 1) & (xy[:, 1] >= 0) & (xy[:, 1] <= h - 1)
+
+
 @dataclass(frozen=True)
 class FeatureGrid:
     """H x W x C feature map attached to one view at one pyramid stride."""
@@ -138,10 +150,10 @@ def upsample_warp(warp: DenseWarpField, factor: int) -> DenseWarpField:
     factor = int(factor)
     if factor < 2 or (factor & (factor - 1)) != 0:
         raise ValueError("factor must be a power of two >= 2")
-    targets = kernels.upsample_linear(warp.targets, factor) * factor
-    conf = kernels.upsample_linear(warp.confidence[..., None], factor)[..., 0]
-    conf = np.clip(conf, 0.0, 1.0)
-    return DenseWarpField(targets, conf, warp.source_view, warp.target_view)
+    fine = kernels.upsample_linear(np.dstack([warp.targets, warp.confidence]), factor)
+    fine[..., :2] *= factor
+    np.clip(fine[..., 2], 0.0, 1.0, out=fine[..., 2])
+    return DenseWarpField(fine[..., :2], fine[..., 2], warp.source_view, warp.target_view)
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,12 @@ def upsample_linear(field: np.ndarray, factor: int) -> np.ndarray:
     y0, y1, ty = axis_taps(h, oh)
     x0, x1, tx = axis_taps(w, ow)
     rows = field[y0] * (1.0 - ty)[:, None, None] + field[y1] * ty[:, None, None]
-    out = rows[:, x0] * (1.0 - tx)[None, :, None] + rows[:, x1] * tx[None, :, None]
+    # the column blend runs in place, so two output-sized arrays are live, not three
+    out = rows[:, x0]
+    out *= (1.0 - tx)[None, :, None]
+    right = rows[:, x1]
+    right *= tx[None, :, None]
+    out += right
     return out
 
 

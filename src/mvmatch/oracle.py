@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .config import read_json
 from .geometry import apply_homography
-from .grids import MISSING, DenseWarpField
+from .grids import MISSING, DenseWarpField, in_image, pixel_centers
 from .grouping import ImageGroup
 from .tracks import Tracks
 
@@ -144,12 +144,6 @@ def _check_view_pair(oracle: SceneOracle, source: int, target: int) -> None:
         raise ValueError(f"invalid view pair ({source}, {target}) for {v} views")
 
 
-def _in_image(xy: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:
-    """(N,) mask of the (N, 2) points inside [0, W - 1] x [0, H - 1]."""
-    h, w = image_size
-    return (xy[:, 0] >= 0) & (xy[:, 0] <= w - 1) & (xy[:, 1] >= 0) & (xy[:, 1] <= h - 1)
-
-
 def planar_transfer(oracle: SceneOracle, source: int, target: int) -> np.ndarray:
     """3x3 homography from ``source`` to ``target`` pixels through the reference
     plane; an invalid view pair or an ill-conditioned transfer raises ValueError."""
@@ -172,13 +166,12 @@ def gt_warp(oracle: SceneOracle, source: int, target: int, stride: int = 1) -> D
     """
     _check_view_pair(oracle, source, target)
     lh, lw = _level_size(oracle, stride)
-    ys, xs = np.mgrid[0:lh, 0:lw]
-    base = np.stack([xs.ravel() * stride, ys.ravel() * stride], axis=1).astype(np.float64)
+    base = pixel_centers(lh, lw) * stride
 
     if oracle.kind == "planar":
         mapped = apply_homography(planar_transfer(oracle, source, target), base)
         targets = (mapped / stride).reshape(lh, lw, 2)
-        conf = _in_image(mapped, oracle.image_size).astype(np.float64).reshape(lh, lw)
+        conf = in_image(mapped, oracle.image_size).astype(np.float64).reshape(lh, lw)
         return DenseWarpField(targets, conf, source, target)
 
     _, src_ibuf = _point_cloud_buffers(oracle, source, stride)
@@ -192,7 +185,7 @@ def gt_warp(oracle: SceneOracle, source: int, target: int, stride: int = 1) -> D
         front = depth > 0
         coords = np.full((uv.shape[0], 2), MISSING)
         coords[front] = uv[front] / stride
-        inside = front & _in_image(uv, oracle.image_size)
+        inside = front & in_image(uv, oracle.image_size)
         visible = np.zeros(uv.shape[0], dtype=bool)
         if inside.any():
             qx = np.round(uv[inside, 0] / stride).astype(np.int64).clip(0, lw - 1)
@@ -215,7 +208,7 @@ def gt_transfer_points(oracle: SceneOracle, source: int, target: int,
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if oracle.kind == "planar":
         mapped = apply_homography(planar_transfer(oracle, source, target), pts)
-        return mapped, _in_image(mapped, oracle.image_size)
+        return mapped, in_image(mapped, oracle.image_size)
     h, w = oracle.image_size
     warp = gt_warp(oracle, source, target, stride=1)
     px = np.round(pts[:, 0]).astype(np.int64).clip(0, w - 1)

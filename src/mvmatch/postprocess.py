@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .grids import MISSING, DenseWarpField
+from .grids import MISSING, DenseWarpField, in_image, pixel_centers
 from .tracks import Tracks
 
 
@@ -48,10 +48,9 @@ def select_matches(candidates: list[DenseWarpField]) -> tuple[DenseWarpField, np
     confs = np.stack([c.confidence for c in candidates])
     chosen = np.argmax(confs, axis=0)  # first max wins ties
     targets = np.stack([c.targets for c in candidates])
-    h, w = first.height, first.width
-    yy, xx = np.mgrid[0:h, 0:w]
-    selected = DenseWarpField(targets[chosen, yy, xx],
-                              confs[chosen, yy, xx],
+    pick = chosen[None]
+    selected = DenseWarpField(np.take_along_axis(targets, pick[..., None], axis=0)[0],
+                              np.take_along_axis(confs, pick, axis=0)[0],
                               first.source_view, first.target_view)
     return selected, chosen
 
@@ -65,14 +64,10 @@ def reciprocity_filter(forward: DenseWarpField, backward: DenseWarpField,
     land outside the backward image are discarded outright.
     """
     h, w = forward.height, forward.width
-    bh, bw = backward.height, backward.width
-    tx = forward.targets[..., 0].ravel()
-    ty = forward.targets[..., 1].ravel()
-    inside = (tx >= 0) & (tx <= bw - 1) & (ty >= 0) & (ty <= bh - 1)
-    back = kernels.bilinear_gather(backward.targets, tx, ty)
-    ys, xs = np.mgrid[0:h, 0:w]
-    here = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
-    err = np.linalg.norm(back - here, axis=1)
+    there = forward.targets.reshape(-1, 2)
+    inside = in_image(there, (backward.height, backward.width))
+    back = kernels.bilinear_gather(backward.targets, there[:, 0], there[:, 1])
+    err = np.linalg.norm(back - pixel_centers(h, w), axis=1)
     keep = inside & (err <= eps_p)
     return keep.reshape(h, w)
 

@@ -26,8 +26,9 @@ import math
 import numpy as np
 
 from mvmatch import kernels
-from mvmatch.attention import MASK_LOGIT, _softmax_, coordinate_queries, grid_token_centers
-from mvmatch.grids import MISSING, DenseWarpField, FeatureGrid, local_correlation, upsample_warp
+from mvmatch.attention import _softmax_, coordinate_queries
+from mvmatch.grids import (MISSING, DenseWarpField, FeatureGrid, local_correlation,
+                           pixel_centers, upsample_warp)
 from mvmatch.matcher import (CONF_BLEND, CORR_GATE_MARGIN, SUBPIXEL_LEVELS, VERIFY_MARGIN,
                              MVFuseParams)
 from mvmatch.oracle import gt_warp
@@ -121,7 +122,7 @@ def oracle_splatting(grid, track_feats, coords, visibility, params):
     if not visibility.any():
         return grid.data.copy()
     feats = np.where(visibility[:, None], track_feats, 0.0)
-    queries = oracle_queries(params, grid_token_centers(h, w), (h, w))
+    queries = oracle_queries(params, pixel_centers(h, w), (h, w))
     out = grid.data.reshape(-1, params.dim).copy()
     vis = np.nonzero(visibility)[0]
     for j in range(h * w):
@@ -423,7 +424,8 @@ def brute_force_nms(scores, radius, max_keypoints=0):
 
 
 def dense_masked_softmax(logits, mask):
-    shifted = np.where(mask, logits, logits + MASK_LOGIT)
+    """-1e9 on masked logits, then re-zero the masked weights and renormalize."""
+    shifted = np.where(mask, logits, logits - 1e9)
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)
     expd = np.where(mask, expd, 0.0)
@@ -434,7 +436,7 @@ def dense_masked_softmax(logits, mask):
 
 
 def dense_spatial_bias(track_coords, grid_size, sigma):
-    centers = grid_token_centers(*grid_size)
+    centers = pixel_centers(*grid_size)
     coords = np.atleast_2d(np.asarray(track_coords, dtype=np.float64))
     d2 = np.sum((coords[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     return -d2 / (2.0 * sigma * sigma)
@@ -474,7 +476,7 @@ def dense_attentional_splatting(grid, track_feats, track_coords, visibility, par
         return grid
     hw = (grid.height, grid.width)
     feats = np.where(visibility[:, None], track_feats, 0.0)
-    queries = coordinate_queries(params, grid_token_centers(*hw), hw)
+    queries = coordinate_queries(params, pixel_centers(*hw), hw)
     keys = feats @ params.wk
     values = feats @ params.wv
     logits = queries @ keys.T / np.sqrt(params.dim)

@@ -10,9 +10,9 @@ from mvmatch import attention
 from mvmatch.attention import (EXP_FLOOR, WINDOW_TAIL, AttentionParams, TrackFeatures,
                                attentional_sampling, attentional_splatting,
                                coordinate_queries, exchange_features,
-                               grid_token_centers, init_attention_params,
-                               masked_softmax, spatial_bias, track_transformer)
-from mvmatch.grids import MISSING, FeatureGrid
+                               init_attention_params, masked_softmax, spatial_bias,
+                               track_transformer)
+from mvmatch.grids import MISSING, FeatureGrid, pixel_centers
 from mvmatch.tracks import Tracks
 
 from oracles import (dense_attentional_sampling, dense_attentional_splatting,
@@ -126,7 +126,7 @@ def shifted_exchange_logits(hw, tracks, seed, splat, outside=1.0):
     params, grid, coords, vis, track_feats = exchange_case(hw, tracks, seed, outside)
     bias = dense_spatial_bias(coords, hw, params.sigma)
     if splat:
-        queries = coordinate_queries(params, grid_token_centers(*hw), hw)
+        queries = coordinate_queries(params, pixel_centers(*hw), hw)
         keys = track_feats[vis] @ params.wk
         bias = bias.T[:, vis]
     else:
@@ -177,7 +177,7 @@ class TestWindowBound:
         params, grid, coords, vis, feats = exchange_case(hw, tracks, 6, outside)
         h, w = hw
         t_vis = int(vis.sum())
-        queries = coordinate_queries(params, grid_token_centers(*hw), hw)
+        queries = coordinate_queries(params, pixel_centers(*hw), hw)
         spread = attention._row_spread(queries, feats[vis] @ params.wk).reshape(hw)
         inside = np.zeros((h, w, t_vis), dtype=bool)
         for rows, cols, kept in attention._splatting_windows(coords[vis], hw, params.sigma,
@@ -428,7 +428,7 @@ class TestAttentionalSplatting:
         feats = np.tile(np.array([0.3, -1.0, 0.7]), (4, 1))
         coords = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0], [6.0, 0.0]])
         grid = FeatureGrid(np.zeros((1, 8, d)))
-        queries = coordinate_queries(params, grid_token_centers(1, 8), (1, 8))
+        queries = coordinate_queries(params, pixel_centers(1, 8), (1, 8))
         keys = feats @ params.wk
         logits = queries @ keys.T / np.sqrt(d) + spatial_bias(coords, (1, 8), 1.5).T
         attn = masked_softmax(logits, np.ones_like(logits, dtype=bool))

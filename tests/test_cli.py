@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mvmatch import cli
 from mvmatch.cli import main
 from mvmatch.config import PipelineConfig, load_config, save_config
-from mvmatch.grids import read_warp_file
+from mvmatch.grids import DenseWarpField, read_warp_file, write_warp_file
 from mvmatch.tracks import Tracks, read_track_rows
 
 STRIDES_RULE = "must be a non-empty, strictly decreasing list of powers of two"
@@ -54,6 +55,21 @@ def matched_dir(tmp_path_factory, planar_scene, fast_config):
                "--out", str(out), "--config", fast_config])
     assert rc == 0
     return out
+
+
+def uniform_warp(source, target, height, width, confidence):
+    """Identity-position warp whose confidence is ``confidence`` (scalar or (H, W))."""
+    ys, xs = np.mgrid[0:height, 0:width]
+    conf = np.broadcast_to(np.asarray(confidence, dtype=np.float64), (height, width))
+    return DenseWarpField(np.stack([xs, ys], axis=-1), conf, source, target)
+
+
+def copy_warps(src, dst):
+    """Copy the MVWF files of ``src`` into a new directory ``dst``, no manifest."""
+    dst.mkdir()
+    for path in src.glob("*.mvwf"):
+        (dst / path.name).write_bytes(path.read_bytes())
+    return dst
 
 
 class TestGenScene:
@@ -117,6 +133,25 @@ class TestSampleGroups:
         assert rc == 0
         payload = json.loads((tmp_path / "groups.json").read_text())
         assert len(payload["groups"]) >= 4
+
+    def test_warps_of_one_pair_are_pooled(self, tmp_path, fast_config, monkeypatch):
+        # each warp is confident on one half of the image: the pooled warp on
+        # all of it, where the file that sorts last would give 0.5
+        warps = tmp_path / "warps"
+        warps.mkdir()
+        left = np.zeros((4, 8))
+        left[:, :4] = 0.9
+        write_warp_file(warps / "warp_g0000_000_001.mvwf", uniform_warp(0, 1, 4, 8, left))
+        write_warp_file(warps / "warp_g0001_000_001.mvwf",
+                        uniform_warp(0, 1, 4, 8, left[:, ::-1]))
+        overlaps = []
+        real = cli.overlap_from_matches
+        monkeypatch.setattr(cli, "overlap_from_matches",
+                            lambda *args: overlaps.append(real(*args)) or overlaps[-1])
+        rc = main(["sample-groups", "--warps", str(warps), "--out", str(tmp_path / "out"),
+                   "--config", fast_config])
+        assert rc == 0
+        assert overlaps[0].values[0, 1] == 1.0
 
     def test_overlap_from_descriptor_table(self, tmp_path, fast_config):
         import numpy as np
@@ -303,6 +338,29 @@ class TestPostprocessAndEval:
         lines = (tmp_path / "homography_auc.csv").read_text().splitlines()
         assert lines[0] == "solver,threshold_px,auc,pairs"
         assert len(lines) == 7  # 2 solvers x 3 thresholds
+
+    def test_eval_homography_needs_no_manifest(self, tmp_path, both_dirs, planar_scene,
+                                               fast_config):
+        bare = copy_warps(both_dirs, tmp_path / "bare")
+        for warps, out in ((both_dirs, tmp_path / "a"), (bare, tmp_path / "b")):
+            rc = main(["eval-homography", "--scene", str(planar_scene), "--warps", str(warps),
+                       "--out", str(out), "--config", fast_config])
+            assert rc == 0
+        assert (tmp_path / "a" / "homography_auc.csv").read_bytes() == \
+            (tmp_path / "b" / "homography_auc.csv").read_bytes()
+
+    def test_postprocess_writes_a_repeated_group_once(self, tmp_path, both_dirs,
+                                                      fast_config):
+        repeated = copy_warps(both_dirs, tmp_path / "repeated")
+        manifest = json.loads((both_dirs / "manifest.json").read_text())
+        manifest["groups"].append({"id": 3, "source": 0, "targets": [2, 1]})
+        (repeated / "manifest.json").write_text(json.dumps(manifest))
+        for warps, out in ((both_dirs, tmp_path / "a"), (repeated, tmp_path / "b")):
+            rc = main(["postprocess", "--warps", str(warps), "--out", str(out),
+                       "--config", fast_config])
+            assert rc == 0
+        for name in ("sfm_tracks.tsv", "stats.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_eval_homography_rejects_point_cloud(self, tmp_path, fast_config):
         rc = main(["gen-scene", "--kind", "point-cloud", "--views", "2",
@@ -530,6 +588,28 @@ class TestErrorContract:
         self.assert_one_line_error(capsys, "eval-homography", f"{both_dirs}: {fragment}",
                                    tmp_path / "run")
 
+    # unchecked, postprocess and eval-homography wrote an empty track file or
+    # an all-zero AUC table with exit 0 for a bank with no warps, and warps of
+    # two sizes stopped postprocess with a numpy error that named no file
+    @pytest.mark.parametrize("command", ["sample-groups", "postprocess", "eval-homography"])
+    @pytest.mark.parametrize("sizes, fragment", [
+        ((), "no MVWF files under {warps}"),
+        (((0, 1, 4), (1, 0, 8)), "{warps}: warps are (4, 4) and (8, 8); a warp bank "
+                                 "holds one grid size"),
+    ], ids=["empty-bank", "mixed-size-bank"])
+    def test_bad_warp_bank(self, tmp_path, capsys, planar_scene, command, sizes, fragment):
+        warps = tmp_path / "warps"
+        warps.mkdir()
+        (warps / "manifest.json").write_text(json.dumps({"groups": []}))
+        for gid, (src, tgt, n) in enumerate(sizes):
+            write_warp_file(warps / f"warp_g{gid:04d}_{src:03d}_{tgt:03d}.mvwf",
+                            uniform_warp(src, tgt, n, n, 0.5))
+        scene = ["--scene", str(planar_scene)] if command == "eval-homography" else []
+        rc = main([command, *scene, "--warps", str(warps), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, command, fragment.format(warps=warps),
+                                   tmp_path / "out")
+
     # unchecked, a NaN descriptor wrote groups with exit 0, and an empty table
     # printed numpy's warning, then an error that named no file
     @pytest.mark.parametrize("text", ["1\t0.5\nnan\t1\n1\t1\n", ""],
@@ -631,14 +711,12 @@ class TestErrorContract:
         ({"groups": [{"id": 0, "source": 1, "targets": [1, 2]}]},
          "source must not appear among the targets"),
     ], ids=["not-an-object", "groups-not-a-list", "string-targets", "source-among-targets"])
-    @pytest.mark.parametrize("command", ["postprocess", "eval-homography"])
-    def test_bad_warp_manifest(self, tmp_path, capsys, planar_scene, command, manifest,
-                               fragment):
+    @pytest.mark.parametrize("command", ["postprocess"])  # the one reader of the manifest
+    def test_bad_warp_manifest(self, tmp_path, capsys, command, manifest, fragment):
         warps = tmp_path / "warps"
         warps.mkdir()
         (warps / "manifest.json").write_text(json.dumps(manifest))
-        scene = ["--scene", str(planar_scene)] if command == "eval-homography" else []
-        rc = main([command, *scene, "--warps", str(warps), "--out", str(tmp_path / "out")])
+        rc = main([command, "--warps", str(warps), "--out", str(tmp_path / "out")])
         assert rc == 2
         self.assert_one_line_error(capsys, command, f"manifest.json: {fragment}",
                                    tmp_path / "out")

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import band_volume, brute_force_correlation, identity_warp
-from mvmatch.grids import (DenseWarpField, FeatureGrid, local_correlation,
-                           read_warp_file, upsample_warp, warp_features,
+from mvmatch.grids import (DenseWarpField, FeatureGrid, in_image, local_correlation,
+                           pixel_centers, read_warp_file, upsample_warp, warp_features,
                            write_warp_file)
-from mvmatch.kernels import bilinear_gather
+from mvmatch.kernels import bilinear_gather, upsample_linear
 
 
 def ramp_grid(h, w, slope=1.0):
@@ -192,6 +192,28 @@ class TestUpsampleWarp:
     def test_bad_factor_raises(self):
         with pytest.raises(ValueError):
             upsample_warp(identity_warp(2, 2), 3)
+
+    def test_each_channel_upsamples_alone(self):
+        # one call on the stacked (x, y, confidence) channels, bit for bit
+        # the per-channel calls
+        rng = np.random.default_rng(12)
+        warp = DenseWarpField(rng.uniform(0, 6, size=(3, 4, 2)),
+                              rng.uniform(0, 1, size=(3, 4)), 0, 1)
+        up = upsample_warp(warp, 4)
+        np.testing.assert_array_equal(up.targets, upsample_linear(warp.targets, 4) * 4)
+        np.testing.assert_array_equal(
+            up.confidence, np.clip(upsample_linear(warp.confidence[..., None], 4)[..., 0], 0, 1))
+
+
+class TestPixelGrid:
+    def test_centers_in_raster_order(self):
+        np.testing.assert_array_equal(pixel_centers(2, 3),
+                                      [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]])
+        assert pixel_centers(2, 3).dtype == np.float64
+
+    def test_image_bounds_are_inclusive(self):
+        xy = np.array([[0.0, 0.0], [3.0, 1.0], [3.01, 1.0], [0.0, -0.01], [2.5, 0.5]])
+        np.testing.assert_array_equal(in_image(xy, (2, 4)), [True, True, False, False, True])
 
 
 class TestWarpFile:
