@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,8 @@ def cmd_match(args) -> int:
     else:
         groups = [_default_group(scene.num_views, cfg.targets_per_group)]
     provider = OracleFeatureProvider(scene, dim=cfg.feature_dim, seed=args.seed)
+    # each group with targets reads its views' grids; the last one drops them
+    provider.plan(Counter(v for g in groups if g.targets for v in g.views))
     params = init_matcher_params(cfg, seed=args.seed)
     manifest = {"seed": args.seed, "strides": list(cfg.strides),
                 "scene": Path(args.scene).name, "groups": [],
@@ -455,6 +458,8 @@ def main(argv=None) -> int:
     line on stderr, ``mvmatch <command>: error: <message>``, and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # every command takes --seed; reject it before --out exists
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"mvmatch {args.command}: error: {exc}", file=sys.stderr)

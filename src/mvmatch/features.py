@@ -1,7 +1,10 @@
 """Pluggable feature providers for the matcher pipeline.
 
 A provider maps (view index, stride) to a FeatureGrid and must return the
-identical grid for repeated queries within a run. The oracle provider
+same bits for repeated queries within a run. A reader that has made its last
+read of a grid calls ``release(view, stride)``; a grid lives until its last
+planned reader releases it, and a read after that renders the same bits
+again. The oracle provider
 renders hand-crafted features from a synthetic scene so the pipeline is
 testable without trained backbones: each view evaluates a fixed smooth
 multi-scale field at the scene coordinates its pixels observe, which makes
@@ -10,7 +13,8 @@ corresponding pixels carry matching feature vectors.
 
 from __future__ import annotations
 
-from typing import Protocol
+from collections import Counter
+from typing import Mapping, Protocol
 
 import numpy as np
 
@@ -20,7 +24,12 @@ from .oracle import SceneOracle, _level_size, _point_cloud_buffers
 
 
 class FeatureProvider(Protocol):
-    def features(self, view: int, stride: int) -> FeatureGrid: ...
+    def features(self, view: int, stride: int) -> FeatureGrid:
+        """View ``view``'s grid at ``stride``; the same bits on every call."""
+
+    def release(self, view: int, stride: int) -> None:
+        """One reader has made its last read of this grid. The provider may
+        drop it; a later ``features`` call returns the same bits."""
 
 
 def _smooth_field_params(dim: int, seed: int, min_wavelength: float,
@@ -53,7 +62,14 @@ class OracleFeatureProvider:
     vectors where no surface is seen. Each stride gets its own band-limited
     field (shortest wavelength 4x the stride, so nothing aliases when the
     level subsamples it; longest 2x the image extent, which keeps global
-    matching unambiguous). Grids are cached per (view, stride).
+    matching unambiguous).
+
+    A rendered grid is cached per (view, stride) until its last planned
+    reader releases it. ``plan`` says how many readers (matcher groups) read
+    each view, at every stride; each ``release`` counts one down and the
+    last one drops the grid. A grid without a plan, or past its planned
+    readers, is dropped at its first release. Rendering is deterministic,
+    so a read after a drop renders the same bits.
     """
 
     def __init__(self, oracle: SceneOracle, dim: int = 32, seed: int = 0):
@@ -61,12 +77,25 @@ class OracleFeatureProvider:
         self.dim = dim
         self.seed = seed
         self._cache: dict[tuple[int, int], FeatureGrid] = {}
+        self._readers: dict[int, int] = {}
+        self._released: Counter[tuple[int, int]] = Counter()
+
+    def plan(self, readers: Mapping[int, int]) -> None:
+        """Expect ``readers[view]`` readers of each of ``view``'s grids."""
+        self._readers = dict(readers)
+        self._released.clear()
 
     def features(self, view: int, stride: int) -> FeatureGrid:
         key = (view, stride)
         if key not in self._cache:
             self._cache[key] = self._render(view, stride)
         return self._cache[key]
+
+    def release(self, view: int, stride: int) -> None:
+        key = (view, stride)
+        self._released[key] += 1
+        if self._released[key] >= self._readers.get(view, 0):
+            self._cache.pop(key, None)
 
     def _field(self, stride: int):
         extent = float(max(self.oracle.image_size))
@@ -95,7 +124,8 @@ class OracleFeatureProvider:
 
 
 class ArrayFeatureProvider:
-    """Serves pre-built grids; mainly for tests and custom front ends."""
+    """Serves pre-built grids; mainly for tests and custom front ends. The
+    grids are given, not rendered, so a release keeps them."""
 
     def __init__(self, grids: dict[tuple[int, int], FeatureGrid]):
         self._grids = dict(grids)
@@ -105,3 +135,6 @@ class ArrayFeatureProvider:
             return self._grids[(view, stride)]
         except KeyError:
             raise KeyError(f"no features for view {view} at stride {stride}") from None
+
+    def release(self, view: int, stride: int) -> None:
+        pass

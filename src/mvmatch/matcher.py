@@ -348,12 +348,14 @@ def _hidden_states(phi_src: FeatureGrid, ups: dict[int, DenseWarpField],
 
     Each target's input is the source features, the target features sampled
     at the warp and the flattened correlation window, run through the level's
-    conv stack.
+    conv stack. That sampling is the level's last read of each target grid,
+    so the grid is released after it.
     """
     lp = params.levels[out_level]
     hiddens: dict[int, FeatureGrid] = {}
     for tgt, w_up in ups.items():
         warped = warp_features(provider.features(tgt, lp.stride), w_up)
+        provider.release(tgt, lp.stride)
         agg = np.concatenate([phi_src.data, warped.data,
                               corrs[tgt].reshape(w_up.height, w_up.width, -1)], axis=2)
         hiddens[tgt] = FeatureGrid(lp.hidden.apply(agg), stride=lp.stride)
@@ -376,6 +378,12 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
     volume, the hidden states built from it (conv stack, MVFuse at fusion
     levels) and the gained conv-head output added to the warp and confidence
     updates. Confidence is clamped to [0, 1] after the additive update.
+
+    Each grid is released after the level's last read of it: a target's
+    right after its correlation pass (after its hidden-state read at a
+    non-zero gain), the source's at the end of the level. The target grid is
+    never bound to a name here, so the previous one is gone before the next
+    one renders.
     """
     if state.level <= 1:
         raise ValueError("state is already at the finest level")
@@ -393,11 +401,12 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
     corrs: dict[int, np.ndarray] = {}
     updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for tgt, w_up in ups.items():
-        phi_tgt = provider.features(tgt, lp.stride)
-        delta, peak, corr = _read_moves(phi_src, phi_tgt, w_up, lp.window,
-                                        params.softargmax_temperature, subpixel,
-                                        params.residual_gain != 0.0)
-        if corr is not None:  # only the hidden states read the volumes
+        delta, peak, corr = _read_moves(phi_src, provider.features(tgt, lp.stride), w_up,
+                                        lp.window, params.softargmax_temperature,
+                                        subpixel, params.residual_gain != 0.0)
+        if corr is None:
+            provider.release(tgt, lp.stride)
+        else:  # only the hidden states read the volumes, and the grid again
             corrs[tgt] = corr
         updates[tgt] = (delta.reshape(h, w, 2),
                         CONF_BLEND * (peak.reshape(h, w) - w_up.confidence))
@@ -408,6 +417,7 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
             head = kernels.conv2d(hiddens[tgt].data, lp.head_w, lp.head_b)
             updates[tgt] = (delta + params.residual_gain * head[..., :2],
                             d_conf + params.residual_gain * head[..., 2])
+    provider.release(source_view, lp.stride)
 
     new_warps = {tgt: DenseWarpField(ups[tgt].targets + delta,
                                      np.clip(ups[tgt].confidence + d_conf, 0.0, 1.0),
@@ -421,7 +431,10 @@ def run_group(group: ImageGroup, provider: FeatureProvider,
     """Full matcher over one image group: encoder exchange, global match, refine.
 
     Returns base-resolution warps keyed by target view id: when the finest
-    level's stride is above 1, its warps are upsampled by that stride.
+    level's stride is above 1, its warps are upsampled by that stride. The
+    group reads each of its views' grids at every stride and releases each
+    after its last read (``refine_level``); the coarse grids, which the
+    exchange reads too, at the coarsest refinement level.
     """
     if not group.targets:
         raise ValueError("group has no targets")
@@ -434,6 +447,7 @@ def run_group(group: ImageGroup, provider: FeatureProvider,
         anchors = AnchorGrid.uniform(ha, wa, (grids[slot].height, grids[slot].width))
         warps[tgt] = global_match(grids[0], grids[slot], anchors,
                                   params.global_temperature, group.source, tgt)
+    del grids  # read only by the global match; freed before finer grids render
     state = RefinerState(params.num_levels + 1, warps)
     while state.level > 1:
         state = refine_level(state, provider, params)

@@ -2,8 +2,8 @@
 
 A renamed or removed traced name fails here with AttributeError, not first in
 a ``--trace 1`` benchmark run; a removed name that
-``benchmarks/bench_kernels.py`` or ``benchmarks/workload_digests.py``
-imports fails here with ImportError. One
+``benchmarks/bench_kernels.py``, ``benchmarks/workload_digests.py`` or
+``benchmarks/match_memory.py`` imports fails here with ImportError. One
 traced ``run_group`` also checks what the refine-level wrapper reads (the
 state's level, the level weights' stride, the result's warps and the
 provider's oracle). The workloads' configs, written by
@@ -74,7 +74,7 @@ def test_every_workload_config_loads():
 
 def test_kernel_benchmark_imports():
     # run_name "bench" runs each script's imports and definitions, not main
-    for name in ("bench_kernels.py", "workload_digests.py"):
+    for name in ("bench_kernels.py", "workload_digests.py", "match_memory.py"):
         script = ROOT / "benchmarks" / name
         done = subprocess.run(
             [sys.executable, "-c",

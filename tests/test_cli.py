@@ -9,6 +9,7 @@ import pytest
 from mvmatch import cli
 from mvmatch.cli import main
 from mvmatch.config import PipelineConfig, load_config, save_config
+from mvmatch.features import OracleFeatureProvider
 from mvmatch.grids import DenseWarpField, read_warp_file, write_warp_file
 from mvmatch.tracks import Tracks, read_track_rows
 
@@ -256,6 +257,44 @@ class TestMatch:
         for name in names:
             assert (out / name).read_bytes() != (matched_dir / name).read_bytes(), name
 
+    def test_shared_views_render_each_grid_once(self, tmp_path, fast_config, monkeypatch):
+        # the 12 groups of a 5-view scene share views; the plan keeps a grid
+        # until the last group that reads it, so no grid renders twice, every
+        # grid is dropped by the end, and the warps keep the bits of a run
+        # whose provider drops nothing
+        rc = main(["gen-scene", "--kind", "point-cloud", "--views", "5", "--image-size", "48",
+                   "--points", "400", "--seed", "5", "--out", str(tmp_path)])
+        assert rc == 0
+        rc = main(["sample-groups", "--scene", str(tmp_path / "scene.json"),
+                   "--out", str(tmp_path), "--config", fast_config])
+        assert rc == 0
+        render = OracleFeatureProvider._render
+        rendered, providers = [], []
+
+        def counting(provider, view, stride):
+            providers.append(provider)
+            rendered.append((view, stride))
+            return render(provider, view, stride)
+
+        def match(out):
+            return main(["match", "--scene", str(tmp_path / "scene.json"), "--seed", "3",
+                         "--groups", str(tmp_path / "groups.json"), "--out", str(out),
+                         "--config", fast_config])
+
+        monkeypatch.setattr(OracleFeatureProvider, "_render", counting)
+        assert match(tmp_path / "warps") == 0
+        assert sorted(rendered) == [(v, s) for v in range(5) for s in (1, 2, 4, 8)]
+        assert providers[0]._cache == {}
+        groups = json.loads((tmp_path / "warps" / "manifest.json").read_text())["groups"]
+        assert len(groups) == 12
+        monkeypatch.setattr(OracleFeatureProvider, "release", lambda *args: None)
+        assert match(tmp_path / "kept") == 0
+        names = sorted(p.name for p in (tmp_path / "warps").glob("*.mvwf"))
+        assert names == sorted(p.name for p in (tmp_path / "kept").glob("*.mvwf"))
+        for name in names:
+            assert ((tmp_path / "warps" / name).read_bytes()
+                    == (tmp_path / "kept" / name).read_bytes()), name
+
     def test_skips_groups_without_targets(self, tmp_path, fast_config, capsys):
         rc = main(["gen-scene", "--views", "3", "--image-size", "48",
                    "--out", str(tmp_path), "--config", fast_config])
@@ -459,6 +498,21 @@ class TestErrorContract:
                    "--out", str(tmp_path / "run")])
         assert rc == 2
         self.assert_one_line_error(capsys, command, fragment, tmp_path / "run")
+
+    # unchecked, gen-scene and match failed inside numpy's seeding with a
+    # message naming no flag (gen-scene after making --out), and
+    # sample-groups, which draws nothing at random, exited 0
+    @pytest.mark.parametrize("command, args", [
+        ("gen-scene", []),
+        ("match", ["--scene", "{scene}"]),
+        ("sample-groups", ["--scene", "{scene}"]),
+    ], ids=["gen-scene", "match", "sample-groups"])
+    def test_negative_seed(self, tmp_path, capsys, planar_scene, command, args):
+        rc = main([command, *(a.format(scene=planar_scene) for a in args),
+                   "--seed", "-1", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, command, "--seed must be >= 0, got -1",
+                                   tmp_path / "run")
 
     # unchecked, a NaN point ran the scene chain to exit 0 with triangulation
     # accuracy 0 at every threshold; a NaN rotation entry or an inf

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -185,6 +186,13 @@ class TestMvFuse:
                     FeatureGrid(np.zeros((3, 3, 3)))], p, 1)
 
 
+def prerendered(scene, views, strides, seed=6):
+    """An ArrayFeatureProvider serving the oracle's grids, which a release keeps."""
+    oracle = OracleFeatureProvider(scene, dim=32, seed=seed)
+    return ArrayFeatureProvider({(v, s): oracle.features(v, s)
+                                 for v in views for s in strides})
+
+
 @pytest.fixture(scope="module")
 def planar_setup():
     scene = make_planar_scene(3, (64, 64), seed=31)
@@ -321,13 +329,12 @@ class TestRefineLevel:
         # volume here) but not a whole (H, W, window, window) volume
         size = 96
         scene = make_planar_scene(5, (size, size), seed=31)
-        provider = OracleFeatureProvider(scene, dim=32, seed=6)
+        provider = prerendered(scene, range(5), (1,))  # no render in the traced call
         params = init_matcher_params(seed=11)
         assert params.residual_gain == 0.0
 
         def peak(targets):
             state = RefinerState(2, {t: gt_warp(scene, 0, t, stride=2) for t in targets})
-            refine_level(state, provider, params)  # renders and caches the features
             tracemalloc.start()
             try:
                 refine_level(state, provider, params)
@@ -345,10 +352,9 @@ class TestRefineLevel:
         # peaked at 4.6 volumes here
         size = 96
         scene = make_planar_scene(5, (size, size), seed=31)
-        provider = OracleFeatureProvider(scene, dim=32, seed=6)
+        provider = prerendered(scene, (0, 1), (1,))  # no render in the traced call
         params = init_matcher_params(seed=11)
         state = RefinerState(2, {1: gt_warp(scene, 0, 1, stride=2)})
-        refine_level(state, provider, params)  # renders and caches the features
         tracemalloc.start()
         try:
             refine_level(state, provider, params)
@@ -539,6 +545,78 @@ class TestRunGroup:
         provider = OracleFeatureProvider(scene, dim=32, seed=8)
         with pytest.raises(ValueError):
             run_group(ImageGroup(0, ()), provider, [], init_matcher_params())
+
+
+class LiveGridProvider(OracleFeatureProvider):
+    """Records, per stride, the most grids of any stride alive anywhere in
+    the process while a grid of that stride renders, the new one included."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.grids: list[weakref.ref] = []
+        self.live: dict[int, int] = {}
+
+    def _render(self, view, stride):
+        grid = super()._render(view, stride)
+        self.grids.append(weakref.ref(grid))
+        alive = sum(ref() is not None for ref in self.grids)
+        self.live[stride] = max(self.live.get(stride, 0), alive)
+        return grid
+
+
+class TestGridLifetime:
+    def test_one_group_holds_the_source_and_one_target_grid(self):
+        # the group reads every grid of its five views, but at each level
+        # only the source grid and the target grid being correlated are
+        # alive: the previous target's grid is gone before the next renders,
+        # and the coarse grids (which the exchange, without tracks, passes
+        # through unchanged) are gone after the coarsest level
+        scene = make_planar_scene(5, (64, 64), seed=41)
+        provider = LiveGridProvider(scene, dim=32, seed=8)
+        run_group(ImageGroup(0, (1, 2, 3, 4)), provider, [], init_matcher_params(seed=5))
+        assert provider.live == {8: 5, 4: 2, 2: 2, 1: 2}  # the exchange reads all of 8
+        assert provider._cache == {}
+
+    @pytest.mark.parametrize("gain", [0.0, 0.05])
+    def test_warps_keep_the_bits_of_a_provider_that_drops_nothing(self, gain):
+        scene = make_planar_scene(4, (64, 64), seed=42)
+        group = ImageGroup(0, (1, 2, 3))
+        params = init_matcher_params(PipelineConfig(residual_gain=gain), seed=5)
+        coords, vis = simulate_matcher(scene, group, 200, 0.5, 0.0, seed=3)
+        tracks = sample_tracks(coords, vis, 32, seed=1)
+        provider = OracleFeatureProvider(scene, dim=32, seed=8)
+        kept = prerendered(scene, group.views, (1, 2, 4, 8), seed=8)
+        got = run_group(group, provider, tracks, params)
+        want = run_group(group, kept, tracks, params)
+        assert provider._cache == {}
+        for t in group.targets:
+            assert got[t].targets.tobytes() == want[t].targets.tobytes()
+            assert got[t].confidence.tobytes() == want[t].confidence.tobytes()
+
+    def test_a_grid_lives_until_its_last_planned_release(self):
+        scene = make_point_cloud_scene(3, (32, 32), seed=2, num_points=300)
+        provider = OracleFeatureProvider(scene, dim=8, seed=1)
+        provider.plan({0: 2})
+        first = provider.features(0, 2)
+        provider.release(0, 2)
+        assert provider.features(0, 2) is first
+        provider.release(0, 2)
+        assert (0, 2) not in provider._cache
+        # a view without a plan is dropped at its first release
+        provider.features(1, 2)
+        provider.release(1, 2)
+        assert provider._cache == {}
+        again = provider.features(0, 2)
+        assert again is not first
+        assert again.data.tobytes() == first.data.tobytes()
+        provider.release(0, 2)  # past its planned readers: dropped at once
+        assert provider._cache == {}
+
+    def test_array_provider_keeps_released_grids(self):
+        grid = FeatureGrid(np.ones((2, 2, 4)), stride=2)
+        provider = ArrayFeatureProvider({(0, 2): grid})
+        provider.release(0, 2)
+        assert provider.features(0, 2) is grid
 
 
 class TestMonotonicity:
