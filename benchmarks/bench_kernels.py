@@ -23,7 +23,9 @@ left out of the correlation. The
 convolutions are timed at the non-zero-gain refiner's
 finest 168 px level: the conv stack's 3 x 3 convolutions (89 -> 48 and
 48 -> 48 channels), the 3 x 3 head (48 -> 3) and MVFuse's depthwise 7 x 7
-over 48 channels. The
+over 48 channels; ``matcher.mvfuse`` itself is timed there over 4 targets'
+hidden states (168^2 x 48, the shipped ``hidden_dim``) at the shipped
+``mvfuse_iters``. The
 track-guided exchange's sampling and splatting are timed with D = 32 and
 about 10% of the tracks invisible in the view; as in the pipeline, sampling
 gets only the visible tracks and splatting gets all of them with their
@@ -39,7 +41,7 @@ two benchmark workloads at seed 1: ``simulate_matcher`` with 2000 samples
 on a 672 px planar scene and 800 samples on a 48 px point-cloud scene, and
 ``kmeans`` on each one's largest visibility partition with the cluster count
 its track budget (512 and 128 tokens) allots. Triangulation and the
-accuracy/completeness search are timed on the SfM tracks (about 765) that
+accuracy/completeness search are timed on the SfM tracks (about 317) that
 one operation of the ``scene-pc-48`` benchmark workload in ``perfbench``
 writes at seed 1.
 """
@@ -62,7 +64,8 @@ from mvmatch.features import OracleFeatureProvider  # noqa: E402
 from mvmatch.geometry import accuracy_completeness, triangulate_observations  # noqa: E402
 from mvmatch.grids import DenseWarpField, FeatureGrid  # noqa: E402
 from mvmatch.grouping import ImageGroup  # noqa: E402
-from mvmatch.matcher import AnchorGrid, _read_moves, global_match  # noqa: E402
+from mvmatch.matcher import (AnchorGrid, _read_moves, global_match,  # noqa: E402
+                             init_matcher_params, mvfuse)
 from mvmatch.oracle import (make_planar_scene, make_point_cloud_scene,  # noqa: E402
                             load_scene, simulate_matcher)
 from mvmatch.tracks import (allocate_clusters, kmeans,  # noqa: E402
@@ -165,6 +168,11 @@ def main():
     cases.append((f"depthwise_conv2d (168^2, 7x7, {hidden})",
                   partial(kernels.depthwise_conv2d, rng.normal(size=(h, w, hidden)),
                           rng.normal(size=(7, 7, hidden)), np.zeros(hidden))))
+    matcher = init_matcher_params()
+    fuse = next(lp.mvfuse for lp in matcher.levels.values() if lp.mvfuse is not None)
+    states = [FeatureGrid(rng.normal(size=(h, w, hidden))) for _ in range(4)]
+    cases.append((f"mvfuse (4 x 168^2 x {hidden}, {matcher.mvfuse_iters} iters)",
+                  partial(mvfuse, states, fuse, matcher.mvfuse_iters)))
 
     params = attention.init_attention_params(c, sigma=1.0, seed=0)
     for side, tracks in ((84, 512), (21, 128), (6, 128)):

@@ -83,6 +83,8 @@ def cmd_gen_scene(args) -> int:
     for flag, value in (("--image-size", args.image_size), ("--points", args.points)):
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+    if args.views < 2:
+        raise ValueError(f"--views must be >= 2, got {args.views}")
     size = cfg.base_resolution if args.image_size is None else args.image_size
     if size % cfg.strides[0]:
         raise ValueError(f"image size {size} is not divisible by the coarsest "
@@ -176,27 +178,33 @@ def cmd_match(args) -> int:
     manifest = {"seed": args.seed, "strides": list(cfg.strides),
                 "scene": Path(args.scene).name, "groups": [],
                 "config": json.loads(cfg.to_json())}
+    capped = []
+    tokens = {}  # every group's tracks, built before --out exists
+    for gid, group in enumerate(groups):
+        if not group.targets:
+            continue
+        try:
+            tokens[gid], matches = _group_tracks(scene, group, cfg, args.seed + gid)
+        except ValueError as exc:
+            raise ValueError(f"group {gid} (source {group.source}): {exc}") from None
+        if cfg.track_tokens > matches:
+            capped.append(f"{gid} ({matches} matches)")
     empty = [gid for gid, group in enumerate(groups) if not group.targets]
     if empty:
         print(f"mvmatch match: warning: skipped group(s) {', '.join(map(str, empty))} "
               "with no targets", file=sys.stderr)
+    if capped:
+        print(f"mvmatch match: warning: track budget {cfg.track_tokens} exceeds the raw "
+              f"matches of group(s) {', '.join(capped)}; capping", file=sys.stderr)
     out = _out_dir(args)
-    capped = []
-    for gid, group in enumerate(groups):
-        if not group.targets:
-            continue
-        tracks, matches = _group_tracks(scene, group, cfg, args.seed + gid)
-        if cfg.track_tokens > matches:
-            capped.append(f"{gid} ({matches} matches)")
+    for gid, tracks in tokens.items():
+        group = groups[gid]
         warps = run_group(group, provider, tracks, params)
         for tgt, warp in sorted(warps.items()):
             name = f"warp_g{gid:04d}_{group.source:03d}_{tgt:03d}.mvwf"
             write_warp_file(out / name, warp)
         manifest["groups"].append({"id": gid, "source": group.source,
                                    "targets": list(group.targets)})
-    if capped:
-        print(f"mvmatch match: warning: track budget {cfg.track_tokens} exceeds the raw "
-              f"matches of group(s) {', '.join(capped)}; capping", file=sys.stderr)
     with open(out / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")

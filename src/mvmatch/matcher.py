@@ -4,8 +4,9 @@ Coarse warps come from global matching by regression-by-classification:
 every source token scores all anchor positions in the target, and the
 coordinate is the probability-weighted mean of the anchor centers. Warps are
 then refined through a stride pyramid; each level upsamples the previous
-warp, builds a local correlation volume around it and applies a residual
-update to the warp and its confidence.
+warp, scores a window around it per target (a local correlation read band
+by band, kept as a volume only for the hidden path below) and applies a
+residual update to the warp and its confidence.
 
 The residual head has two parts: a non-parametric soft-argmax readout of the
 correlation window, which does the actual refining, and a seeded
@@ -14,7 +15,9 @@ convolutional head whose output gain (``residual_gain``) is zero-initialized
 the source features, the target features sampled at the warp and the
 correlation run through a small convolutional stack, fused across views
 (MVFuse) at levels with MVFuse weights. That hidden path is built only when
-``residual_gain`` is non-zero, since at zero gain it cannot reach the warp.
+``residual_gain`` is non-zero, since at zero gain it cannot reach the warp,
+and each target's state is built in the same pass as its correlation, so
+every feature grid is read once per level.
 """
 
 from __future__ import annotations
@@ -341,30 +344,6 @@ def _read_moves(phi_src: FeatureGrid, phi_tgt: FeatureGrid, warp: DenseWarpField
     return delta, peak, volume
 
 
-def _hidden_states(phi_src: FeatureGrid, ups: dict[int, DenseWarpField],
-                   corrs: dict[int, np.ndarray], provider: FeatureProvider,
-                   params: MatcherParams, out_level: int) -> dict[int, FeatureGrid]:
-    """Per-target hidden states at ``out_level``, fused across views at MVFuse levels.
-
-    Each target's input is the source features, the target features sampled
-    at the warp and the flattened correlation window, run through the level's
-    conv stack. That sampling is the level's last read of each target grid,
-    so the grid is released after it.
-    """
-    lp = params.levels[out_level]
-    hiddens: dict[int, FeatureGrid] = {}
-    for tgt, w_up in ups.items():
-        warped = warp_features(provider.features(tgt, lp.stride), w_up)
-        provider.release(tgt, lp.stride)
-        agg = np.concatenate([phi_src.data, warped.data,
-                              corrs[tgt].reshape(w_up.height, w_up.width, -1)], axis=2)
-        hiddens[tgt] = FeatureGrid(lp.hidden.apply(agg), stride=lp.stride)
-    if lp.mvfuse is not None:
-        fused = mvfuse(list(hiddens.values()), lp.mvfuse, params.mvfuse_iters)
-        hiddens = dict(zip(hiddens, fused))
-    return hiddens
-
-
 def refine_level(state: RefinerState, provider: FeatureProvider,
                  params: MatcherParams) -> RefinerState:
     """One refinement step: state at level i+1 in, state at level i out.
@@ -373,17 +352,18 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
     local correlation pass runs around it (``_read_moves``): for each band
     of pixels, the soft-argmax readout of the window proposes a move and, at
     sub-cell levels, the move is kept only where it verifies
-    (verify-then-apply), scored from the band's own dot products. Only when
-    ``residual_gain`` is non-zero are the bands' scores assembled into a
-    volume, the hidden states built from it (conv stack, MVFuse at fusion
-    levels) and the gained conv-head output added to the warp and confidence
-    updates. Confidence is clamped to [0, 1] after the additive update.
+    (verify-then-apply), scored from the band's own dot products. At a
+    non-zero ``residual_gain`` the same pass keeps the scores as a volume
+    and builds the target's hidden state from the source features, the
+    target features sampled at the warp and the volume (the level's conv
+    stack); after the loop the states are fused across views at MVFuse
+    levels and the gained conv-head output is added to the updates.
+    Confidence is clamped to [0, 1] after the additive update.
 
-    Each grid is released after the level's last read of it: a target's
-    right after its correlation pass (after its hidden-state read at a
-    non-zero gain), the source's at the end of the level. The target grid is
-    never bound to a name here, so the previous one is gone before the next
-    one renders.
+    Each grid is read once and released once per level: a target's at the
+    end of its own pass, which keeps only its hidden state, so the previous
+    target's grid is gone before the next one renders; the source's after
+    the last target.
     """
     if state.level <= 1:
         raise ValueError("state is already at the finest level")
@@ -397,27 +377,32 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
     source_view = next(iter(ups.values())).source_view
     phi_src = provider.features(source_view, lp.stride)
     subpixel = out_level in SUBPIXEL_LEVELS
+    gain = params.residual_gain
     h, w = phi_src.height, phi_src.width
-    corrs: dict[int, np.ndarray] = {}
+    hiddens: dict[int, FeatureGrid] = {}
     updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for tgt, w_up in ups.items():
-        delta, peak, corr = _read_moves(phi_src, provider.features(tgt, lp.stride), w_up,
-                                        lp.window, params.softargmax_temperature,
-                                        subpixel, params.residual_gain != 0.0)
-        if corr is None:
-            provider.release(tgt, lp.stride)
-        else:  # only the hidden states read the volumes, and the grid again
-            corrs[tgt] = corr
+        phi_tgt = provider.features(tgt, lp.stride)
+        delta, peak, corr = _read_moves(phi_src, phi_tgt, w_up, lp.window,
+                                        params.softargmax_temperature, subpixel, gain != 0.0)
+        if corr is not None:
+            hidden = lp.hidden.apply(np.concatenate(
+                [phi_src.data, warp_features(phi_tgt, w_up).data, corr.reshape(h, w, -1)],
+                axis=2))
+            hiddens[tgt] = FeatureGrid(hidden, stride=lp.stride)
+        del phi_tgt, corr  # only the hidden state outlives this target's pass
+        provider.release(tgt, lp.stride)
         updates[tgt] = (delta.reshape(h, w, 2),
                         CONF_BLEND * (peak.reshape(h, w) - w_up.confidence))
-
-    if params.residual_gain != 0.0:
-        hiddens = _hidden_states(phi_src, ups, corrs, provider, params, out_level)
-        for tgt, (delta, d_conf) in updates.items():
-            head = kernels.conv2d(hiddens[tgt].data, lp.head_w, lp.head_b)
-            updates[tgt] = (delta + params.residual_gain * head[..., :2],
-                            d_conf + params.residual_gain * head[..., 2])
     provider.release(source_view, lp.stride)
+
+    if hiddens and lp.mvfuse is not None:
+        hiddens = dict(zip(hiddens, mvfuse(list(hiddens.values()), lp.mvfuse,
+                                           params.mvfuse_iters)))
+    for tgt, hidden in hiddens.items():
+        head = kernels.conv2d(hidden.data, lp.head_w, lp.head_b)
+        delta, d_conf = updates[tgt]
+        updates[tgt] = (delta + gain * head[..., :2], d_conf + gain * head[..., 2])
 
     new_warps = {tgt: DenseWarpField(ups[tgt].targets + delta,
                                      np.clip(ups[tgt].confidence + d_conf, 0.0, 1.0),
@@ -431,10 +416,10 @@ def run_group(group: ImageGroup, provider: FeatureProvider,
     """Full matcher over one image group: encoder exchange, global match, refine.
 
     Returns base-resolution warps keyed by target view id: when the finest
-    level's stride is above 1, its warps are upsampled by that stride. The
-    group reads each of its views' grids at every stride and releases each
-    after its last read (``refine_level``); the coarse grids, which the
-    exchange reads too, at the coarsest refinement level.
+    level's stride is above 1, its warps are upsampled by that stride. Each
+    refinement level reads every grid of its stride once and releases it
+    once (``refine_level``); the coarse grids, which the exchange reads
+    first, are released at the coarsest level.
     """
     if not group.targets:
         raise ValueError("group has no targets")

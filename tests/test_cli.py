@@ -459,7 +459,8 @@ class TestErrorContract:
 
     # unchecked, a size below 1 wrote a scene that match rejected later with
     # an error naming neither a file nor a key (--image-size 0 silently meant
-    # the config's size), an empty, negative or non-finite threshold list
+    # the config's size), fewer than 2 views failed with a message naming no
+    # flag after making --out, an empty, negative or non-finite threshold list
     # wrote a CSV with no rows or meaningless ones, all with exit 0, a
     # threshold that is not a number failed without naming the flag, and
     # match failed on a scene file that the coarsest stride does not divide
@@ -469,6 +470,8 @@ class TestErrorContract:
         ("gen-scene", ["--image-size", "0"], "--image-size must be >= 1, got 0"),
         ("gen-scene", ["--kind", "point-cloud", "--points", "-5"],
          "--points must be >= 1, got -5"),
+        ("gen-scene", ["--views", "1"], "--views must be >= 2, got 1"),
+        ("gen-scene", ["--views", "0"], "--views must be >= 2, got 0"),
         ("build-tracks", ["--scene", "{zero_scene}"],
          "scene.json: image size must be >= 1, got (0, 0)"),
         ("match", ["--scene", "{odd_scene}"],
@@ -483,7 +486,8 @@ class TestErrorContract:
                                 "--threshold", "0.01,inf"], f"{FLAG_THRESHOLDS_RULE} '0.01,inf'"),
         ("eval-triangulation", ["--scene", "{scene}", "--tracks", "{warps}",
                                 "--threshold", "0.01,abc"], f"{FLAG_THRESHOLDS_RULE} '0.01,abc'"),
-    ], ids=["negative-size", "zero-size", "negative-points", "zero-size-scene-file",
+    ], ids=["negative-size", "zero-size", "negative-points", "one-view", "zero-views",
+            "zero-size-scene-file",
             "scene-file-off-the-coarsest-stride", "empty-threshold", "negative-threshold",
             "nan-threshold", "inf-threshold", "non-number-threshold"])
     def test_bad_size_or_threshold_flag(self, tmp_path, capsys, planar_scene, matched_dir,
@@ -513,6 +517,33 @@ class TestErrorContract:
         assert rc == 2
         self.assert_one_line_error(capsys, command, "--seed must be >= 0, got -1",
                                    tmp_path / "run")
+
+    # unchecked, match built each group's tracks just before matching it, so
+    # it failed after making --out, naming no group, and left the warps of
+    # the groups before the bad one behind without a manifest
+    @pytest.mark.parametrize("views, groups, gid", [
+        (2, None, 0),
+        (3, [{"source": 0, "targets": [2], "stage": 1},
+             {"source": 0, "targets": [1], "stage": 2}], 1),
+    ], ids=["one-group", "second-of-two-groups"])
+    def test_group_whose_targets_see_none_of_its_source(self, tmp_path, capsys,
+                                                        views, groups, gid):
+        # view 1 is moved 1000 px off the others; view 2 sees what view 0 sees
+        eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        away = [[1.0, 0.0, 1000.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({"kind": "planar", "image_size": [32, 32], "noise_seed": 0,
+                                     "homographies": [eye, away, eye][:views]}))
+        args = ["match", "--scene", str(scene), "--out", str(tmp_path / "run")]
+        if groups is not None:
+            (tmp_path / "groups.json").write_text(json.dumps({"groups": groups}))
+            args += ["--groups", str(tmp_path / "groups.json")]
+        rc = main(args)
+        assert rc == 2
+        self.assert_one_line_error(
+            capsys, "match",
+            f"group {gid} (source 0): no source pixel is covisible with any target",
+            tmp_path / "run")
 
     # unchecked, a NaN point ran the scene chain to exit 0 with triangulation
     # accuracy 0 at every threshold; a NaN rotation entry or an inf

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -564,18 +565,54 @@ class LiveGridProvider(OracleFeatureProvider):
         return grid
 
 
+class CountingProvider(OracleFeatureProvider):
+    """Counts the ``features`` and ``release`` calls per (view, stride)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads: Counter = Counter()
+        self.releases: Counter = Counter()
+
+    def features(self, view, stride):
+        self.reads[(view, stride)] += 1
+        return super().features(view, stride)
+
+    def release(self, view, stride):
+        self.releases[(view, stride)] += 1
+        super().release(view, stride)
+
+
 class TestGridLifetime:
     def test_one_group_holds_the_source_and_one_target_grid(self):
         # the group reads every grid of its five views, but at each level
         # only the source grid and the target grid being correlated are
         # alive: the previous target's grid is gone before the next renders,
         # and the coarse grids (which the exchange, without tracks, passes
-        # through unchanged) are gone after the coarsest level
+        # through unchanged) are gone after the coarsest level; at a non-zero
+        # gain each target's hidden state is built in its own pass, so the
+        # bound holds there too
         scene = make_planar_scene(5, (64, 64), seed=41)
-        provider = LiveGridProvider(scene, dim=32, seed=8)
-        run_group(ImageGroup(0, (1, 2, 3, 4)), provider, [], init_matcher_params(seed=5))
-        assert provider.live == {8: 5, 4: 2, 2: 2, 1: 2}  # the exchange reads all of 8
-        assert provider._cache == {}
+        for gain in (0.0, 0.05):
+            provider = LiveGridProvider(scene, dim=32, seed=8)
+            params = init_matcher_params(PipelineConfig(residual_gain=gain), seed=5)
+            run_group(ImageGroup(0, (1, 2, 3, 4)), provider, [], params)
+            assert provider.live == {8: 5, 4: 2, 2: 2, 1: 2}  # the exchange reads all of 8
+            assert provider._cache == {}
+
+    @pytest.mark.parametrize("gain", [0.0, 0.05])
+    def test_each_level_reads_and_releases_each_grid_once(self, gain):
+        scene = make_planar_scene(4, (64, 64), seed=43)
+        params = init_matcher_params(PipelineConfig(residual_gain=gain), seed=5)
+        coarse = params.level_stride(params.num_levels)
+        state = RefinerState(params.num_levels + 1,
+                             {t: gt_warp(scene, 0, t, stride=coarse) for t in (1, 2, 3)})
+        while state.level > 1:
+            provider = CountingProvider(scene, dim=32, seed=8)
+            state = refine_level(state, provider, params)
+            once = Counter({(v, params.level_stride(state.level)): 1 for v in range(4)})
+            assert provider.reads == once
+            assert provider.releases == once
+            assert provider._cache == {}
 
     @pytest.mark.parametrize("gain", [0.0, 0.05])
     def test_warps_keep_the_bits_of_a_provider_that_drops_nothing(self, gain):
