@@ -36,7 +36,13 @@ the small grids a window is most of the grid, so there its bookkeeping
 shows. The coarse global match is timed with unit-norm D = 32 features at
 the shipped temperature 0.002, at the shipped 84^2 coarse grid against 84^2
 anchors and at 21^2 against 21^2 anchors (441, not a multiple of 8, so
-its pad columns show). Track building is timed on the inputs of
+its pad columns show). The ground truth ``oracle.gt_warp`` is timed on a
+672 px planar scene (view 0 to 1, stride 1), whose pixels it transfers in
+chunks of ``oracle.GT_CHUNK``, and on the 48 px point-cloud scene, whose
+z-buffers are built by the first call and kept on the scene, so the best
+time leaves them out. ``grids.upsample_warp`` is timed at the shipped
+output upsample (84^2 -> 672^2, x8) and at a x2 refinement step
+(42^2 -> 84^2), on smooth warps. Track building is timed on the inputs of
 two benchmark workloads at seed 1: ``simulate_matcher`` with 2000 samples
 on a 672 px planar scene and 800 samples on a 48 px point-cloud scene, and
 ``kmeans`` on each one's largest visibility partition with the cluster count
@@ -62,12 +68,12 @@ from mvmatch import attention, kernels  # noqa: E402
 from mvmatch.config import PipelineConfig  # noqa: E402
 from mvmatch.features import OracleFeatureProvider  # noqa: E402
 from mvmatch.geometry import accuracy_completeness, triangulate_observations  # noqa: E402
-from mvmatch.grids import DenseWarpField, FeatureGrid  # noqa: E402
+from mvmatch.grids import DenseWarpField, FeatureGrid, upsample_warp  # noqa: E402
 from mvmatch.grouping import ImageGroup  # noqa: E402
 from mvmatch.matcher import (AnchorGrid, _read_moves, global_match,  # noqa: E402
                              init_matcher_params, mvfuse)
-from mvmatch.oracle import (make_planar_scene, make_point_cloud_scene,  # noqa: E402
-                            load_scene, simulate_matcher)
+from mvmatch.oracle import (GT_CHUNK, gt_warp, load_scene,  # noqa: E402
+                            make_planar_scene, make_point_cloud_scene, simulate_matcher)
 from mvmatch.tracks import (allocate_clusters, kmeans,  # noqa: E402
                             partition_by_visibility, read_track_rows)
 from workloads import WORKLOADS  # noqa: E402
@@ -197,9 +203,18 @@ def main():
                               AnchorGrid.uniform(side, side, (side, side)),
                               PipelineConfig().global_temperature)))
 
+    planar = make_planar_scene(5, (672, 672), 1)
+    cases += [
+        (f"gt_warp (672^2 planar, chunk {GT_CHUNK})", partial(gt_warp, planar, 0, 1)),
+        ("gt_warp (48^2 point cloud)", partial(gt_warp, cloud, 0, 1)),
+    ]
+    for side, factor in ((84, 8), (42, 2)):
+        warp = DenseWarpField(smooth_warp(side), rng.uniform(0, 1, size=(side, side)), 0, 1)
+        cases.append((f"upsample_warp ({side}^2 -> {side * factor}^2, x{factor})",
+                      partial(upsample_warp, warp, factor)))
+
     group = ImageGroup(0, (1, 2, 3, 4))
-    for scene, samples, budget in ((make_planar_scene(5, (672, 672), 1), 2000, 512),
-                                   (cloud, 800, 128)):
+    for scene, samples, budget in ((planar, 2000, 512), (cloud, 800, 128)):
         size = scene.image_size[0]
         cases.append((f"simulate_matcher ({size} px {scene.kind}, {samples})",
                       partial(simulate_matcher, scene, group, samples, 0.5, 0.05, 1)))

@@ -169,6 +169,8 @@ def cmd_match(args) -> int:
         if outside:
             raise ValueError(f"{args.groups}: group(s) {', '.join(outside)} name a view "
                              f"outside [0, {scene.num_views})")
+        if not any(g.targets for g in groups):
+            raise ValueError(f"{args.groups}: no group has a target")
     else:
         groups = [_default_group(scene.num_views, cfg.targets_per_group)]
     provider = OracleFeatureProvider(scene, dim=cfg.feature_dim, seed=args.seed)
@@ -229,12 +231,10 @@ def _load_warp_bank(warps_dir: Path) -> dict[tuple[int, int], DenseWarpField]:
     return {pair: select_matches(ws)[0] for pair, ws in candidates.items()}
 
 
-def _reciprocal_keeps(selected: dict[tuple[int, int], DenseWarpField], eps_p: float):
-    """Each pair's reciprocity keep-mask, and the pairs without a reverse warp.
-
-    Returns (keeps, one_way): a pair without a reverse warp keeps nothing
-    and is listed in ``one_way``.
-    """
+def _reciprocal_keeps(selected: dict[tuple[int, int], DenseWarpField], eps_p: float,
+                      command: str) -> dict[tuple[int, int], np.ndarray]:
+    """Each pair's reciprocity keep-mask. A pair without a reverse warp keeps
+    nothing, and ``command`` names all such pairs in one warning on stderr."""
     keeps = {}
     one_way = []
     for (a, b), warp in selected.items():
@@ -244,7 +244,11 @@ def _reciprocal_keeps(selected: dict[tuple[int, int], DenseWarpField], eps_p: fl
             keeps[(a, b)] = np.zeros((warp.height, warp.width), dtype=bool)
         else:
             keeps[(a, b)] = reciprocity_filter(warp, back, eps_p)
-    return keeps, one_way
+    if one_way:
+        pairs = ", ".join(f"{a}->{b}" for a, b in sorted(one_way))
+        print(f"mvmatch {command}: warning: no reverse warp for pairs {pairs}; "
+              "none of their matches can pass the reciprocity check", file=sys.stderr)
+    return keeps
 
 
 def cmd_postprocess(args) -> int:
@@ -252,11 +256,7 @@ def cmd_postprocess(args) -> int:
     warps_dir = Path(args.warps)
     groups = [group for group, in read_manifest_groups(warps_dir / "manifest.json")]
     selected = _load_warp_bank(warps_dir)
-    keeps, one_way = _reciprocal_keeps(selected, cfg.eps_p)
-    if one_way:
-        pairs = ", ".join(f"{a}->{b}" for a, b in sorted(one_way))
-        print(f"mvmatch postprocess: warning: no reverse warp for pairs {pairs}; "
-              "none of their matches can pass the reciprocity check", file=sys.stderr)
+    keeps = _reciprocal_keeps(selected, cfg.eps_p, "postprocess")
     track_sets = []
     num_views = 1 + max(max(pair) for pair in selected)
     emitted = set()  # a repeated group reads the same warps, so it gives the same tracks
@@ -329,7 +329,7 @@ def cmd_eval_homography(args) -> int:
     size = next(iter(selected.values())).targets.shape[:2]
     if size != scene.image_size:
         raise ValueError(f"{args.warps}: warps are {size}, the scene is {scene.image_size}")
-    keeps, _ = _reciprocal_keeps(selected, cfg.eps_p)
+    keeps = _reciprocal_keeps(selected, cfg.eps_p, "eval-homography")
     errors = {"dlt": [], "ransac": []}
     pairs_used = 0
     for (a, b), warp in sorted(selected.items()):

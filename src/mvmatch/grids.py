@@ -150,10 +150,11 @@ def upsample_warp(warp: DenseWarpField, factor: int) -> DenseWarpField:
     factor = int(factor)
     if factor < 2 or (factor & (factor - 1)) != 0:
         raise ValueError("factor must be a power of two >= 2")
-    fine = kernels.upsample_linear(np.dstack([warp.targets, warp.confidence]), factor)
-    fine[..., :2] *= factor
-    np.clip(fine[..., 2], 0.0, 1.0, out=fine[..., 2])
-    return DenseWarpField(fine[..., :2], fine[..., 2], warp.source_view, warp.target_view)
+    targets = kernels.upsample_linear(warp.targets, factor)
+    targets *= factor
+    conf = kernels.upsample_linear(warp.confidence[..., None], factor)[..., 0]
+    np.clip(conf, 0.0, 1.0, out=conf)
+    return DenseWarpField(targets, conf, warp.source_view, warp.target_view)
 
 
 # ---------------------------------------------------------------------------

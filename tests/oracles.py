@@ -14,6 +14,11 @@ keep the per-sample and per-cluster loops that the array code replaced.
 ``choice_kmeans_pp_init`` keeps the k-means++ seeding that drew each centre
 with ``Generator.choice``. ``loop_triangulate`` keeps the
 one-SVD-per-track triangulation that the batched solve replaced.
+``whole_grid_gt_warp`` keeps the ground truth that transferred a level's
+pixels in one product, through full-grid pixel centres, and
+``dstack_upsample_warp`` the upsampling that interpolated the stacked
+(x, y, confidence) channels in one call; both share the library's transfer
+homography, z-buffers and interpolation kernel.
 ``verify_every_level_refine`` keeps the zero-gain refinement step that
 verified whole-cell moves too and read every pixel, zero feature or not,
 off the whole volume (built by ``band_volume``), and ``grid_corr_readout``
@@ -27,11 +32,13 @@ import numpy as np
 
 from mvmatch import kernels
 from mvmatch.attention import _softmax_, coordinate_queries
-from mvmatch.grids import (MISSING, DenseWarpField, FeatureGrid, local_correlation,
+from mvmatch.geometry import apply_homography
+from mvmatch.grids import (MISSING, DenseWarpField, FeatureGrid, in_image, local_correlation,
                            pixel_centers, upsample_warp)
 from mvmatch.matcher import (CONF_BLEND, CORR_GATE_MARGIN, SUBPIXEL_LEVELS, VERIFY_MARGIN,
                              MVFuseParams)
-from mvmatch.oracle import gt_warp
+from mvmatch.oracle import (DEPTH_TOLERANCE, _check_view_pair, _level_size,
+                            _point_cloud_buffers, gt_warp, planar_transfer)
 from mvmatch.tracks import (KMEANS_MAX_ITERS, KMEANS_TOL, VisibilityPartition,
                             _kmeans_pp_init, allocate_clusters)
 
@@ -703,3 +710,51 @@ def dense_nn_min_d2(query, reference):
         q = query[lo:lo + 64]
         out[lo:lo + 64] = np.sum((q[:, None, :] - reference[None, :, :]) ** 2, axis=2).min(axis=1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# whole-grid ground truth and stacked upsampling
+# ---------------------------------------------------------------------------
+
+def whole_grid_gt_warp(oracle, source, target, stride=1):
+    """``oracle.gt_warp`` transferring every pixel of the level in one product."""
+    _check_view_pair(oracle, source, target)
+    lh, lw = _level_size(oracle, stride)
+    base = pixel_centers(lh, lw) * stride
+
+    if oracle.kind == "planar":
+        mapped = apply_homography(planar_transfer(oracle, source, target), base)
+        targets = (mapped / stride).reshape(lh, lw, 2)
+        conf = in_image(mapped, oracle.image_size).astype(np.float64).reshape(lh, lw)
+        return DenseWarpField(targets, conf, source, target)
+
+    _, src_ibuf = _point_cloud_buffers(oracle, source, stride)
+    tgt_zbuf, _ = _point_cloud_buffers(oracle, target, stride)
+    targets = np.full((lh, lw, 2), MISSING)
+    conf = np.zeros((lh, lw))
+    covered = src_ibuf >= 0
+    if covered.any():
+        pts = oracle.points[src_ibuf[covered]]
+        uv, depth = oracle.cameras[target].project(pts)
+        front = depth > 0
+        coords = np.full((uv.shape[0], 2), MISSING)
+        coords[front] = uv[front] / stride
+        inside = front & in_image(uv, oracle.image_size)
+        visible = np.zeros(uv.shape[0], dtype=bool)
+        if inside.any():
+            qx = np.round(uv[inside, 0] / stride).astype(np.int64).clip(0, lw - 1)
+            qy = np.round(uv[inside, 1] / stride).astype(np.int64).clip(0, lh - 1)
+            zref = tgt_zbuf[qy, qx]
+            visible[inside] = depth[inside] <= zref * (1.0 + DEPTH_TOLERANCE)
+        targets[covered] = coords
+        conf[covered] = visible.astype(np.float64)
+    return DenseWarpField(targets, conf, source, target)
+
+
+def dstack_upsample_warp(warp, factor):
+    """``grids.upsample_warp`` interpolating the stacked (x, y, confidence)
+    channels in one ``kernels.upsample_linear`` call."""
+    fine = kernels.upsample_linear(np.dstack([warp.targets, warp.confidence]), factor)
+    fine[..., :2] *= factor
+    np.clip(fine[..., 2], 0.0, 1.0, out=fine[..., 2])
+    return DenseWarpField(fine[..., :2], fine[..., 2], warp.source_view, warp.target_view)

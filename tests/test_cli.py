@@ -368,15 +368,31 @@ class TestPostprocessAndEval:
         assert rc == 0
         assert capsys.readouterr().err == ""
 
-    def test_eval_homography(self, tmp_path, both_dirs, planar_scene, fast_config):
+    def test_eval_homography(self, tmp_path, both_dirs, planar_scene, fast_config, capsys):
+        capsys.readouterr()
         rc = main(["eval-homography", "--scene", str(planar_scene),
                    "--warps", str(both_dirs), "--seed", "0",
                    "--out", str(tmp_path), "--threshold", "1,3,5",
                    "--config", fast_config])
         assert rc == 0
+        assert capsys.readouterr().err == ""  # every pair has its reverse
         lines = (tmp_path / "homography_auc.csv").read_text().splitlines()
         assert lines[0] == "solver,threshold_px,auc,pairs"
         assert len(lines) == 7  # 2 solvers x 3 thresholds
+
+    def test_eval_homography_names_pairs_without_reverse_warp(self, tmp_path, matched_dir,
+                                                              planar_scene, fast_config,
+                                                              capsys):
+        # unchecked, this bank wrote an all-zero table of 0 pairs without a word
+        capsys.readouterr()
+        rc = main(["eval-homography", "--scene", str(planar_scene), "--warps", str(matched_dir),
+                   "--out", str(tmp_path), "--threshold", "1,3", "--config", fast_config])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "mvmatch eval-homography: warning: no reverse warp for pairs 0->1, 0->2, 0->3; "
+            "none of their matches can pass the reciprocity check\n")
+        rows = (tmp_path / "homography_auc.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 and all(row.endswith(",0.000000,0") for row in rows)
 
     def test_eval_homography_needs_no_manifest(self, tmp_path, both_dirs, planar_scene,
                                                fast_config):
@@ -544,6 +560,22 @@ class TestErrorContract:
             capsys, "match",
             f"group {gid} (source 0): no source pixel is covisible with any target",
             tmp_path / "run")
+
+    # unchecked, match wrote an --out holding only manifest.json and exited 0;
+    # postprocess then failed on it with "no MVWF files"
+    @pytest.mark.parametrize("groups", [
+        [],
+        [{"source": 0, "targets": [], "stage": 1}, {"source": 1, "targets": [], "stage": 1}],
+    ], ids=["empty-manifest", "no-group-with-a-target"])
+    def test_manifest_where_no_group_has_a_target(self, tmp_path, capsys, planar_scene,
+                                                  groups):
+        manifest = tmp_path / "groups.json"
+        manifest.write_text(json.dumps({"groups": groups}))
+        rc = main(["match", "--scene", str(planar_scene), "--groups", str(manifest),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "match", f"{manifest}: no group has a target",
+                                   tmp_path / "run")
 
     # unchecked, a NaN point ran the scene chain to exit 0 with triangulation
     # accuracy 0 at every threshold; a NaN rotation entry or an inf

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import band_volume, brute_force_correlation, identity_warp
+from oracles import band_volume, brute_force_correlation, dstack_upsample_warp, identity_warp
 from mvmatch.grids import (DenseWarpField, FeatureGrid, in_image, local_correlation,
                            pixel_centers, read_warp_file, upsample_warp, warp_features,
                            write_warp_file)
@@ -194,8 +196,7 @@ class TestUpsampleWarp:
             upsample_warp(identity_warp(2, 2), 3)
 
     def test_each_channel_upsamples_alone(self):
-        # one call on the stacked (x, y, confidence) channels, bit for bit
-        # the per-channel calls
+        # the targets and the confidence upsample in separate kernel calls
         rng = np.random.default_rng(12)
         warp = DenseWarpField(rng.uniform(0, 6, size=(3, 4, 2)),
                               rng.uniform(0, 1, size=(3, 4)), 0, 1)
@@ -203,6 +204,32 @@ class TestUpsampleWarp:
         np.testing.assert_array_equal(up.targets, upsample_linear(warp.targets, 4) * 4)
         np.testing.assert_array_equal(
             up.confidence, np.clip(upsample_linear(warp.confidence[..., None], 4)[..., 0], 0, 1))
+
+    @pytest.mark.parametrize("factor", [2, 4, 8])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (21, 21)])
+    def test_matches_stacked_channels(self, shape, factor):
+        # confidences of 0 and 1 at the edge extrapolate past [0, 1], so the clip acts
+        rng = np.random.default_rng(13)
+        conf = rng.choice([0.0, 0.3, 1.0], size=shape)
+        warp = DenseWarpField(rng.uniform(-2, 30, size=(*shape, 2)), conf, 2, 0)
+        up, want = upsample_warp(warp, factor), dstack_upsample_warp(warp, factor)
+        np.testing.assert_array_equal(up.targets, want.targets)
+        np.testing.assert_array_equal(up.confidence, want.confidence)
+        assert (up.source_view, up.target_view) == (2, 0)
+
+    def test_peak_below_two_point_three_results(self):
+        # stacking the channels peaked at 2.78 results
+        rng = np.random.default_rng(14)
+        warp = DenseWarpField(rng.uniform(0, 168, size=(168, 168, 2)),
+                              rng.uniform(0, 1, size=(168, 168)), 0, 1)
+        tracemalloc.start()
+        try:
+            up = upsample_warp(warp, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / (up.targets.nbytes + up.confidence.nbytes)
+        assert ratio < 2.3, f"upsample_warp peaked at {ratio:.2f} results"
 
 
 class TestPixelGrid:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,14 +7,14 @@ import pytest
 from mvmatch.features import OracleFeatureProvider
 from mvmatch.grids import MISSING
 from mvmatch.grouping import ImageGroup
-from mvmatch.oracle import (PinholeCamera, SceneOracle, _point_cloud_buffers,
+from mvmatch.oracle import (GT_CHUNK, PinholeCamera, SceneOracle, _point_cloud_buffers,
                             gt_track_error, gt_warp, gt_transfer_points, load_scene,
                             make_planar_scene, make_point_cloud_scene, save_scene,
                             simulate_matcher)
 from mvmatch.tracks import Tracks
 import mvmatch.kernels as kernels
 
-from oracles import loop_simulate_matcher
+from oracles import loop_simulate_matcher, whole_grid_gt_warp
 
 
 def translation_scene(tx, size=(16, 16)):
@@ -121,6 +122,73 @@ class TestGtWarpPointCloud:
         assert (warp.confidence > 0).sum() == 1
         uncovered = warp.confidence == 0
         assert np.all(warp.targets[uncovered] == MISSING)
+
+
+def assert_same_warp(got, want):
+    np.testing.assert_array_equal(got.targets, want.targets)
+    np.testing.assert_array_equal(got.confidence, want.confidence)
+    assert (got.source_view, got.target_view) == (want.source_view, want.target_view)
+
+
+def peak_over_result(call):
+    """Tracemalloc peak of ``call()`` over the bytes of the warp it returns."""
+    tracemalloc.start()
+    try:
+        warp = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (warp.targets.nbytes + warp.confidence.nbytes)
+
+
+class TestGtWarpMatchesWholeGrid:
+    """The chunked ground truth keeps every bit of the one-product transfer."""
+
+    @pytest.mark.parametrize("stride, size", [
+        (1, (1, 1)), (1, (1, 7)), (1, (7, 1)), (1, (672, 672)),
+        (8, (8, 8)), (8, (8, 56)), (8, (56, 8)), (8, (672, 672)),
+    ])
+    def test_planar(self, stride, size):
+        scene = make_planar_scene(3, size, seed=5)
+        for source, target in ((0, 1), (2, 0)):
+            assert_same_warp(gt_warp(scene, source, target, stride),
+                             whole_grid_gt_warp(scene, source, target, stride))
+
+    # a (1, 3) product takes OpenBLAS's matrix-vector path and rounds its own
+    # way, so a level one pixel longer than a chunk must not end in a lone
+    # pixel; 113 x 145 = GT_CHUNK + 1, and a lone pixel off row and column 0
+    # rounds apart in about 2 of 5 view pairs
+    @pytest.mark.parametrize("size", [(113, 145), (145, 113), (1, GT_CHUNK + 1)])
+    def test_planar_level_one_pixel_past_a_chunk(self, size):
+        assert size[0] * size[1] == GT_CHUNK + 1
+        scene = make_planar_scene(4, size, seed=7)
+        for source in range(4):
+            for target in range(4):
+                if source != target:
+                    assert_same_warp(gt_warp(scene, source, target),
+                                     whole_grid_gt_warp(scene, source, target))
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_point_cloud(self, stride):
+        scene = make_point_cloud_scene(3, (48, 48), seed=1)
+        for source, target in ((0, 1), (2, 1)):
+            assert_same_warp(gt_warp(scene, source, target, stride),
+                             whole_grid_gt_warp(scene, source, target, stride))
+
+    def test_planar_peak_below_one_and_a_half_results(self):
+        # the whole-grid transfer held 2.67 results in 672^2 temporaries
+        scene = make_planar_scene(2, (672, 672), seed=1)
+        ratio = peak_over_result(lambda: gt_warp(scene, 0, 1))
+        assert ratio < 1.5, f"planar gt_warp peaked at {ratio:.2f} results"
+
+    def test_point_cloud_peak_below_one_and_a_half_results(self):
+        # the unread full-grid pixel centres made it 2.0 results; the
+        # z-buffers are kept on the scene, so they are built before tracing
+        scene = make_point_cloud_scene(2, (336, 336), seed=1)
+        for view in (0, 1):
+            _point_cloud_buffers(scene, view, 1)
+        ratio = peak_over_result(lambda: gt_warp(scene, 0, 1))
+        assert ratio < 1.5, f"point-cloud gt_warp peaked at {ratio:.2f} results"
 
 
 class TestZBuffers:
