@@ -38,9 +38,13 @@ the shipped temperature 0.002, at the shipped 84^2 coarse grid against 84^2
 anchors and at 21^2 against 21^2 anchors (441, not a multiple of 8, so
 its pad columns show). The ground truth ``oracle.gt_warp`` is timed on a
 672 px planar scene (view 0 to 1, stride 1), whose pixels it transfers in
-chunks of ``oracle.GT_CHUNK``, and on the 48 px point-cloud scene, whose
-z-buffers are built by the first call and kept on the scene, so the best
-time leaves them out. ``grids.upsample_warp`` is timed at the shipped
+``kernels.row_blocks`` blocks of ``oracle.GT_CHUNK`` (the last block takes
+the tail), and on the 48 px point-cloud scene, whose z-buffers are built by
+the first call and kept on the scene, so the best time leaves them out.
+The feature render, ``OracleFeatureProvider._render``, is timed on the same
+two scenes at stride 1 (view 1, 672^2 x 32 planar, and view 0 of the 48 px
+point cloud): it fills the grid in blocks of ``features.RENDER_ROWS``
+pixels. ``grids.upsample_warp`` is timed at the shipped
 output upsample (84^2 -> 672^2, x8) and at a x2 refinement step
 (42^2 -> 84^2), on smooth warps. Track building is timed on the inputs of
 two benchmark workloads at seed 1: ``simulate_matcher`` with 2000 samples
@@ -66,7 +70,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 from mvmatch import attention, kernels  # noqa: E402
 from mvmatch.config import PipelineConfig  # noqa: E402
-from mvmatch.features import OracleFeatureProvider  # noqa: E402
+from mvmatch.features import RENDER_ROWS, OracleFeatureProvider  # noqa: E402
 from mvmatch.geometry import accuracy_completeness, triangulate_observations  # noqa: E402
 from mvmatch.grids import DenseWarpField, FeatureGrid, upsample_warp  # noqa: E402
 from mvmatch.grouping import ImageGroup  # noqa: E402
@@ -205,8 +209,11 @@ def main():
 
     planar = make_planar_scene(5, (672, 672), 1)
     cases += [
-        (f"gt_warp (672^2 planar, chunk {GT_CHUNK})", partial(gt_warp, planar, 0, 1)),
+        (f"gt_warp (672^2 planar, blocks of {GT_CHUNK})", partial(gt_warp, planar, 0, 1)),
         ("gt_warp (48^2 point cloud)", partial(gt_warp, cloud, 0, 1)),
+        (f"_render (672^2 planar, stride 1, blocks of {RENDER_ROWS})",
+         partial(OracleFeatureProvider(planar, dim=c, seed=1)._render, 1, 1)),
+        ("_render (48^2 point cloud, stride 1)", partial(provider._render, 0, 1)),
     ]
     for side, factor in ((84, 8), (42, 2)):
         warp = DenseWarpField(smooth_warp(side), rng.uniform(0, 1, size=(side, side)), 0, 1)

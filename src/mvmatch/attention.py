@@ -160,23 +160,6 @@ def _softmax_(logits: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _row_blocks(n: int, size: int):
-    """Slices of ``size`` rows covering ``range(n)``; the last one absorbs a short tail.
-
-    A row-wise softmax treats every row alone, so blocking its rows bounds
-    the memory of its logits by the largest block. No block is short, so
-    none falls under BLAS's small-matrix threshold, where a product can
-    round differently from its neighbours.
-    """
-    lo = 0
-    while True:
-        hi = n if n - lo < 2 * size else lo + size
-        yield slice(lo, hi)
-        if hi == n:
-            return
-        lo = hi
-
-
 def _normalized(coords: np.ndarray, grid_hw: tuple[int, int]) -> np.ndarray:
     h, w = grid_hw
     return coords / np.array([max(w - 1, 1), max(h - 1, 1)], dtype=np.float64)

@@ -4,11 +4,10 @@ A provider maps (view index, stride) to a FeatureGrid and must return the
 same bits for repeated queries within a run. A reader that has made its last
 read of a grid calls ``release(view, stride)``; a grid lives until its last
 planned reader releases it, and a read after that renders the same bits
-again. The oracle provider
-renders hand-crafted features from a synthetic scene so the pipeline is
-testable without trained backbones: each view evaluates a fixed smooth
-multi-scale field at the scene coordinates its pixels observe, which makes
-corresponding pixels carry matching feature vectors.
+again. The oracle provider renders hand-crafted features from a synthetic
+scene so the pipeline is testable without trained backbones: each view
+evaluates a fixed smooth multi-scale field at the scene coordinates its
+pixels observe, which makes corresponding pixels carry matching features.
 """
 
 from __future__ import annotations
@@ -18,9 +17,14 @@ from typing import Mapping, Protocol
 
 import numpy as np
 
+from . import kernels
 from .geometry import apply_homography
 from .grids import FeatureGrid, pixel_centers
 from .oracle import SceneOracle, _level_size, _point_cloud_buffers
+
+# pixels per render block (``kernels.row_blocks``), whose product goes
+# straight into the grid's rows, and rows per block of the normalization
+RENDER_ROWS, _NORM_ROWS = 16384, 1024
 
 
 class FeatureProvider(Protocol):
@@ -43,14 +47,18 @@ def _smooth_field_params(dim: int, seed: int, min_wavelength: float,
     return freqs, phases
 
 
-def _evaluate_field(coords: np.ndarray, freqs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """cos(k_c . q + phi_c) per channel, unit-normalized per position."""
-    feats = coords @ freqs.T
-    feats += phases
-    np.cos(feats, out=feats)
-    norms = np.linalg.norm(feats, axis=-1, keepdims=True)
-    feats /= np.maximum(norms, 1e-12, out=norms)
-    return feats
+def _evaluate_field(coords: np.ndarray, freqs: np.ndarray, phases: np.ndarray,
+                    out: np.ndarray) -> None:
+    """Write cos(k_c . q + phi_c) per channel, unit-normalized per position,
+    into ``out``: the norms as ``np.linalg.norm`` takes them, over blocks of
+    ``_NORM_ROWS`` rows, so no ``out``-sized squared copy exists."""
+    np.matmul(coords, freqs.T, out=out)
+    out += phases
+    np.cos(out, out=out)
+    for rows in kernels.row_blocks(len(out), _NORM_ROWS):
+        block = out[rows]
+        norms = np.sqrt(np.add.reduce(np.square(block), axis=1, keepdims=True))
+        block /= np.maximum(norms, 1e-12, out=norms)
 
 
 class OracleFeatureProvider:
@@ -106,21 +114,22 @@ class OracleFeatureProvider:
     def _render(self, view: int, stride: int) -> FeatureGrid:
         lh, lw = _level_size(self.oracle, stride)
         freqs, phases = self._field(stride)
+        data = np.zeros((lh * lw, self.dim))
         if self.oracle.kind == "planar":
-            base = pixel_centers(lh, lw) * stride
-            ref = apply_homography(self.oracle.homographies[view], base)
-            data = _evaluate_field(ref, freqs, phases).reshape(lh, lw, self.dim)
-            return FeatureGrid(data, stride=stride)
+            for rows in kernels.row_blocks(lh * lw, RENDER_ROWS):
+                ref = apply_homography(self.oracle.homographies[view],
+                                       pixel_centers(lh, lw, rows) * stride)
+                _evaluate_field(ref, freqs, phases, data[rows])
+            return FeatureGrid(data.reshape(lh, lw, self.dim), stride=stride)
         _, ibuf = _point_cloud_buffers(self.oracle, view, stride)
-        data = np.zeros((lh, lw, self.dim))
-        covered = ibuf >= 0
-        if covered.any():
-            pts = self.oracle.points[ibuf[covered]]
-            # surface parametrization: world x/y scaled into pixel-like units
-            hh, ww = self.oracle.image_size
-            plane = pts[:, :2] * (0.5 * max(hh, ww))
-            data[covered] = _evaluate_field(plane, freqs, phases)
-        return FeatureGrid(data, stride=stride)
+        covered = np.flatnonzero(ibuf >= 0)
+        # surface parametrization: world x/y scaled into pixel-like units
+        plane = self.oracle.points[ibuf.ravel()[covered], :2] * (0.5 * max(self.oracle.image_size))
+        for rows in kernels.row_blocks(covered.size, RENDER_ROWS):
+            block = np.empty((rows.stop - rows.start, self.dim))
+            _evaluate_field(plane[rows], freqs, phases, block)
+            data[covered[rows]] = block
+        return FeatureGrid(data.reshape(lh, lw, self.dim), stride=stride)
 
 
 class ArrayFeatureProvider:

@@ -27,10 +27,11 @@ WARP_MAGIC = b"MVWF"
 WARP_VERSION = 1
 
 
-def pixel_centers(height: int, width: int) -> np.ndarray:
-    """(H W, 2) float (x, y) centers of an H x W pixel grid, raster order."""
-    ys, xs = np.mgrid[0:height, 0:width]
-    return np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+def pixel_centers(height: int, width: int, rows: slice = slice(None)) -> np.ndarray:
+    """(n, 2) float (x, y) centers of the pixels ``rows`` of an H x W pixel
+    grid's flat raster order (by default all H W of them)."""
+    ys, xs = np.divmod(np.arange(*rows.indices(height * width)), width)
+    return np.stack([xs, ys], axis=1, dtype=np.float64)
 
 
 def in_image(xy: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:

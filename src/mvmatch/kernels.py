@@ -20,6 +20,22 @@ def _f64(a):
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
+def row_blocks(n: int, size: int):
+    """Slices of ``size`` rows covering ``range(n)``; the last one absorbs a short tail.
+
+    So no block has fewer than ``size`` rows unless the whole range does,
+    and no product over a block runs on one row, which OpenBLAS rounds its
+    own way, through its matrix-vector path.
+    """
+    lo = 0
+    while True:
+        hi = n if n - lo < 2 * size else lo + size
+        yield slice(lo, hi)
+        if hi == n:
+            return
+        lo = hi
+
+
 # ---------------------------------------------------------------------------
 # bilinear gather
 # ---------------------------------------------------------------------------
@@ -277,6 +293,9 @@ def _window_origin(p: np.ndarray, size: int, r: int) -> np.ndarray:
 # linear upsampling (integer-aligned, extrapolating past the last sample)
 # ---------------------------------------------------------------------------
 
+_UPSAMPLE_BAND = 64  # output rows per band: the scratch memory is a band's
+
+
 def upsample_linear(field: np.ndarray, factor: int) -> np.ndarray:
     field = _f64(field)
     h, w, c = field.shape
@@ -292,13 +311,13 @@ def upsample_linear(field: np.ndarray, factor: int) -> np.ndarray:
 
     y0, y1, ty = axis_taps(h, oh)
     x0, x1, tx = axis_taps(w, ow)
-    rows = field[y0] * (1.0 - ty)[:, None, None] + field[y1] * ty[:, None, None]
-    # the column blend runs in place, so two output-sized arrays are live, not three
-    out = rows[:, x0]
-    out *= (1.0 - tx)[None, :, None]
-    right = rows[:, x1]
-    right *= tx[None, :, None]
-    out += right
+    out = np.empty((oh, ow, c))
+    for band in row_blocks(oh, _UPSAMPLE_BAND):
+        t = ty[band, None, None]
+        rows = field[y0[band]] * (1.0 - t) + field[y1[band]] * t
+        o = np.take(rows, x0, axis=1, out=out[band], mode="clip")
+        o *= 1.0 - tx[:, None]
+        o += np.take(rows, x1, axis=1) * tx[:, None]
     return out
 
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .attention import (AttentionParams, _row_blocks, _softmax_,
-                        exchange_features, init_attention_params)
+from .attention import AttentionParams, _softmax_, exchange_features, init_attention_params
 from .config import PipelineConfig
 from .features import FeatureProvider
 from .grids import (DenseWarpField, FeatureGrid, local_correlation, upsample_warp,
@@ -210,7 +209,7 @@ def global_match(src_feat: FeatureGrid, tgt_feat: FeatureGrid, anchors: AnchorGr
     cx[:n], cy[:n] = anchors.centers.T
     src = src_feat.data.reshape(-1, d)
     x, y, sums = np.empty((3, src.shape[0]))
-    blocks = list(_row_blocks(src.shape[0], _GLOBAL_BLOCK_ROWS))
+    blocks = list(kernels.row_blocks(src.shape[0], _GLOBAL_BLOCK_ROWS))
     buf = np.empty((max(b.stop - b.start for b in blocks), cols))
     for rows in blocks:
         e = np.matmul(src[rows], keys.T, out=buf[:rows.stop - rows.start])
@@ -348,40 +347,33 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
                  params: MatcherParams) -> RefinerState:
     """One refinement step: state at level i+1 in, state at level i out.
 
-    Per target view the previous warp is upsampled to this level and one
-    local correlation pass runs around it (``_read_moves``): for each band
-    of pixels, the soft-argmax readout of the window proposes a move and, at
-    sub-cell levels, the move is kept only where it verifies
-    (verify-then-apply), scored from the band's own dot products. At a
-    non-zero ``residual_gain`` the same pass keeps the scores as a volume
-    and builds the target's hidden state from the source features, the
-    target features sampled at the warp and the volume (the level's conv
-    stack); after the loop the states are fused across views at MVFuse
-    levels and the gained conv-head output is added to the updates.
-    Confidence is clamped to [0, 1] after the additive update.
-
-    Each grid is read once and released once per level: a target's at the
-    end of its own pass, which keeps only its hidden state, so the previous
-    target's grid is gone before the next one renders; the source's after
-    the last target.
+    One pass per target view: upsample its warp to this level, correlate a
+    window around it (``_read_moves``: per band of pixels the soft-argmax
+    readout proposes a move, kept at sub-cell levels only where it verifies,
+    scored from the band's own dot products), build the new warp (confidence
+    clamped to [0, 1]) and release the target grid before the next one
+    renders. At a non-zero ``residual_gain`` the pass also builds the
+    target's hidden state (the level's conv stack over the source features,
+    the target features sampled at the warp and the kept score volume);
+    after the last pass the states are fused across views at MVFuse levels
+    and the gained conv-head output is added to the finished warps. The
+    source grid is released after the last pass.
     """
     if state.level <= 1:
         raise ValueError("state is already at the finest level")
     out_level = state.level - 1
     lp = params.levels[out_level]
-    stride_in = params.level_stride(state.level)
-    factor = stride_in // lp.stride
+    factor = params.level_stride(state.level) // lp.stride
 
-    ups = {tgt: upsample_warp(state.warps[tgt], factor) if factor > 1 else state.warps[tgt]
-           for tgt in sorted(state.warps)}
-    source_view = next(iter(ups.values())).source_view
+    source_view = next(iter(state.warps.values())).source_view
     phi_src = provider.features(source_view, lp.stride)
     subpixel = out_level in SUBPIXEL_LEVELS
     gain = params.residual_gain
     h, w = phi_src.height, phi_src.width
     hiddens: dict[int, FeatureGrid] = {}
-    updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for tgt, w_up in ups.items():
+    warps: dict[int, DenseWarpField] = {}
+    for tgt in sorted(state.warps):
+        w_up = upsample_warp(state.warps[tgt], factor) if factor > 1 else state.warps[tgt]
         phi_tgt = provider.features(tgt, lp.stride)
         delta, peak, corr = _read_moves(phi_src, phi_tgt, w_up, lp.window,
                                         params.softargmax_temperature, subpixel, gain != 0.0)
@@ -390,10 +382,13 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
                 [phi_src.data, warp_features(phi_tgt, w_up).data, corr.reshape(h, w, -1)],
                 axis=2))
             hiddens[tgt] = FeatureGrid(hidden, stride=lp.stride)
-        del phi_tgt, corr  # only the hidden state outlives this target's pass
+        del phi_tgt, corr  # the grid goes before the new warp takes memory
         provider.release(tgt, lp.stride)
-        updates[tgt] = (delta.reshape(h, w, 2),
-                        CONF_BLEND * (peak.reshape(h, w) - w_up.confidence))
+        d_conf = CONF_BLEND * (peak.reshape(h, w) - w_up.confidence)
+        warps[tgt] = DenseWarpField(w_up.targets + delta.reshape(h, w, 2),
+                                    np.clip(w_up.confidence + d_conf, 0.0, 1.0),
+                                    w_up.source_view, w_up.target_view)
+        del w_up, delta, peak, d_conf  # only the new warp and the hidden state live on
     provider.release(source_view, lp.stride)
 
     if hiddens and lp.mvfuse is not None:
@@ -401,14 +396,11 @@ def refine_level(state: RefinerState, provider: FeatureProvider,
                                            params.mvfuse_iters)))
     for tgt, hidden in hiddens.items():
         head = kernels.conv2d(hidden.data, lp.head_w, lp.head_b)
-        delta, d_conf = updates[tgt]
-        updates[tgt] = (delta + gain * head[..., :2], d_conf + gain * head[..., 2])
-
-    new_warps = {tgt: DenseWarpField(ups[tgt].targets + delta,
-                                     np.clip(ups[tgt].confidence + d_conf, 0.0, 1.0),
-                                     ups[tgt].source_view, ups[tgt].target_view)
-                 for tgt, (delta, d_conf) in updates.items()}
-    return RefinerState(out_level, new_warps)
+        warp = warps[tgt]
+        warps[tgt] = DenseWarpField(warp.targets + gain * head[..., :2],
+                                    np.clip(warp.confidence + gain * head[..., 2], 0.0, 1.0),
+                                    warp.source_view, warp.target_view)
+    return RefinerState(out_level, warps)
 
 
 def run_group(group: ImageGroup, provider: FeatureProvider,

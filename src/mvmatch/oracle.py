@@ -20,14 +20,13 @@ import numpy as np
 from . import kernels
 from .config import read_json
 from .geometry import apply_homography
-from .grids import MISSING, DenseWarpField, in_image
+from .grids import MISSING, DenseWarpField, in_image, pixel_centers
 from .grouping import ImageGroup
 from .tracks import Tracks
 
 DEPTH_TOLERANCE = 0.005  # relative z-buffer tolerance for occlusion tests
 MAX_CONDITION = 1e8
-# pixels per planar ground-truth transfer chunk; a chunk never holds a lone
-# pixel, whose (1, 3) product OpenBLAS rounds its own way
+# pixels per planar ground-truth transfer block (``kernels.row_blocks``)
 GT_CHUNK = 16384
 
 
@@ -172,19 +171,12 @@ def gt_warp(oracle: SceneOracle, source: int, target: int, stride: int = 1) -> D
 
     if oracle.kind == "planar":
         transfer = planar_transfer(oracle, source, target)
-        targets = np.empty((lh, lw, 2))
-        conf = np.empty((lh, lw))
-        flat_targets, flat_conf = targets.reshape(-1, 2), conf.reshape(-1)
-        bounds = list(range(0, lh * lw, GT_CHUNK)) + [lh * lw]
-        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-            del bounds[-2]  # the lone last pixel joins the chunk before it
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            ys, xs = np.divmod(np.arange(lo, hi), lw)
-            base = np.stack([xs, ys], axis=1) * float(stride)
-            mapped = apply_homography(transfer, base)
-            np.divide(mapped, stride, out=flat_targets[lo:hi])
-            flat_conf[lo:hi] = in_image(mapped, oracle.image_size)
-        return DenseWarpField(targets, conf, source, target)
+        targets, conf = np.empty((lh * lw, 2)), np.empty(lh * lw)
+        for rows in kernels.row_blocks(lh * lw, GT_CHUNK):
+            mapped = apply_homography(transfer, pixel_centers(lh, lw, rows) * stride)
+            np.divide(mapped, stride, out=targets[rows])
+            conf[rows] = in_image(mapped, oracle.image_size)
+        return DenseWarpField(targets.reshape(lh, lw, 2), conf.reshape(lh, lw), source, target)
 
     _, src_ibuf = _point_cloud_buffers(oracle, source, stride)
     tgt_zbuf, _ = _point_cloud_buffers(oracle, target, stride)

@@ -9,6 +9,7 @@ real input matches, never synthetic centroids.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,17 +295,18 @@ def read_track_rows(path, max_views: int | None = None) -> tuple[np.ndarray, np.
 
     Tokens go in ascending token id, invisible slots hold the -1 sentinel. V
     comes from the header, capped at ``max_views`` when given. A malformed
-    row, a non-finite coordinate, a view id outside [0, V) or a second row
-    for the same token and view raises ValueError naming ``path:line``.
+    header or row, a non-finite coordinate, a view id outside [0, V) or a
+    second row for the same token and view raises ValueError naming
+    ``path:line``; a token count other than the header's T, naming ``path``.
     """
     with open(path) as f:
         header = f.readline()
         if not header.startswith("# V="):
             raise ValueError(f"{path}: missing track-file header")
-        try:
-            num_views = int(header[2:].split()[0].split("=")[1])
-        except ValueError:
-            raise ValueError(f"{path}:1: malformed track-file header") from None
+        counts = re.fullmatch(r"# V=([1-9]\d*)\s+T=(\d+)\s*", header)
+        if counts is None:
+            raise ValueError(f"{path}:1: malformed track-file header")
+        num_views, num_tracks = int(counts[1]), int(counts[2])
         if max_views is not None:
             num_views = min(num_views, max_views)
         f.readline()  # column names
@@ -336,6 +338,8 @@ def read_track_rows(path, max_views: int | None = None) -> tuple[np.ndarray, np.
             xys.append((x, y))
     # token ids are any Python int; only their order matters
     rank = {tid: t for t, tid in enumerate(sorted(set(tids)))}
+    if len(rank) != num_tracks:
+        raise ValueError(f"{path}: {len(rank)} tracks, the header says T={num_tracks}")
     token = np.array([rank[tid] for tid in tids], dtype=np.int64)
     views = np.array(views, dtype=np.int64)
     coords = np.full((len(rank), num_views, 2), MISSING)

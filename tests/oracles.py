@@ -19,6 +19,11 @@ pixels in one product, through full-grid pixel centres, and
 ``dstack_upsample_warp`` the upsampling that interpolated the stacked
 (x, y, confidence) channels in one call; both share the library's transfer
 homography, z-buffers and interpolation kernel.
+``whole_grid_render`` keeps the feature render that evaluated a level's
+field in one product over every (covered) pixel and normalized it with
+``np.linalg.norm``, and ``whole_field_upsample_linear`` the upsampling that
+blended every output row before any column; both share the library's field
+parameters, homographies and z-buffers.
 ``verify_every_level_refine`` keeps the zero-gain refinement step that
 verified whole-cell moves too and read every pixel, zero feature or not,
 off the whole volume (built by ``band_volume``), and ``grid_corr_readout``
@@ -758,3 +763,55 @@ def dstack_upsample_warp(warp, factor):
     fine[..., :2] *= factor
     np.clip(fine[..., 2], 0.0, 1.0, out=fine[..., 2])
     return DenseWarpField(fine[..., :2], fine[..., 2], warp.source_view, warp.target_view)
+
+
+# ---------------------------------------------------------------------------
+# whole-grid feature render and whole-field upsampling
+# ---------------------------------------------------------------------------
+
+def whole_grid_render(provider, view, stride):
+    """``OracleFeatureProvider._render``'s (H, W, C) data, evaluating the
+    field in one product over every pixel (point clouds: every covered
+    pixel) and normalizing it with ``np.linalg.norm``."""
+    oracle = provider.oracle
+    lh, lw = _level_size(oracle, stride)
+    freqs, phases = provider._field(stride)
+
+    def evaluate(coords):
+        feats = coords @ freqs.T
+        feats += phases
+        np.cos(feats, out=feats)
+        norms = np.linalg.norm(feats, axis=-1, keepdims=True)
+        feats /= np.maximum(norms, 1e-12, out=norms)
+        return feats
+
+    if oracle.kind == "planar":
+        ys, xs = np.mgrid[0:lh, 0:lw]
+        base = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64) * stride
+        ref = apply_homography(oracle.homographies[view], base)
+        return evaluate(ref).reshape(lh, lw, provider.dim)
+    _, ibuf = _point_cloud_buffers(oracle, view, stride)
+    data = np.zeros((lh, lw, provider.dim))
+    covered = ibuf >= 0
+    if covered.any():
+        pts = oracle.points[ibuf[covered]]
+        data[covered] = evaluate(pts[:, :2] * (0.5 * max(oracle.image_size)))
+    return data
+
+
+def whole_field_upsample_linear(field, factor):
+    """``kernels.upsample_linear`` blending all output rows, then all columns."""
+    h, w, c = field.shape
+
+    def axis_taps(size, out_size):
+        p = np.arange(out_size, dtype=np.float64) / factor
+        if size == 1:
+            i0 = np.zeros(out_size, dtype=np.int64)
+            return i0, i0, np.zeros(out_size)
+        i0 = np.clip(np.floor(p).astype(np.int64), 0, size - 2)
+        return i0, i0 + 1, p - i0
+
+    y0, y1, ty = axis_taps(h, h * factor)
+    x0, x1, tx = axis_taps(w, w * factor)
+    rows = field[y0] * (1.0 - ty)[:, None, None] + field[y1] * ty[:, None, None]
+    return rows[:, x0] * (1.0 - tx)[None, :, None] + rows[:, x1] * tx[None, :, None]

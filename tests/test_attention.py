@@ -62,15 +62,6 @@ class TestSpatialBias:
                 window, want.reshape(-1, 37, 53)[:, 30:35, 46:53].reshape(-1, 35))
 
 
-class TestRowBlocks:
-    @pytest.mark.parametrize("n", [0, 1, 511, 512, 1023, 1024, 1535, 1536, 1961, 7056])
-    def test_cover_rows_once_without_short_blocks(self, n):
-        blocks = list(attention._row_blocks(n, 512))
-        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
-        sizes = [b.stop - b.start for b in blocks]
-        assert all(512 <= size < 1024 for size in sizes) or sizes == [n]
-
-
 def exchange_case(hw, tracks, seed, outside=1.0):
     # track coordinates reach up to ``outside`` cells past the grid's edges
     rng = np.random.default_rng(seed)

@@ -621,6 +621,24 @@ class TestErrorContract:
                                    "tracks.tsv:4: expected 4 tab-separated fields, got 2",
                                    tmp_path / "out")
 
+    # a negative V ended in numpy's "negative dimensions are not allowed";
+    # a file cut short after its header wrote an all-zero table with exit 0
+    @pytest.mark.parametrize("text, fragment", [
+        ("# V=-2\tT=1\ntoken_id\tview_id\tx\ty\n", "tracks.tsv:1: malformed track-file header"),
+        ("# V=3\tT=1", "tracks.tsv: 0 tracks, the header says T=1"),
+    ], ids=["negative-views", "cut-after-header"])
+    def test_bad_track_header(self, tmp_path, capsys, text, fragment):
+        rc = main(["gen-scene", "--kind", "point-cloud", "--views", "3",
+                   "--image-size", "32", "--points", "50", "--out", str(tmp_path)])
+        assert rc == 0
+        tracks = tmp_path / "tracks.tsv"
+        tracks.write_text(text)
+        capsys.readouterr()
+        rc = main(["eval-triangulation", "--scene", str(tmp_path / "scene.json"),
+                   "--tracks", str(tracks), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        self.assert_one_line_error(capsys, "eval-triangulation", fragment, tmp_path / "out")
+
     def run_triangulation_on_view(self, tmp_path, capsys, header_views, view):
         self.run_triangulation_on_row(tmp_path, capsys, header_views, f"0\t{view}\t5.0\t6.0")
 

@@ -18,7 +18,7 @@ from mvmatch.matcher import VERIFY_MARGIN, _verified
 from oracles import (band_volume, brute_force_candidate_scores, brute_force_conv2d,
                      brute_force_correlation, brute_force_depthwise_conv2d,
                      brute_force_gather, brute_force_nms, brute_force_upsample,
-                     brute_force_zbuffer, per_offset_local_corr)
+                     brute_force_zbuffer, per_offset_local_corr, whole_field_upsample_linear)
 
 
 rng = np.random.default_rng(0)
@@ -59,6 +59,15 @@ def assert_clamped_ties_exact(scores, targets, th, tw):
 
 def test_backend_reports():
     assert kernels.BACKEND == "numpy"
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 511, 512, 1023, 1024, 1535, 1536, 1961, 7056])
+    def test_cover_rows_once_without_short_blocks(self, n):
+        blocks = list(kernels.row_blocks(n, 512))
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(512 <= size < 1024 for size in sizes) or sizes == [n]
 
 
 def nms_yx(scores, radius, max_keypoints=0):
@@ -238,6 +247,35 @@ class TestAgreement:
         finally:
             tracemalloc.stop()
         assert peak < 3 * (inp.nbytes + out.nbytes), peak / (inp.nbytes + out.nbytes)
+
+
+class TestUpsampleBands:
+    """``upsample_linear`` fills its output in row bands; every element keeps
+    the bits of the blend over the whole field (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("factor", [2, 4, 8])
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 5), (5, 1), (21, 21), (84, 84)])
+    def test_bands_keep_the_whole_field_bits(self, hw, factor):
+        field = np.random.default_rng(factor).normal(size=(*hw, 3))
+        assert np.array_equal(kernels.upsample_linear(field, factor),
+                              whole_field_upsample_linear(field, factor))
+
+    def test_many_bands(self):
+        field = np.random.default_rng(1).uniform(0, 336, size=(336, 336, 2))
+        assert np.array_equal(kernels.upsample_linear(field, 2),
+                              whole_field_upsample_linear(field, 2))
+
+    def test_shipped_output_upsample_peaks_near_one_result(self):
+        # x8 from 84^2, as the shipped 672 px run upsamples its output
+        # warps; blending the whole field at once peaked at 2.14 results
+        field = np.random.default_rng(2).uniform(0, 84, size=(84, 84, 2))
+        tracemalloc.start()
+        try:
+            out = kernels.upsample_linear(field, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / out.nbytes < 1.4, f"peaked at {peak / out.nbytes:.2f} results"
 
 
 _CORR_DIGEST_SCRIPT = """

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvmatch import matcher
+from mvmatch import kernels, matcher
 from mvmatch.config import PipelineConfig
 from mvmatch.features import ArrayFeatureProvider, OracleFeatureProvider
 from mvmatch.grids import DenseWarpField, FeatureGrid, upsample_warp
@@ -310,6 +310,31 @@ class TestRefineLevel:
         refine_level(state, provider, replace(params, residual_gain=0.05))
         assert shapes == [(64, 64, PipelineConfig().hidden_dim)]
 
+    def test_gain_adds_the_head_to_the_finished_warp(self, planar_setup, monkeypatch):
+        # the refiner used to add the gained head to each move before the
+        # move reached the warp; adding it to the finished warp moves float64
+        # coordinates by up to 1.2e-13 px at 168^2, and no byte of the
+        # float32 warp files of the benchmark's gain-0.05 run
+        scene, provider, params = planar_setup
+        conv2d, heads = kernels.conv2d, []
+
+        def recording(x, w, b):
+            out = conv2d(x, w, b)
+            if out.shape[-1] == 3:
+                heads.append(out)
+            return out
+
+        monkeypatch.setattr(kernels, "conv2d", recording)
+        state = RefinerState(2, {t: gt_warp(scene, 0, t, stride=2) for t in (1, 2)})
+        zero = refine_level(state, provider, params).warps
+        gained = refine_level(state, provider, replace(params, residual_gain=0.05)).warps
+        assert len(heads) == 2 and params.levels[1].mvfuse is not None
+        for t, head in zip((1, 2), heads):
+            np.testing.assert_array_equal(gained[t].targets,
+                                          zero[t].targets + 0.05 * head[..., :2])
+            np.testing.assert_array_equal(
+                gained[t].confidence, np.clip(zero[t].confidence + 0.05 * head[..., 2], 0, 1))
+
     def test_zero_gain_builds_no_hidden_state(self, planar_setup, monkeypatch):
         scene, provider, params = planar_setup
 
@@ -346,6 +371,28 @@ class TestRefineLevel:
         volume = size * size * params.levels[1].window ** 2 * 8
         growth = (peak((1, 2, 3, 4)) - peak((1,))) / volume
         assert growth < 3.0, f"three more targets added {growth:.2f} volumes"
+
+    @pytest.mark.parametrize("render, bound", [(True, 3.5), (False, 1.25)])
+    def test_four_target_level_peak(self, render, bound):
+        # one 168^2 stride-1 level with 4 targets, in (168, 168, 32) grids;
+        # upsampling every warp first and holding every update until the
+        # last pass peaked at 3.88 grids with the renders in the call and
+        # 1.39 with the grids rendered before it
+        size = 168
+        scene = make_planar_scene(5, (size, size), seed=31)
+        provider = OracleFeatureProvider(scene, dim=32, seed=6)
+        if not render:
+            provider = ArrayFeatureProvider({(v, 1): provider.features(v, 1) for v in range(5)})
+        params = init_matcher_params(seed=11)
+        state = RefinerState(2, {t: gt_warp(scene, 0, t, stride=2) for t in (1, 2, 3, 4)})
+        tracemalloc.start()
+        try:
+            refine_level(state, provider, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grids = peak / (size * size * 32 * 8)
+        assert grids < bound, f"the level peaked at {grids:.2f} grids"
 
     def test_sub_cell_verify_keeps_no_feature_rows(self):
         # the verify step at level 1 scores each candidate from the band's

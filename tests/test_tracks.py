@@ -326,6 +326,26 @@ class TestTsv:
         coords, vis = read_track_rows(path, max_views=3)
         assert coords.shape == (2, 3, 2) and vis.shape == (2, 3)
 
+    # numpy's "negative dimensions are not allowed" named neither file nor
+    # line, and a file cut short after its header read as 0 tracks
+    @pytest.mark.parametrize("text, message", [
+        ("# V=-2\tT=1\n", "{path}:1: malformed track-file header"),
+        ("# V=0\tT=0\n", "{path}:1: malformed track-file header"),
+        ("# V=3\n", "{path}:1: malformed track-file header"),
+        ("# V=3\tT=x\n", "{path}:1: malformed track-file header"),
+        ("# V=3\tT=-1\n", "{path}:1: malformed track-file header"),
+        ("# V=3\tT=1", "{path}: 0 tracks, the header says T=1"),
+        ("# V=3\tT=1\ntoken_id\tview_id\tx\ty\n0\t0\t1.0\t2.0\n0\t1\t3.0\t4.0\n"
+         "1\t0\t1.0\t2.0\n1\t2\t3.0\t4.0\n", "{path}: 2 tracks, the header says T=1"),
+    ], ids=["negative-views", "no-views", "no-track-count", "non-integer-track-count",
+            "negative-track-count", "cut-after-header", "more-tracks"])
+    def test_bad_header_or_track_count(self, tmp_path, text, message):
+        path = tmp_path / "t.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_track_rows(path)
+        assert str(info.value) == message.format(path=path)
+
     def test_header_only_file_reads_empty(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("# V=3\tT=0\ntoken_id\tview_id\tx\ty\n")
@@ -347,7 +367,9 @@ class TestTsv:
             "no-source-row", "nan-x", "infinite-y", "repeated-view"])
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "t.tsv"
-        path.write_text(f"# V=3\tT=1\ntoken_id\tview_id\tx\ty\n0\t0\t1.0\t2.0\n{row}\n")
+        tokens = len({"0", row.split("\t")[0]})  # the header's T counts them
+        path.write_text(f"# V=3\tT={tokens}\ntoken_id\tview_id\tx\ty\n"
+                        f"0\t0\t1.0\t2.0\n{row}\n")
         with pytest.raises(ValueError) as info:
             Tracks(*read_track_rows(path))
         assert str(info.value).startswith(message.format(dir=path.parent)), info.value
