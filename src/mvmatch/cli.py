@@ -173,18 +173,22 @@ def cmd_match(args) -> int:
             raise ValueError(f"{args.groups}: no group has a target")
     else:
         groups = [_default_group(scene.num_views, cfg.targets_per_group)]
+    # a group repeating an earlier (source, target set) reuses its warps
+    first = {}
+    same_as = {gid: first.setdefault((g.source, tuple(sorted(g.targets))), gid)
+               for gid, g in enumerate(groups) if g.targets}
+    run = [gid for gid, first_id in same_as.items() if gid == first_id]
     provider = OracleFeatureProvider(scene, dim=cfg.feature_dim, seed=args.seed)
-    # each group with targets reads its views' grids; the last one drops them
-    provider.plan(Counter(v for g in groups if g.targets for v in g.views))
+    # each group that runs reads its views' grids; the last one drops them
+    provider.plan(Counter(v for gid in run for v in groups[gid].views))
     params = init_matcher_params(cfg, seed=args.seed)
     manifest = {"seed": args.seed, "strides": list(cfg.strides),
                 "scene": Path(args.scene).name, "groups": [],
                 "config": json.loads(cfg.to_json())}
     capped = []
-    tokens = {}  # every group's tracks, built before --out exists
-    for gid, group in enumerate(groups):
-        if not group.targets:
-            continue
+    tokens = {}  # the tracks of every group that runs, built before --out exists
+    for gid in run:
+        group = groups[gid]
         try:
             tokens[gid], matches = _group_tracks(scene, group, cfg, args.seed + gid)
         except ValueError as exc:
@@ -199,18 +203,23 @@ def cmd_match(args) -> int:
         print(f"mvmatch match: warning: track budget {cfg.track_tokens} exceeds the raw "
               f"matches of group(s) {', '.join(capped)}; capping", file=sys.stderr)
     out = _out_dir(args)
-    for gid, tracks in tokens.items():
+    for gid, first_id in same_as.items():
         group = groups[gid]
-        warps = run_group(group, provider, tracks, params)
-        for tgt, warp in sorted(warps.items()):
-            name = f"warp_g{gid:04d}_{group.source:03d}_{tgt:03d}.mvwf"
-            write_warp_file(out / name, warp)
-        manifest["groups"].append({"id": gid, "source": group.source,
-                                   "targets": list(group.targets)})
+        entry = {"id": gid, "source": group.source, "targets": list(group.targets)}
+        if first_id == gid:
+            warps = run_group(group, provider, tokens[gid], params)
+            for tgt, warp in sorted(warps.items()):
+                name = f"warp_g{gid:04d}_{group.source:03d}_{tgt:03d}.mvwf"
+                write_warp_file(out / name, warp)
+        else:
+            entry["same_as"] = first_id
+        manifest["groups"].append(entry)
     with open(out / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"wrote {len(manifest['groups'])} group(s) of warps to {out}")
+    repeats = len(same_as) - len(run)
+    reuse = f"; {repeats} repeated group(s) reuse them" if repeats else ""
+    print(f"wrote {len(run)} group(s) of warps to {out}{reuse}")
     return 0
 
 

@@ -40,6 +40,12 @@ def in_image(xy: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:
     return (xy[:, 0] >= 0) & (xy[:, 0] <= w - 1) & (xy[:, 1] >= 0) & (xy[:, 1] <= h - 1)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the non-empty ``a`` is finite, with no
+    whole-array mask: the min and max carry any NaN, and an inf is one of them."""
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 @dataclass(frozen=True)
 class FeatureGrid:
     """H x W x C feature map attached to one view at one pyramid stride."""
@@ -52,7 +58,7 @@ class FeatureGrid:
         object.__setattr__(self, "data", data)
         if data.ndim != 3 or min(data.shape) < 1:
             raise ValueError(f"feature grid must be (H, W, C), got {data.shape}")
-        if not np.all(np.isfinite(data)):
+        if not _all_finite(data):
             raise ValueError("feature grid contains non-finite values")
         s = int(self.stride)
         if s < 1 or (s & (s - 1)) != 0:
@@ -90,7 +96,7 @@ class DenseWarpField:
             raise ValueError(f"targets must be (H, W, 2), got {targets.shape}")
         if confidence.shape != targets.shape[:2]:
             raise ValueError("confidence shape must match the warp grid")
-        if not np.all(np.isfinite(targets)):
+        if not _all_finite(targets):
             raise ValueError("warp targets contain non-finite values")
         if not (confidence.min() >= 0.0 and confidence.max() <= 1.0):  # NaN fails too
             raise ValueError("confidence must lie in [0, 1]")
@@ -172,13 +178,12 @@ def write_warp_file(path, warp: DenseWarpField) -> None:
     h, w = warp.height, warp.width
     header = WARP_MAGIC + struct.pack("<5I", WARP_VERSION, h, w,
                                       warp.source_view, warp.target_view)
-    records = np.empty((h * w, 3), dtype="<f4")
-    records[:, 0] = warp.targets[..., 0].ravel()
-    records[:, 1] = warp.targets[..., 1].ravel()
-    records[:, 2] = warp.confidence.ravel()
+    records = np.empty((h, w, 3), dtype="<f4")
+    records[..., :2] = warp.targets
+    records[..., 2] = warp.confidence
     with open(path, "wb") as f:
         f.write(header)
-        f.write(records.tobytes())
+        records.tofile(f)
 
 
 def read_warp_file(path) -> DenseWarpField:

@@ -24,6 +24,8 @@ field in one product over every (covered) pixel and normalized it with
 ``np.linalg.norm``, and ``whole_field_upsample_linear`` the upsampling that
 blended every output row before any column; both share the library's field
 parameters, homographies and z-buffers.
+``tobytes_write_warp_file`` keeps the MVWF writer that filled the records
+column by column and wrote a ``tobytes`` copy of them.
 ``verify_every_level_refine`` keeps the zero-gain refinement step that
 verified whole-cell moves too and read every pixel, zero feature or not,
 off the whole volume (built by ``band_volume``), and ``grid_corr_readout``
@@ -32,14 +34,15 @@ through full index grids.
 """
 
 import math
+import struct
 
 import numpy as np
 
 from mvmatch import kernels
 from mvmatch.attention import _softmax_, coordinate_queries
 from mvmatch.geometry import apply_homography
-from mvmatch.grids import (MISSING, DenseWarpField, FeatureGrid, in_image, local_correlation,
-                           pixel_centers, upsample_warp)
+from mvmatch.grids import (MISSING, WARP_MAGIC, WARP_VERSION, DenseWarpField, FeatureGrid,
+                           in_image, local_correlation, pixel_centers, upsample_warp)
 from mvmatch.matcher import (CONF_BLEND, CORR_GATE_MARGIN, SUBPIXEL_LEVELS, VERIFY_MARGIN,
                              MVFuseParams)
 from mvmatch.oracle import (DEPTH_TOLERANCE, _check_view_pair, _level_size,
@@ -815,3 +818,22 @@ def whole_field_upsample_linear(field, factor):
     x0, x1, tx = axis_taps(w, w * factor)
     rows = field[y0] * (1.0 - ty)[:, None, None] + field[y1] * ty[:, None, None]
     return rows[:, x0] * (1.0 - tx)[None, :, None] + rows[:, x1] * tx[None, :, None]
+
+
+# ---------------------------------------------------------------------------
+# MVWF writer
+# ---------------------------------------------------------------------------
+
+def tobytes_write_warp_file(path, warp):
+    """``grids.write_warp_file`` filling the float32 records column by column
+    and writing a ``tobytes`` copy of them."""
+    h, w = warp.height, warp.width
+    header = WARP_MAGIC + struct.pack("<5I", WARP_VERSION, h, w,
+                                      warp.source_view, warp.target_view)
+    records = np.empty((h * w, 3), dtype="<f4")
+    records[:, 0] = warp.targets[..., 0].ravel()
+    records[:, 1] = warp.targets[..., 1].ravel()
+    records[:, 2] = warp.confidence.ravel()
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(records.tobytes())

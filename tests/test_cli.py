@@ -314,11 +314,70 @@ class TestMatch:
         assert rc == 0
         assert capsys.readouterr().err == \
             "mvmatch match: warning: skipped group(s) 2, 5 with no targets\n"
+        # groups 3 and 4 repeat groups 0 and 1, so they reuse their warps
         assert sorted(p.name for p in out.glob("*.mvwf")) == [
-            "warp_g0000_000_001.mvwf", "warp_g0001_001_000.mvwf",
-            "warp_g0003_000_001.mvwf", "warp_g0004_001_000.mvwf"]
+            "warp_g0000_000_001.mvwf", "warp_g0001_001_000.mvwf"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert [g["id"] for g in manifest["groups"]] == [0, 1, 3, 4]
+
+    def test_repeated_group_runs_once(self, tmp_path, planar_scene, fast_config, monkeypatch,
+                                      capsys):
+        # group 2 repeats group 0 with its targets reordered: it samples no
+        # tracks, runs nothing and writes no warp, and the other groups' files
+        # keep the bytes of a run whose manifest has no repeat
+        distinct = [{"source": 0, "targets": [1, 2], "stage": 1},
+                    {"source": 1, "targets": [0], "stage": 2}]
+        repeat = {"source": 0, "targets": [2, 1], "stage": 2}
+        simulated, providers = [], []
+        simulate, run_group = cli.simulate_matcher, cli.run_group
+
+        def counting_simulate(scene, group, *args, **kwargs):
+            simulated.append(group)
+            return simulate(scene, group, *args, **kwargs)
+
+        def counting_run(group, provider, tracks, params):
+            providers.append(provider)
+            return run_group(group, provider, tracks, params)
+
+        monkeypatch.setattr(cli, "simulate_matcher", counting_simulate)
+        monkeypatch.setattr(cli, "run_group", counting_run)
+
+        def match(name, groups):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"groups": groups}))
+            rc = main(["match", "--scene", str(planar_scene), "--seed", "3",
+                       "--groups", str(path), "--out", str(tmp_path / name),
+                       "--config", fast_config])
+            assert rc == 0
+            return tmp_path / name
+
+        once = match("once", distinct)
+        assert len(simulated) == len(providers) == 2
+        simulated.clear()
+        providers.clear()
+        capsys.readouterr()
+        twice = match("twice", distinct + [repeat])
+        assert [(g.source, g.targets) for g in simulated] == [(0, (1, 2)), (1, (0,))]
+        assert len(providers) == 2
+        assert providers[0]._cache == {}
+        assert capsys.readouterr().out == \
+            f"wrote 2 group(s) of warps to {twice}; 1 repeated group(s) reuse them\n"
+        names = sorted(p.name for p in twice.glob("*.mvwf"))
+        assert names == ["warp_g0000_000_001.mvwf", "warp_g0000_000_002.mvwf",
+                         "warp_g0001_001_000.mvwf"]
+        assert names == sorted(p.name for p in once.glob("*.mvwf"))
+        for name in names:
+            assert (twice / name).read_bytes() == (once / name).read_bytes(), name
+        assert json.loads((twice / "manifest.json").read_text())["groups"] == [
+            {"id": 0, "source": 0, "targets": [1, 2]},
+            {"id": 1, "source": 1, "targets": [0]},
+            {"id": 2, "source": 0, "targets": [2, 1], "same_as": 0}]
+        for warps in (once, twice):
+            rc = main(["postprocess", "--warps", str(warps), "--out", str(warps / "post"),
+                       "--config", fast_config])
+            assert rc == 0
+        for name in ("sfm_tracks.tsv", "stats.json"):
+            assert (once / "post" / name).read_bytes() == (twice / "post" / name).read_bytes()
 
 
 @pytest.fixture(scope="module")

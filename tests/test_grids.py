@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import band_volume, brute_force_correlation, dstack_upsample_warp, identity_warp
+from oracles import (band_volume, brute_force_correlation, dstack_upsample_warp, identity_warp,
+                     tobytes_write_warp_file)
 from mvmatch.grids import (DenseWarpField, FeatureGrid, in_image, local_correlation,
                            pixel_centers, read_warp_file, upsample_warp, warp_features,
                            write_warp_file)
@@ -265,6 +266,30 @@ class TestWarpFile:
         assert len(blob) == 24 + 2 * 3 * 12
         assert np.frombuffer(blob[4:24], dtype="<u4").tolist() == [1, 2, 3, 1, 0]
 
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 5), (5, 1), (7, 13), (48, 48)])
+    def test_bytes_match_the_tobytes_writer(self, tmp_path, h, w):
+        rng = np.random.default_rng(h * 100 + w)
+        targets = rng.uniform(-1, max(h, w), size=(h, w, 2))
+        targets[0, 0] = -1.0  # the missing sentinel
+        warp = DenseWarpField(targets, rng.uniform(0, 1, size=(h, w)), 3, 1)
+        write_warp_file(tmp_path / "new.mvwf", warp)
+        tobytes_write_warp_file(tmp_path / "old.mvwf", warp)
+        assert (tmp_path / "new.mvwf").read_bytes() == (tmp_path / "old.mvwf").read_bytes()
+
+    def test_write_peak_below_one_point_two_records(self, tmp_path):
+        # a tobytes copy of the records peaked at 2 records
+        rng = np.random.default_rng(15)
+        warp = DenseWarpField(rng.uniform(0, 336, size=(336, 336, 2)),
+                              rng.uniform(0, 1, size=(336, 336)), 0, 1)
+        tracemalloc.start()
+        try:
+            write_warp_file(tmp_path / "w.mvwf", warp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / (336 * 336 * 12)
+        assert ratio < 1.2, f"write_warp_file peaked at {ratio:.2f} records"
+
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "bad.mvwf"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
@@ -286,6 +311,29 @@ class TestValidation:
         data[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             FeatureGrid(data)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_in_last_row_and_channel_rejected(self, value):
+        data = np.zeros((3, 4, 5))
+        data[-1, -1, -1] = value
+        with pytest.raises(ValueError, match="^feature grid contains non-finite values$"):
+            FeatureGrid(data)
+        targets = np.zeros((3, 4, 2))
+        targets[-1, -1, -1] = value
+        with pytest.raises(ValueError, match="^warp targets contain non-finite values$"):
+            DenseWarpField(targets, np.zeros((3, 4)), 0, 1)
+
+    def test_finite_check_builds_no_mask(self):
+        # np.all(np.isfinite(data)) built an (H, W, C) bool mask, 0.125 of the grid
+        data = np.zeros((672, 672, 32))
+        tracemalloc.start()
+        try:
+            FeatureGrid(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / data.nbytes
+        assert ratio < 0.01, f"the finite check peaked at {ratio:.4f} of the grid"
 
     def test_bad_stride_rejected(self):
         with pytest.raises(ValueError, match="stride"):
