@@ -17,14 +17,14 @@ from .oracle import (PinholeCamera, SceneOracle, gt_track_error,
 from .tracks import (Tracks, VisibilityPartition, allocate_clusters,
                      kmeans, partition_by_visibility, sample_tracks,
                      write_tracks_tsv)
-from .attention import (AttentionParams, TrackFeatures, attentional_sampling,
+from .attention import (AttentionParams, attentional_sampling,
                         attentional_splatting, exchange_features,
                         init_attention_params, masked_softmax,
                         spatial_bias, track_transformer)
 from .features import ArrayFeatureProvider, FeatureProvider, OracleFeatureProvider
 from .matcher import (AnchorGrid, MatcherParams, RefinerState, global_match,
                       init_matcher_params, mvfuse, refine_level, run_group)
-from .postprocess import (ScoreMap, assemble_tracks, build_score_map,
+from .postprocess import (assemble_tracks, build_score_map,
                           nms_select, reciprocity_filter, select_matches)
 from .grouping import (ImageGroup, OverlapMatrix,
                        PairUsage, augment_reciprocity, build_group,

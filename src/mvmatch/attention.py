@@ -104,24 +104,6 @@ def init_attention_params(dim: int, sigma: float, seed: int) -> AttentionParams:
     )
 
 
-@dataclass(frozen=True)
-class TrackFeatures:
-    """Per-view, per-track feature vectors with the tracks' visibility mask."""
-
-    values: np.ndarray      # (V, T, D)
-    visibility: np.ndarray  # (T, V) bool
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        vis = np.ascontiguousarray(self.visibility, dtype=bool)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "visibility", vis)
-        if values.ndim != 3:
-            raise ValueError("values must be (V, T, D)")
-        if vis.shape != (values.shape[1], values.shape[0]):
-            raise ValueError("visibility must be (T, V)")
-
-
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row softmax with exact-zero weights on masked columns.
 
@@ -322,21 +304,29 @@ def attentional_sampling(grid: FeatureGrid, track_coords: np.ndarray,
     return out
 
 
-def track_transformer(feats: TrackFeatures, params: AttentionParams) -> TrackFeatures:
+def track_transformer(values: np.ndarray, visibility: np.ndarray,
+                      params: AttentionParams) -> np.ndarray:
     """Per-track self-attention along the view axis, visibility-masked.
 
-    No view-index embeddings are used, so permuting the target views permutes
-    the outputs identically. Invisible slots neither contribute keys/values
-    nor receive outputs (they are exactly zero afterwards). One layer, one
-    head, no feedforward; residual connection around the attention.
+    ``values`` are (V, T, D) per-view track features and ``visibility`` is
+    the (T, V) mask; returns the propagated (V, T, D) values. No view-index
+    embeddings are used, so permuting the target views permutes the outputs
+    identically. Invisible slots neither contribute keys/values nor receive
+    outputs (they are exactly zero afterwards). One layer, one head, no
+    feedforward; residual connection around the attention.
     """
-    v, t, d = feats.values.shape
+    values = np.asarray(values, dtype=np.float64)
+    vis_tv = np.asarray(visibility, dtype=bool)
+    if values.ndim != 3:
+        raise ValueError("values must be (V, T, D)")
+    v, t, d = values.shape
+    if vis_tv.shape != (t, v):
+        raise ValueError("visibility must be (T, V)")
     if d != params.dim:
         raise ValueError("feature dim does not match params")
-    vis_tv = feats.visibility
     if not vis_tv.any(axis=1).all():
         raise ValueError("every track must be visible in at least one view")
-    z = np.where(vis_tv.T[:, :, None], feats.values, 0.0)  # scrub invisible slots
+    z = np.where(vis_tv.T[:, :, None], values, 0.0)  # scrub invisible slots
     zt = z.transpose(1, 0, 2)                  # (T, V, D)
     k = zt @ params.wk                         # the queries use the key projection
     val = zt @ params.wv
@@ -346,8 +336,7 @@ def track_transformer(feats: TrackFeatures, params: AttentionParams) -> TrackFea
     mask = np.broadcast_to(vis_tv[:, None, :], logits.shape)
     attn = masked_softmax(logits, mask)
     out = zt + (attn @ val) @ params.wout
-    out = np.where(vis_tv[:, :, None], out, 0.0)
-    return TrackFeatures(out.transpose(1, 0, 2), vis_tv.copy())
+    return np.where(vis_tv[:, :, None], out, 0.0).transpose(1, 0, 2)
 
 
 def attentional_splatting(grid: FeatureGrid, track_feats: np.ndarray,
@@ -407,7 +396,7 @@ def exchange_features(grids: list[FeatureGrid], tracks: Tracks,
         seen = vis[:, view]
         sampled[view, seen] = attentional_sampling(grid, cv[seen], params)
         view_coords.append(cv)
-    propagated = track_transformer(TrackFeatures(sampled, vis), params)
-    return [attentional_splatting(grid, propagated.values[view], view_coords[view],
+    propagated = track_transformer(sampled, vis, params)
+    return [attentional_splatting(grid, propagated[view], view_coords[view],
                                   vis[:, view], params)
             for view, grid in enumerate(grids)]

@@ -120,10 +120,11 @@ def cmd_sample_groups(args) -> int:
     if args.warps:
         warps = _load_warp_bank(Path(args.warps))
         m = 1 + max(max(pair) for pair in warps)
-        overlap = overlap_from_matches(warps, m, cfg.group_tau_conf)
+        overlap = overlap_from_matches(warps.values(), m, cfg.group_tau_conf)
     elif args.descriptors:
         try:
-            with warnings.catch_warnings(action="ignore"):  # an empty table is rejected below
+            with warnings.catch_warnings():  # an empty table is rejected below
+                warnings.simplefilter("ignore")
                 overlap = overlap_from_descriptors(
                     np.loadtxt(args.descriptors, delimiter="\t", ndmin=2))
         except ValueError as exc:
@@ -132,11 +133,8 @@ def cmd_sample_groups(args) -> int:
     elif args.scene:
         scene = load_scene(args.scene)
         m = scene.num_views
-        warps = {}
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    warps[(i, j)] = gt_warp(scene, i, j)
+        # one ground-truth warp is alive at a time
+        warps = (gt_warp(scene, i, j) for i in range(m) for j in range(m) if i != j)
         overlap = overlap_from_matches(warps, m, cfg.group_tau_conf)
     else:
         raise ValueError("needs --scene, --warps or --descriptors")
@@ -225,19 +223,24 @@ def cmd_match(args) -> int:
 
 def _load_warp_bank(warps_dir: Path) -> dict[tuple[int, int], DenseWarpField]:
     """The warps of every MVWF file in ``warps_dir``, pooled per ordered pair
-    (named by each file's header) by ``select_matches``. A directory with no
-    MVWF file, or with warps of two grid sizes, raises a ValueError naming it."""
-    candidates: dict[tuple[int, int], list[DenseWarpField]] = {}
+    (named by each file's header) by ``select_matches`` as each file is read,
+    so the bank holds one warp per pair plus the file being read. A directory
+    with no MVWF file, or with warps of two grid sizes, raises a ValueError
+    naming it."""
+    bank: dict[tuple[int, int], DenseWarpField] = {}
     for path in sorted(warps_dir.glob("*.mvwf")):
         warp = read_warp_file(path)
-        candidates.setdefault((warp.source_view, warp.target_view), []).append(warp)
-    if not candidates:
+        first = next(iter(bank.values()), warp)
+        if first.targets.shape != warp.targets.shape:
+            sizes = sorted([first.targets.shape[:2], warp.targets.shape[:2]])
+            raise ValueError(f"{warps_dir}: warps are {sizes[0]} and {sizes[1]}; "
+                             "a warp bank holds one grid size")
+        pair = (warp.source_view, warp.target_view)
+        # a pairwise merge keeps the first of tied warps, as the all-at-once argmax does
+        bank[pair] = select_matches([bank[pair], warp])[0] if pair in bank else warp
+    if not bank:
         raise ValueError(f"no MVWF files under {warps_dir}")
-    sizes = sorted({(w.height, w.width) for ws in candidates.values() for w in ws})
-    if len(sizes) > 1:
-        raise ValueError(f"{warps_dir}: warps are {sizes[0]} and {sizes[-1]}; "
-                         "a warp bank holds one grid size")
-    return {pair: select_matches(ws)[0] for pair, ws in candidates.items()}
+    return bank
 
 
 def _reciprocal_keeps(selected: dict[tuple[int, int], DenseWarpField], eps_p: float,

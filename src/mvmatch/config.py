@@ -61,9 +61,6 @@ class PipelineConfig:
     def to_json(self) -> str:
         payload = asdict(self)
         del payload["upsample_factor"]
-        for key, value in payload.items():
-            if isinstance(value, tuple):
-                payload[key] = list(value)
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -9,7 +9,7 @@ by ``s``. The sentinel value -1 marks "missing" coordinates and must never
 reach an interpolation routine.
 
 All grid types are frozen after construction and every operation is a pure
-function, so values can be shared read-only across parallel workers.
+function.
 """
 
 from __future__ import annotations

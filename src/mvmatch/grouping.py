@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import PipelineConfig, read_json
+from .grids import DenseWarpField
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,16 @@ def default_budget(num_images: int, half: bool = False) -> int:
     return max(budget, num_images)
 
 
-def overlap_from_matches(warps: dict, num_images: int, tau_conf: float) -> OverlapMatrix:
+def overlap_from_matches(warps: Iterable[DenseWarpField], num_images: int,
+                         tau_conf: float) -> OverlapMatrix:
     """Visibility overlap: fraction of source pixels with confidence above tau_conf.
 
-    ``warps`` maps ordered pairs (i, j) to DenseWarpField; missing pairs score 0.
+    Each warp scores its own (source_view, target_view) pair, so ``warps``
+    may be a generator that holds one warp at a time; missing pairs score 0.
     """
     values = np.zeros((num_images, num_images), dtype=np.float64)
-    for (i, j), warp in warps.items():
-        if i == j:
-            continue
-        values[i, j] = float(np.mean(warp.confidence > tau_conf))
+    for warp in warps:
+        values[warp.source_view, warp.target_view] = float(np.mean(warp.confidence > tau_conf))
     return OverlapMatrix(values)
 
 

@@ -11,29 +11,12 @@ its valid target correspondences becomes one track.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .grids import MISSING, DenseWarpField, in_image, pixel_centers
 from .tracks import Tracks
-
-
-@dataclass(frozen=True)
-class ScoreMap:
-    """S = L + C: per-pixel track length plus mean confidence of valid views."""
-
-    length: np.ndarray       # (H, W) int
-    mean_confidence: np.ndarray  # (H, W) in [0, 1]
-
-    def __post_init__(self):
-        if self.length.shape != self.mean_confidence.shape:
-            raise ValueError("length and confidence maps must share a shape")
-
-    @property
-    def scores(self) -> np.ndarray:
-        return self.length + self.mean_confidence
 
 
 def select_matches(candidates: list[DenseWarpField]) -> tuple[DenseWarpField, np.ndarray]:
@@ -73,8 +56,10 @@ def reciprocity_filter(forward: DenseWarpField, backward: DenseWarpField,
 
 
 def build_score_map(confidences: list[np.ndarray], keeps: list[np.ndarray],
-                    tau: float) -> ScoreMap:
-    """Track length = #targets with kept confidence above tau; C averages them."""
+                    tau: float) -> np.ndarray:
+    """The (H, W) score map S = L + C. The track length L counts the targets
+    with kept confidence above tau; C is the mean confidence over them (0
+    where L is 0)."""
     if not confidences:
         raise ValueError("need at least one target view")
     valid = [k & (c > tau) for c, k in zip(confidences, keeps)]
@@ -82,7 +67,7 @@ def build_score_map(confidences: list[np.ndarray], keeps: list[np.ndarray],
     total = np.sum([np.where(v, c, 0.0) for c, v in zip(confidences, valid)], axis=0)
     with np.errstate(invalid="ignore"):
         mean_conf = np.where(length > 0, total / np.maximum(length, 1), 0.0)
-    return ScoreMap(length, mean_conf)
+    return length + mean_conf
 
 
 def nms_select(scores: np.ndarray, radius: int, max_keypoints: int = 0) -> np.ndarray:
@@ -126,8 +111,8 @@ def postprocess_group(source: int, targets: list[int],
     """Score-map keypoint sampling and track assembly for one group."""
     warps = [selected[(source, t)] for t in targets]
     keep_masks = [keeps[(source, t)] for t in targets]
-    score = build_score_map([w.confidence for w in warps], keep_masks, tau)
-    keypoints = nms_select(score.scores, nms_radius, max_keypoints)
+    scores = build_score_map([w.confidence for w in warps], keep_masks, tau)
+    keypoints = nms_select(scores, nms_radius, max_keypoints)
     return assemble_tracks(keypoints, warps, keep_masks, tau)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mvmatch.kernels as kernels
-from mvmatch.attention import (TrackFeatures, attentional_sampling,
+from mvmatch.attention import (attentional_sampling,
                                attentional_splatting, exchange_features,
                                init_attention_params, masked_softmax,
                                track_transformer)
@@ -83,7 +83,7 @@ def test_criterion_1_attention_oracle_equivalence():
                                        atol=1e-6)
 
             values = rng.normal(size=(v, t, dim))
-            got = track_transformer(TrackFeatures(values, vis), params).values
+            got = track_transformer(values, vis, params)
             np.testing.assert_allclose(got, oracle_transformer(values, vis, params),
                                        atol=1e-6)
 
@@ -127,11 +127,11 @@ def test_criterion_2_masking_and_equivariance():
             np.testing.assert_array_equal(splat.data, grid.data)
 
             # visibility independence: garbage in invisible slots, exact
-            base = track_transformer(TrackFeatures(values, vis), params).values
+            base = track_transformer(values, vis, params)
             poisoned = values.copy()
             invisible = ~vis.T  # (V, T)
             poisoned[invisible] = rng.normal(0, 1e9, size=(invisible.sum(), dim))
-            got = track_transformer(TrackFeatures(poisoned, vis), params).values
+            got = track_transformer(poisoned, vis, params)
             np.testing.assert_array_equal(got[vis.T], base[vis.T])
 
             # view-permutation equivariance of the round trip
@@ -434,7 +434,7 @@ def test_criterion_9_budget_trade_off():
             m = scene.num_views
             gt = {(i, j): gt_warp(scene, i, j)
                   for i in range(m) for j in range(m) if i != j}
-            overlap = overlap_from_matches(gt, m, 0.3)
+            overlap = overlap_from_matches(gt.values(), m, 0.3)
 
             def run_budget(half):
                 budget = default_budget(m, half)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mvmatch import attention
-from mvmatch.attention import (EXP_FLOOR, WINDOW_TAIL, AttentionParams, TrackFeatures,
+from mvmatch.attention import (EXP_FLOOR, WINDOW_TAIL, AttentionParams,
                                attentional_sampling, attentional_splatting,
                                coordinate_queries, exchange_features,
                                init_attention_params, masked_softmax, spatial_bias,
@@ -323,9 +323,9 @@ class TestTrackTransformer:
         params = params_with(dim=4, seed=9)
         values = rng.normal(size=(1, 3, 4))
         vis = np.ones((3, 1), dtype=bool)
-        out = track_transformer(TrackFeatures(values, vis), params)
+        out = track_transformer(values, vis, params)
         expected = values + (values @ params.wv) @ params.wout
-        np.testing.assert_allclose(out.values, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_view_permutation_equivariance(self):
         rng = np.random.default_rng(10)
@@ -334,10 +334,9 @@ class TestTrackTransformer:
         vis = rng.random((5, 4)) < 0.8
         vis[:, 0] = True
         vis[np.nonzero(~vis[:, 1:].any(axis=1))[0], 1] = True
-        out = track_transformer(TrackFeatures(values, vis), params).values
+        out = track_transformer(values, vis, params)
         perm = np.array([0, 3, 1, 2])  # source fixed, targets permuted
-        out_p = track_transformer(
-            TrackFeatures(values[perm], vis[:, perm]), params).values
+        out_p = track_transformer(values[perm], vis[:, perm], params)
         np.testing.assert_allclose(out_p, out[perm], atol=1e-6)
 
     def test_invisible_garbage_has_no_effect(self):
@@ -346,10 +345,10 @@ class TestTrackTransformer:
         values = rng.normal(size=(3, 4, 3))
         vis = np.ones((4, 3), dtype=bool)
         vis[:, 2] = False
-        base = track_transformer(TrackFeatures(values, vis), params).values
+        base = track_transformer(values, vis, params)
         poisoned = values.copy()
         poisoned[2] = 1e6 * rng.normal(size=(4, 3))
-        out = track_transformer(TrackFeatures(poisoned, vis), params).values
+        out = track_transformer(poisoned, vis, params)
         np.testing.assert_array_equal(out[:2], base[:2])
         assert np.all(out[2] == 0.0)
 
@@ -359,7 +358,7 @@ class TestTrackTransformer:
         values = rng.normal(size=(5, 7, 6))
         vis = rng.random((7, 5)) < 0.7
         vis[:, 0] = True
-        out = track_transformer(TrackFeatures(values, vis), params).values
+        out = track_transformer(values, vis, params)
         np.testing.assert_allclose(out, oracle_transformer(values, vis, params),
                                    atol=1e-9)
 
@@ -367,7 +366,14 @@ class TestTrackTransformer:
         params = params_with(dim=2)
         vis = np.zeros((1, 2), dtype=bool)
         with pytest.raises(ValueError):
-            track_transformer(TrackFeatures(np.zeros((2, 1, 2)), vis), params)
+            track_transformer(np.zeros((2, 1, 2)), vis, params)
+
+    def test_mismatched_shapes_rejected(self):
+        params = params_with(dim=2)
+        with pytest.raises(ValueError, match="visibility must be"):
+            track_transformer(np.zeros((2, 3, 2)), np.ones((2, 3), dtype=bool), params)
+        with pytest.raises(ValueError, match="values must be"):
+            track_transformer(np.zeros((3, 2)), np.ones((3, 1), dtype=bool), params)
 
 
 class TestAttentionalSplatting:

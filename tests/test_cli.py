@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from mvmatch.cli import main
 from mvmatch.config import PipelineConfig, load_config, save_config
 from mvmatch.features import OracleFeatureProvider
 from mvmatch.grids import DenseWarpField, read_warp_file, write_warp_file
+from mvmatch.postprocess import select_matches
 from mvmatch.tracks import Tracks, read_track_rows
 
 STRIDES_RULE = "must be a non-empty, strictly decreasing list of powers of two"
@@ -184,6 +186,63 @@ class TestSampleGroups:
                                            "(source(s) 2) have no targets\n")
         payload = json.loads((tmp_path / "groups.json").read_text())
         assert [g["targets"] for g in payload["groups"]][2::3] == [[], []]
+
+
+    def test_scene_overlap_holds_one_warp_at_a_time(self, tmp_path):
+        # the ground-truth warps are built one at a time: 30 ordered pairs at
+        # 6 views need about the memory of 6 pairs at 3 views
+        peaks = {}
+        for views in (3, 6):
+            out = tmp_path / f"v{views}"
+            assert main(["gen-scene", "--kind", "planar", "--views", str(views),
+                         "--image-size", "64", "--seed", "5", "--out", str(out)]) == 0
+            tracemalloc.start()
+            try:
+                rc = main(["sample-groups", "--scene", str(out / "scene.json"),
+                           "--out", str(out)])
+                peaks[views] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+        assert peaks[6] <= 1.5 * peaks[3], peaks
+
+
+class TestWarpBank:
+    def write_bank(self, warps, per_pair, height=24, width=24):
+        """``per_pair`` files for each of the pairs (0, 1) and (1, 0), with
+        confidences in eighths so that the files tie at many pixels."""
+        rng = np.random.default_rng(per_pair)
+        warps.mkdir()
+        for gid in range(per_pair):
+            for src, tgt in ((0, 1), (1, 0)):
+                warp = DenseWarpField(rng.uniform(0, width - 1, size=(height, width, 2)),
+                                      rng.integers(0, 9, size=(height, width)) / 8, src, tgt)
+                write_warp_file(warps / f"warp_g{gid:04d}_{src:03d}_{tgt:03d}.mvwf", warp)
+        return warps
+
+    def test_pooled_as_read_equals_all_at_once(self, tmp_path):
+        warps = self.write_bank(tmp_path / "warps", per_pair=3)
+        bank = cli._load_warp_bank(warps)
+        assert sorted(bank) == [(0, 1), (1, 0)]
+        for (src, tgt), got in bank.items():
+            files = sorted(warps.glob(f"*_{src:03d}_{tgt:03d}.mvwf"))
+            want, chosen = select_matches([read_warp_file(p) for p in files])
+            assert len(np.unique(chosen)) == 3
+            assert (got.source_view, got.target_view) == (src, tgt)
+            assert got.targets.tobytes() == want.targets.tobytes()
+            assert got.confidence.tobytes() == want.confidence.tobytes()
+
+    def test_memory_does_not_grow_with_files_per_pair(self, tmp_path):
+        peaks = {}
+        for per_pair in (2, 8):
+            warps = self.write_bank(tmp_path / f"n{per_pair}", per_pair, 96, 96)
+            tracemalloc.start()
+            try:
+                cli._load_warp_bank(warps)
+                peaks[per_pair] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.2 * peaks[2], peaks
 
 
 class TestMatch:
@@ -818,6 +877,16 @@ class TestErrorContract:
         assert rc == 2 and not caught, [str(w.message) for w in caught]
         self.assert_one_line_error(capsys, "sample-groups", f"{table}: descriptor table must "
                                    "be non-empty and finite", tmp_path / "out")
+
+    def test_bad_descriptor_table_without_catch_warnings_action(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # Python 3.10's catch_warnings takes no ``action`` keyword
+        class CatchWarnings310(warnings.catch_warnings):
+            def __init__(self, *, record=False, module=None):
+                super().__init__(record=record, module=module)
+
+        monkeypatch.setattr(warnings, "catch_warnings", CatchWarnings310)
+        self.test_bad_descriptor_table(tmp_path, capsys, "")
 
     def run_on_scene(self, tmp_path, payload):
         scene = tmp_path / "scene.json"

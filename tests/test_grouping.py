@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mvmatch.config import PipelineConfig
+from mvmatch.grids import DenseWarpField
 from mvmatch.grouping import (ImageGroup, OverlapMatrix,
                               quotas_from_neighbor_counts,
                               PairUsage, augment_reciprocity, build_group,
@@ -27,7 +28,7 @@ class TestOverlapFromMatches:
     def test_identical_views(self):
         scene = SceneOracle("planar", (16, 16), 0,
                             homographies=(np.eye(3), np.eye(3)))
-        warps = {(0, 1): gt_warp(scene, 0, 1), (1, 0): gt_warp(scene, 1, 0)}
+        warps = (gt_warp(scene, i, j) for i, j in ((0, 1), (1, 0)))
         o = overlap_from_matches(warps, 2, tau_conf=0.3)
         assert o.values[0, 1] == 1.0 and o.values[1, 0] == 1.0
 
@@ -35,8 +36,7 @@ class TestOverlapFromMatches:
         h = np.eye(3)
         h[0, 2] = 100.0
         scene = SceneOracle("planar", (16, 16), 0, homographies=(h, np.eye(3)))
-        warps = {(0, 1): gt_warp(scene, 0, 1)}
-        o = overlap_from_matches(warps, 2, tau_conf=0.3)
+        o = overlap_from_matches([gt_warp(scene, 0, 1)], 2, tau_conf=0.3)
         assert o.values[0, 1] == 0.0
         assert o.values[1, 0] == 0.0  # missing pair scores zero
 
@@ -44,9 +44,17 @@ class TestOverlapFromMatches:
         h = np.eye(3)
         h[0, 2] = 32.0  # shift half of a 64-wide image
         scene = SceneOracle("planar", (64, 64), 0, homographies=(h, np.eye(3)))
-        warps = {(0, 1): gt_warp(scene, 0, 1)}
-        o = overlap_from_matches(warps, 2, tau_conf=0.3)
+        o = overlap_from_matches([gt_warp(scene, 0, 1)], 2, tau_conf=0.3)
         assert abs(o.values[0, 1] - 0.5) < 0.02
+
+    def test_pair_read_from_warp_header(self):
+        conf = np.zeros((4, 4))
+        conf[:, :3] = 0.9  # 3 of 4 columns above tau
+        warp = DenseWarpField(np.zeros((4, 4, 2)), conf, source_view=1, target_view=0)
+        o = overlap_from_matches([warp], 3, tau_conf=0.3)
+        assert o.values[1, 0] == 0.75
+        assert o.values[0, 1] == 0.0  # missing pair scores zero
+        assert np.count_nonzero(o.values) == 1
 
 
 class TestOverlapFromDescriptors:

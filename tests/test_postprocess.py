@@ -6,7 +6,7 @@ from mvmatch.grids import DenseWarpField
 from mvmatch.kernels import bilinear_gather
 from mvmatch.oracle import gt_track_error, make_planar_scene, gt_warp
 from oracles import brute_force_nms, identity_warp, loop_assemble_tracks
-from mvmatch.postprocess import (ScoreMap, assemble_tracks, build_score_map,
+from mvmatch.postprocess import (assemble_tracks, build_score_map,
                                  match_statistics, nms_select, postprocess_group,
                                  reciprocity_filter, select_matches)
 
@@ -117,33 +117,34 @@ class TestScoreMap:
     def test_full_confidence_four_targets(self):
         confs = [np.ones((4, 4)) for _ in range(4)]
         keeps = [np.ones((4, 4), dtype=bool) for _ in range(4)]
-        sm = build_score_map(confs, keeps, tau=0.3)
-        np.testing.assert_array_equal(sm.scores, 5.0)
+        scores = build_score_map(confs, keeps, tau=0.3)
+        assert scores.shape == (4, 4)
+        np.testing.assert_array_equal(scores, 5.0)
 
     def test_mixed_confidences(self):
+        # length 2 (0.9 and 0.5 pass tau) plus their mean confidence 0.7
         confs = [np.full((1, 1), c) for c in (0.9, 0.2, 0.5)]
         keeps = [np.ones((1, 1), dtype=bool)] * 3
-        sm = build_score_map(confs, keeps, tau=0.3)
-        assert sm.length[0, 0] == 2
-        assert sm.mean_confidence[0, 0] == pytest.approx(0.7)
-        assert sm.scores[0, 0] == pytest.approx(2.7)
+        scores = build_score_map(confs, keeps, tau=0.3)
+        assert scores[0, 0] == pytest.approx(2.7)
 
     def test_reciprocity_mask_gates(self):
         confs = [np.full((1, 1), 0.9)]
         keeps = [np.zeros((1, 1), dtype=bool)]
-        sm = build_score_map(confs, keeps, tau=0.3)
-        assert sm.scores[0, 0] == 0.0
+        scores = build_score_map(confs, keeps, tau=0.3)
+        assert scores[0, 0] == 0.0
 
     def test_score_range_invariant(self):
         rng = np.random.default_rng(6)
         v = 5
         confs = [rng.uniform(0, 1, (8, 8)) for _ in range(v - 1)]
         keeps = [rng.random((8, 8)) < 0.7 for _ in range(v - 1)]
-        sm = build_score_map(confs, keeps, tau=0.3)
-        assert sm.scores.min() >= 0.0
-        assert sm.scores.max() <= v
-        zero_len = sm.length == 0
-        np.testing.assert_array_equal(sm.scores[zero_len], 0.0)
+        scores = build_score_map(confs, keeps, tau=0.3)
+        assert scores.min() >= 0.0
+        assert scores.max() <= v
+        no_target = ~np.any([k & (c > 0.3) for c, k in zip(confs, keeps)], axis=0)
+        assert no_target.any()
+        np.testing.assert_array_equal(scores[no_target], 0.0)
 
 
 class TestNms:
@@ -189,11 +190,6 @@ class TestNms:
         assert len(picked) == 5
         full = nms_select(scores, radius=1)
         np.testing.assert_array_equal(picked, full[:5])
-
-    def test_accepts_score_map(self):
-        sm = ScoreMap(np.ones((4, 4), dtype=np.int64), np.full((4, 4), 0.5))
-        picked = nms_select(sm.scores, radius=3)
-        assert len(picked) == 1
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
